@@ -27,18 +27,14 @@ from .correspond import (
 from .dsl import build_group
 from .enumeration import (
     HgsRecord,
-    RegularEmbedding,
     direct_enumerate_oracle,
     enumerate_hgs,
-    regular_embeddings,
-    transport,
 )
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
     automorphisms,
     core_of,
-    holomorph,
     left_regular,
     right_regular,
     subgroups,
@@ -71,7 +67,6 @@ __all__ = [
     "Permutation",
     "PsiResult",
     "QuotientHGS",
-    "RegularEmbedding",
     "StableSubgroup",
     "SubgroupHandle",
     "act",
@@ -88,7 +83,6 @@ __all__ = [
     "fixed_field",
     "fixed_ring_basis",
     "fixedsum_check",
-    "holomorph",
     "hopf_galois_rank",
     "induced_block_perm",
     "iso_class",
@@ -99,10 +93,8 @@ __all__ = [
     "psi",
     "psi_onto",
     "quotient_structure",
-    "regular_embeddings",
     "right_regular",
     "stable_subgroups",
     "subgroups",
-    "transport",
     "__version__",
 ]

@@ -147,12 +147,3 @@ def _fallback_label(group: FiniteGroup, fp: tuple) -> GroupClassLabel:
     name = f"order{group.order}#{digest}" + (f".{len(reps) + 1}" if reps else "")
     reps.append((group, name))
     return GroupClassLabel(name, group.order)
-
-
-def is_isomorphic_groups(g1, g2) -> bool:
-    """Isomorphism test accepting FiniteGroup or PermGroup on either side."""
-    if isinstance(g1, PermGroup):
-        g1 = as_finite_group(g1)
-    if isinstance(g2, PermGroup):
-        g2 = as_finite_group(g2)
-    return is_isomorphic(g1, g2)

@@ -1,6 +1,7 @@
 """Command-line interface: enum, correspond, table42, verify, model.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error (including a group order
+outside the catalog or above an enumeration cap).
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from .catalog import CATALOG
 from .dsl import build_group
-from .errors import GroupSpecError, HgwError
+from .errors import EnumerationOverflow, GroupSpecError, HgwError
 from .report import (
     FORMATS,
     emit_enum_table,
@@ -47,18 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enum", help="enumerate Hopf-Galois structures for a group")
     p_enum.add_argument("--group", required=True, help="group expression, e.g. 'D21'")
     p_enum.add_argument("--out", help="write to this file instead of stdout")
-    p_enum.add_argument("--threads", type=int, default=1)
     _add_format(p_enum)
 
     p_corr = sub.add_parser("correspond", help="census of (N, P, Psi(P)) triples")
     p_corr.add_argument("--group", required=True)
     p_corr.add_argument("--out", help="write to this file instead of stdout")
-    p_corr.add_argument("--threads", type=int, default=1)
     _add_format(p_corr)
 
     p_t42 = sub.add_parser("table42", help="emit the degree-42 matrix and all six tables")
     p_t42.add_argument("--out", default="tables", help="output directory (default ./tables)")
-    p_t42.add_argument("--threads", type=int, default=1)
     _add_format(p_t42)
 
     p_verify = sub.add_parser("verify", help="run a bundled verification fixture")
@@ -90,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "enum":
             group = _parse_group(parser, args.group)
-            doc = emit_enum_table(group, args.format, threads=args.threads)
+            doc = emit_enum_table(group, args.format)
             _emit(doc.render(), args.out)
         elif args.command == "correspond":
             group = _parse_group(parser, args.group)
@@ -98,12 +97,12 @@ def main(argv: list[str] | None = None) -> int:
             from .enumeration import enumerate_hgs
             from .report import correspondence_table_doc
 
-            records = enumerate_hgs(group, threads=args.threads)
+            records = enumerate_hgs(group)
             rows = correspondence_rows(group, records)
             doc = correspondence_table_doc(rows, args.format)
             _emit(doc.render(), args.out)
         elif args.command == "table42":
-            written = write_table42(args.out, args.format, threads=args.threads)
+            written = write_table42(args.out, args.format)
             sys.stdout.write("\n".join(written) + "\n")
         elif args.command == "verify":
             doc = run_fixture_paper24(args.format)
@@ -114,6 +113,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc.render(), args.out)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
+    except (GroupSpecError, EnumerationOverflow) as exc:
+        covered = ", ".join(str(order) for order in sorted(CATALOG))
+        sys.stderr.write(f"usage error: {exc} (covered orders: {covered})\n")
+        return 2
     except HgwError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1

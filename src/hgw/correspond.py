@@ -103,12 +103,8 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     for handle in subgroups(record.n_group):
         sub = handle.as_perm_group()
         if normalizes(lam, sub):
-            out.append(StableSubgroup(record, handle, _normal_in(record.n_group, sub)))
+            out.append(StableSubgroup(record, handle, normalizes(record.n_group, sub)))
     return out
-
-
-def _normal_in(ambient: PermGroup, sub: PermGroup) -> bool:
-    return normalizes(ambient, sub)
 
 
 def psi(stable: StableSubgroup) -> PsiResult:

@@ -1,25 +1,36 @@
 """Enumeration of Hopf-Galois structures: regular lambda(G)-normalized subgroups.
 
-The search runs inside holomorphs: for every isomorphism type M of order |G|,
-each regular subgroup V <= Hol(M) isomorphic to G, together with each
+One path turns embeddings into records. For every isomorphism type M of order
+|G|, each regular subgroup V <= Hol(M) isomorphic to G, together with each
 isomorphism beta: G -> V, transports to one regular subgroup N <= Perm(G)
 normalized by lambda(G), via conjugation by the base-point bijection
-b(g) = beta(g)(0). Each distinct N arises from exactly |Aut(M)| embeddings,
-which is asserted. A direct brute-force search of Perm(G) certifies the
-holomorph route at small degrees.
+b(g) = beta(g)(0). Embeddings are deduplicated by N's element set, and for
+each distinct N these contracts are checked once, each raising
+TheoremViolation:
+
+- b is bijective;
+- the transported beta(G) equals lambda(G);
+- m -> (row m of N's table) is an injective homomorphism M -> N, so N's class
+  is M's catalog label;
+- N is regular;
+- lambda(G), built once per ``enumerate_hgs`` call, normalizes N;
+- N arose from exactly |Aut(M)| embeddings.
+
+A direct brute-force search of Perm(G) certifies the holomorph route at small
+degrees.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import regsearch
-from .catalog import GroupClassLabel, catalog_group, catalog_names, fingerprint, iso_class
+from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from .errors import EnumerationOverflow, GroupSpecError, TheoremViolation
 from .groups import (
     FiniteGroup,
@@ -32,19 +43,6 @@ from .perm import PermGroup, Permutation, normalizes
 
 ORACLE_DEGREE_CAP = 8
 ENUMERATION_ORDER_CAP = 48
-
-
-@dataclass(frozen=True)
-class RegularEmbedding:
-    """An injective homomorphism of G into Hol(M) with regular image."""
-
-    source: FiniteGroup
-    target_model: FiniteGroup
-    images: tuple[Permutation, ...]  # one permutation of M-indices per G-index
-
-    def base_point_map(self) -> tuple[int, ...]:
-        """The bijection b: G -> M, g -> beta(g)(identity of M)."""
-        return tuple(p(0) for p in self.images)
 
 
 @dataclass(frozen=True)
@@ -111,73 +109,14 @@ def _hol_data(m_name: str) -> _HolData:
     return _HOL_CACHE[m_name]
 
 
-# -- public operations ---------------------------------------------------------
+# -- the enumeration ----------------------------------------------------------
 
 
-def regular_embeddings(group: FiniteGroup, model: FiniteGroup) -> list[RegularEmbedding]:
-    """All injective homomorphisms of ``group`` into Hol(model) with regular image."""
-    if group.order != model.order:
-        raise GroupSpecError("regular embeddings need |G| = |M|")
-    m_name = iso_class(model).name
-    hol = _hol_data(m_name)
-    out: list[RegularEmbedding] = []
-    fp = fingerprint(group)
-    for sub in itertools.chain.from_iterable(hol.by_class.values()):
-        if fingerprint(sub.abstract) != fp:
-            continue
-        for iso in all_isomorphisms(group, sub.abstract):
-            images = tuple(Permutation(sub.sorted_rows[iso[g]]) for g in range(group.order))
-            out.append(RegularEmbedding(group, model, images))
-    return out
-
-
-def transport(embedding: RegularEmbedding) -> HgsRecord:
-    """The Hopf-Galois structure record carried by a regular embedding."""
-    group = embedding.source
-    n = group.order
-    rows = [bytes(p.images) for p in embedding.images]
-    table = _transport_table(group, embedding.target_model, rows)
-    m_name = iso_class(embedding.target_model).name
-    return _record_from_table(group, table, m_name, 0)
-
-
-def _transport_table(group: FiniteGroup, model: FiniteGroup, beta_rows: Sequence[bytes]) -> np.ndarray:
-    """N's element images (one row per element of M), with contract assertions."""
-    n = group.order
-    b = np.array([r[0] for r in beta_rows], dtype=np.int64)
-    if len(set(b.tolist())) != n:
-        raise TheoremViolation("embedding image is not regular: base map not bijective")
-    b_inv = np.empty(n, dtype=np.int64)
-    b_inv[b] = np.arange(n)
-    mul = np.array(model.table, dtype=np.int64)
-    table = b_inv[mul[:, b]]
-    # transported beta(G) must equal lambda(G) exactly
-    lam = np.array(group.table, dtype=np.int64)
-    for g in range(n):
-        row = np.array(list(beta_rows[g]), dtype=np.int64)
-        if not np.array_equal(b_inv[row[b]], lam[g]):
-            raise TheoremViolation("transported embedding image differs from lambda(G)")
-    return table
-
-
-def _record_from_table(group: FiniteGroup, table: np.ndarray, m_name: str, emb_id: int) -> HgsRecord:
-    perms = [Permutation(tuple(int(x) for x in row)) for row in table]
-    n_group = PermGroup(group.order, generating_subset_of(perms), perms)
-    if not n_group.is_regular():
-        raise TheoremViolation("transported subgroup is not regular")
-    if not normalizes(left_regular(group), n_group):
-        raise TheoremViolation("transported subgroup is not normalized by lambda(G)")
-    label = iso_class(n_group)
-    if label.name != m_name:
-        raise TheoremViolation(f"transported subgroup has class {label.name}, expected {m_name}")
-    return HgsRecord(group, n_group, label, (m_name, emb_id))
-
-
-def enumerate_hgs(group: FiniteGroup, threads: int = 1) -> list[HgsRecord]:
+def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     """All Hopf-Galois structures on a Galois extension with group ``group``.
 
-    Output is deterministic: records sorted by (model class, element set),
-    independent of thread count.
+    Output is deterministic: records sorted by (model class in catalog order,
+    element set).
     """
     n = group.order
     if n > ENUMERATION_ORDER_CAP:
@@ -185,48 +124,58 @@ def enumerate_hgs(group: FiniteGroup, threads: int = 1) -> list[HgsRecord]:
     names = catalog_names(n)
     if not names:
         raise GroupSpecError(f"catalog does not cover order {n}")
-
-    def run_model(m_name: str) -> list[HgsRecord]:
-        return _enumerate_for_model(group, m_name)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_model, names))
-    else:
-        chunks = [run_model(m_name) for m_name in names]
-    records = [rec for chunk in chunks for rec in chunk]
-    order_of = {name: i for i, name in enumerate(names)}
-    records.sort(key=lambda r: (order_of[r.n_class.name], r.key))
-    return records
+    lam = left_regular(group)
+    g_class = iso_class_name_cached(group)
+    return [rec for m_name in names for rec in _records_for_model(group, lam, g_class, m_name)]
 
 
-def _enumerate_for_model(group: FiniteGroup, m_name: str) -> list[HgsRecord]:
+def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str,
+                       m_name: str) -> list[HgsRecord]:
+    """The structures of class M: one record per distinct N, sorted by element set."""
+    n = group.order
     hol = _hol_data(m_name)
-    model = hol.model
-    seen: dict[bytes, list] = {}
+    mul = np.array(hol.model.table, dtype=np.int64)
+    # key -> (embedding id, beta rows, b, b^-1, N's table) of N's first embedding
+    first: dict[bytes, tuple] = {}
+    multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    mul = np.array(model.table, dtype=np.int64)
-    for sub in hol.by_class.get(iso_class_name_cached(group), ()):
+    for sub in hol.by_class.get(g_class, ()):
         for iso in all_isomorphisms(group, sub.abstract):
-            b = np.array([sub.sorted_rows[iso[g]][0] for g in range(group.order)], dtype=np.int64)
-            b_inv = np.empty(group.order, dtype=np.int64)
-            b_inv[b] = np.arange(group.order)
-            table = b_inv[mul[:, b]]
+            b = np.array([sub.sorted_rows[i][0] for i in iso], dtype=np.int64)
+            b_inv = np.empty(n, dtype=np.int64)
+            b_inv[b] = np.arange(n)
+            table = b_inv[mul[:, b]]  # row m: lambda(m) conjugated by b
             key = b"".join(sorted(row.tobytes() for row in table.astype(np.uint8)))
-            entry = seen.get(key)
-            if entry is None:
-                seen[key] = [table, emb_id, 1, [sub.sorted_rows[iso[g]] for g in range(group.order)]]
-            else:
-                entry[2] += 1
+            multiplicity[key] += 1
+            if key not in first:
+                first[key] = (emb_id, [sub.sorted_rows[i] for i in iso], b, b_inv, table)
             emb_id += 1
+
+    lam_table = np.array(group.table, dtype=np.int64)
     records = []
-    for key in sorted(seen):
-        table, first_id, multiplicity, beta_rows = seen[key]
-        if multiplicity != hol.aut_order:
+    for key in sorted(first):
+        first_id, beta_rows, b, b_inv, table = first[key]
+        if len(set(b.tolist())) != n:
+            raise TheoremViolation("embedding image is not regular: base map not bijective")
+        beta = np.frombuffer(b"".join(beta_rows), dtype=np.uint8).reshape(n, n)
+        if not np.array_equal(b_inv[beta[:, b]], lam_table):
+            raise TheoremViolation("transported embedding image differs from lambda(G)")
+        # With column 0 a bijection c, row m1 (row m2 (0)) = row (m1 m2) (0) for all
+        # m1, m2 forces row m = c lambda(m) c^-1: an injective homomorphism M -> N.
+        col0 = table[:, 0]
+        if len(set(col0.tolist())) != n or not np.array_equal(table[:, col0], col0[mul]):
             raise TheoremViolation(
-                f"structure arose from {multiplicity} embeddings, expected |Aut(M)| = {hol.aut_order}")
-        _transport_table(group, model, beta_rows)  # re-asserts the lambda(G) contract
-        records.append(_record_from_table(group, table, m_name, first_id))
+                f"transported subgroup is not the injective image of {m_name}")
+        perms = [Permutation(tuple(int(x) for x in row)) for row in table]
+        n_group = PermGroup(n, generating_subset_of(perms), perms)
+        if not n_group.is_regular():
+            raise TheoremViolation("transported subgroup is not regular")
+        if not normalizes(lam, n_group):
+            raise TheoremViolation("transported subgroup is not normalized by lambda(G)")
+        if multiplicity[key] != hol.aut_order:
+            raise TheoremViolation(
+                f"structure arose from {multiplicity[key]} embeddings, expected |Aut(M)| = {hol.aut_order}")
+        records.append(HgsRecord(group, n_group, GroupClassLabel(m_name, n), (m_name, first_id)))
     return records
 
 

@@ -49,17 +49,6 @@ class FiniteGroup:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverse_table[g]]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse_table[a], -k
-        result = 0
-        while k:
-            if k & 1:
-                result = self.table[result][a]
-            a = self.table[a][a]
-            k >>= 1
-        return result
-
     def element_order(self, a: int) -> int:
         x, k = a, 1
         while x != 0:
@@ -179,10 +168,6 @@ def right_regular(group: FiniteGroup) -> PermGroup:
         perms.append(Permutation(tuple(group.table[x][ginv] for x in range(group.order))))
     gens = generating_subset_of(perms)
     return PermGroup(group.order, gens, perms)
-
-
-def lambda_of(group: FiniteGroup, g: int) -> Permutation:
-    return Permutation(group.table[g])
 
 
 # -- a uniform index-world view of PermGroup / FiniteGroup -----------------
@@ -452,21 +437,4 @@ def automorphisms(group: FiniteGroup) -> PermGroup:
             f"automorphism enumeration capped at order {AUTOMORPHISM_ORDER_CAP}")
     perms = [Permutation(images) for images in all_isomorphisms(group, group)]
     gens = generating_subset_of(perms)
-    return PermGroup(group.order, gens, perms)
-
-
-def holomorph(group: FiniteGroup) -> PermGroup:
-    """Hol(M) = closure of lambda(M) and Aut(M) inside Perm(M).
-
-    Built directly as the products lambda(m) * alpha, which is the same set;
-    the order |M| * |Aut(M)| is asserted.
-    """
-    aut = automorphisms(group)
-    lam = left_regular(group)
-    elems = {(l * a).images: (l * a) for a in aut.elements for l in lam.elements}
-    perms = list(elems.values())
-    expected = group.order * aut.order
-    if len(perms) != expected:  # pragma: no cover - construction sanity
-        raise GroupSpecError("holomorph size mismatch")
-    gens = tuple(dict.fromkeys(lam.generators + aut.generators))
     return PermGroup(group.order, gens, perms)

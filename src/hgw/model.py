@@ -45,11 +45,6 @@ class ExtensionModel:
         self.group = build_group(f"C{n}")  # index j acts as Frobenius^j
         self.frobenius_matrices = self._frobenius_matrices()
 
-    @property
-    def frobenius_power_table(self) -> list[np.ndarray]:
-        """Matrices of the action of each group element (Frobenius powers)."""
-        return self.frobenius_matrices
-
     # -- field arithmetic --
 
     @property

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Sequence
 
@@ -84,8 +83,8 @@ class Permutation:
             inv[x] = i
         return Permutation(inv)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted by that point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Non-trivial disjoint cycles, each starting at its least point, sorted by that point."""
         out = []
         seen = [False] * self.degree
         for start in range(self.degree):
@@ -98,7 +97,7 @@ class Permutation:
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -118,19 +117,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
 
-    def fixed_points(self) -> list[int]:
-        return [i for i, x in enumerate(self.images) if x == i]
-
     def is_fixed_point_free(self) -> bool:
         return all(x != i for i, x in enumerate(self.images))
-
-    def is_uniform(self) -> bool:
-        """True iff all cycles (including fixed points) share one length.
-
-        Elements of semi-regular groups are exactly the uniform ones.
-        """
-        lengths = {len(c) for c in self.cycles(include_fixed=True)}
-        return len(lengths) == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -224,20 +212,6 @@ class PermGroup:
     def is_regular(self) -> bool:
         return self.is_semiregular() and self.order == self.degree
 
-    def generating_subset(self) -> tuple[Permutation, ...]:
-        """A small deterministic generating sequence (greedy, highest order first)."""
-        chosen: list[Permutation] = []
-        current = {Permutation.identity(self.degree).images}
-        by_order = sorted(self.elements, key=lambda p: (-p.order(), p.images))
-        for p in by_order:
-            if len(current) == self.order:
-                break
-            if p.images in current:
-                continue
-            chosen.append(p)
-            current = {q.images for q in closure(chosen, self.degree).elements}
-        return tuple(chosen)
-
 
 def closure(gens: Sequence[Permutation], degree: int, cap: int = CLOSURE_CAP) -> PermGroup:
     """The subgroup generated by ``gens``, with a hard cap on its order."""
@@ -276,8 +250,3 @@ def normalizes(a_group, b_group) -> bool:
             if (a * b * a_inv).images not in b_members:
                 return False
     return True
-
-
-def transversal_products(left: PermGroup, right: PermGroup) -> set[tuple[int, ...]]:
-    """Image tuples of the setwise product {l*r}, used for small sanity checks."""
-    return {(l * r).images for l, r in itertools.product(left.elements, right.elements)}

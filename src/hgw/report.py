@@ -12,7 +12,7 @@ from typing import Sequence
 from .catalog import catalog_group, catalog_names
 from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable_subgroups
 from .enumeration import HgsRecord, enumerate_hgs
-from .errors import GroupSpecError
+from .errors import GroupSpecError, TheoremViolation
 from .fixture24 import FixtureReport, run_fixture
 from .groups import FiniteGroup
 from .groups import subgroups as subgroups_of
@@ -93,13 +93,13 @@ class GroupCensus:
 _CENSUS_CACHE: dict[tuple[str, bool], GroupCensus] = {}
 
 
-def group_census(g_name: str, threads: int = 1, verify: bool = True) -> GroupCensus:
+def group_census(g_name: str, verify: bool = True) -> GroupCensus:
     """Enumerate, classify, and aggregate for one catalog group (cached)."""
     cache_key = (g_name, verify)
     if cache_key in _CENSUS_CACHE:
         return _CENSUS_CACHE[cache_key]
     group = catalog_group(g_name)
-    records = enumerate_hgs(group, threads=threads)
+    records = enumerate_hgs(group)
     class_counts = Counter(r.n_class.name for r in records)
     onto = Counter()
     stables = {}
@@ -115,12 +115,12 @@ def group_census(g_name: str, threads: int = 1, verify: bool = True) -> GroupCen
     return census
 
 
-def emit_count_matrix_42(fmt: str = "md", threads: int = 1) -> TableDocument:
+def emit_count_matrix_42(fmt: str = "md") -> TableDocument:
     """The 6x6 degree-42 matrix of structure counts with onto-braces."""
     names = catalog_names(42)
     rows = []
     for g_name in names:
-        census = group_census(g_name, threads=threads)
+        census = group_census(g_name)
         row: dict = {"G": DISPLAY_42[g_name]}
         for m_name in names:
             count = census.class_counts.get(m_name, 0)
@@ -152,15 +152,15 @@ def correspondence_table_doc(rows, fmt: str) -> TableDocument:
     return TableDocument("per-g-table", out, fmt, header)
 
 
-def emit_per_g_table(g_name: str, fmt: str = "md", threads: int = 1) -> TableDocument:
+def emit_per_g_table(g_name: str, fmt: str = "md") -> TableDocument:
     """The correspondence census table for one order-42 group."""
-    census = group_census(g_name, threads=threads)
+    census = group_census(g_name)
     return correspondence_table_doc(census.rows, fmt)
 
 
-def emit_enum_table(group: FiniteGroup, fmt: str = "md", threads: int = 1) -> TableDocument:
+def emit_enum_table(group: FiniteGroup, fmt: str = "md") -> TableDocument:
     """One row per enumerated structure: class, order, provenance, generators."""
-    records = enumerate_hgs(group, threads=threads)
+    records = enumerate_hgs(group)
     rows = []
     for i, record in enumerate(records):
         rows.append(
@@ -224,7 +224,7 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
         if "rank" in checks:
             ring = m.fixed_ring_basis(ext, record.n_group)
             if not m.hopf_galois_rank(ext, ring):
-                raise GroupSpecError("rank check failed")  # pragma: no cover
+                raise TheoremViolation("rank check failed")  # pragma: no cover
             row("rank", name, f"K#H -> End_k(K) bijective (rank {n * n})")
         if "exact" in checks:
             for stable in stables:
@@ -243,25 +243,25 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
             for r in range(n + 1):
                 for subset in itertools.combinations(range(n), r):
                     if not m.fixedsum_check(ext, subset, result):
-                        raise GroupSpecError("fixedsum counterexample")  # pragma: no cover
+                        raise TheoremViolation("fixedsum counterexample")  # pragma: no cover
                     count += 1
         row("fixedsum", f"all subsets of G, all subfields", f"{count} instances, no counterexample")
     return TableDocument("model-report", rows, fmt, ["check", "target", "status", "detail"])
 
 
-def write_table42(out_dir, fmt: str = "md", threads: int = 1) -> list[str]:
+def write_table42(out_dir, fmt: str = "md") -> list[str]:
     """Write the count matrix plus all six per-group tables; returns paths."""
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    doc = emit_count_matrix_42(fmt, threads=threads)
+    doc = emit_count_matrix_42(fmt)
     path = out / f"count_matrix_42.{fmt}"
     path.write_text(doc.render(), encoding="utf-8")
     written.append(str(path))
     for g_name in catalog_names(42):
-        doc = emit_per_g_table(g_name, fmt, threads=threads)
+        doc = emit_per_g_table(g_name, fmt)
         path = out / f"table_{FILE_SLUGS[g_name]}.{fmt}"
         path.write_text(doc.render(), encoding="utf-8")
         written.append(str(path))

@@ -1,19 +1,15 @@
+import re
 from collections import Counter
 
 import pytest
 
-from hgw.catalog import catalog_group, catalog_names, iso_class
+import hgw.enumeration as enumeration
+from hgw.catalog import iso_class
 from hgw.dsl import build_group
-from hgw.enumeration import (
-    count_formula_report,
-    direct_enumerate_oracle,
-    enumerate_hgs,
-    regular_embeddings,
-    transport,
-)
-from hgw.errors import EnumerationOverflow
-from hgw.groups import automorphisms, left_regular, right_regular
-from hgw.perm import normalizes
+from hgw.enumeration import count_formula_report, direct_enumerate_oracle, enumerate_hgs
+from hgw.errors import EnumerationOverflow, TheoremViolation
+from hgw.groups import all_isomorphisms, left_regular, right_regular
+from hgw.perm import Permutation, closure, normalizes
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -51,9 +47,10 @@ def test_enumeration_order_cap():
 def test_rho_always_enumerated():
     for spec in ["C6", "D3", "Q8"]:
         group = build_group(spec)
+        lam = frozenset(p.images for p in left_regular(group).elements)
         rho = frozenset(p.images for p in right_regular(group).elements)
-        records = enumerate_hgs(group)
-        assert rho in _element_sets(r.n_group for r in records)
+        found = _element_sets(r.n_group for r in enumerate_hgs(group))
+        assert lam in found and rho in found
 
 
 def test_every_record_sound():
@@ -65,58 +62,6 @@ def test_every_record_sound():
         assert iso_class(record.n_group).name == record.n_class.name
 
 
-def test_embedding_counts_per_image():
-    group = build_group("C6")
-    for m_name in catalog_names(6):
-        model = catalog_group(m_name)
-        embeddings = regular_embeddings(group, model)
-        by_image = Counter(frozenset(p.images for p in e.images) for e in embeddings)
-        aut_g = automorphisms(group).order
-        for image, count in by_image.items():
-            assert count == aut_g  # embeddings with a fixed image V = Iso(G, V)
-
-
-def test_embeddings_are_homomorphisms_with_regular_image():
-    group = build_group("D3")
-    for emb in regular_embeddings(group, build_group("C6")):
-        for a in range(6):
-            for b in range(6):
-                assert emb.images[group.mul(a, b)] == emb.images[a] * emb.images[b]
-        image = {p.images for p in emb.images}
-        assert len(image) == 6
-        assert len({p(0) for p in emb.images}) == 6  # regular: base orbit is everything
-
-
-def test_transport_of_lambda_and_rho():
-    group = build_group("D3")
-    embeddings = regular_embeddings(group, group)
-    lam = frozenset(p.images for p in left_regular(group).elements)
-    rho = frozenset(p.images for p in right_regular(group).elements)
-    lam_images = {tuple(group.table[g]) for g in range(group.order)}
-    results = set()
-    for emb in embeddings:
-        record = transport(emb)
-        results.add(frozenset(p.images for p in record.n_group.elements))
-        # the beta with images exactly lambda(G) transports to lambda(G) itself
-        if {p.images for p in emb.images} == lam_images and \
-                emb.base_point_map() == tuple(range(group.order)):
-            assert frozenset(p.images for p in record.n_group.elements) == lam
-    assert lam in results and rho in results
-
-
-def test_transport_rho_embedding_gives_rho():
-    group = build_group("Q8")
-    rho_perms = {p.images for p in right_regular(group).elements}
-    for emb in regular_embeddings(group, group):
-        image = {p.images for p in emb.images}
-        if image == rho_perms and emb.base_point_map() == tuple(
-                group.inverse_table[g] for g in range(group.order)):
-            record = transport(emb)
-            assert {p.images for p in record.n_group.elements} == rho_perms
-            return
-    pytest.fail("rho-style embedding not found")
-
-
 def test_count_formula_small():
     for spec in ["C4", "C6", "D4"]:
         group = build_group(spec)
@@ -124,15 +69,52 @@ def test_count_formula_small():
             assert row["lhs"] == row["rhs"], (spec, row)
 
 
-def test_enumeration_deterministic_across_threads():
-    group = build_group("D3")
-    once = enumerate_hgs(group, threads=1)
-    twice = enumerate_hgs(group, threads=4)
-    assert [(r.n_class.name, r.key) for r in once] == [(r.n_class.name, r.key) for r in twice]
-
-
 def test_c6_known_distribution():
     counts = Counter(r.n_class.name for r in enumerate_hgs(build_group("C6")))
     assert counts == {"C6": 1, "D3": 2}
     counts = Counter(r.n_class.name for r in enumerate_hgs(build_group("D3")))
     assert counts == {"C6": 3, "D3": 2}
+
+
+def test_contracts_run_once_per_structure(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "left_regular", counted("lambda", left_regular))
+    monkeypatch.setattr(enumeration, "normalizes", counted("normalizes", normalizes))
+    records = enumerate_hgs(build_group("D4"))
+    assert calls == {"lambda": 1, "normalizes": len(records)}
+
+
+def _first_iso_only(g, v):
+    return all_isomorphisms(g, v)[:1]
+
+
+def _constant_iso(g, v):
+    return [(0,) * g.order for _ in all_isomorphisms(g, v)]
+
+
+def _non_homomorphism(g, v):
+    # precomposing with a swap of an element of order 3 and one of order 2 breaks the law
+    return [tuple(iso[{1: 3, 3: 1}.get(x, x)] for x in range(g.order))
+            for iso in all_isomorphisms(g, v)]
+
+
+@pytest.mark.parametrize("attr, fake, message", [
+    ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
+    ("all_isomorphisms", _constant_iso, "base map not bijective"),
+    ("all_isomorphisms", _non_homomorphism, "differs from lambda(G)"),
+    ("left_regular", lambda g: closure([Permutation.from_cycles([(0, 1)], g.order)], g.order),
+     "not normalized by lambda(G)"),
+], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized"])
+def test_contract_violations_raise(monkeypatch, attr, fake, message):
+    group = build_group("D3")
+    assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
+    monkeypatch.setattr(enumeration, attr, fake)
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        enumerate_hgs(group)

@@ -2,6 +2,7 @@ import pytest
 
 from hgw.errors import EnumerationOverflow
 from hgw.perm import Permutation, closure, normalizes
+from hgw.regsearch import is_uniform
 
 
 def test_identity_and_composition():
@@ -35,10 +36,13 @@ def test_parse_rejects_garbage():
 
 
 def test_uniformity():
-    assert Permutation.from_cycles([(0, 1), (2, 3)], 4).is_uniform()
-    assert not Permutation.from_cycles([(0, 1), (2, 3, 4)], 5).is_uniform()
-    assert not Permutation.from_cycles([(0, 1)], 4).is_uniform()  # fixed points
-    assert Permutation.identity(4).is_uniform()
+    def row(p):
+        return bytes(p.images)
+
+    assert is_uniform(row(Permutation.from_cycles([(0, 1), (2, 3)], 4)))
+    assert not is_uniform(row(Permutation.from_cycles([(0, 1), (2, 3, 4)], 5)))
+    assert not is_uniform(row(Permutation.from_cycles([(0, 1)], 4)))  # fixed points
+    assert is_uniform(row(Permutation.identity(4)))
 
 
 def test_closure_deterministic_and_capped():

@@ -43,12 +43,57 @@ def test_model_report_small():
     assert rows and all(r["status"] == "pass" for r in rows)
 
 
-def test_byte_identical_rendering_across_runs_and_threads():
+def test_byte_identical_rendering_across_runs():
     group = build_group("C6")
-    a = emit_enum_table(group, "md", threads=1).render()
-    b = emit_enum_table(group, "md", threads=3).render()
-    c = emit_enum_table(group, "md", threads=1).render()
-    assert a == b == c
+    a = emit_enum_table(group, "md").render()
+    b = emit_enum_table(group, "md").render()
+    assert a == b
+
+
+# Record order, provenance ids and generator cycles: every rendered table
+# depends on them, so they must not move when the enumeration changes.
+ENUM_D3_MD = (
+    '| index | N_class | order | provenance | generator_cycles               |\n'
+    '| ----- | ------- | ----- | ---------- | ------------------------------ |\n'
+    '| 0     | C6      | 6     | C6#1       | (0,4,2,3,1,5)                  |\n'
+    '| 1     | C6      | 6     | C6#0       | (0,3,1,4,2,5)                  |\n'
+    '| 2     | C6      | 6     | C6#2       | (0,3,2,5,1,4)                  |\n'
+    '| 3     | D3      | 6     | D3#0       | (0,1,2)(3,4,5) (0,3)(1,5)(2,4) |\n'
+    '| 4     | D3      | 6     | D3#6       | (0,1,2)(3,5,4) (0,3)(1,4)(2,5) |\n'
+)
+
+ENUM_Q8_MD = (
+    '| index | N_class | order | provenance | generator_cycles                                               |\n'
+    '| ----- | ------- | ----- | ---------- | -------------------------------------------------------------- |\n'
+    '| 0     | C8      | 8     | C8#4       | (0,4,1,5,2,6,3,7)                                              |\n'
+    '| 1     | C8      | 8     | C8#5       | (0,4,3,7,2,6,1,5)                                              |\n'
+    '| 2     | C8      | 8     | C8#0       | (0,1,4,7,2,3,6,5)                                              |\n'
+    '| 3     | C8      | 8     | C8#1       | (0,1,5,4,2,3,7,6)                                              |\n'
+    '| 4     | C8      | 8     | C8#2       | (0,1,6,5,2,3,4,7)                                              |\n'
+    '| 5     | C8      | 8     | C8#3       | (0,1,7,6,2,3,5,4)                                              |\n'
+    '| 6     | C4 x C2 | 8     | C4 x C2#0  | (0,4,2,6)(1,5,3,7) (0,5,2,7)(1,4,3,6)                          |\n'
+    '| 7     | C4 x C2 | 8     | C4 x C2#1  | (0,4,2,6)(1,7,3,5) (0,5,2,7)(1,6,3,4)                          |\n'
+    '| 8     | C4 x C2 | 8     | C4 x C2#8  | (0,1,2,3)(4,5,6,7) (0,5,2,7)(1,6,3,4)                          |\n'
+    '| 9     | C4 x C2 | 8     | C4 x C2#9  | (0,1,2,3)(4,5,6,7) (0,4,2,6)(1,5,3,7)                          |\n'
+    '| 10    | C4 x C2 | 8     | C4 x C2#4  | (0,1,2,3)(4,7,6,5) (0,5,2,7)(1,4,3,6)                          |\n'
+    '| 11    | C4 x C2 | 8     | C4 x C2#5  | (0,1,2,3)(4,7,6,5) (0,4,2,6)(1,7,3,5)                          |\n'
+    '| 12    | C2^3    | 8     | C2^3#0     | (0,1)(2,3)(4,5)(6,7) (0,2)(1,3)(4,6)(5,7) (0,4)(1,5)(2,6)(3,7) |\n'
+    '| 13    | C2^3    | 8     | C2^3#2     | (0,1)(2,3)(4,7)(5,6) (0,2)(1,3)(4,6)(5,7) (0,4)(1,7)(2,6)(3,5) |\n'
+    '| 14    | D4      | 8     | D4#34      | (0,5,2,7)(1,6,3,4) (0,1)(2,3)(4,5)(6,7)                        |\n'
+    '| 15    | D4      | 8     | D4#8       | (0,4,2,6)(1,7,3,5) (0,1)(2,3)(4,5)(6,7)                        |\n'
+    '| 16    | D4      | 8     | D4#10      | (0,5,2,7)(1,4,3,6) (0,1)(2,3)(4,7)(5,6)                        |\n'
+    '| 17    | D4      | 8     | D4#32      | (0,4,2,6)(1,5,3,7) (0,1)(2,3)(4,7)(5,6)                        |\n'
+    '| 18    | D4      | 8     | D4#0       | (0,1,2,3)(4,5,6,7) (0,4)(1,7)(2,6)(3,5)                        |\n'
+    '| 19    | D4      | 8     | D4#24      | (0,1,2,3)(4,7,6,5) (0,4)(1,5)(2,6)(3,7)                        |\n'
+    '| 20    | Q8      | 8     | Q8#0       | (0,1,2,3)(4,5,6,7) (0,4,2,6)(1,7,3,5)                          |\n'
+    '| 21    | Q8      | 8     | Q8#24      | (0,1,2,3)(4,7,6,5) (0,4,2,6)(1,5,3,7)                          |\n'
+)
+
+
+@pytest.mark.parametrize("spec, expected", [("D3", ENUM_D3_MD), ("Q8", ENUM_Q8_MD)],
+                         ids=["D3", "Q8"])
+def test_enum_table_pinned(spec, expected):
+    assert emit_enum_table(build_group(spec), "md").render() == expected
 
 
 def test_cli_enum_json_in_process(tmp_path, capsys):
@@ -90,6 +135,27 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+
+
+COVERED = "(covered orders: 1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("C5", "catalog does not cover order 5"),
+    ("C50", "enumeration capped at order 48"),
+], ids=["C5", "C50"])
+def test_cli_uncovered_order_is_usage_error(capsys, spec, message):
+    assert main(["enum", "--group", spec]) == 2
+    assert capsys.readouterr().err == f"usage error: {message} {COVERED}\n"
+
+
+def test_cli_check_failure_exits_1(monkeypatch, capsys):
+    import hgw.enumeration as enumeration
+
+    real = enumeration.all_isomorphisms
+    monkeypatch.setattr(enumeration, "all_isomorphisms", lambda g, v: real(g, v)[:1])
+    assert main(["enum", "--group", "D3"]) == 1
+    assert capsys.readouterr().err.startswith("check failed: structure arose from")
 
 
 def test_cli_verify_subprocess():
