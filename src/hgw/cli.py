@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .catalog import CATALOG
 from .dsl import build_group
-from .errors import EnumerationOverflow, GroupSpecError, HgwError
+from .errors import EnumerationOverflow, GroupSpecError, HgwError, UncoveredOrder
 from .report import (
     FORMATS,
     emit_enum_table,
@@ -113,9 +113,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc.render(), args.out)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
-    except (GroupSpecError, EnumerationOverflow) as exc:
+    except (UncoveredOrder, EnumerationOverflow) as exc:
         covered = ", ".join(str(order) for order in sorted(CATALOG))
         sys.stderr.write(f"usage error: {exc} (covered orders: {covered})\n")
+        return 2
+    except GroupSpecError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HgwError as exc:
         sys.stderr.write(f"check failed: {exc}\n")

@@ -8,6 +8,7 @@ normality of J in G decides whether the block image of lambda(G) is regular.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,9 +97,15 @@ class CorrespondenceRow:
 # -- stable subgroups and Psi ---------------------------------------------------
 
 
+# lambda(G) per group: a census asks for it once per record, and records share G
+_LAMBDA: weakref.WeakKeyDictionary[FiniteGroup, PermGroup] = weakref.WeakKeyDictionary()
+
+
 def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     """All subgroups of N normalized by lambda(G), flagged with P-normality in N."""
-    lam = left_regular(record.group)
+    lam = _LAMBDA.get(record.group)
+    if lam is None:
+        lam = _LAMBDA[record.group] = left_regular(record.group)
     out = []
     for handle in subgroups(record.n_group):
         sub = handle.as_perm_group()

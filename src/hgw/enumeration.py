@@ -4,9 +4,17 @@ One path turns embeddings into records. For every isomorphism type M of order
 |G|, each regular subgroup V <= Hol(M) isomorphic to G, together with each
 isomorphism beta: G -> V, transports to one regular subgroup N <= Perm(G)
 normalized by lambda(G), via conjugation by the base-point bijection
-b(g) = beta(g)(0). Embeddings are deduplicated by N's element set, and for
-each distinct N these contracts are checked once, each raising
-TheoremViolation:
+b(g) = beta(g)(0).
+
+Only the regular subgroups of G's class are classified, lazily and once per
+Hol(M) and class: a subgroup whose element-order spectrum differs from G's is
+skipped before its Cayley table is built. Aut(G) is computed once per
+``enumerate_hgs`` call; each V then needs one isomorphism beta0: G -> V, and
+its embeddings are the maps beta0 o alpha for alpha in Aut(G), sorted, which
+is exactly the list ``all_isomorphisms(G, V)`` would return.
+
+Embeddings are deduplicated by N's element set, and for each distinct N these
+contracts are checked once, each raising TheoremViolation:
 
 - b is bijective;
 - the transported beta(G) equals lambda(G);
@@ -31,10 +39,11 @@ import numpy as np
 
 from . import regsearch
 from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
-from .errors import EnumerationOverflow, GroupSpecError, TheoremViolation
+from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
 from .groups import (
     FiniteGroup,
     all_isomorphisms,
+    an_isomorphism,
     automorphisms,
     generating_subset_of,
     left_regular,
@@ -63,7 +72,7 @@ class HgsRecord:
 
 
 class _HolData:
-    """Rows of Hol(M) as bytes, its regular subgroups, and their classes."""
+    """Rows of Hol(M) as bytes, its regular subgroups, and those of one class on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -79,25 +88,55 @@ class _HolData:
         if len(set(self.rows)) != n * aut.order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
         self.subgroups = regsearch.regular_subgroups(self.rows, n)
-        self.by_class: dict[str, list[_RegularSubgroup]] = {}
-        for rows in self.subgroups:
-            sub = _RegularSubgroup(rows, n)
-            self.by_class.setdefault(sub.class_name, []).append(sub)
+        self._isomorphic: dict[str, list[_RegularSubgroup]] = {}
+        self._spectra: list[bytes] | None = None
+
+    def isomorphic_to(self, class_name: str) -> list[_RegularSubgroup]:
+        """The regular subgroups of class ``class_name``, in canonical search order.
+
+        Every element of a regular group has all its cycles of the element's
+        order, so the cycle through 0 gives the order spectrum; only subgroups
+        whose spectrum is the class's get a table and an ``iso_class`` call.
+        """
+        if class_name not in self._isomorphic:
+            if self._spectra is None:
+                self._spectra = [bytes(sorted(map(_cycle_length_at_0, rows)))
+                                 for rows in self.subgroups]
+            spectrum = bytes(sorted(catalog_group(class_name).element_orders()))
+            found = []
+            for rows, rows_spectrum in zip(self.subgroups, self._spectra):
+                if rows_spectrum != spectrum:
+                    continue
+                sub = _RegularSubgroup(rows, self.model.order)
+                if iso_class(sub.abstract).name == class_name:
+                    found.append(sub)
+            self._isomorphic[class_name] = found
+        return self._isomorphic[class_name]
 
     def count_isomorphic_to(self, class_name: str) -> int:
-        return len(self.by_class.get(class_name, ()))
+        return len(self.isomorphic_to(class_name))
+
+
+def _cycle_length_at_0(row: bytes) -> int:
+    length, x = 1, row[0]
+    while x:
+        x = row[x]
+        length += 1
+    return length
 
 
 class _RegularSubgroup:
+    """V with its rows sorted (identity first) and its Cayley table on those indices."""
+
     def __init__(self, rows: frozenset[bytes], degree: int):
-        self.sorted_rows = sorted(rows)
-        self.degree = degree
-        index = {r: i for i, r in enumerate(self.sorted_rows)}
-        table = [
-            [index[regsearch.compose(p, q)] for q in self.sorted_rows] for p in self.sorted_rows
-        ]
-        self.abstract = FiniteGroup([str(i) for i in range(degree)], table, spec="regular subgroup")
-        self.class_name = iso_class(self.abstract).name
+        self.sorted_rows = np.frombuffer(b"".join(sorted(rows)), np.uint8).reshape(degree, degree)
+        base = self.sorted_rows[:, 0]
+        pos = np.empty(degree, dtype=np.intp)
+        pos[base] = np.arange(degree)
+        # (p o q)(0) = p[q[0]], and an element of V is fixed by its image of 0
+        table = pos[self.sorted_rows[:, base]]
+        self.abstract = FiniteGroup([str(i) for i in range(degree)], table.tolist(),
+                                    spec="regular subgroup")
 
 
 _HOL_CACHE: dict[str, _HolData] = {}
@@ -123,13 +162,15 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
         raise EnumerationOverflow(f"enumeration capped at order {ENUMERATION_ORDER_CAP}")
     names = catalog_names(n)
     if not names:
-        raise GroupSpecError(f"catalog does not cover order {n}")
+        raise UncoveredOrder(f"catalog does not cover order {n}")
     lam = left_regular(group)
     g_class = iso_class_name_cached(group)
-    return [rec for m_name in names for rec in _records_for_model(group, lam, g_class, m_name)]
+    aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
+    return [rec for m_name in names
+            for rec in _records_for_model(group, lam, g_class, aut_g, m_name)]
 
 
-def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str,
+def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str, aut_g: np.ndarray,
                        m_name: str) -> list[HgsRecord]:
     """The structures of class M: one record per distinct N, sorted by element set."""
     n = group.order
@@ -139,25 +180,30 @@ def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str,
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    for sub in hol.by_class.get(g_class, ()):
-        for iso in all_isomorphisms(group, sub.abstract):
-            b = np.array([sub.sorted_rows[i][0] for i in iso], dtype=np.int64)
+    for sub in hol.isomorphic_to(g_class):
+        beta0 = an_isomorphism(group, sub.abstract)
+        if beta0 is None:
+            raise TheoremViolation(f"regular subgroup of Hol({m_name}) classed {g_class} "
+                                   "is not isomorphic to G")
+        # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
+        for iso in sorted(map(tuple, np.array(beta0)[aut_g].tolist())):
+            beta = sub.sorted_rows[list(iso)]
+            b = beta[:, 0].astype(np.int64)
             b_inv = np.empty(n, dtype=np.int64)
             b_inv[b] = np.arange(n)
             table = b_inv[mul[:, b]]  # row m: lambda(m) conjugated by b
             key = b"".join(sorted(row.tobytes() for row in table.astype(np.uint8)))
             multiplicity[key] += 1
             if key not in first:
-                first[key] = (emb_id, [sub.sorted_rows[i] for i in iso], b, b_inv, table)
+                first[key] = (emb_id, beta, b, b_inv, table)
             emb_id += 1
 
     lam_table = np.array(group.table, dtype=np.int64)
     records = []
     for key in sorted(first):
-        first_id, beta_rows, b, b_inv, table = first[key]
+        first_id, beta, b, b_inv, table = first[key]
         if len(set(b.tolist())) != n:
             raise TheoremViolation("embedding image is not regular: base map not bijective")
-        beta = np.frombuffer(b"".join(beta_rows), dtype=np.uint8).reshape(n, n)
         if not np.array_equal(b_inv[beta[:, b]], lam_table):
             raise TheoremViolation("transported embedding image differs from lambda(G)")
         # With column 0 a bijection c, row m1 (row m2 (0)) = row (m1 m2) (0) for all

@@ -9,6 +9,10 @@ class GroupSpecError(HgwError):
     """A group expression failed to parse or to define a valid group."""
 
 
+class UncoveredOrder(GroupSpecError):
+    """The group's order has no entries in the catalog."""
+
+
 class EnumerationOverflow(HgwError):
     """A closure or subgroup enumeration exceeded its configured cap."""
 

@@ -390,37 +390,48 @@ def _iso_backtrack(g1: FiniteGroup, g2: FiniteGroup, find_all: bool) -> list[dic
         return []
     if sorted(g1.element_orders()) != sorted(g2.element_orders()):
         return []
-    seq = _generating_sequence(g1)
-    orders1 = g1.element_orders()
     orders2 = g2.element_orders()
     buckets: dict[int, list[int]] = {}
     for x in range(g2.order):
         buckets.setdefault(orders2[x], []).append(x)
     results: list[dict[int, int]] = []
-
-    def recurse(pos: int, fwd: dict[int, int], used: set[int]) -> bool:
-        if pos == len(seq):
-            if len(fwd) == g1.order:
-                results.append(fwd)
-                return not find_all
-            return False  # generators exhausted but map not total: inconsistent
-        src = seq[pos]
-        if src in fwd:
-            return recurse(pos + 1, fwd, used)
-        for dst in buckets.get(orders1[src], ()):
-            ext = _extend_partial_map(g1, g2, fwd, used, src, dst)
-            if ext is None:
-                continue
-            if recurse(pos + 1, ext[0], ext[1]):
-                return True
-        return False
-
-    recurse(0, {0: 0}, {0})
+    _iso_search(g1, g2, _generating_sequence(g1), buckets, find_all, results, 0, {0: 0}, {0})
     return results
 
 
+def _iso_search(g1: FiniteGroup, g2: FiniteGroup, seq: list[int], buckets: dict[int, list[int]],
+                find_all: bool, results: list[dict[int, int]], pos: int, fwd: dict[int, int],
+                used: set[int]) -> bool:
+    """Assign images to ``seq[pos:]``; True once a first hit ends the search.
+
+    A module-level function, not a closure, so that no reference cycle keeps
+    the search state alive after ``_iso_backtrack`` returns.
+    """
+    if pos == len(seq):
+        if len(fwd) == g1.order:
+            results.append(fwd)
+            return not find_all
+        return False  # generators exhausted but map not total: inconsistent
+    src = seq[pos]
+    if src in fwd:
+        return _iso_search(g1, g2, seq, buckets, find_all, results, pos + 1, fwd, used)
+    for dst in buckets.get(g1.element_orders()[src], ()):
+        ext = _extend_partial_map(g1, g2, fwd, used, src, dst)
+        if ext is None:
+            continue
+        if _iso_search(g1, g2, seq, buckets, find_all, results, pos + 1, ext[0], ext[1]):
+            return True
+    return False
+
+
+def an_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
+    """The first isomorphism g1 -> g2 the search meets, as an image tuple; None if none."""
+    maps = _iso_backtrack(g1, g2, find_all=False)
+    return tuple(maps[0][i] for i in range(g1.order)) if maps else None
+
+
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    return bool(_iso_backtrack(g1, g2, find_all=False))
+    return an_isomorphism(g1, g2) is not None
 
 
 def all_isomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> list[tuple[int, ...]]:

@@ -15,11 +15,6 @@ from typing import Iterable, Sequence
 _PAD = bytes(range(256))
 
 
-def compose(p: bytes, q: bytes) -> bytes:
-    """(p o q)(x) = p[q[x]] for image rows of equal degree."""
-    return q.translate(p + _PAD[len(p):])
-
-
 def inverse(p: bytes) -> bytes:
     inv = bytearray(len(p))
     for i, x in enumerate(p):
@@ -63,44 +58,55 @@ def regular_subgroups(elements: Iterable[bytes], degree: int) -> list[frozenset[
     buckets: dict[int, list[bytes]] = {t: [] for t in range(1, degree)}
     for p in uniform:
         buckets[p[0]].append(p)
-    pad_tail = _PAD[degree:]
     found: list[frozenset[bytes]] = []
-
-    def extend(members: frozenset[bytes], mlist: list[bytes], f: bytes) -> list[bytes] | None:
-        new_members = set(members)
-        new_list = list(mlist)
-        new_members.add(f)
-        new_list.append(f)
-        frontier = [f]
-        while frontier:
-            u = frontier.pop()
-            u_tab = u + pad_tail
-            i = 0
-            while i < len(new_list):
-                v = new_list[i]
-                i += 1
-                for w in (v.translate(u_tab), u.translate(v + pad_tail)):
-                    if w not in new_members:
-                        if w not in allowed or len(new_list) >= degree:
-                            return None
-                        new_members.add(w)
-                        new_list.append(w)
-                        frontier.append(w)
-        return new_list
-
-    def search(members: frozenset[bytes], mlist: list[bytes], orbit0: set[int]) -> None:
-        t = next(x for x in range(degree) if x not in orbit0)
-        for f in buckets[t]:
-            ext = extend(members, mlist, f)
-            if ext is None or degree % len(ext):
-                continue
-            if len(ext) == degree:
-                found.append(frozenset(ext))
-            else:
-                search(frozenset(ext), ext, {p[0] for p in ext})
-
-    search(frozenset({ident}), [ident], {0})
+    _search(frozenset({ident}), [ident], {0}, degree, buckets, allowed, found)
     return found
+
+
+def _search(members: frozenset[bytes], mlist: list[bytes], orbit0: set[int], degree: int,
+            buckets: dict[int, list[bytes]], allowed: frozenset[bytes],
+            found: list[frozenset[bytes]]) -> None:
+    """Append to ``found`` every regular subgroup below the node ``mlist``.
+
+    Module-level, not a recursive closure: a closure that refers to itself is a
+    reference cycle, which would keep the candidate pool alive until the cyclic
+    garbage collector runs.
+    """
+    t = next(x for x in range(degree) if x not in orbit0)
+    for f in buckets[t]:
+        ext = _extend(members, mlist, f, degree, allowed)
+        if ext is None or degree % len(ext):
+            continue
+        if len(ext) == degree:
+            found.append(frozenset(ext))
+        else:
+            _search(frozenset(ext), ext, {p[0] for p in ext}, degree, buckets, allowed, found)
+
+
+def _extend(members: frozenset[bytes], mlist: list[bytes], f: bytes, degree: int,
+            allowed: frozenset[bytes]) -> list[bytes] | None:
+    """The closure of ``mlist`` and ``f``; None once it leaves ``allowed`` or exceeds ``degree``."""
+    pad_tail = _PAD[degree:]
+    new_members = set(members)
+    new_list = list(mlist)
+    new_members.add(f)
+    new_list.append(f)
+    frontier = [f]
+    while frontier:
+        u = frontier.pop()
+        u_tab = u + pad_tail
+        i = 0
+        while i < len(new_list):
+            v = new_list[i]
+            i += 1
+            for w in (v.translate(u_tab), u.translate(v + pad_tail)):
+                if w not in new_members:
+                    if w not in allowed or len(new_list) >= degree:
+                        return None
+                    new_members.add(w)
+                    new_list.append(w)
+                    frontier.append(w)
+    return new_list
 
 
 def normalized_by(rows: Sequence[bytes], conjugators: Iterable[bytes], degree: int) -> bool:

@@ -1,7 +1,9 @@
 import pytest
 
+import hgw.correspond as correspond
 from hgw.catalog import iso_class
 from hgw.correspond import (
+    correspondence_rows,
     coset_space,
     induced_block_perm,
     orbit_coset_check,
@@ -13,7 +15,7 @@ from hgw.correspond import (
 from hgw.dsl import build_group
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation
-from hgw.groups import right_regular, subgroups
+from hgw.groups import left_regular, right_regular, subgroups
 from hgw.perm import Permutation
 
 
@@ -160,3 +162,17 @@ def test_quotient_small_normal_case():
     assert quotient.space.block_count == 3
     assert quotient.nbar.is_regular() and quotient.gbar.is_regular()
     assert iso_class(quotient.nbar).name == "C3"
+
+
+def test_census_builds_lambda_once(monkeypatch):
+    group = build_group("D6")
+    records = enumerate_hgs(group)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return left_regular(g)
+
+    monkeypatch.setattr(correspond, "left_regular", counted)
+    assert correspondence_rows(group, records, verify=True)
+    assert len(records) > 1 and calls == [group]

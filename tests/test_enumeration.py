@@ -1,14 +1,17 @@
+import gc
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import hgw.enumeration as enumeration
-from hgw.catalog import iso_class
+from hgw import regsearch
+from hgw.catalog import catalog_group, catalog_names, iso_class
 from hgw.dsl import build_group
 from hgw.enumeration import count_formula_report, direct_enumerate_oracle, enumerate_hgs
 from hgw.errors import EnumerationOverflow, TheoremViolation
-from hgw.groups import all_isomorphisms, left_regular, right_regular
+from hgw.groups import FiniteGroup, all_isomorphisms, an_isomorphism, left_regular, right_regular
 from hgw.perm import Permutation, closure, normalizes
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
@@ -118,3 +121,49 @@ def test_contract_violations_raise(monkeypatch, attr, fake, message):
     monkeypatch.setattr(enumeration, attr, fake)
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         enumerate_hgs(group)
+
+
+def _eager_class_tables(hol, class_name):
+    """Reference: every regular subgroup's table built by composing rows, then classified."""
+    out = []
+    for rows in hol.subgroups:
+        sorted_rows = sorted(rows)
+        index = {r: i for i, r in enumerate(sorted_rows)}
+        # (p o q)(x) = p[q[x]]
+        table = [[index[bytes(p[x] for x in q)] for q in sorted_rows] for p in sorted_rows]
+        abstract = FiniteGroup([str(i) for i in range(len(table))], table)
+        if iso_class(abstract).name == class_name:
+            out.append((sorted_rows, abstract.table))
+    return out
+
+
+SMALL_CATALOG = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("g_name", SMALL_CATALOG)
+def test_lazy_classification_and_beta0_composition(g_name):
+    group = catalog_group(g_name)
+    aut_g = np.array(all_isomorphisms(group, group))
+    for m_name in catalog_names(group.order):
+        hol = enumeration._hol_data(m_name)
+        subs = hol.isomorphic_to(g_name)
+        expected = _eager_class_tables(hol, g_name)
+        assert [([bytes(r) for r in sub.sorted_rows], sub.abstract.table) for sub in subs] \
+            == expected, (g_name, m_name)
+        for sub in subs:
+            beta0 = np.array(an_isomorphism(group, sub.abstract))
+            assert sorted(map(tuple, beta0[aut_g].tolist())) \
+                == all_isomorphisms(group, sub.abstract), (g_name, m_name)
+
+
+def test_searches_leave_no_reference_cycles():
+    group = catalog_group("D4")
+    rows = enumeration._hol_data("D4").rows
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(regsearch.regular_subgroups(rows, 8)) == 20
+        assert len(all_isomorphisms(group, group)) == 8
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -147,6 +148,23 @@ COVERED = "(covered orders: 1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)"
 def test_cli_uncovered_order_is_usage_error(capsys, spec, message):
     assert main(["enum", "--group", spec]) == 2
     assert capsys.readouterr().err == f"usage error: {message} {COVERED}\n"
+
+
+def test_cli_non_order_spec_error_has_no_coverage_suffix(capsys):
+    assert main(["model", "--p", "4", "--n", "2"]) == 2
+    assert capsys.readouterr().err == "usage error: 4 is not prime\n"
+
+
+# sha256 of `hgw enum --group "sdp(Q8, C3, 3)" --format json` (the catalog's
+# SL(2,3)), pinned from the full-backtrack enumeration: the embedding ids in
+# the provenance column must not move.
+ENUM_SL23_JSON_SHA256 = "5d823d8a700c834b1f78a3efcada31e7f3e959bcadd9b5e57f9c669486dc6a0f"
+
+
+def test_enum_sl23_json_pinned(tmp_path):
+    out = tmp_path / "sl23.json"
+    assert main(["enum", "--group", "sdp(Q8, C3, 3)", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_SL23_JSON_SHA256
 
 
 def test_cli_check_failure_exits_1(monkeypatch, capsys):
