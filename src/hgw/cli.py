@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG
+from .catalog import CATALOG, catalog_group
 from .dsl import build_group
 from .errors import EnumerationOverflow, GroupSpecError, HgwError, UncoveredOrder
 from .report import (
@@ -77,9 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_group(parser: argparse.ArgumentParser, spec: str):
+    """A group expression, or else a catalog class name such as ``SL(2,3)``."""
     try:
         return build_group(spec)
     except GroupSpecError as exc:
+        if any(spec == name for entries in CATALOG.values() for name, _ in entries):
+            return catalog_group(spec)
         parser.error(f"--group: {exc}")  # exits 2
 
 

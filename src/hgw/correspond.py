@@ -4,23 +4,31 @@ For a Hopf-Galois structure N on G, the subgroups P <= N normalized by
 lambda(G) map injectively to subgroups J <= G via the orbit of the identity
 point. Blocks (left cosets of J) carry quotient actions of N/P and lambda(G);
 normality of J in G decides whether the block image of lambda(G) is regular.
+
+Everything about P runs on the index views of its record, on the indices of
+N's elements: P is a set of indices, lambda(G)-stability reads
+``lambda_conj[:, P]``, normality in N and the class of P read N's Cayley
+table, the P-orbit of a point x is ``rows[P, x]`` (so Psi(P) = ``rows[P, 0]``),
+and lambda(J)-triviality compares coset labels of N/P. The block images of N
+and lambda(G) come from one builder, ``block_actions``.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import GroupClassLabel, iso_class
-from .enumeration import HgsRecord
+from .enumeration import HgsRecord, enumerate_hgs, regular_table
 from .errors import BlockSystemViolation, TheoremViolation
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
     core_of,
     generating_subset_of,
-    left_regular,
+    is_normal,
     subgroups,
 )
 from .perm import PermGroup, Permutation, normalizes
@@ -68,14 +76,20 @@ class CosetSpace:
 
 
 @dataclass(frozen=True)
-class QuotientHGS:
-    """Block images of N (regular, = N/P) and lambda(G) on a coset space."""
+class BlockActions:
+    """The block images of N and lambda(G) on the left cosets of J."""
 
     space: CosetSpace
-    nbar_gens: tuple[Permutation, ...]
-    gbar_gens: tuple[Permutation, ...]
+    nbar_of: tuple[Permutation, ...]  # image of each element of N, in N's element order
+    gbar_of: tuple[Permutation, ...]  # image of lambda(g) for each g in G
     nbar: PermGroup
     gbar: PermGroup
+
+
+@dataclass(frozen=True)
+class QuotientHGS(BlockActions):
+    """Block images of N (regular, = N/P) and lambda(G) on a coset space."""
+
     gbar_regular: bool
 
 
@@ -97,38 +111,29 @@ class CorrespondenceRow:
 # -- stable subgroups and Psi ---------------------------------------------------
 
 
-# lambda(G) per group: a census asks for it once per record, and records share G
-_LAMBDA: weakref.WeakKeyDictionary[FiniteGroup, PermGroup] = weakref.WeakKeyDictionary()
-
-
 def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     """All subgroups of N normalized by lambda(G), flagged with P-normality in N."""
-    lam = _LAMBDA.get(record.group)
-    if lam is None:
-        lam = _LAMBDA[record.group] = left_regular(record.group)
+    n_table = record.n_table
+    conj = record.lambda_conj
     out = []
-    for handle in subgroups(record.n_group):
-        sub = handle.as_perm_group()
-        if normalizes(lam, sub):
-            out.append(StableSubgroup(record, handle, normalizes(record.n_group, sub)))
+    for handle in subgroups(n_table):
+        if np.isin(conj[:, handle.members], handle.members).all():
+            out.append(StableSubgroup(record, SubgroupHandle(record.n_group, handle.members),
+                                      is_normal(n_table, handle)))
     return out
 
 
 def psi(stable: StableSubgroup) -> PsiResult:
     """Psi(P) = orbit of the identity point under P, as a subgroup of G."""
     group = stable.hgs.group
-    p_group = stable.perm_group()
-    orbit = sorted(p_group.orbit(0))
+    orbit = sorted(set(stable.hgs.rows[list(stable.p_handle.members), 0].tolist()))
     members = frozenset(orbit)
-    if len(members) != p_group.order:
+    if len(members) != stable.order:
         raise TheoremViolation(
             "identity orbit size differs from |P|; P was not lambda(G)-stable")
-    for a in orbit:
-        for b in orbit:
-            if group.mul(a, b) not in members:
-                raise TheoremViolation(
-                    "identity orbit is not closed under the group operation; "
-                    "P was not lambda(G)-stable")
+    if any(group.mul(a, b) not in members for a in orbit for b in orbit):
+        raise TheoremViolation("identity orbit is not closed under the group operation; "
+                               "P was not lambda(G)-stable")
     j_handle = SubgroupHandle(group, tuple(orbit))
     core = core_of(group, j_handle)
     return PsiResult(
@@ -148,16 +153,11 @@ def _subgroup_as_group(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGrou
 
 
 def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
-    """Every P-orbit must be the left coset gJ of its points."""
-    group = stable.hgs.group
-    p_group = stable.perm_group()
+    """Every P-orbit rows[P, x] must be the left coset xJ."""
+    table = stable.hgs.group.table
     j = result.j_handle.members
-    for orbit in p_group.orbits():
-        g0 = min(orbit)
-        coset = {group.mul(g0, x) for x in j}
-        if set(orbit) != coset:
-            return False
-    return True
+    orbits = stable.hgs.rows[list(stable.p_handle.members)].T.tolist()
+    return all(set(orbit) == {table[x][y] for y in j} for x, orbit in enumerate(orbits))
 
 
 def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup] | None = None,
@@ -206,6 +206,23 @@ def induced_block_perm(perm: Permutation, space: CosetSpace) -> Permutation:
     return Permutation(images)
 
 
+def block_actions(n_group: PermGroup, j_handle: SubgroupHandle) -> BlockActions:
+    """The left cosets of J in G, with the block images of N and lambda(G) on them."""
+    group = j_handle.ambient
+    space = coset_space(group, j_handle)
+    m = space.block_count
+    nbar_of = tuple(induced_block_perm(p, space) for p in n_group.elements)
+    gbar_of = tuple(induced_block_perm(Permutation(group.table[g]), space)
+                    for g in range(group.order))
+    return BlockActions(space, nbar_of, gbar_of, _image_group(nbar_of, m),
+                        _image_group(gbar_of, m))
+
+
+def _image_group(images: Sequence[Permutation], degree: int) -> PermGroup:
+    perms = sorted(set(images))
+    return PermGroup(degree, generating_subset_of(perms), perms)
+
+
 def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS:
     """Quotient actions of N and lambda(G) on the left cosets of J = Psi(P).
 
@@ -219,23 +236,13 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
         raise TheoremViolation("quotient structure requires P normal in N")
     record = stable.hgs
     group = record.group
-    space = coset_space(group, result.j_handle)
-    m = space.block_count
-
-    n_elems = record.n_group.elements
-    nbar_map = {p: induced_block_perm(p, space) for p in n_elems}
-    nbar_perms = sorted(set(nbar_map.values()))
-    nbar = PermGroup(m, generating_subset_of(nbar_perms), nbar_perms)
-    kernel = {p for p, image in nbar_map.items() if image.is_identity()}
-    if kernel != set(stable.p_handle.element_perms()):
+    actions = block_actions(record.n_group, result.j_handle)
+    nbar, gbar = actions.nbar, actions.gbar
+    kernel = tuple(i for i, image in enumerate(actions.nbar_of) if image.is_identity())
+    if kernel != stable.p_handle.members:
         raise TheoremViolation("kernel of the block action of N is not exactly P")
     if not nbar.is_regular() or nbar.order * stable.order != record.n_group.order:
         raise TheoremViolation("block image of N is not regular of order [N:P]")
-
-    gbar_map = {g: induced_block_perm(Permutation(group.table[g]), space)
-                for g in range(group.order)}
-    gbar_perms = sorted(set(gbar_map.values()))
-    gbar = PermGroup(m, generating_subset_of(gbar_perms), gbar_perms)
     if not gbar.is_transitive():
         raise TheoremViolation("block image of lambda(G) is not transitive")
     if not normalizes(gbar, nbar):
@@ -243,41 +250,24 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
 
     gbar_regular = False
     if result.normal_in_g:
-        _assert_lambda_j_trivial(stable, result, space, gbar_map)
+        _assert_lambda_j_trivial(stable, result, actions)
         gbar_regular = gbar.is_regular()
         if not gbar_regular or gbar.order * result.j_handle.order != group.order:
             raise TheoremViolation("block image of lambda(G) is not regular of order [G:J]")
-
-    return QuotientHGS(
-        space=space,
-        nbar_gens=tuple(nbar.generators),
-        gbar_gens=tuple(gbar.generators),
-        nbar=nbar,
-        gbar=gbar,
-        gbar_regular=gbar_regular,
-    )
+    return QuotientHGS(**vars(actions), gbar_regular=gbar_regular)
 
 
-def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult, space: CosetSpace,
-                             gbar_map: dict[int, Permutation]) -> None:
+def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
+                             actions: BlockActions) -> None:
     """lambda(J) must act trivially: fix every block and every coset nP of N."""
-    group = stable.hgs.group
-    p_members = frozenset(p.images for p in stable.p_handle.element_perms())
-    n_elems = stable.hgs.n_group.elements
-    cosets = {}
-    for p in n_elems:
-        coset = frozenset((p * q).images for q in stable.p_handle.element_perms())
-        cosets[p.images] = coset
-    for j in result.j_handle.members:
-        if not gbar_map[j].is_identity():
-            raise TheoremViolation("lambda(j) moves a block although J is normal")
-        lam_j = Permutation(group.table[j])
-        lam_j_inv = lam_j.inverse()
-        for p in n_elems:
-            conj = lam_j * p * lam_j_inv
-            if conj.images not in cosets[p.images]:
-                raise TheoremViolation(
-                    "conjugation by lambda(j) moves a coset nP although J is normal")
+    j = list(result.j_handle.members)
+    if not all(actions.gbar_of[x].is_identity() for x in j):
+        raise TheoremViolation("lambda(j) moves a block although J is normal")
+    # the label of nP is its least index
+    coset_of = regular_table(stable.hgs.rows)[:, list(stable.p_handle.members)].min(axis=1)
+    if not (coset_of[stable.hgs.lambda_conj[j]] == coset_of).all():
+        raise TheoremViolation(
+            "conjugation by lambda(j) moves a coset nP although J is normal")
 
 
 # -- census ---------------------------------------------------------------------
@@ -289,12 +279,11 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
     """Aggregated (count, [N], [P], [J], J-normality, |I|) census over all
     structures N and all proper nontrivial stable P normal in N."""
     if records is None:
-        from .enumeration import enumerate_hgs
-
         records = enumerate_hgs(group)
     agg: dict[tuple, int] = {}
     for record in records:
         stables = (stables_by_record or {}).get(record.key) or stable_subgroups(record)
+        n_table = None
         for stable in stables:
             if not stable.normal_in_n:
                 continue
@@ -303,7 +292,9 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
             result = psi(stable)
             if verify:
                 _verify_pair(stable, result)
-            p_class = iso_class(stable.perm_group()).name
+            if n_table is None:
+                n_table = record.n_table
+            p_class = iso_class(_subgroup_as_group(n_table, stable.p_handle)).name
             key = (record.n_class.name, p_class, result.j_class.name,
                    result.normal_in_g, result.core_order)
             agg[key] = agg.get(key, 0) + 1

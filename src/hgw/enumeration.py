@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +56,10 @@ ENUMERATION_ORDER_CAP = 48
 
 @dataclass(frozen=True)
 class HgsRecord:
-    """One Hopf-Galois structure: a regular lambda(G)-normalized N <= Perm(G)."""
+    """One Hopf-Galois structure: a regular lambda(G)-normalized N <= Perm(G).
+
+    ``rows``, ``n_table`` and ``lambda_conj`` view N on the indices of its elements.
+    """
 
     group: FiniteGroup
     n_group: PermGroup
@@ -65,7 +68,34 @@ class HgsRecord:
 
     @property
     def key(self) -> bytes:
-        return b"".join(sorted(bytes(p.images) for p in self.n_group.elements))
+        return self.rows.tobytes()  # the elements are sorted by image tuple
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row i is element i of N as an image array."""
+        return np.array([p.images for p in self.n_group.elements], dtype=np.uint8)
+
+    @property
+    def n_table(self) -> FiniteGroup:
+        """N's Cayley table on its element indices; built on each access."""
+        return _table_group(self.rows, "N")
+
+    @cached_property
+    def lambda_conj(self) -> np.ndarray:
+        """Row g maps index a to the index of lambda(g) a lambda(g)^-1 in N.
+
+        The conjugate sends 0 to g * a(g^-1), which fixes it in the regular N;
+        every full conjugate row is then compared with the row it was given.
+        """
+        rows, index = self.rows, np.arange(len(self.rows))
+        lam = np.array(self.group.table, dtype=np.uint8)  # row g: x -> g x
+        lam_inv = lam[list(self.group.inverse_table)]  # row g: x -> g^-1 x
+        # conjugates[g, a, x] = g * a(g^-1 x)
+        conjugates = lam[index[:, None, None], rows[index[None, :, None], lam_inv[:, None, :]]]
+        conj = _base_index(rows)[conjugates[:, :, 0]].astype(np.uint8)
+        if not np.array_equal(rows[conj], conjugates):
+            raise TheoremViolation("lambda(G) does not normalize N")
+        return conj
 
 
 # -- holomorph machinery ------------------------------------------------------
@@ -125,18 +155,32 @@ def _cycle_length_at_0(row: bytes) -> int:
     return length
 
 
+def _base_index(rows: np.ndarray) -> np.ndarray:
+    """Entry x is the index of the row that sends 0 to x."""
+    pos = np.empty(len(rows), dtype=np.intp)
+    pos[rows[:, 0]] = np.arange(len(rows))
+    return pos
+
+
+def regular_table(rows: np.ndarray) -> np.ndarray:
+    """Cayley table of a regular group on the indices of its rows.
+
+    (p o q)(0) = p[q[0]], and an element of a regular group is fixed by its
+    image of 0, so one gather gives the whole table.
+    """
+    return _base_index(rows)[rows[:, rows[:, 0]]]
+
+
+def _table_group(rows: np.ndarray, spec: str) -> FiniteGroup:
+    return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows).tolist(), spec=spec)
+
+
 class _RegularSubgroup:
     """V with its rows sorted (identity first) and its Cayley table on those indices."""
 
     def __init__(self, rows: frozenset[bytes], degree: int):
         self.sorted_rows = np.frombuffer(b"".join(sorted(rows)), np.uint8).reshape(degree, degree)
-        base = self.sorted_rows[:, 0]
-        pos = np.empty(degree, dtype=np.intp)
-        pos[base] = np.arange(degree)
-        # (p o q)(0) = p[q[0]], and an element of V is fixed by its image of 0
-        table = pos[self.sorted_rows[:, base]]
-        self.abstract = FiniteGroup([str(i) for i in range(degree)], table.tolist(),
-                                    spec="regular subgroup")
+        self.abstract = _table_group(self.sorted_rows, "regular subgroup")
 
 
 _HOL_CACHE: dict[str, _HolData] = {}
@@ -254,16 +298,16 @@ def direct_enumerate_oracle(group: FiniteGroup) -> list[PermGroup]:
     return out
 
 
-def count_formula_report(group: FiniteGroup, records: Sequence[HgsRecord] | None = None) -> list[dict]:
+def count_formula_report(group: FiniteGroup) -> list[dict]:
     """Both sides of the embedding count identity, per model class.
 
     (#N of class [M]) * |Aut(M)| = (#regular subgroups of Hol(M) isomorphic
-    to G) * |Aut(G)|.
+    to G) * |Aut(G)|. |Aut(G)| is read from Hol(M_G), which the enumeration
+    has already built for G's class M_G.
     """
-    if records is None:
-        records = enumerate_hgs(group)
-    aut_g = automorphisms(group).order
+    records = enumerate_hgs(group)
     g_class = iso_class_name_cached(group)
+    aut_g = _hol_data(g_class).aut_order
     out = []
     for m_name in catalog_names(group.order):
         hol = _hol_data(m_name)

@@ -170,33 +170,6 @@ def right_regular(group: FiniteGroup) -> PermGroup:
     return PermGroup(group.order, gens, perms)
 
 
-# -- a uniform index-world view of PermGroup / FiniteGroup -----------------
-
-
-class _IndexedView:
-    """Multiplication on element indices for either kind of group.
-
-    PermGroups get a materialized Cayley table up front; index order matches
-    the sorted element order, so indices transfer back to the original group.
-    """
-
-    def __init__(self, group):
-        if isinstance(group, FiniteGroup):
-            self.order = group.order
-            self.mul = group.mul
-            self.inv = group.inv
-            self.table = group.table
-        elif isinstance(group, PermGroup):
-            table_group = as_finite_group(group)
-            self.order = table_group.order
-            self.mul = table_group.mul
-            self.inv = table_group.inv
-            self.table = table_group.table
-        else:
-            raise TypeError(f"not a group object: {group!r}")
-        self.group = group
-
-
 def as_finite_group(group: PermGroup, spec: str = "") -> FiniteGroup:
     """Abstract Cayley-table copy of a PermGroup (element order = sorted perms)."""
     elems = group.elements
@@ -230,11 +203,11 @@ def subgroups(group, cap: int = SUBGROUP_CAP) -> list[SubgroupHandle]:
     Output is complete (every subgroup arises from a chain of one-element
     extensions starting at a cyclic subgroup) and sorted by (order, members).
     """
-    view = _IndexedView(group)
-    n = view.order
+    table_group = as_finite_group(group) if isinstance(group, PermGroup) else group
+    n = table_group.order
     if n > cap:
         raise EnumerationOverflow(f"subgroup enumeration cap {cap} exceeded (order {n})")
-    table = view.table
+    table = table_group.table
     whole = frozenset(range(n))
     known: set[frozenset[int]] = {whole}
     queue: list[frozenset[int]] = []
@@ -289,28 +262,14 @@ def subgroups_brute_oracle(group, max_generators: int | None = None) -> list[fro
     """Independent check: closures of all generator subsets up to a fixed size."""
     import itertools as it
 
-    view = _IndexedView(group)
-    n = view.order
+    table_group = as_finite_group(group) if isinstance(group, PermGroup) else group
+    n = table_group.order
     if max_generators is None:
         max_generators = max(1, n.bit_length() - 1)  # rank of a group of order n is <= log2(n)
-    mul = view.mul
     found: set[frozenset[int]] = set()
-
-    def close(seed):
-        members = {0} | set(seed)
-        frontier = list(seed)
-        while frontier:
-            u = frontier.pop()
-            for v in tuple(members):
-                for w in (mul(u, v), mul(v, u)):
-                    if w not in members:
-                        members.add(w)
-                        frontier.append(w)
-        return frozenset(members)
-
     for k in range(max_generators + 1):
         for combo in it.combinations(range(1, n), k):
-            found.add(close(combo))
+            found.add(close_subset(table_group, combo))
     found.add(frozenset({0}))
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 

@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import fplin
-from .correspond import coset_space, induced_block_perm
+from .correspond import block_actions
 from .dsl import build_group
 from .errors import GroupSpecError, TheoremViolation
-from .groups import SubgroupHandle, generating_subset_of
+from .groups import SubgroupHandle
 from .perm import PermGroup, Permutation
 
 KElem = tuple[int, ...]
@@ -488,22 +488,17 @@ def exact_sequence_check(model: ExtensionModel, n_group: PermGroup,
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
     j_points = tuple(sorted(p_group.orbit(0)))
-    space = coset_space(group, SubgroupHandle(group, j_points))
-    m = space.block_count
-    nbar_of = {perm.images: induced_block_perm(perm, space) for perm in n_group.elements}
-    nbar_perms = sorted(set(nbar_of.values()))
-    nbar = PermGroup(m, generating_subset_of(nbar_perms), nbar_perms)
+    actions = block_actions(n_group, SubgroupHandle(group, j_points))
+    nbar = actions.nbar
+    m = actions.space.block_count
     if nbar.order != size_n // p_group.order:
         raise TheoremViolation("block image of N does not have order [N:P]")
-    gbar = [induced_block_perm(Permutation(group.table[j]), space)
-            for j in range(group.order)]
-    h_quot = fixed_ring_basis(model, nbar, gbar=gbar)
+    h_quot = fixed_ring_basis(model, nbar, gbar=actions.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
-    nbar_index = {perm.images: i for i, perm in enumerate(nbar_perms)}
     proj = np.zeros((m * nfld, size_n * nfld), dtype=np.int64)
-    for vi, perm in enumerate(n_group.elements):
-        bi = nbar_index[nbar_of[perm.images].images]
+    for vi, image in enumerate(actions.nbar_of):
+        bi = nbar.elements.index(image)
         proj[bi * nfld:(bi + 1) * nfld, vi * nfld:(vi + 1) * nfld] = np.eye(nfld, dtype=np.int64)
     hn_vectors = h_n.coeff_vectors()
     images = (hn_vectors @ proj.T) % p

@@ -149,6 +149,28 @@ def test_criterion_7_property_suite(census42):
                  f"({pairs} normal pairs) across the degree-42 data")
 
 
+# sha256 of each rendered per-group table, pinned from the census computed
+# with Permutation products before the correspondence moved to index views
+TABLE_SHA256_42 = {
+    "C42": "91b000de623c0cf090ca8ea693ffbcadffafa320df5f03ac0da6ce6c9122eb33",
+    "C7 x D3": "40c1861e6eef6c28ace4d92803806cf8f61c901e403a77f920d5278afb01c5d7",
+    "C7:C3 x C2": "bf8776955988ef599c3d08ddde7e94deda5b776659f8ca8875e1ccf154406e56",
+    "C3 x D7": "08eea3945737b8a8141cffb4cbb19b6c7baaf0b4bdaefb1e38003a6b9a9911eb",
+    "D21": "835f17c977b13b61cbca2da0a6c5f61c2f74e85d98fcef514ab054f592a88164",
+    "(C7:C3):C2": "f9c48aba5a0fca8b3329b7b572e4f5d812cb92ab86754da245df562eb2dd2d08",
+}
+
+
+def test_extra_per_group_tables_pinned(census42):
+    import hashlib
+
+    from hgw.report import correspondence_table_doc
+
+    for g_name in GROUPS_42:
+        text = correspondence_table_doc(census42[g_name].rows, "md").render()
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256_42[g_name], g_name
+
+
 def test_extra_quotient_example_d21(census42):
     # G = D21, N of class C42, P of class C6: three blocks of size six collapse
     # to a regular C7 image, J of class D3 with core of order 3

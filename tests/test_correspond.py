@@ -1,9 +1,7 @@
 import pytest
 
-import hgw.correspond as correspond
-from hgw.catalog import iso_class
+from hgw.catalog import catalog_group, iso_class
 from hgw.correspond import (
-    correspondence_rows,
     coset_space,
     induced_block_perm,
     orbit_coset_check,
@@ -13,10 +11,10 @@ from hgw.correspond import (
     stable_subgroups,
 )
 from hgw.dsl import build_group
-from hgw.enumeration import enumerate_hgs
+from hgw.enumeration import HgsRecord, enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation
-from hgw.groups import left_regular, right_regular, subgroups
-from hgw.perm import Permutation
+from hgw.groups import as_finite_group, left_regular, right_regular, subgroups
+from hgw.perm import Permutation, closure, normalizes
 
 
 def _record_of_class(records, name):
@@ -164,15 +162,50 @@ def test_quotient_small_normal_case():
     assert iso_class(quotient.nbar).name == "C3"
 
 
-def test_census_builds_lambda_once(monkeypatch):
-    group = build_group("D6")
-    records = enumerate_hgs(group)
-    calls = []
+# -- the index views against permutation products -------------------------------
 
-    def counted(g):
-        calls.append(g)
-        return left_regular(g)
+SMALL_CLASSES = ["C1", "C2", "C3", "C4", "C2^2", "C6", "D3", "C7", "C8", "C4 x C2", "C2^3",
+                 "D4", "Q8", "C12", "C6 x C2", "D6", "A4", "Dic3"]
 
-    monkeypatch.setattr(correspond, "left_regular", counted)
-    assert correspondence_rows(group, records, verify=True)
-    assert len(records) > 1 and calls == [group]
+
+def _reference_orbit_coset(group, p_group, j_members):
+    """The parent form: every orbit of P equals (least point) * J."""
+    return all(set(orbit) == {group.mul(min(orbit), x) for x in j_members}
+               for orbit in p_group.orbits())
+
+
+@pytest.mark.parametrize("g_name", SMALL_CLASSES)
+def test_index_views_match_permutation_products(g_name):
+    group = catalog_group(g_name)
+    lam = left_regular(group)
+    for record in enumerate_hgs(group):
+        n_group = record.n_group
+        elems = n_group.elements
+        index = {p.images: i for i, p in enumerate(elems)}
+        assert record.n_table.table == as_finite_group(n_group).table
+        for g in range(group.order):
+            lam_g = Permutation(group.table[g])
+            expected = [index[(lam_g * a * lam_g.inverse()).images] for a in elems]
+            assert record.lambda_conj[g].tolist() == expected
+        reference = []
+        for handle in subgroups(n_group):
+            sub = handle.as_perm_group()
+            if normalizes(lam, sub):
+                reference.append((handle.members, normalizes(n_group, sub)))
+        stables = stable_subgroups(record)
+        assert [(s.p_handle.members, s.normal_in_n) for s in stables] == reference
+        for stable in stables:
+            p_group = stable.perm_group()
+            result = psi(stable)
+            assert result.j_handle.members == tuple(sorted(p_group.orbit(0)))
+            assert orbit_coset_check(stable, result) == _reference_orbit_coset(
+                group, p_group, result.j_handle.members)
+
+
+def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
+    group = build_group("D3")
+    n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
+    assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
+    record = HgsRecord(group, n_group, iso_class(n_group), ("test", 0))
+    with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
+        stable_subgroups(record)

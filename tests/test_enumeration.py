@@ -72,6 +72,22 @@ def test_count_formula_small():
             assert row["lhs"] == row["rhs"], (spec, row)
 
 
+def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch):
+    group = build_group("D4")
+    seen = []
+    real = enumeration.automorphisms
+
+    def counted(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "automorphisms", counted)
+    rows = count_formula_report(group)
+    assert all(g is not group for g in seen)
+    assert {row["aut_g"] for row in rows} == {8}
+    assert all(row["lhs"] == row["rhs"] for row in rows)
+
+
 def test_c6_known_distribution():
     counts = Counter(r.n_class.name for r in enumerate_hgs(build_group("C6")))
     assert counts == {"C6": 1, "D3": 2}

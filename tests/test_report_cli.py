@@ -167,6 +167,20 @@ def test_enum_sl23_json_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_SL23_JSON_SHA256
 
 
+@pytest.mark.parametrize("label", ["C2^2", "C2^3", "C6 x C2^2", "SL(2,3)", "C3:C8", "C3:D4"])
+def test_cli_accepts_catalog_class_names(label):
+    from hgw.catalog import iso_class
+    from hgw.cli import _parse_group, build_parser
+
+    assert iso_class(_parse_group(build_parser(), label)).name == label
+
+
+def test_enum_by_catalog_name_matches_its_spec(tmp_path):
+    out = tmp_path / "sl23.json"
+    assert main(["enum", "--group", "SL(2,3)", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_SL23_JSON_SHA256
+
+
 def test_cli_check_failure_exits_1(monkeypatch, capsys):
     import hgw.enumeration as enumeration
 
