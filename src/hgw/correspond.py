@@ -10,12 +10,15 @@ N's elements: P is a set of indices, lambda(G)-stability reads
 ``lambda_conj[:, P]``, normality in N and the class of P read N's Cayley
 table, the P-orbit of a point x is ``rows[P, x]`` (so Psi(P) = ``rows[P, 0]``),
 and lambda(J)-triviality compares coset labels of N/P. The block images of N
-and lambda(G) come from one builder, ``block_actions``.
+and lambda(G) come from one builder, ``block_actions``; lambda(G)'s depend on
+(G, J) only and are built once per pair. Each stable P computes Psi(P) once,
+as ``StableSubgroup.psi_result``, which the onto check and the census share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +51,11 @@ class StableSubgroup:
 
     def perm_group(self) -> PermGroup:
         return self.p_handle.as_perm_group()
+
+    @cached_property
+    def psi_result(self) -> PsiResult:
+        """``psi(self)``, computed with its contracts on first use."""
+        return psi(self)
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup] | None = None,
         stables = stable_subgroups(record)
     if subgroup_sets is None:
         subgroup_sets = frozenset(h.members for h in subgroups(record.group))
-    images = {psi(s).j_handle.members for s in stables}
+    images = {s.psi_result.j_handle.members for s in stables}
     return images == set(subgroup_sets)
 
 
@@ -208,14 +216,26 @@ def induced_block_perm(perm: Permutation, space: CosetSpace) -> Permutation:
 
 def block_actions(n_group: PermGroup, j_handle: SubgroupHandle) -> BlockActions:
     """The left cosets of J in G, with the block images of N and lambda(G) on them."""
-    group = j_handle.ambient
-    space = coset_space(group, j_handle)
-    m = space.block_count
+    space, gbar_of, gbar = _lambda_blocks(j_handle)
     nbar_of = tuple(induced_block_perm(p, space) for p in n_group.elements)
-    gbar_of = tuple(induced_block_perm(Permutation(group.table[g]), space)
-                    for g in range(group.order))
-    return BlockActions(space, nbar_of, gbar_of, _image_group(nbar_of, m),
-                        _image_group(gbar_of, m))
+    return BlockActions(space, nbar_of, gbar_of, _image_group(nbar_of, space.block_count), gbar)
+
+
+def _lambda_blocks(
+        j_handle: SubgroupHandle) -> tuple[CosetSpace, tuple[Permutation, ...], PermGroup]:
+    """The cosets of J with lambda(G)'s block images and their group, built once per (G, J).
+
+    They depend on G and J only, so they are kept on G itself: the coset space
+    refers back to G, which would keep G alive forever in a weak-keyed table.
+    """
+    group = j_handle.ambient
+    by_j = vars(group).setdefault("_lambda_blocks", {})
+    if j_handle.members not in by_j:
+        space = coset_space(group, j_handle)
+        gbar_of = tuple(induced_block_perm(Permutation(group.table[g]), space)
+                        for g in range(group.order))
+        by_j[j_handle.members] = (space, gbar_of, _image_group(gbar_of, space.block_count))
+    return by_j[j_handle.members]
 
 
 def _image_group(images: Sequence[Permutation], degree: int) -> PermGroup:
@@ -289,7 +309,7 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
                 continue
             if stable.order in (1, record.n_group.order):
                 continue
-            result = psi(stable)
+            result = stable.psi_result
             if verify:
                 _verify_pair(stable, result)
             if n_table is None:

@@ -25,7 +25,7 @@ contracts are checked once, each raising TheoremViolation:
 - N arose from exactly |Aut(M)| embeddings.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
-degrees.
+degrees; its regular subgroups of Sym(n) are searched once per degree.
 """
 
 from __future__ import annotations
@@ -277,21 +277,35 @@ def iso_class_name_cached(group: FiniteGroup) -> str:
     return name
 
 
+_SYM_REGULAR: dict[int, np.ndarray] = {}
+
+
+def _sym_regular_subgroups(n: int) -> np.ndarray:
+    """The regular subgroups of Sym(n), searched once per degree.
+
+    Entry i is subgroup i in search order, its rows sorted, as one uint8 array.
+    """
+    if n not in _SYM_REGULAR:
+        found = regsearch.regular_subgroups(map(bytes, itertools.permutations(range(n))), n)
+        packed = b"".join(row for rows in found for row in sorted(rows))
+        _SYM_REGULAR[n] = np.frombuffer(packed, np.uint8).reshape(len(found), n, n)
+    return _SYM_REGULAR[n]
+
+
 def direct_enumerate_oracle(group: FiniteGroup) -> list[PermGroup]:
     """Brute-force ground truth inside Perm(G), for |G| <= 8.
 
-    Searches the full symmetric group for regular subgroups, then keeps those
-    normalized by lambda(G). Independent of the holomorph route.
+    Searches the full symmetric group for regular subgroups (once per degree),
+    then keeps those normalized by lambda(G). Independent of the holomorph route.
     """
     n = group.order
     if n > ORACLE_DEGREE_CAP:
         raise EnumerationOverflow(f"direct oracle capped at degree {ORACLE_DEGREE_CAP}")
-    all_rows = [bytes(p) for p in itertools.permutations(range(n))]
-    candidates = regsearch.regular_subgroups(all_rows, n)
     lam_rows = [bytes(row) for row in group.table]
     out = []
-    for rows in candidates:
-        if regsearch.normalized_by(sorted(rows), lam_rows, n):
+    for subgroup in _sym_regular_subgroups(n):
+        rows = [row.tobytes() for row in subgroup]
+        if regsearch.normalized_by(rows, lam_rows, n):
             perms = [Permutation(r) for r in rows]
             out.append(PermGroup(n, generating_subset_of(perms), perms))
     out.sort(key=lambda pg: tuple(p.images for p in pg.elements))

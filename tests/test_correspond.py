@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
+import hgw.correspond as correspond
 from hgw.catalog import catalog_group, iso_class
 from hgw.correspond import (
+    correspondence_rows,
     coset_space,
     induced_block_perm,
     orbit_coset_check,
@@ -13,7 +17,7 @@ from hgw.correspond import (
 from hgw.dsl import build_group
 from hgw.enumeration import HgsRecord, enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation
-from hgw.groups import as_finite_group, left_regular, right_regular, subgroups
+from hgw.groups import FiniteGroup, as_finite_group, left_regular, right_regular, subgroups
 from hgw.perm import Permutation, closure, normalizes
 
 
@@ -209,3 +213,40 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     record = HgsRecord(group, n_group, iso_class(n_group), ("test", 0))
     with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
         stable_subgroups(record)
+
+
+def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypatch):
+    spaces, psi_calls, block_perms = Counter(), Counter(), Counter()
+    real_space, real_psi, real_block_perm = (
+        correspond.coset_space, correspond.psi, correspond.induced_block_perm)
+
+    def counted_space(group, j_handle):
+        spaces[j_handle.members] += 1
+        return real_space(group, j_handle)
+
+    def counted_psi(stable):
+        psi_calls[id(stable)] += 1
+        return real_psi(stable)
+
+    def counted_block_perm(perm, space):
+        block_perms[space.j_handle.members] += 1
+        return real_block_perm(perm, space)
+
+    monkeypatch.setattr(correspond, "coset_space", counted_space)
+    monkeypatch.setattr(correspond, "psi", counted_psi)
+    monkeypatch.setattr(correspond, "induced_block_perm", counted_block_perm)
+    catalog_d21 = catalog_group("D21")  # shared by every caller, so copy it
+    group = FiniteGroup(catalog_d21.elements, catalog_d21.table, spec=catalog_d21.spec)
+    records = enumerate_hgs(group)
+    all_sets = frozenset(h.members for h in subgroups(group))
+    stables = {r.key: stable_subgroups(r) for r in records}
+    onto = [psi_onto(record, stables[record.key], all_sets) for record in records]
+    rows = correspondence_rows(group, records, verify=True, stables_by_record=stables)
+
+    assert any(onto) and not all(onto)
+    assert psi_calls and set(psi_calls.values()) == {1}
+    assert len(psi_calls) == sum(map(len, stables.values()))
+    assert spaces and set(spaces.values()) == {1}
+    # lambda(G)'s 42 block images once per J, then N's 42 per verified pair
+    pairs = sum(row.count for row in rows)
+    assert sum(block_perms.values()) == 42 * (len(spaces) + pairs)

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -11,7 +13,14 @@ from hgw.catalog import catalog_group, catalog_names, iso_class
 from hgw.dsl import build_group
 from hgw.enumeration import count_formula_report, direct_enumerate_oracle, enumerate_hgs
 from hgw.errors import EnumerationOverflow, TheoremViolation
-from hgw.groups import FiniteGroup, all_isomorphisms, an_isomorphism, left_regular, right_regular
+from hgw.groups import (
+    FiniteGroup,
+    all_isomorphisms,
+    an_isomorphism,
+    automorphisms,
+    left_regular,
+    right_regular,
+)
 from hgw.perm import Permutation, closure, normalizes
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
@@ -183,3 +192,106 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the regular-subgroup search against the pairwise-product closure ----------
+
+
+def _reference_regular_subgroups(elements, degree):
+    """The canonical tree with each candidate set closed under all pairwise products."""
+    ident = bytes(range(degree))
+    if degree == 1:
+        return [frozenset({ident})]
+
+    def uniform(p):
+        lengths = set()
+        for x in range(degree):
+            length, y = 1, p[x]
+            while y != x:
+                y, length = p[y], length + 1
+            lengths.add(length)
+        return len(lengths) == 1
+
+    candidates = sorted({p for p in elements if p != ident and uniform(p)})
+    allowed = frozenset(candidates) | {ident}
+    found = []
+    _reference_search([ident], degree, candidates, allowed, found)
+    return found
+
+
+def _reference_search(members, degree, candidates, allowed, found):
+    orbit = {p[0] for p in members}
+    t = next(x for x in range(degree) if x not in orbit)
+    for f in candidates:
+        if f[0] != t:
+            continue
+        ext = _reference_extend(members, f, degree, allowed)
+        if ext is None or degree % len(ext):
+            continue
+        if len(ext) == degree:
+            found.append(frozenset(ext))
+        else:
+            _reference_search(ext, degree, candidates, allowed, found)
+
+
+def _reference_extend(members, f, degree, allowed):
+    new_list, frontier = list(members) + [f], [f]
+    while frontier:
+        u = frontier.pop()
+        i = 0
+        while i < len(new_list):
+            v = new_list[i]
+            i += 1
+            # (u o v)(x) = u[v[x]] and (v o u)(x) = v[u[x]]
+            for w in (bytes(u[x] for x in v), bytes(v[x] for x in u)):
+                if w not in new_list:
+                    if w not in allowed or len(new_list) >= degree:
+                        return None
+                    new_list.append(w)
+                    frontier.append(w)
+    return new_list
+
+
+def _sym_rows(n):
+    return [bytes(p) for p in itertools.permutations(range(n))]
+
+
+@pytest.mark.parametrize("m_name", SMALL_CATALOG)
+def test_regular_subgroups_match_pairwise_closure_in_hol(m_name):
+    rows = enumeration._hol_data(m_name).rows
+    order = catalog_group(m_name).order
+    assert regsearch.regular_subgroups(rows, order) == _reference_regular_subgroups(rows, order)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_regular_subgroups_match_pairwise_closure_in_sym(n):
+    rows = _sym_rows(n)
+    assert regsearch.regular_subgroups(rows, n) == _reference_regular_subgroups(rows, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_regular_subgroups_of_sym_n_count(n):
+    """Each class G of order n has (n-1)!/|Aut(G)| regular copies in Sym(n), all
+    conjugate to lambda(G), whose normalizer is Hol(G) of order n |Aut(G)|."""
+    classes = [build_group("C5")] if n == 5 else [catalog_group(m) for m in catalog_names(n)]
+    expected = sum(math.factorial(n - 1) // automorphisms(g).order for g in classes)
+    assert len(regsearch.regular_subgroups(_sym_rows(n), n)) == expected
+    if n == 8:
+        assert expected == 2760
+
+
+def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
+    degrees = []
+    real = regsearch.regular_subgroups
+
+    def counted(elements, degree):
+        degrees.append(degree)
+        return real(elements, degree)
+
+    monkeypatch.setattr(regsearch, "regular_subgroups", counted)
+    monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
+    for spec in ("D4", "Q8"):
+        group = build_group(spec)
+        oracle = direct_enumerate_oracle(group)
+        assert _element_sets(oracle) == _element_sets(r.n_group for r in enumerate_hgs(group))
+    assert degrees == [8]
