@@ -11,7 +11,8 @@ exactly one element sending 0 to any given point, so the chain of nodes below
 V is unique and every V is emitted exactly once.
 
 A node keeps its semiregular S as ``{image of 0: element}`` plus the
-generators added so far, as translation tables. Two candidate filters run at each node:
+generators added so far, as translation tables. Two candidate filters run at
+each node:
 
 - prune: two distinct elements of a semiregular group disagree at every
   point, so one broadcast comparison drops every candidate that agrees with
