@@ -46,17 +46,21 @@ def inverse(p: bytes) -> bytes:
 def uniform_rows(rows: np.ndarray) -> np.ndarray:
     """Mask of the uint8 rows whose cycles all have one length.
 
-    The cycle length through every point comes from repeated gathers:
-    ``power`` holds each row's k-th power, and a point first returns to
-    itself after its cycle length.
+    Row p is uniform iff at the first power p^s that fixes any point, p^s
+    fixes every point: a shorter cycle would have returned earlier. The
+    powers come from repeated gathers, until every row has been decided.
     """
     points = np.arange(rows.shape[1], dtype=np.uint8)
-    length = np.zeros(rows.shape, dtype=np.uint8)
+    uniform = np.zeros(len(rows), dtype=bool)
+    undecided = np.ones(len(rows), dtype=bool)
     power = rows
-    for step in range(1, rows.shape[1] + 1):
-        length[(power == points) & (length == 0)] = step
+    while undecided.any():
+        fixed = power == points
+        first = undecided & fixed.any(axis=1)
+        uniform[first] = fixed[first].all(axis=1)
+        undecided &= ~first
         power = np.take_along_axis(rows, power, axis=1)  # uint8 indices: no index copy
-    return (length == length[:, :1]).all(axis=1)
+    return uniform
 
 
 def is_uniform(p: bytes) -> bool:
