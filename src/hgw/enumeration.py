@@ -10,18 +10,22 @@ Only the regular subgroups of G's class are classified, lazily and once per
 Hol(M) and class: a subgroup whose element-order spectrum differs from G's is
 skipped before its Cayley table is built. Aut(G) is computed once per
 ``enumerate_hgs`` call; each V then needs one isomorphism beta0: G -> V, and
-its embeddings are the maps beta0 o alpha for alpha in Aut(G), sorted, which
-is exactly the list ``all_isomorphisms(G, V)`` would return.
+its embeddings are the maps beta0 o alpha for alpha in Aut(G), numbered in
+sorted order, which is the order ``all_isomorphisms(G, V)`` would list them in.
+Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
+so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
 
-Embeddings are deduplicated by N's element set, and for each distinct N these
-contracts are checked once, each raising TheoremViolation:
+A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
+the rows are also the key that deduplicates embeddings. N's PermGroup is built
+only when read. For each distinct N these contracts are checked once, each
+raising TheoremViolation:
 
 - b is bijective;
 - the transported beta(G) equals lambda(G);
-- m -> (row m of N's table) is an injective homomorphism M -> N, so N's class
-  is M's catalog label;
+- m -> (row m of N's table) is an injective homomorphism M -> N whose image is
+  N's rows, so N's class is M's catalog label;
 - N is regular;
-- lambda(G), built once per ``enumerate_hgs`` call, normalizes N;
+- lambda(G) normalizes N (the check also builds ``lambda_conj``);
 - N arose from exactly |Aut(M)| embeddings.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
@@ -46,34 +50,45 @@ from .groups import (
     an_isomorphism,
     automorphisms,
     generating_subset_of,
-    left_regular,
 )
-from .perm import PermGroup, Permutation, normalizes
+from .perm import PermGroup, Permutation
 
 ORACLE_DEGREE_CAP = 8
 ENUMERATION_ORDER_CAP = 48
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HgsRecord:
     """One Hopf-Galois structure: a regular lambda(G)-normalized N <= Perm(G).
 
-    ``rows``, ``n_table`` and ``lambda_conj`` view N on the indices of its elements.
+    ``rows`` holds N's elements as uint8 image arrays, sorted by image tuple;
+    ``n_table`` and ``lambda_conj`` view N on the indices of those rows.
+    Records compare by identity; ``key`` identifies N.
     """
 
     group: FiniteGroup
-    n_group: PermGroup
+    rows: np.ndarray
     n_class: GroupClassLabel
     provenance: tuple[str, int]  # (model class name, embedding id within that model)
 
+    @classmethod
+    def from_perm_group(cls, group: FiniteGroup, n_group: PermGroup, n_class: GroupClassLabel,
+                        provenance: tuple[str, int]) -> HgsRecord:
+        """The record of a given N, keeping N's own generators."""
+        rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
+        record = cls(group, rows, n_class, provenance)
+        vars(record)["n_group"] = n_group
+        return record
+
     @property
     def key(self) -> bytes:
-        return self.rows.tobytes()  # the elements are sorted by image tuple
+        return self.rows.tobytes()
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """Row i is element i of N as an image array."""
-        return np.array([p.images for p in self.n_group.elements], dtype=np.uint8)
+    def n_group(self) -> PermGroup:
+        """N as a PermGroup, built on first read."""
+        perms = [Permutation(row) for row in self.rows.tolist()]
+        return PermGroup(len(perms), generating_subset_of(perms), perms)
 
     @property
     def n_table(self) -> FiniteGroup:
@@ -82,20 +97,26 @@ class HgsRecord:
 
     @cached_property
     def lambda_conj(self) -> np.ndarray:
-        """Row g maps index a to the index of lambda(g) a lambda(g)^-1 in N.
-
-        The conjugate sends 0 to g * a(g^-1), which fixes it in the regular N;
-        every full conjugate row is then compared with the row it was given.
-        """
-        rows, index = self.rows, np.arange(len(self.rows))
-        lam = np.array(self.group.table, dtype=np.uint8)  # row g: x -> g x
-        lam_inv = lam[list(self.group.inverse_table)]  # row g: x -> g^-1 x
-        # conjugates[g, a, x] = g * a(g^-1 x)
-        conjugates = lam[index[:, None, None], rows[index[None, :, None], lam_inv[:, None, :]]]
-        conj = _base_index(rows)[conjugates[:, :, 0]].astype(np.uint8)
-        if not np.array_equal(rows[conj], conjugates):
+        """Row g maps index a to the index of lambda(g) a lambda(g)^-1 in N."""
+        conj = _lambda_conjugation(self.group, self.rows)
+        if conj is None:
             raise TheoremViolation("lambda(G) does not normalize N")
         return conj
+
+
+def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
+    """``lambda_conj`` of N's rows; None unless lambda(G) normalizes N.
+
+    The conjugate sends 0 to g * a(g^-1), which fixes it in the regular N;
+    every full conjugate row is then compared with the row it was given.
+    """
+    index = np.arange(len(rows))
+    lam = np.array(group.table, dtype=np.uint8)  # row g: x -> g x
+    lam_inv = lam[list(group.inverse_table)]  # row g: x -> g^-1 x
+    # conjugates[g, a, x] = g * a(g^-1 x)
+    conjugates = lam[index[:, None, None], rows[index[None, :, None], lam_inv[:, None, :]]]
+    conj = _base_index(rows)[conjugates[:, :, 0]].astype(np.uint8)
+    return conj if np.array_equal(rows[conj], conjugates) else None
 
 
 # -- holomorph machinery ------------------------------------------------------
@@ -207,20 +228,19 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     names = catalog_names(n)
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {n}")
-    lam = left_regular(group)
     g_class = iso_class_name_cached(group)
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
-    return [rec for m_name in names
-            for rec in _records_for_model(group, lam, g_class, aut_g, m_name)]
+    return [rec for m_name in names for rec in _records_for_model(group, g_class, aut_g, m_name)]
 
 
-def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str, aut_g: np.ndarray,
+def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
                        m_name: str) -> list[HgsRecord]:
     """The structures of class M: one record per distinct N, sorted by element set."""
     n = group.order
     hol = _hol_data(m_name)
-    mul = np.array(hol.model.table, dtype=np.int64)
-    # key -> (embedding id, beta rows, b, b^-1, N's table) of N's first embedding
+    mul = np.array(hol.model.table, dtype=np.intp)
+    aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
+    # key -> (embedding id, beta rows, N's rows) of N's first embedding
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
@@ -230,42 +250,50 @@ def _records_for_model(group: FiniteGroup, lam: PermGroup, g_class: str, aut_g: 
             raise TheoremViolation(f"regular subgroup of Hol({m_name}) classed {g_class} "
                                    "is not isomorphic to G")
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
-        for iso in sorted(map(tuple, np.array(beta0)[aut_g].tolist())):
-            beta = sub.sorted_rows[list(iso)]
-            b = beta[:, 0].astype(np.int64)
-            b_inv = np.empty(n, dtype=np.int64)
-            b_inv[b] = np.arange(n)
-            table = b_inv[mul[:, b]]  # row m: lambda(m) conjugated by b
-            key = b"".join(sorted(row.tobytes() for row in table.astype(np.uint8)))
+        isos = np.array(beta0)[aut_g]
+        b0 = sub.sorted_rows[list(beta0), 0].astype(np.intp)
+        table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
+        rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
+        # row x of N_alpha = alpha^-1 N0 alpha is alpha^-1 o rows0[alpha(x)] o alpha
+        n_rows = aut_inv[np.arange(len(aut_g))[:, None, None],
+                         rows0[aut_g[:, :, None], aut_g[:, None, :]]]
+        for a in np.lexsort(isos.T[::-1]).tolist():
+            key = n_rows[a].tobytes()
             multiplicity[key] += 1
             if key not in first:
-                first[key] = (emb_id, beta, b, b_inv, table)
+                first[key] = (emb_id, sub.sorted_rows[isos[a]], n_rows[a].copy())
             emb_id += 1
 
-    lam_table = np.array(group.table, dtype=np.int64)
+    lam_table = np.array(group.table, dtype=np.intp)
     records = []
     for key in sorted(first):
-        first_id, beta, b, b_inv, table = first[key]
+        first_id, beta, rows = first[key]
+        b = beta[:, 0].astype(np.intp)
         if len(set(b.tolist())) != n:
             raise TheoremViolation("embedding image is not regular: base map not bijective")
+        b_inv = np.argsort(b)
         if not np.array_equal(b_inv[beta[:, b]], lam_table):
             raise TheoremViolation("transported embedding image differs from lambda(G)")
         # With column 0 a bijection c, row m1 (row m2 (0)) = row (m1 m2) (0) for all
         # m1, m2 forces row m = c lambda(m) c^-1: an injective homomorphism M -> N.
+        table = b_inv[mul[:, b]]
         col0 = table[:, 0]
-        if len(set(col0.tolist())) != n or not np.array_equal(table[:, col0], col0[mul]):
+        if (len(set(col0.tolist())) != n or not np.array_equal(table[:, col0], col0[mul])
+                or not np.array_equal(rows[col0], table)):
             raise TheoremViolation(
                 f"transported subgroup is not the injective image of {m_name}")
-        perms = [Permutation(tuple(int(x) for x in row)) for row in table]
-        n_group = PermGroup(n, generating_subset_of(perms), perms)
-        if not n_group.is_regular():
+        # the image of M is closed, so column 0 a bijection makes N regular
+        if not np.array_equal(rows[:, 0], np.arange(n)):
             raise TheoremViolation("transported subgroup is not regular")
-        if not normalizes(lam, n_group):
+        conj = _lambda_conjugation(group, rows)
+        if conj is None:
             raise TheoremViolation("transported subgroup is not normalized by lambda(G)")
         if multiplicity[key] != hol.aut_order:
             raise TheoremViolation(
                 f"structure arose from {multiplicity[key]} embeddings, expected |Aut(M)| = {hol.aut_order}")
-        records.append(HgsRecord(group, n_group, GroupClassLabel(m_name, n), (m_name, first_id)))
+        record = HgsRecord(group, rows, GroupClassLabel(m_name, n), (m_name, first_id))
+        vars(record)["lambda_conj"] = conj
+        records.append(record)
     return records
 
 

@@ -97,7 +97,7 @@ def run_fixture() -> FixtureReport:
 
     # identify points with elements of G: point i <-> the element sending 0 to i
     g_abs, lam = _regular_identification(g_group)
-    record = HgsRecord(g_abs, n_group, iso_class(n_group), ("paper24", 0))
+    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("paper24", 0))
     n_index = {perm.images: i for i, perm in enumerate(n_group.elements)}
     p_handle = SubgroupHandle(n_group, tuple(sorted(n_index[q.images] for q in p_group.elements)))
     stable = StableSubgroup(record, p_handle, normal_in_n=True)

@@ -2,6 +2,12 @@
 
 Elements of a FiniteGroup are indices 0..n-1 with the identity fixed at 0;
 every permutation representation built here acts on those indices.
+
+Isomorphisms g1 -> g2 are searched on generator images alone. A backtrack
+gives each element of g1's greedy generating sequence an image of the same
+order, extends the map along a word tree of g1, and rejects the candidate
+unless the map stays injective and respects every edge of the tree. Each leaf
+is an isomorphism, returned as its image tuple.
 """
 
 from __future__ import annotations
@@ -293,56 +299,43 @@ def is_normal(group: FiniteGroup, sub: SubgroupHandle) -> bool:
 # -- isomorphisms and automorphisms -----------------------------------------
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy generating sequence, highest element order first."""
-    orders = group.element_orders()
-    seq: list[int] = []
-    current: frozenset[int] = frozenset({0})
-    while len(current) < group.order:
-        candidates = [x for x in range(group.order) if x not in current]
-        best = max(candidates, key=lambda x: (orders[x], -x))
-        seq.append(best)
-        current = close_subset(group, seq)
-    return seq
-
-
-def _extend_partial_map(g1: FiniteGroup, g2: FiniteGroup, fwd: dict[int, int], used: set[int],
-                        new_src: int, new_dst: int):
-    """Extend a partial isomorphism by new_src -> new_dst; None on conflict.
-
-    The domain is grown to the subgroup generated by the current domain: every
-    product of mapped elements must map consistently.
-    """
-    fwd = dict(fwd)
-    used = set(used)
-    if new_src in fwd:
-        return (fwd, used) if fwd[new_src] == new_dst else None
-    if new_dst in used:
-        return None
-    fwd[new_src] = new_dst
-    used.add(new_dst)
-    frontier = [new_src]
-    while frontier:
-        u = frontier.pop()
-        for v in tuple(fwd):
-            for (s, t) in ((g1.mul(u, v), g2.mul(fwd[u], fwd[v])),
-                           (g1.mul(v, u), g2.mul(fwd[v], fwd[u]))):
-                known = fwd.get(s)
-                if known is None:
-                    if t in used:
-                        return None
-                    fwd[s] = t
-                    used.add(t)
-                    frontier.append(s)
-                elif known != t:
-                    return None
-    return fwd, used
-
-
 ISO_ORDER_CAP = 100
 
+# one edge x -> x * s_j of a word tree: (x, j, y = x * s_j, whether y is first reached here)
+_Edge = tuple[int, int, int, bool]
 
-def _iso_backtrack(g1: FiniteGroup, g2: FiniteGroup, find_all: bool) -> list[dict[int, int]]:
+
+def _word_tree(group: FiniteGroup) -> tuple[list[int], list[list[_Edge]]]:
+    """Greedy generating sequence s_1..s_k, highest element order first, and its word tree.
+
+    Level i holds the edges that close <s_1..s_i> from <s_1..s_(i-1)>, in
+    breadth-first order: x * s_i for the old members x, and x * s_j (j <= i)
+    for each new member x. An edge that first reaches y is y's tree edge;
+    every other edge is a relation between words.
+    """
+    orders, table, n = group.element_orders(), group.table, group.order
+    seq: list[int] = []
+    levels: list[list[_Edge]] = []
+    members, seen = [0], [True] + [False] * (n - 1)
+    while len(members) < n:
+        seq.append(max((x for x in range(n) if not seen[x]), key=lambda x: (orders[x], -x)))
+        i, old, edges = len(seq) - 1, len(members), []
+        q = 0
+        while q < len(members):
+            x = members[q]
+            for j in ((i,) if q < old else range(i + 1)):
+                y = table[x][seq[j]]
+                edges.append((x, j, y, not seen[y]))
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+            q += 1
+        levels.append(edges)
+    return seq, levels
+
+
+def _iso_backtrack(g1: FiniteGroup, g2: FiniteGroup, find_all: bool) -> list[tuple[int, ...]]:
+    """Isomorphisms g1 -> g2, found by giving images to g1's generating sequence only."""
     if max(g1.order, g2.order) > ISO_ORDER_CAP:
         raise EnumerationOverflow(f"isomorphism testing capped at order {ISO_ORDER_CAP}")
     if g1.order != g2.order:
@@ -353,40 +346,56 @@ def _iso_backtrack(g1: FiniteGroup, g2: FiniteGroup, find_all: bool) -> list[dic
     buckets: dict[int, list[int]] = {}
     for x in range(g2.order):
         buckets.setdefault(orders2[x], []).append(x)
-    results: list[dict[int, int]] = []
-    _iso_search(g1, g2, _generating_sequence(g1), buckets, find_all, results, 0, {0: 0}, {0})
+    seq, levels = _word_tree(g1)
+    candidates = [buckets[g1.element_orders()[s]] for s in seq]
+    used = [True] + [False] * (g2.order - 1)
+    results: list[tuple[int, ...]] = []
+    _iso_search(g2.table, levels, candidates, find_all, results, [0] * g1.order, used, [])
     return results
 
 
-def _iso_search(g1: FiniteGroup, g2: FiniteGroup, seq: list[int], buckets: dict[int, list[int]],
-                find_all: bool, results: list[dict[int, int]], pos: int, fwd: dict[int, int],
-                used: set[int]) -> bool:
-    """Assign images to ``seq[pos:]``; True once a first hit ends the search.
+def _iso_search(table: tuple[tuple[int, ...], ...], levels: list[list[_Edge]],
+                candidates: list[list[int]], find_all: bool, results: list[tuple[int, ...]],
+                phi: list[int], used: list[bool], images: list[int]) -> bool:
+    """Give s_i (i = len(images)) each candidate image t_i; True once a first hit ends the search.
 
+    phi extends over <s_1..s_i> along the tree edges, phi(x s_j) = phi(x) t_j,
+    and must stay injective and satisfy that law on every other edge too. Then
+    phi(x w) = phi(x) phi(w) for every word w in the s_j, so phi is an
+    injective homomorphism on <s_1..s_i>; at the last level it is a bijection.
     A module-level function, not a closure, so that no reference cycle keeps
     the search state alive after ``_iso_backtrack`` returns.
     """
-    if pos == len(seq):
-        if len(fwd) == g1.order:
-            results.append(fwd)
-            return not find_all
-        return False  # generators exhausted but map not total: inconsistent
-    src = seq[pos]
-    if src in fwd:
-        return _iso_search(g1, g2, seq, buckets, find_all, results, pos + 1, fwd, used)
-    for dst in buckets.get(g1.element_orders()[src], ()):
-        ext = _extend_partial_map(g1, g2, fwd, used, src, dst)
-        if ext is None:
-            continue
-        if _iso_search(g1, g2, seq, buckets, find_all, results, pos + 1, ext[0], ext[1]):
-            return True
+    level = len(images)
+    if level == len(levels):
+        results.append(tuple(phi))
+        return not find_all
+    for t in candidates[level]:
+        images.append(t)
+        placed = []
+        for x, j, y, new in levels[level]:
+            img = table[phi[x]][images[j]]
+            if new:
+                if used[img]:
+                    break
+                used[img] = True
+                placed.append(img)
+                phi[y] = img
+            elif phi[y] != img:
+                break
+        else:
+            if _iso_search(table, levels, candidates, find_all, results, phi, used, images):
+                return True
+        for img in placed:
+            used[img] = False
+        images.pop()
     return False
 
 
 def an_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
     """The first isomorphism g1 -> g2 the search meets, as an image tuple; None if none."""
     maps = _iso_backtrack(g1, g2, find_all=False)
-    return tuple(maps[0][i] for i in range(g1.order)) if maps else None
+    return maps[0] if maps else None
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
@@ -395,9 +404,7 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
 
 def all_isomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> list[tuple[int, ...]]:
     """All isomorphisms g1 -> g2 as image tuples, sorted."""
-    maps = _iso_backtrack(g1, g2, find_all=True)
-    out = sorted(tuple(m[i] for i in range(g1.order)) for m in maps)
-    return out
+    return sorted(_iso_backtrack(g1, g2, find_all=True))
 
 
 def automorphisms(group: FiniteGroup) -> PermGroup:

@@ -71,7 +71,7 @@ def test_psi_rejects_unstable_subgroup():
     g_group = closure(load_generators("g"), DEGREE)
     n_group = closure(load_generators("n"), DEGREE)
     g_abs, lam = _regular_identification(g_group)
-    record = HgsRecord(g_abs, n_group, iso_class(n_group), ("fixture", 0))
+    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("fixture", 0))
     tripped = 0
     for handle in subgroups(n_group):
         if normalizes(lam, handle.as_perm_group()):
@@ -210,7 +210,7 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     group = build_group("D3")
     n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
     assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
-    record = HgsRecord(group, n_group, iso_class(n_group), ("test", 0))
+    record = HgsRecord.from_perm_group(group, n_group, iso_class(n_group), ("test", 0))
     with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
         stable_subgroups(record)
 

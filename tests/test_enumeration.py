@@ -18,10 +18,11 @@ from hgw.groups import (
     all_isomorphisms,
     an_isomorphism,
     automorphisms,
+    generating_subset_of,
     left_regular,
     right_regular,
 )
-from hgw.perm import Permutation, closure, normalizes
+from hgw.perm import PermGroup, Permutation, normalizes
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -106,17 +107,18 @@ def test_c6_known_distribution():
 
 def test_contracts_run_once_per_structure(monkeypatch):
     calls = Counter()
+    real = enumeration._lambda_conjugation
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(group, rows):
+        calls["normalized"] += 1
+        return real(group, rows)
 
-    monkeypatch.setattr(enumeration, "left_regular", counted("lambda", left_regular))
-    monkeypatch.setattr(enumeration, "normalizes", counted("normalizes", normalizes))
+    monkeypatch.setattr(enumeration, "_lambda_conjugation", counted)
     records = enumerate_hgs(build_group("D4"))
-    assert calls == {"lambda": 1, "normalizes": len(records)}
+    assert calls == {"normalized": len(records)}
+    for record in records:  # the check built lambda_conj; reading it checks nothing again
+        assert record.lambda_conj.shape == (8, 8)
+    assert calls == {"normalized": len(records)}
 
 
 def _first_iso_only(g, v):
@@ -133,12 +135,19 @@ def _non_homomorphism(g, v):
             for iso in all_isomorphisms(g, v)]
 
 
+_REAL_LAMBDA_CONJUGATION = enumeration._lambda_conjugation
+
+
+def _lambda_of_c6(group, rows):
+    # lambda(C6) on D3's element indices normalizes none of D3's structures
+    return _REAL_LAMBDA_CONJUGATION(build_group("C6"), rows)
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
     ("all_isomorphisms", _constant_iso, "base map not bijective"),
     ("all_isomorphisms", _non_homomorphism, "differs from lambda(G)"),
-    ("left_regular", lambda g: closure([Permutation.from_cycles([(0, 1)], g.order)], g.order),
-     "not normalized by lambda(G)"),
+    ("_lambda_conjugation", _lambda_of_c6, "not normalized by lambda(G)"),
 ], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
@@ -179,6 +188,58 @@ def test_lazy_classification_and_beta0_composition(g_name):
             beta0 = np.array(an_isomorphism(group, sub.abstract))
             assert sorted(map(tuple, beta0[aut_g].tolist())) \
                 == all_isomorphisms(group, sub.abstract), (g_name, m_name)
+
+
+def _reference_records(group):
+    """Records built the old way: every isomorphism G -> V searched, one table of
+    Permutations per embedding, deduplicated on its sorted rows, and N's PermGroup
+    built from its generating subset."""
+    g_class = iso_class(group).name
+    out = []
+    for m_name in catalog_names(group.order):
+        hol = enumeration._hol_data(m_name)
+        mul = np.array(hol.model.table)
+        first = {}
+        emb_id = 0
+        for sub in hol.isomorphic_to(g_class):
+            for iso in all_isomorphisms(group, sub.abstract):
+                b = sub.sorted_rows[list(iso), 0].astype(np.intp)
+                b_inv = np.argsort(b)
+                perms = tuple(sorted(Permutation(row) for row in b_inv[mul[:, b]].tolist()))
+                first.setdefault(perms, emb_id)
+                emb_id += 1
+        for perms in sorted(first):
+            n_group = PermGroup(group.order, generating_subset_of(perms), perms)
+            out.append(((m_name, first[perms]), n_group))
+    return out
+
+
+@pytest.mark.parametrize("g_name", SMALL_CATALOG)
+def test_records_match_permutation_reference(g_name):
+    group = catalog_group(g_name)
+    records = enumerate_hgs(group)
+    reference = _reference_records(group)
+    assert len(records) == len(reference)
+    for record, (provenance, n_group) in zip(records, reference):
+        rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
+        assert record.rows.dtype == np.uint8 and np.array_equal(record.rows, rows)
+        assert record.key == rows.tobytes()
+        assert record.provenance == provenance
+        assert record.n_group.generators == n_group.generators
+
+
+def test_count_formula_builds_no_n_perm_group(monkeypatch):
+    built = []
+    real = enumeration.PermGroup
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "PermGroup", counted)
+    rows = count_formula_report(build_group("C24"))
+    assert all(row["lhs"] == row["rhs"] for row in rows)
+    assert built == []
 
 
 def test_searches_leave_no_reference_cycles():

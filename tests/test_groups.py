@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,10 +8,13 @@ from hgw.dsl import build_group
 from hgw.enumeration import _hol_data
 from hgw.errors import EnumerationOverflow
 from hgw.groups import (
+    FiniteGroup,
     SubgroupHandle,
     all_isomorphisms,
+    an_isomorphism,
     as_finite_group,
     automorphisms,
+    close_subset,
     core_of,
     is_isomorphic,
     left_regular,
@@ -164,6 +168,99 @@ def test_all_isomorphisms_are_isos():
         for a in range(8):
             for b in range(8):
                 assert m[q8.mul(a, b)] == q8.mul(m[a], m[b])
+
+
+# -- the generator-image isomorphism search against a dict-copying reference ----
+
+CATALOG_ORDERS = (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)
+CATALOG = [name for order in CATALOG_ORDERS for name in catalog_names(order)]
+
+
+def _reference_isomorphisms(g1, g2, find_all):
+    """Isomorphisms g1 -> g2 in search order: each generator image extends the
+    partial map, copied, to the whole subgroup its domain generates."""
+    if g1.order != g2.order or sorted(g1.element_orders()) != sorted(g2.element_orders()):
+        return []
+    buckets = {}
+    for x in range(g2.order):
+        buckets.setdefault(g2.element_orders()[x], []).append(x)
+    results = []
+    _reference_search(g1, g2, _reference_generating_sequence(g1), buckets, find_all, results,
+                      0, {0: 0}, {0})
+    return [tuple(m[i] for i in range(g1.order)) for m in results]
+
+
+def _reference_generating_sequence(group):
+    orders = group.element_orders()
+    seq, current = [], frozenset({0})
+    while len(current) < group.order:
+        seq.append(max((x for x in range(group.order) if x not in current),
+                       key=lambda x: (orders[x], -x)))
+        current = close_subset(group, seq)
+    return seq
+
+
+def _reference_search(g1, g2, seq, buckets, find_all, results, pos, fwd, used):
+    if pos == len(seq):
+        if len(fwd) == g1.order:
+            results.append(fwd)
+            return not find_all
+        return False
+    for dst in buckets.get(g1.element_orders()[seq[pos]], ()):
+        ext = _reference_extend(g1, g2, fwd, used, seq[pos], dst)
+        if ext is not None and _reference_search(g1, g2, seq, buckets, find_all, results,
+                                                 pos + 1, *ext):
+            return True
+    return False
+
+
+def _reference_extend(g1, g2, fwd, used, new_src, new_dst):
+    fwd, used = dict(fwd), set(used)
+    if new_dst in used:
+        return None
+    fwd[new_src] = new_dst
+    used.add(new_dst)
+    frontier = [new_src]
+    while frontier:
+        u = frontier.pop()
+        for v in tuple(fwd):
+            for s, t in ((g1.mul(u, v), g2.mul(fwd[u], fwd[v])),
+                         (g1.mul(v, u), g2.mul(fwd[v], fwd[u]))):
+                known = fwd.get(s)
+                if known is None:
+                    if t in used:
+                        return None
+                    fwd[s] = t
+                    used.add(t)
+                    frontier.append(s)
+                elif known != t:
+                    return None
+    return fwd, used
+
+
+def _relabelled(group, seed):
+    """``group`` with its non-identity elements shuffled."""
+    label = [0] + random.Random(seed).sample(range(1, group.order), group.order - 1)
+    unlabel = sorted(range(group.order), key=label.__getitem__)
+    table = [[label[group.mul(unlabel[a], unlabel[b])] for b in range(group.order)]
+             for a in range(group.order)]
+    return FiniteGroup([str(i) for i in range(group.order)], table)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_isomorphisms_match_dict_copying_reference(name):
+    group = catalog_group(name)
+    for other in (group, _relabelled(group, seed=12)):
+        reference = _reference_isomorphisms(group, other, find_all=True)
+        assert reference and all_isomorphisms(group, other) == sorted(reference)
+        assert an_isomorphism(group, other) == _reference_isomorphisms(group, other, False)[0]
+
+
+def test_distinct_catalog_classes_are_not_isomorphic():
+    for order in CATALOG_ORDERS:
+        for a, b in itertools.permutations(catalog_names(order), 2):
+            assert not is_isomorphic(catalog_group(a), catalog_group(b)), (a, b)
+            assert all_isomorphisms(catalog_group(a), catalog_group(b)) == []
 
 
 def test_subgroup_handle_perms():
