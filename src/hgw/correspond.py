@@ -10,9 +10,10 @@ N's elements: P is a set of indices, lambda(G)-stability reads
 ``lambda_conj[:, P]``, normality in N and the class of P read N's Cayley
 table, the P-orbit of a point x is ``rows[P, x]`` (so Psi(P) = ``rows[P, 0]``),
 and lambda(J)-triviality compares coset labels of N/P. The block images of N
-and lambda(G) come from one builder, ``block_actions``; lambda(G)'s depend on
-(G, J) only and are built once per pair. Each stable P computes Psi(P) once,
-as ``StableSubgroup.psi_result``, which the onto check and the census share.
+and lambda(G) are uint8 rows too, one gather each, from one builder,
+``block_actions``; lambda(G)'s depend on (G, J) only and are built once per
+pair. Each stable P computes Psi(P) once, as ``StableSubgroup.psi_result``,
+which the onto check and the census share.
 """
 
 from __future__ import annotations
@@ -26,15 +27,9 @@ import numpy as np
 from .catalog import GroupClassLabel, iso_class
 from .enumeration import HgsRecord, enumerate_hgs, regular_table
 from .errors import BlockSystemViolation, TheoremViolation
-from .groups import (
-    FiniteGroup,
-    SubgroupHandle,
-    core_of,
-    generating_subset_of,
-    is_normal,
-    subgroups,
-)
-from .perm import PermGroup, Permutation, normalizes
+from .groups import FiniteGroup, SubgroupHandle, core_of, is_normal, subgroups
+from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
+from .regsearch import normalized_by
 
 
 @dataclass(frozen=True)
@@ -42,15 +37,17 @@ class StableSubgroup:
     """A subgroup P of some N that lambda(G) normalizes."""
 
     hgs: HgsRecord
-    p_handle: SubgroupHandle  # ambient: the N PermGroup
+    p_handle: SubgroupHandle  # ambient: the record; members index N's rows
     normal_in_n: bool
 
     @property
     def order(self) -> int:
         return self.p_handle.order
 
-    def perm_group(self) -> PermGroup:
-        return self.p_handle.as_perm_group()
+    @property
+    def rows(self) -> np.ndarray:
+        """P's elements as uint8 image rows, sorted like N's."""
+        return self.hgs.rows[list(self.p_handle.members)]
 
     @cached_property
     def psi_result(self) -> PsiResult:
@@ -83,18 +80,18 @@ class CosetSpace:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockActions:
-    """The block images of N and lambda(G) on the left cosets of J."""
+    """The block images of N and lambda(G) on the left cosets of J, as uint8 rows."""
 
     space: CosetSpace
-    nbar_of: tuple[Permutation, ...]  # image of each element of N, in N's element order
-    gbar_of: tuple[Permutation, ...]  # image of lambda(g) for each g in G
-    nbar: PermGroup
-    gbar: PermGroup
+    nbar_of: np.ndarray  # row i: image of N's row i
+    gbar_of: np.ndarray  # row g: image of lambda(g)
+    nbar: np.ndarray  # the distinct rows of nbar_of, sorted
+    gbar: np.ndarray  # the distinct rows of gbar_of, sorted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientHGS(BlockActions):
     """Block images of N (regular, = N/P) and lambda(G) on a coset space."""
 
@@ -126,7 +123,7 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     out = []
     for handle in subgroups(n_table):
         if np.isin(conj[:, handle.members], handle.members).all():
-            out.append(StableSubgroup(record, SubgroupHandle(record.n_group, handle.members),
+            out.append(StableSubgroup(record, SubgroupHandle(record, handle.members),
                                       is_normal(n_table, handle)))
     return out
 
@@ -134,7 +131,7 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
 def psi(stable: StableSubgroup) -> PsiResult:
     """Psi(P) = orbit of the identity point under P, as a subgroup of G."""
     group = stable.hgs.group
-    orbit = sorted(set(stable.hgs.rows[list(stable.p_handle.members), 0].tolist()))
+    orbit = sorted(set(stable.rows[:, 0].tolist()))
     members = frozenset(orbit)
     if len(members) != stable.order:
         raise TheoremViolation(
@@ -164,7 +161,7 @@ def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
     """Every P-orbit rows[P, x] must be the left coset xJ."""
     table = stable.hgs.group.table
     j = result.j_handle.members
-    orbits = stable.hgs.rows[list(stable.p_handle.members)].T.tolist()
+    orbits = stable.rows.T.tolist()
     return all(set(orbit) == {table[x][y] for y in j} for x, orbit in enumerate(orbits))
 
 
@@ -200,30 +197,35 @@ def coset_space(group: FiniteGroup, j_handle: SubgroupHandle) -> CosetSpace:
     return CosetSpace(group, j_handle, tuple(blocks), tuple(reps), tuple(block_index))
 
 
-def induced_block_perm(perm: Permutation, space: CosetSpace) -> Permutation:
-    """The permutation of block indices induced by a block-respecting map."""
-    images = []
-    for i, block in enumerate(space.blocks):
-        j = space.block_index[perm(block[0])]
-        if {perm(x) for x in block} != set(space.blocks[j]):
-            raise BlockSystemViolation(
-                f"permutation does not map block {i} onto a block", block=block)
-        images.append(j)
-    if sorted(images) != list(range(space.block_count)):
+def induced_block_perm(rows: np.ndarray, space: CosetSpace) -> np.ndarray:
+    """The block images of a (k, n) stack of block-respecting point maps, as (k, m) rows.
+
+    Row r sends block i to the block of r(block i's least point); it respects
+    the blocks iff every point lands in the block its own block is sent to.
+    """
+    block_index = np.array(space.block_index, dtype=np.uint8)
+    landed = block_index[rows]  # block of r(x)
+    images = landed[:, [block[0] for block in space.blocks]]
+    broken = landed != images[:, block_index]
+    if broken.any():
+        r = int(np.flatnonzero(broken.any(axis=1))[0])
+        i = int(block_index[broken[r]].min())
+        raise BlockSystemViolation(
+            f"permutation does not map block {i} onto a block", block=space.blocks[i])
+    if not (np.sort(images, axis=1) == np.arange(space.block_count)).all():
         raise BlockSystemViolation("induced block map is not a bijection")
-    return Permutation(images)
+    return images
 
 
-def block_actions(n_group: PermGroup, j_handle: SubgroupHandle) -> BlockActions:
-    """The left cosets of J in G, with the block images of N and lambda(G) on them."""
+def block_actions(n_rows: np.ndarray, j_handle: SubgroupHandle) -> BlockActions:
+    """The left cosets of J in G, with the block images of N's rows and lambda(G) on them."""
     space, gbar_of, gbar = _lambda_blocks(j_handle)
-    nbar_of = tuple(induced_block_perm(p, space) for p in n_group.elements)
-    return BlockActions(space, nbar_of, gbar_of, _image_group(nbar_of, space.block_count), gbar)
+    nbar_of = induced_block_perm(n_rows, space)
+    return BlockActions(space, nbar_of, gbar_of, np.unique(nbar_of, axis=0), gbar)
 
 
-def _lambda_blocks(
-        j_handle: SubgroupHandle) -> tuple[CosetSpace, tuple[Permutation, ...], PermGroup]:
-    """The cosets of J with lambda(G)'s block images and their group, built once per (G, J).
+def _lambda_blocks(j_handle: SubgroupHandle) -> tuple[CosetSpace, np.ndarray, np.ndarray]:
+    """The cosets of J with lambda(G)'s block images and their distinct rows, once per (G, J).
 
     They depend on G and J only, so they are kept on G itself: the coset space
     refers back to G, which would keep G alive forever in a weak-keyed table.
@@ -232,15 +234,14 @@ def _lambda_blocks(
     by_j = vars(group).setdefault("_lambda_blocks", {})
     if j_handle.members not in by_j:
         space = coset_space(group, j_handle)
-        gbar_of = tuple(induced_block_perm(Permutation(group.table[g]), space)
-                        for g in range(group.order))
-        by_j[j_handle.members] = (space, gbar_of, _image_group(gbar_of, space.block_count))
+        gbar_of = induced_block_perm(np.array(group.table, dtype=np.uint8), space)
+        by_j[j_handle.members] = (space, gbar_of, np.unique(gbar_of, axis=0))
     return by_j[j_handle.members]
 
 
-def _image_group(images: Sequence[Permutation], degree: int) -> PermGroup:
-    perms = sorted(set(images))
-    return PermGroup(degree, generating_subset_of(perms), perms)
+def _is_regular(rows: np.ndarray) -> bool:
+    """Whether the distinct sorted rows of a group act regularly: one row per image of 0."""
+    return len(rows) == rows.shape[1] and bool((rows[:, 0] == np.arange(len(rows))).all())
 
 
 def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS:
@@ -256,23 +257,24 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
         raise TheoremViolation("quotient structure requires P normal in N")
     record = stable.hgs
     group = record.group
-    actions = block_actions(record.n_group, result.j_handle)
+    actions = block_actions(record.rows, result.j_handle)
     nbar, gbar = actions.nbar, actions.gbar
-    kernel = tuple(i for i, image in enumerate(actions.nbar_of) if image.is_identity())
+    m = actions.space.block_count
+    kernel = tuple(np.flatnonzero((actions.nbar_of == np.arange(m)).all(axis=1)).tolist())
     if kernel != stable.p_handle.members:
         raise TheoremViolation("kernel of the block action of N is not exactly P")
-    if not nbar.is_regular() or nbar.order * stable.order != record.n_group.order:
+    if not _is_regular(nbar) or len(nbar) * stable.order != len(record.rows):
         raise TheoremViolation("block image of N is not regular of order [N:P]")
-    if not gbar.is_transitive():
+    if len(np.unique(gbar[:, 0])) != m:
         raise TheoremViolation("block image of lambda(G) is not transitive")
-    if not normalizes(gbar, nbar):
+    if not normalized_by([r.tobytes() for r in nbar], [r.tobytes() for r in gbar], m):
         raise TheoremViolation("block image of lambda(G) does not normalize that of N")
 
     gbar_regular = False
     if result.normal_in_g:
         _assert_lambda_j_trivial(stable, result, actions)
-        gbar_regular = gbar.is_regular()
-        if not gbar_regular or gbar.order * result.j_handle.order != group.order:
+        gbar_regular = _is_regular(gbar)
+        if not gbar_regular or len(gbar) * result.j_handle.order != group.order:
             raise TheoremViolation("block image of lambda(G) is not regular of order [G:J]")
     return QuotientHGS(**vars(actions), gbar_regular=gbar_regular)
 
@@ -281,7 +283,7 @@ def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
                              actions: BlockActions) -> None:
     """lambda(J) must act trivially: fix every block and every coset nP of N."""
     j = list(result.j_handle.members)
-    if not all(actions.gbar_of[x].is_identity() for x in j):
+    if not (actions.gbar_of[j] == np.arange(actions.space.block_count)).all():
         raise TheoremViolation("lambda(j) moves a block although J is normal")
     # the label of nP is its least index
     coset_of = regular_table(stable.hgs.rows)[:, list(stable.p_handle.members)].min(axis=1)
@@ -307,7 +309,7 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
         for stable in stables:
             if not stable.normal_in_n:
                 continue
-            if stable.order in (1, record.n_group.order):
+            if stable.order in (1, len(record.rows)):
                 continue
             result = stable.psi_result
             if verify:

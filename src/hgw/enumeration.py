@@ -41,16 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import regsearch
+from . import groups, regsearch
 from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
-from .groups import (
-    FiniteGroup,
-    all_isomorphisms,
-    an_isomorphism,
-    automorphisms,
-    generating_subset_of,
-)
+from .groups import FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of
 from .perm import PermGroup, Permutation
 
 ORACLE_DEGREE_CAP = 8
@@ -129,14 +123,14 @@ class _HolData:
         self.m_name = m_name
         self.model = model
         n = model.order
-        aut = automorphisms(model)
-        self.aut_order = aut.order
+        # called through the module: this module's alias may be replaced to fake Aut(G)
+        aut_rows = np.array(groups.all_isomorphisms(model, model), dtype=np.uint8)
+        self.aut_order = len(aut_rows)
         mul = np.array(model.table, dtype=np.uint8)
-        aut_rows = np.array([p.images for p in aut.elements], dtype=np.uint8)
         # rows[(m, a)] : x -> m * alpha(x); this product set is all of Hol(M)
-        stacked = mul[:, aut_rows].reshape(n * aut.order, n)
+        stacked = mul[:, aut_rows].reshape(n * self.aut_order, n)
         self.rows = [r.tobytes() for r in stacked]
-        if len(set(self.rows)) != n * aut.order:  # pragma: no cover - sanity
+        if len(set(self.rows)) != n * self.aut_order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
         self.subgroups = regsearch.regular_subgroups(self.rows, n)
         self._isomorphic: dict[str, list[_RegularSubgroup]] = {}

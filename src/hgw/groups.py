@@ -110,7 +110,7 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup of an ambient FiniteGroup or PermGroup, as member indices."""
+    """A subgroup as member indices into its ambient: a group's elements or a record's rows."""
 
     ambient: object
     members: tuple[int, ...]
@@ -125,17 +125,6 @@ class SubgroupHandle:
 
     def __contains__(self, idx: int) -> bool:
         return idx in self.member_set
-
-    def element_perms(self) -> tuple[Permutation, ...]:
-        """The member permutations, when the ambient is a PermGroup."""
-        amb = self.ambient
-        if not isinstance(amb, PermGroup):
-            raise TypeError("ambient is not a PermGroup")
-        return tuple(amb.elements[i] for i in self.members)
-
-    def as_perm_group(self) -> PermGroup:
-        perms = self.element_perms()
-        return PermGroup(self.ambient.degree, generating_subset_of(perms), perms)
 
 
 def generating_subset_of(perms: Sequence[Permutation]) -> tuple[Permutation, ...]:

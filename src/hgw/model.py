@@ -4,6 +4,8 @@ All descent statements are checked by exact linear algebra over F_p: fixed
 rings (K[V])^{lambda(G)} as nullspaces, actions as matrices, fixed fields as
 solution spaces, and the induced short exact sequence by ranks and spans.
 Field elements are coefficient tuples in the power basis 1, x, .., x^(n-1).
+A support group V (N, P or the block image of N) is its sorted uint8 image
+rows, as the enumeration and the correspondence hold them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .correspond import block_actions
 from .dsl import build_group
 from .errors import GroupSpecError, TheoremViolation
 from .groups import SubgroupHandle
-from .perm import PermGroup, Permutation
 
 KElem = tuple[int, ...]
 
@@ -235,7 +236,7 @@ class HopfElement:
     """h = sum over the support group of c_v . v, coefficients in K."""
 
     model: ExtensionModel
-    coeffs: tuple[KElem, ...]  # aligned with the support PermGroup's elements
+    coeffs: tuple[KElem, ...]  # aligned with the support's rows
 
     def augmentation(self) -> KElem:
         total = self.model.zero
@@ -255,7 +256,7 @@ class FixedRing:
     """(K[V])^{lambda(G)}: basis of coefficient solutions for a support group V."""
 
     model: ExtensionModel
-    group: PermGroup
+    rows: np.ndarray  # the support V, sorted
     basis: tuple[HopfElement, ...]
     constraint_matrix: np.ndarray = field(repr=False, compare=False)
 
@@ -272,38 +273,40 @@ class FixedRing:
         return bool(np.all((self.constraint_matrix @ vec) % self.model.p == 0))
 
 
-def _conjugation_index(v_group: PermGroup, gamma: Permutation) -> list[int]:
-    index = {perm.images: i for i, perm in enumerate(v_group.elements)}
-    gamma_inv = gamma.inverse()
-    out = []
-    for perm in v_group.elements:
-        conj = gamma * perm * gamma_inv
-        if conj.images not in index:
-            raise TheoremViolation("conjugator does not normalize the support group")
-        out.append(index[conj.images])
+def _row_index(rows: np.ndarray) -> dict[bytes, int]:
+    return {row.tobytes(): i for i, row in enumerate(rows)}
+
+
+def _conjugation_index(support_rows: np.ndarray, gamma: np.ndarray) -> list[int]:
+    """Entry i is the index of gamma v_i gamma^-1 among the support rows."""
+    index = _row_index(support_rows)
+    conj = gamma[support_rows[:, np.argsort(gamma)]]
+    out = [index.get(row.tobytes()) for row in conj]
+    if None in out:
+        raise TheoremViolation("conjugator does not normalize the support group")
     return out
 
 
-def fixed_ring_basis(model: ExtensionModel, v_group: PermGroup,
-                     gbar: Sequence[Permutation] | None = None) -> FixedRing:
+def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
+                     gbar_rows: np.ndarray | None = None) -> FixedRing:
     """Solve gamma(c_v) = c_{gamma v gamma^-1} over generators gamma of G.
 
-    ``gbar`` gives the action of each G element on the support domain (the
-    left-regular action by default; block images for quotient supports).
+    ``gbar_rows`` gives the action of each G element on the support domain
+    (the left-regular action by default; block images for quotient supports).
     Asserts dim_k = |V|.
     """
     n, p = model.n, model.p
     group = model.group
-    if gbar is None:
-        gbar = [Permutation(group.table[j]) for j in range(group.order)]
-    size = v_group.order
+    if gbar_rows is None:
+        gbar_rows = np.array(group.table, dtype=np.uint8)
+    size = len(support_rows)
     generators = [j for j in range(group.order) if group.element_order(j) == group.order]
     gens = generators[:1] if generators else []
     if group.order > 1 and not gens:  # non-cyclic G never occurs here
         raise GroupSpecError("model group must be cyclic")
     rows = []
     for j in gens:
-        conj = _conjugation_index(v_group, gbar[j])
+        conj = _conjugation_index(support_rows, gbar_rows[j])
         frob = model.frobenius_matrices[j]
         for vi in range(size):
             block = np.zeros((n, size * n), dtype=np.int64)
@@ -323,7 +326,7 @@ def fixed_ring_basis(model: ExtensionModel, v_group: PermGroup,
                                  for i in range(size)))
         for vec in solutions
     )
-    return FixedRing(model, v_group, basis, constraints)
+    return FixedRing(model, support_rows, basis, constraints)
 
 
 def embed_k(model: ExtensionModel, x: KElem) -> tuple[KElem, ...]:
@@ -340,32 +343,31 @@ def act(h: HopfElement, x: KElem, ring: FixedRing) -> KElem:
     """
     model = ring.model
     group = model.group
-    v_elems = ring.group.elements
+    v_rows = ring.rows.tolist()
     embedded = embed_k(model, x)
     components = [model.zero] * group.order
-    for c, v in zip(h.coeffs, v_elems):
+    for c, v in zip(h.coeffs, v_rows):
         for g in range(group.order):
-            t = v(g)
+            t = v[g]
             components[t] = model.add(components[t], model.mul(c, embedded[g]))
     y_slice = components[0]
     for t in range(group.order):
         if components[t] != model.apply(t, y_slice):
             raise TheoremViolation("action did not land in the embedded copy of K")
     y_formula = model.zero
-    for c, v in zip(h.coeffs, v_elems):
-        g = v.inverse()(0)
+    for c, v in zip(h.coeffs, v_rows):
+        g = v.index(0)
         y_formula = model.add(y_formula, model.mul(c, model.apply(g, x)))
     if y_slice != y_formula:
         raise TheoremViolation("slice action and closed formula disagree")
     return y_slice
 
 
-def act_matrix(model: ExtensionModel, h: HopfElement, v_group: PermGroup) -> np.ndarray:
+def act_matrix(model: ExtensionModel, h: HopfElement, support_rows: np.ndarray) -> np.ndarray:
     """Matrix of x -> act(h, x) over F_p: sum_v Mult(c_v) . Frob^{v^-1(0)}."""
     n, p = model.n, model.p
     out = np.zeros((n, n), dtype=np.int64)
-    for c, v in zip(h.coeffs, v_group.elements):
-        g = v.inverse()(0)
+    for c, g in zip(h.coeffs, np.argmin(support_rows, axis=1).tolist()):  # v^-1(0)
         out = (out + model.mult_matrix(c) @ model.frobenius_matrices[g]) % p
     return out
 
@@ -399,15 +401,15 @@ def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
     with K^J for J the identity orbit of P.
     """
     n, p = model.n, model.p
-    p_group = ring.group
+    p_rows = ring.rows
     systems = []
     for h in ring.basis:
         eps = h.counit_scalar()
-        mat = (act_matrix(model, h, p_group) - eps * np.eye(n, dtype=np.int64)) % p
+        mat = (act_matrix(model, h, p_rows) - eps * np.eye(n, dtype=np.int64)) % p
         systems.append(mat)
     space = fplin.nullspace(np.vstack(systems), p)
     space = fplin.rref(space, p)[0]
-    expected_dim = model.group.order // p_group.order
+    expected_dim = model.group.order // len(p_rows)
     if space.shape[0] != expected_dim:
         raise TheoremViolation(
             f"fixed field dimension {space.shape[0]} != [G:P] = {expected_dim}")
@@ -416,7 +418,7 @@ def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
             product = model.mul(tuple(space[i]), tuple(space[j]))
             if not fplin.row_space_contains(space, np.array(product), p):
                 raise TheoremViolation("fixed field is not multiplicatively closed")
-    j_points = tuple(sorted(p_group.orbit(0)))
+    j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
     k_j = fixed_subfield_of_group(model, j_points)
     if not fplin.row_spaces_equal(space, k_j, p):
         raise TheoremViolation("K^{H_P} differs from K^J for J = Psi(P)")
@@ -428,7 +430,7 @@ def hopf_galois_rank(model: ExtensionModel, ring: FixedRing) -> bool:
     n, p = model.n, model.p
     flat = []
     for h in ring.basis:
-        base_action = act_matrix(model, h, ring.group)
+        base_action = act_matrix(model, h, ring.rows)
         for i in range(n):
             xi = tuple(1 if j == i else 0 for j in range(n))
             flat.append(((model.mult_matrix(xi) @ base_action) % p).reshape(-1))
@@ -459,8 +461,8 @@ def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
 # -- short exact sequence -------------------------------------------------------
 
 
-def exact_sequence_check(model: ExtensionModel, n_group: PermGroup,
-                         p_group: PermGroup) -> dict:
+def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
+                         p_rows: np.ndarray) -> dict:
     """Verify 1 -> H_P -> H_N -> H_{N/P} -> 1 by exact linear algebra.
 
     Checks: (i) H_P embeds in H_N; (ii) the coset projection maps H_N onto
@@ -470,35 +472,34 @@ def exact_sequence_check(model: ExtensionModel, n_group: PermGroup,
     """
     nfld, p = model.n, model.p
     group = model.group
-    h_n = fixed_ring_basis(model, n_group)
-    h_p = fixed_ring_basis(model, p_group)
+    h_n = fixed_ring_basis(model, n_rows)
+    h_p = fixed_ring_basis(model, p_rows)
 
     # (i) zero-extend H_P coefficients to N's support and check membership
-    n_index = {perm.images: i for i, perm in enumerate(n_group.elements)}
-    size_n = n_group.order
+    n_index = _row_index(n_rows)
+    size_n = len(n_rows)
+    p_in_n = [n_index.get(q.tobytes()) for q in p_rows]
+    if None in p_in_n:
+        raise TheoremViolation("P is not contained in N")
     for h in h_p.basis:
         vec = np.zeros(size_n * nfld, dtype=np.int64)
-        for c, q in zip(h.coeffs, p_group.elements):
-            qi = n_index.get(q.images)
-            if qi is None:
-                raise TheoremViolation("P is not contained in N")
+        for c, qi in zip(h.coeffs, p_in_n):
             vec[qi * nfld:(qi + 1) * nfld] = c
         if not h_n.contains_vector(vec):
             raise TheoremViolation("H_P does not embed into H_N")
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
-    j_points = tuple(sorted(p_group.orbit(0)))
-    actions = block_actions(n_group, SubgroupHandle(group, j_points))
-    nbar = actions.nbar
+    j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
+    actions = block_actions(n_rows, SubgroupHandle(group, j_points))
+    nbar, nbar_index = np.unique(actions.nbar_of, axis=0, return_inverse=True)
     m = actions.space.block_count
-    if nbar.order != size_n // p_group.order:
+    if len(nbar) != size_n // len(p_rows):
         raise TheoremViolation("block image of N does not have order [N:P]")
-    h_quot = fixed_ring_basis(model, nbar, gbar=actions.gbar_of)
+    h_quot = fixed_ring_basis(model, nbar, gbar_rows=actions.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
     proj = np.zeros((m * nfld, size_n * nfld), dtype=np.int64)
-    for vi, image in enumerate(actions.nbar_of):
-        bi = nbar.elements.index(image)
+    for vi, bi in enumerate(nbar_index.reshape(-1).tolist()):
         proj[bi * nfld:(bi + 1) * nfld, vi * nfld:(vi + 1) * nfld] = np.eye(nfld, dtype=np.int64)
     hn_vectors = h_n.coeff_vectors()
     images = (hn_vectors @ proj.T) % p
@@ -526,10 +527,12 @@ def exact_sequence_check(model: ExtensionModel, n_group: PermGroup,
     hp_plus = [
         _combine(model, h_p.basis, coords) for coords in plus_coords
     ]
+    # vq_index[v][q] is the index of v o q in N
+    vq_index = [[n_index[row.tobytes()] for row in vq] for vq in n_rows[:, p_rows]]
     products = []
     for h in h_n.basis:
         for hp in hp_plus:
-            products.append(_group_ring_product(model, n_group, h, hp, p_group, n_index))
+            products.append(_group_ring_product(model, h, hp, vq_index))
     if products:
         prod_mat = np.array(products, dtype=np.int64)
         for vec in prod_mat:
@@ -565,21 +568,19 @@ def _combine(model: ExtensionModel, basis: Sequence[HopfElement], coords) -> Hop
     return HopfElement(model, tuple(out))
 
 
-def _group_ring_product(model: ExtensionModel, n_group: PermGroup, h_left: HopfElement,
-                        h_right: HopfElement, p_group: PermGroup,
-                        n_index: dict) -> np.ndarray:
+def _group_ring_product(model: ExtensionModel, h_left: HopfElement, h_right: HopfElement,
+                        vq_index: list[list[int]]) -> np.ndarray:
     """(sum c_v v)(sum d_q q) in K[N], flattened over F_p coordinates."""
     nfld = model.n
-    out = [model.zero] * n_group.order
-    for c, v in zip(h_left.coeffs, n_group.elements):
+    out = [model.zero] * len(vq_index)
+    for c, v_times in zip(h_left.coeffs, vq_index):
         if c == model.zero:
             continue
-        for d, q in zip(h_right.coeffs, p_group.elements):
+        for d, w in zip(h_right.coeffs, v_times):
             if d == model.zero:
                 continue
-            w = n_index[(v * q).images]
             out[w] = model.add(out[w], model.mul(c, d))
-    vec = np.zeros(n_group.order * nfld, dtype=np.int64)
+    vec = np.zeros(len(vq_index) * nfld, dtype=np.int64)
     for i, c in enumerate(out):
         vec[i * nfld:(i + 1) * nfld] = c
     return vec

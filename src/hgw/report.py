@@ -209,7 +209,7 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
         name = f"N~{record.n_class.name}#{record.provenance[1]}"
         stables = stable_subgroups(record)
         if "fix" in checks:
-            ring = m.fixed_ring_basis(ext, record.n_group)
+            ring = m.fixed_ring_basis(ext, record.rows)
             acts = 0
             for h in ring.basis:
                 for x in samples:
@@ -217,12 +217,12 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
                     acts += 1
             row("fix", name, f"dim H_N = {ring.dimension} = |N|; act agreement x{acts}")
             for stable in stables:
-                p_ring = m.fixed_ring_basis(ext, stable.p_handle.as_perm_group())
+                p_ring = m.fixed_ring_basis(ext, stable.rows)
                 result = m.fixed_field(ext, p_ring)
                 row("fix", f"{name}, |P|={stable.order}",
                     f"K^(H_P) = K^J, dim {result.dimension}")
         if "rank" in checks:
-            ring = m.fixed_ring_basis(ext, record.n_group)
+            ring = m.fixed_ring_basis(ext, record.rows)
             if not m.hopf_galois_rank(ext, ring):
                 raise TheoremViolation("rank check failed")  # pragma: no cover
             row("rank", name, f"K#H -> End_k(K) bijective (rank {n * n})")
@@ -230,8 +230,7 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
             for stable in stables:
                 if not stable.normal_in_n:
                     continue
-                info = m.exact_sequence_check(ext, record.n_group,
-                                              stable.p_handle.as_perm_group())
+                info = m.exact_sequence_check(ext, record.rows, stable.rows)
                 row("exact", f"{name}, |P|={stable.order}",
                     f"kernel dim {info['kernel_dim']} = |N| - [N:P]; "
                     f"H_N.H_P+ span {info['product_span']}")

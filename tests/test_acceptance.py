@@ -176,18 +176,24 @@ def test_extra_quotient_example_d21(census42):
     # to a regular C7 image, J of class D3 with core of order 3
     from hgw.catalog import iso_class
     from hgw.correspond import quotient_structure
+    from hgw.perm import PermGroup, Permutation
+
+    def as_perm_group(rows):
+        perms = [Permutation(row) for row in rows.tolist()]
+        return PermGroup(rows.shape[1], perms, perms)
 
     census = census42["D21"]
     record = next(r for r in census.records if r.n_class.name == "C42")
     stable = next(s for s in stable_subgroups(record)
                   if s.normal_in_n and s.order == 6
-                  and iso_class(s.perm_group()).name == "C6")
+                  and iso_class(as_perm_group(s.rows)).name == "C6")
     result = psi(stable)
     assert result.j_class.name == "D3" and not result.normal_in_g
     assert result.core_order == 3
     quotient = quotient_structure(stable, result)
-    assert iso_class(quotient.nbar).name == "C7" and quotient.nbar.is_regular()
-    assert quotient.gbar.is_transitive() and not quotient.gbar.is_regular()
+    nbar, gbar = as_perm_group(quotient.nbar), as_perm_group(quotient.gbar)
+    assert iso_class(nbar).name == "C7" and nbar.is_regular()
+    assert gbar.is_transitive() and not gbar.is_regular()
     _passline(7, "worked quotient example (D21, C42, C6) verified")
 
 

@@ -1,10 +1,14 @@
+import dataclasses
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import hgw.correspond as correspond
-from hgw.catalog import catalog_group, iso_class
+from hgw.catalog import catalog_group, catalog_names, iso_class
 from hgw.correspond import (
+    StableSubgroup,
     correspondence_rows,
     coset_space,
     induced_block_perm,
@@ -17,12 +21,26 @@ from hgw.correspond import (
 from hgw.dsl import build_group
 from hgw.enumeration import HgsRecord, enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation
-from hgw.groups import FiniteGroup, as_finite_group, left_regular, right_regular, subgroups
-from hgw.perm import Permutation, closure, normalizes
+from hgw.groups import (
+    FiniteGroup,
+    SubgroupHandle,
+    as_finite_group,
+    generating_subset_of,
+    left_regular,
+    right_regular,
+    subgroups,
+)
+from hgw.perm import PermGroup, Permutation, closure, normalizes
 
 
 def _record_of_class(records, name):
     return next(r for r in records if r.n_class.name == name)
+
+
+def _as_perm_group(rows):
+    """A closed set of uint8 image rows as a PermGroup, for the permutation-side references."""
+    perms = [Permutation(row) for row in rows.tolist()]
+    return PermGroup(rows.shape[1], perms, perms)
 
 
 def test_rho_all_subgroups_stable():
@@ -55,7 +73,7 @@ def test_psi_of_rho_j_is_j():
         result = psi(stable)
         # rho(J) has identity orbit exactly J (as a set of element indices)
         assert set(result.j_handle.members) == {p.inverse()(0) for p in
-                                                stable.p_handle.element_perms()}
+                                                _as_perm_group(stable.rows)}
         assert orbit_coset_check(stable, result)
 
 
@@ -74,9 +92,9 @@ def test_psi_rejects_unstable_subgroup():
     record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("fixture", 0))
     tripped = 0
     for handle in subgroups(n_group):
-        if normalizes(lam, handle.as_perm_group()):
+        if normalizes(lam, _as_perm_group(record.rows[list(handle.members)])):
             continue
-        bogus = StableSubgroup(record, handle, normal_in_n=False)
+        bogus = StableSubgroup(record, SubgroupHandle(record, handle.members), normal_in_n=False)
         try:
             psi(bogus)
         except TheoremViolation:
@@ -121,13 +139,17 @@ def test_coset_space_shapes():
     assert list(mid.representatives) == sorted(mid.representatives)
 
 
+def _rows(*perms):
+    return np.array([p.images for p in perms], dtype=np.uint8)
+
+
 def test_induced_block_perm_accepts_lambda():
     group = build_group("S4")
     subs = subgroups(group)
     j = next(h for h in subs if h.order == 8)
     space = coset_space(group, j)
-    for g in range(group.order):
-        induced_block_perm(Permutation(group.table[g]), space)  # must not raise
+    images = induced_block_perm(np.array(group.table, dtype=np.uint8), space)  # must not raise
+    assert images.shape == (24, 3)
 
 
 def test_induced_block_perm_rejects_block_breaker():
@@ -135,12 +157,12 @@ def test_induced_block_perm_rejects_block_breaker():
     j = next(h for h in subgroups(group) if h.order == 3)
     space = coset_space(group, j)  # blocks {0,2,4}, {1,3,5}
     breaker = Permutation.from_cycles([(0, 1)], 6)  # mixes the two blocks
-    with pytest.raises(BlockSystemViolation) as err:
-        induced_block_perm(breaker, space)
-    assert err.value.block is not None
+    with pytest.raises(BlockSystemViolation, match="does not map block 0 onto a block") as err:
+        induced_block_perm(_rows(Permutation.identity(6), breaker), space)
+    assert err.value.block == space.blocks[0]
     # a transposition inside one block leaves the partition intact
     inside = Permutation.from_cycles([(0, 2)], 6)
-    induced_block_perm(inside, space)
+    assert induced_block_perm(_rows(inside), space).tolist() == [[0, 1]]
 
 
 def test_quotient_structure_p_equals_n():
@@ -150,7 +172,7 @@ def test_quotient_structure_p_equals_n():
     result = psi(stable)
     quotient = quotient_structure(stable, result)
     assert quotient.space.block_count == 1
-    assert quotient.nbar.order == 1 and quotient.gbar.order == 1
+    assert len(quotient.nbar) == 1 and len(quotient.gbar) == 1
     assert quotient.gbar_regular
 
 
@@ -162,8 +184,9 @@ def test_quotient_small_normal_case():
     assert result.normal_in_g and result.core_order == 2
     quotient = quotient_structure(stable, result)
     assert quotient.space.block_count == 3
-    assert quotient.nbar.is_regular() and quotient.gbar.is_regular()
-    assert iso_class(quotient.nbar).name == "C3"
+    nbar, gbar = _as_perm_group(quotient.nbar), _as_perm_group(quotient.gbar)
+    assert nbar.is_regular() and gbar.is_regular()
+    assert iso_class(nbar).name == "C3"
 
 
 # -- the index views against permutation products -------------------------------
@@ -193,13 +216,13 @@ def test_index_views_match_permutation_products(g_name):
             assert record.lambda_conj[g].tolist() == expected
         reference = []
         for handle in subgroups(n_group):
-            sub = handle.as_perm_group()
+            sub = _as_perm_group(record.rows[list(handle.members)])
             if normalizes(lam, sub):
                 reference.append((handle.members, normalizes(n_group, sub)))
         stables = stable_subgroups(record)
         assert [(s.p_handle.members, s.normal_in_n) for s in stables] == reference
         for stable in stables:
-            p_group = stable.perm_group()
+            p_group = _as_perm_group(stable.rows)
             result = psi(stable)
             assert result.j_handle.members == tuple(sorted(p_group.orbit(0)))
             assert orbit_coset_check(stable, result) == _reference_orbit_coset(
@@ -228,9 +251,9 @@ def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypat
         psi_calls[id(stable)] += 1
         return real_psi(stable)
 
-    def counted_block_perm(perm, space):
-        block_perms[space.j_handle.members] += 1
-        return real_block_perm(perm, space)
+    def counted_block_perm(rows, space):
+        block_perms[space.j_handle.members] += len(rows)
+        return real_block_perm(rows, space)
 
     monkeypatch.setattr(correspond, "coset_space", counted_space)
     monkeypatch.setattr(correspond, "psi", counted_psi)
@@ -250,3 +273,191 @@ def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypat
     # lambda(G)'s 42 block images once per J, then N's 42 per verified pair
     pairs = sum(row.count for row in rows)
     assert sum(block_perms.values()) == 42 * (len(spaces) + pairs)
+
+
+# -- the array block layer against the permutation one it replaced ---------------
+
+
+def _reference_block_perm(perm, space):
+    """The permutation of block indices induced by a block-respecting map."""
+    images = []
+    for i, block in enumerate(space.blocks):
+        j = space.block_index[perm(block[0])]
+        if {perm(x) for x in block} != set(space.blocks[j]):
+            raise BlockSystemViolation(
+                f"permutation does not map block {i} onto a block", block=block)
+        images.append(j)
+    if sorted(images) != list(range(space.block_count)):
+        raise BlockSystemViolation("induced block map is not a bijection")
+    return Permutation(images)
+
+
+def _reference_image_group(images, degree):
+    perms = sorted(set(images))
+    return PermGroup(degree, generating_subset_of(perms), perms)
+
+
+def _image_rows(perms):
+    return [list(p.images) for p in perms]
+
+
+SMALL_CATALOG = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("g_name", SMALL_CATALOG)
+def test_block_images_match_permutation_reference(g_name):
+    group = catalog_group(g_name)
+    pairs = 0
+    for record in enumerate_hgs(group):
+        n_group = record.n_group
+        for stable in stable_subgroups(record):
+            if not stable.normal_in_n or stable.order in (1, group.order):
+                continue
+            result = stable.psi_result
+            quotient = quotient_structure(stable, result)
+            space = quotient.space
+            nbar_of = [_reference_block_perm(p, space) for p in n_group.elements]
+            gbar_of = [_reference_block_perm(Permutation(group.table[g]), space)
+                       for g in range(group.order)]
+            nbar = _reference_image_group(nbar_of, space.block_count)
+            gbar = _reference_image_group(gbar_of, space.block_count)
+            assert quotient.nbar_of.tolist() == _image_rows(nbar_of)
+            assert quotient.gbar_of.tolist() == _image_rows(gbar_of)
+            assert quotient.nbar.tolist() == _image_rows(nbar.elements)
+            assert quotient.gbar.tolist() == _image_rows(gbar.elements)
+            assert quotient.gbar_regular == (result.normal_in_g and gbar.is_regular())
+            pairs += 1
+    assert pairs or group.order in (1, 2, 3, 7)  # prime orders have no proper P
+
+
+# -- every contract of quotient_structure, tripped one at a time ------------------
+
+
+def _fresh(name):
+    """A private copy of a catalog group: its lambda(G) block images are cached on it."""
+    base = catalog_group(name)
+    return FiniteGroup(base.elements, base.table, spec=base.spec)
+
+
+def _lambda_record(group):
+    table = {bytes(row) for row in group.table}
+    return next(r for r in enumerate_hgs(group) if set(map(bytes, r.rows)) == table)
+
+
+def _order_two_pair(name):
+    """N = lambda(G), its stable P of order 2 and J = Psi(P) (normal: G is abelian)."""
+    record = _lambda_record(_fresh(name))
+    stable = next(s for s in stable_subgroups(record) if s.order == 2)
+    return record, stable, psi(stable)
+
+
+def _swap_blocks(space, a, b):
+    """The point map that swaps blocks a and b point by point and fixes every other point."""
+    images = list(range(len(space.block_index)))
+    for x, y in zip(space.blocks[a], space.blocks[b]):
+        images[x], images[y] = y, x
+    return images
+
+
+def _tamper_lambda(monkeypatch, tamper):
+    """Rewrite lambda(G)'s point maps once the cosets of J are built.
+
+    The coset space stays that of the real G; only the block images of
+    lambda(G), which are read from G's table afterwards, change.
+    """
+    real = correspond.coset_space
+
+    def space_then_tamper(group, j_handle):
+        space = real(group, j_handle)
+        rows = [list(row) for row in group.table]
+        tamper(group, space, rows)
+        group.table = tuple(map(tuple, rows))
+        return space
+
+    monkeypatch.setattr(correspond, "coset_space", space_then_tamper)
+
+
+def _case_p_not_normal(monkeypatch):
+    record, stable, result = _order_two_pair("C6")
+    return StableSubgroup(record, stable.p_handle, normal_in_n=False), result
+
+
+def _case_kernel(monkeypatch):
+    # J = {1}: the blocks are points, so N acts faithfully and its kernel is not P
+    record, stable, _ = _order_two_pair("C6")
+    trivial = next(s for s in stable_subgroups(record) if s.order == 1)
+    return stable, psi(trivial)
+
+
+def _case_nbar_regular(monkeypatch):
+    # lambda(D3) on the three cosets of a non-normal J of order 2 is S3, faithful
+    group = _fresh("D3")
+    record = _lambda_record(group)
+    trivial = next(s for s in stable_subgroups(record) if s.order == 1)
+    j_handle = next(h for h in subgroups(group) if h.order == 2)
+    return trivial, dataclasses.replace(psi(trivial), j_handle=j_handle)
+
+
+def _case_gbar_transitive(monkeypatch):
+    def identity_rows(group, space, rows):
+        rows[:] = [list(range(group.order))] * group.order
+
+    _tamper_lambda(monkeypatch, identity_rows)
+    _, stable, result = _order_two_pair("C6")
+    return stable, result
+
+
+def _case_gbar_normalizes(monkeypatch):
+    # Nbar is a 4-cycle through blocks 0 and b; the transposition (0 b) does not normalize it
+    def transposition(group, space, rows):
+        h = group.element_orders().index(8)
+        rows[h] = _swap_blocks(space, 0, space.block_index[h])
+
+    _tamper_lambda(monkeypatch, transposition)
+    _, stable, result = _order_two_pair("C8")
+    return stable, result
+
+
+def _case_lambda_j_moves_block(monkeypatch):
+    def move_by_j(group, space, rows):
+        rows[space.blocks[0][1]] = _swap_blocks(space, 1, 2)
+
+    _tamper_lambda(monkeypatch, move_by_j)
+    _, stable, result = _order_two_pair("C6")
+    return stable, result
+
+
+def _case_gbar_regular(monkeypatch):
+    def extra_transposition(group, space, rows):
+        rows[space.blocks[1][0]] = _swap_blocks(space, 0, 1)
+
+    _tamper_lambda(monkeypatch, extra_transposition)
+    _, stable, result = _order_two_pair("C6")
+    return stable, result
+
+
+def _case_lambda_j_moves_coset(monkeypatch):
+    record, stable, result = _order_two_pair("C6")
+    conj = record.lambda_conj.copy()
+    j = result.j_handle.members[1]
+    outside = next(i for i in range(len(conj[j])) if i not in stable.p_handle.members)
+    conj[j][[0, outside]] = conj[j][[outside, 0]]
+    vars(record)["lambda_conj"] = conj
+    return stable, result
+
+
+@pytest.mark.parametrize("case, message", [
+    (_case_p_not_normal, "quotient structure requires P normal in N"),
+    (_case_kernel, "kernel of the block action of N is not exactly P"),
+    (_case_nbar_regular, "block image of N is not regular of order [N:P]"),
+    (_case_gbar_transitive, "block image of lambda(G) is not transitive"),
+    (_case_gbar_normalizes, "block image of lambda(G) does not normalize that of N"),
+    (_case_lambda_j_moves_block, "lambda(j) moves a block although J is normal"),
+    (_case_gbar_regular, "block image of lambda(G) is not regular of order [G:J]"),
+    (_case_lambda_j_moves_coset, "conjugation by lambda(j) moves a coset nP although J is normal"),
+], ids=["p_not_normal", "kernel", "nbar_regular", "gbar_transitive", "gbar_normalizes",
+        "lambda_j_block", "gbar_regular", "lambda_j_coset"])
+def test_quotient_contract_violations_raise(monkeypatch, case, message):
+    stable, result = case(monkeypatch)
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        quotient_structure(stable, result)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hgw.enumeration as enumeration
+import hgw.groups as groups
 from hgw import regsearch
 from hgw.catalog import catalog_group, catalog_names, iso_class
 from hgw.dsl import build_group
@@ -85,15 +86,21 @@ def test_count_formula_small():
 def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch):
     group = build_group("D4")
     seen = []
-    real = enumeration.automorphisms
+    real = groups.all_isomorphisms
 
-    def counted(g):
-        seen.append(g)
-        return real(g)
+    def counted(g1, g2):
+        seen.append((g1, g2))
+        return real(g1, g2)
 
-    monkeypatch.setattr(enumeration, "automorphisms", counted)
+    # both names: the enumeration's own alias and the module attribute Hol(M) reads
+    monkeypatch.setattr(groups, "all_isomorphisms", counted)
+    monkeypatch.setattr(enumeration, "all_isomorphisms", counted)
+    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})
     rows = count_formula_report(group)
-    assert all(g is not group for g in seen)
+    assert sum(g1 is group and g2 is group for g1, g2 in seen) == 1
+    models = [g1 for g1, g2 in seen if g1 is not group]
+    assert models == [catalog_group(m) for m in catalog_names(8)]
+    assert all(g2 is g1 for g1, g2 in seen)
     assert {row["aut_g"] for row in rows} == {8}
     assert all(row["lhs"] == row["rhs"] for row in rows)
 

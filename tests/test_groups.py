@@ -9,7 +9,6 @@ from hgw.enumeration import _hol_data
 from hgw.errors import EnumerationOverflow
 from hgw.groups import (
     FiniteGroup,
-    SubgroupHandle,
     all_isomorphisms,
     an_isomorphism,
     as_finite_group,
@@ -22,7 +21,6 @@ from hgw.groups import (
     subgroups,
     subgroups_brute_oracle,
 )
-from hgw.perm import Permutation
 
 
 @pytest.mark.parametrize("spec", ["C6", "D4", "Q8", "A4", "S4", "C7:C3", "D21", "C42"])
@@ -262,10 +260,3 @@ def test_distinct_catalog_classes_are_not_isomorphic():
             assert not is_isomorphic(catalog_group(a), catalog_group(b)), (a, b)
             assert all_isomorphisms(catalog_group(a), catalog_group(b)) == []
 
-
-def test_subgroup_handle_perms():
-    group = build_group("S4")
-    lam = left_regular(group)
-    handle = SubgroupHandle(lam, (0, 1))
-    perms = handle.element_perms()
-    assert perms[0] == Permutation.identity(24)

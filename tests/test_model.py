@@ -21,7 +21,11 @@ from hgw.model import (
     hopf_galois_rank,
     make_extension,
 )
-from hgw.perm import PermGroup, Permutation
+from hgw.perm import Permutation
+
+
+def _rows(perm_group):
+    return np.array([p.images for p in perm_group.elements], dtype=np.uint8)
 
 
 def test_fplin_basics():
@@ -76,7 +80,7 @@ def test_embed_k(model_11_6):
 def test_fixed_ring_of_rho_is_group_ring(model_11_6):
     model = model_11_6
     rho = right_regular(model.group)
-    ring = fixed_ring_basis(model, rho)
+    ring = fixed_ring_basis(model, _rows(rho))
     assert ring.dimension == 6
     # lambda acts trivially by conjugation on rho(G), so coefficients are Frobenius-fixed
     for h in ring.basis:
@@ -87,7 +91,7 @@ def test_fixed_ring_of_rho_is_group_ring(model_11_6):
 def test_act_identities(model_11_6):
     model = model_11_6
     rho = right_regular(model.group)
-    ring = fixed_ring_basis(model, rho)
+    ring = fixed_ring_basis(model, _rows(rho))
     x = (4, 9, 0, 3, 0, 1)
     # h = 1 . id acts as the identity
     ident_idx = rho.elements.index(Permutation.identity(6))
@@ -104,7 +108,7 @@ def test_act_identities(model_11_6):
 def test_act_matches_classical_action(model_11_6):
     model = model_11_6
     rho = right_regular(model.group)
-    ring = fixed_ring_basis(model, rho)
+    ring = fixed_ring_basis(model, _rows(rho))
     x = (4, 9, 0, 3, 0, 1)
     for g in range(6):
         # 1 . rho(g) acts as the automorphism g
@@ -140,9 +144,9 @@ def test_fixed_field_trivial_and_full(model_11_6):
     records = enumerate_hgs(model.group)
     record = records[0]
     stables = {s.order: s for s in stable_subgroups(record)}
-    triv = fixed_field(model, fixed_ring_basis(model, stables[1].p_handle.as_perm_group()))
+    triv = fixed_field(model, fixed_ring_basis(model, stables[1].rows))
     assert triv.dimension == 6  # F = K
-    full = fixed_field(model, fixed_ring_basis(model, stables[6].p_handle.as_perm_group()))
+    full = fixed_field(model, fixed_ring_basis(model, stables[6].rows))
     assert full.dimension == 1  # F = k
 
 
@@ -150,7 +154,7 @@ def test_fixed_field_index_two(model_11_6):
     model = model_11_6
     record = enumerate_hgs(model.group)[0]
     stable = next(s for s in stable_subgroups(record) if s.order == 2)
-    result = fixed_field(model, fixed_ring_basis(model, stable.p_handle.as_perm_group()))
+    result = fixed_field(model, fixed_ring_basis(model, stable.rows))
     assert result.dimension == 3  # the subfield F_{p^3}
     assert set(result.j_points) <= set(range(6)) and len(result.j_points) == 2
     # cross-check against the fixed space of the cube of Frobenius
@@ -161,11 +165,11 @@ def test_fixed_field_index_two(model_11_6):
 def test_rank_true_for_structures_false_for_proper_subring(model_11_4):
     model = model_11_4
     for record in enumerate_hgs(model.group):
-        ring = fixed_ring_basis(model, record.n_group)
+        ring = fixed_ring_basis(model, record.rows)
         assert hopf_galois_rank(model, ring)
         for stable in stable_subgroups(record):
             if 1 < stable.order < 4:
-                sub_ring = fixed_ring_basis(model, stable.p_handle.as_perm_group())
+                sub_ring = fixed_ring_basis(model, stable.rows)
                 assert not hopf_galois_rank(model, sub_ring)
 
 
@@ -198,9 +202,9 @@ def test_exact_sequence_degenerate_cases(model_11_6):
     model = model_11_6
     record = enumerate_hgs(model.group)[0]
     stables = {s.order: s for s in stable_subgroups(record)}
-    info = exact_sequence_check(model, record.n_group, stables[1].p_handle.as_perm_group())
+    info = exact_sequence_check(model, record.rows, stables[1].rows)
     assert info["kernel_dim"] == 0 and info["dim_h_quot"] == 6
-    info = exact_sequence_check(model, record.n_group, stables[6].p_handle.as_perm_group())
+    info = exact_sequence_check(model, record.rows, stables[6].rows)
     assert info["kernel_dim"] == 5 and info["dim_h_quot"] == 1
 
 
@@ -210,8 +214,7 @@ def test_exact_sequence_all_pairs_n4(model_11_4):
         for stable in stable_subgroups(record):
             if not stable.normal_in_n:
                 continue
-            info = exact_sequence_check(model, record.n_group,
-                                        stable.p_handle.as_perm_group())
+            info = exact_sequence_check(model, record.rows, stable.rows)
             assert info["dim_h_p"] == stable.order
             assert info["kernel_dim"] == 4 - info["dim_h_quot"]
 
@@ -219,7 +222,7 @@ def test_exact_sequence_all_pairs_n4(model_11_4):
 def test_fixed_ring_dimension_violation_detected(model_11_6):
     model = model_11_6
     # a subgroup NOT normalized by lambda(G) must be rejected
-    bad = PermGroup(6, (Permutation.from_cycles([(0, 1)], 6),),
-                    [Permutation.identity(6), Permutation.from_cycles([(0, 1)], 6)])
-    with pytest.raises(TheoremViolation):
+    bad = np.array([Permutation.identity(6).images,
+                    Permutation.from_cycles([(0, 1)], 6).images], dtype=np.uint8)
+    with pytest.raises(TheoremViolation, match="does not normalize the support group"):
         fixed_ring_basis(model, bad)

@@ -206,3 +206,44 @@ def test_cli_model_subprocess():
     assert result.returncode == 0
     rows = json.loads(result.stdout)
     assert rows and all(r["status"] == "pass" for r in rows)
+
+
+# sha256 of `hgw verify --fixture paper24` and `hgw model --p 11 --n 4 --checks all
+# --json`, pinned before the block layer and the model moved to uint8 rows: the
+# fixture's detail strings ([Nbar]=C3, |Gbar|=6) and every model row must not move.
+VERIFY_PAPER24_SHA256 = "ed1216b06b624d0f616eed55c817b9cd9b679e8aaf45fc9580dfcf701f1f48b8"
+MODEL_11_4_ALL_JSON_SHA256 = "dea74231ef595fbf1672e2cda066c24bec56e6325d3c3cd6c7cca32fcf655acf"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--fixture", "paper24"], VERIFY_PAPER24_SHA256),
+    (["model", "--p", "11", "--n", "4", "--checks", "all", "--json"], MODEL_11_4_ALL_JSON_SHA256),
+], ids=["verify_paper24", "model_11_4_all"])
+def test_cli_output_pinned(tmp_path, argv, expected):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_census_and_model_report_build_no_perm_group(monkeypatch):
+    # N, P and their block images stay uint8 rows from enumeration to the last check;
+    # the first run of each warms the catalog and holomorph caches
+    import hgw.report as report
+    from hgw.perm import PermGroup
+
+    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
+    report.group_census("D21", verify=True)
+    model_report(11, 4)
+    built = []
+    real_init = PermGroup.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted_init)
+    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
+    census = report.group_census("D21", verify=True)
+    doc = model_report(11, 4)
+    assert census.rows and doc.rows
+    assert built == []
