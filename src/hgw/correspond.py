@@ -7,13 +7,17 @@ normality of J in G decides whether the block image of lambda(G) is regular.
 
 Everything about P runs on the index views of its record, on the indices of
 N's elements: P is a set of indices, lambda(G)-stability reads
-``lambda_conj[:, P]``, normality in N and the class of P read N's Cayley
-table, the P-orbit of a point x is ``rows[P, x]`` (so Psi(P) = ``rows[P, 0]``),
-and lambda(J)-triviality compares coset labels of N/P. The block images of N
-and lambda(G) are uint8 rows too, one gather each, from one builder,
-``block_actions``; lambda(G)'s depend on (G, J) only and are built once per
-pair. Each stable P computes Psi(P) once, as ``StableSubgroup.psi_result``,
-which the onto check and the census share.
+``lambda_conj[:, P]``, the P-orbit of a point x is ``rows[P, x]`` (so
+Psi(P) = ``rows[P, 0]``), and lambda(J)-triviality compares coset labels of
+N/P. N is its catalog class M relabelled by the record's isomorphism
+``m_to_n``, so the subgroup lattice of M, with each subgroup's normality in M,
+is computed once per class and carried into every record of that class by
+index; P's class is read from its preimage there, classified on first use.
+The block images of N and lambda(G) are uint8 rows too, one gather each, from
+one builder, ``block_actions``. What depends on (G, J) only is computed once
+per pair and kept on G: lambda(G)'s block images, and J's closure check, core
+and class. Each stable P computes Psi(P) once, as
+``StableSubgroup.psi_result``, which the onto check and the census share.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import GroupClassLabel, iso_class
+from .catalog import GroupClassLabel, catalog_group, iso_class
 from .enumeration import HgsRecord, enumerate_hgs, regular_table
 from .errors import BlockSystemViolation, TheoremViolation
 from .groups import FiniteGroup, SubgroupHandle, core_of, is_normal, subgroups
@@ -53,6 +57,14 @@ class StableSubgroup:
     def psi_result(self) -> PsiResult:
         """``psi(self)``, computed with its contracts on first use."""
         return psi(self)
+
+    @property
+    def p_class(self) -> GroupClassLabel:
+        """P's class: that of its preimage in the lattice of N's class M."""
+        lattice = _class_lattice(self.hgs.n_class.name)
+        n_to_m = np.argsort(self.hgs.m_to_n)
+        preimage = tuple(sorted(n_to_m[list(self.p_handle.members)].tolist()))
+        return lattice.class_of(lattice.position[preimage])
 
 
 @dataclass(frozen=True)
@@ -116,37 +128,86 @@ class CorrespondenceRow:
 # -- stable subgroups and Psi ---------------------------------------------------
 
 
+class _ClassLattice:
+    """The subgroups of a catalog class M, sorted by (order, members), with normality in M.
+
+    ``mask`` row k marks the members of subgroup k; a subgroup's class is
+    found on first read, once per subgroup.
+    """
+
+    def __init__(self, model: FiniteGroup):
+        self.model = model
+        self.subgroups = subgroups(model)
+        self.normal = [is_normal(model, h) for h in self.subgroups]
+        self.position = {h.members: k for k, h in enumerate(self.subgroups)}
+        self.mask = np.zeros((len(self.subgroups), model.order), dtype=bool)
+        for k, h in enumerate(self.subgroups):
+            self.mask[k, list(h.members)] = True
+        self._classes: dict[int, GroupClassLabel] = {}
+
+    def class_of(self, k: int) -> GroupClassLabel:
+        if k not in self._classes:
+            self._classes[k] = iso_class(_subgroup_as_group(self.model, self.subgroups[k]))
+        return self._classes[k]
+
+
+def _class_lattice(name: str) -> _ClassLattice:
+    """The lattice of the catalog class ``name``, built once and kept on its catalog group."""
+    model = catalog_group(name)
+    if "_lattice" not in vars(model):
+        vars(model)["_lattice"] = _ClassLattice(model)
+    return vars(model)["_lattice"]
+
+
 def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
-    """All subgroups of N normalized by lambda(G), flagged with P-normality in N."""
-    n_table = record.n_table
+    """All subgroups of N normalized by lambda(G), flagged with P-normality in N.
+
+    They are the subgroups of N's class M carried by ``m_to_n``, sorted by
+    (order, members) in N's indices; P is normal in N iff its preimage is
+    normal in M.
+    """
     conj = record.lambda_conj
-    out = []
-    for handle in subgroups(n_table):
-        if np.isin(conj[:, handle.members], handle.members).all():
-            out.append(StableSubgroup(record, SubgroupHandle(record, handle.members),
-                                      is_normal(n_table, handle)))
+    n_to_m = np.argsort(record.m_to_n)
+    lattice = _class_lattice(record.n_class.name)
+    inside = lattice.mask[:, n_to_m]  # row k: subgroup k on N's indices
+    # P is stable iff every conjugate lambda(g) a lambda(g)^-1 of an a in P is in P
+    stable = (inside[:, conj] | ~inside[:, None, :]).all(axis=(1, 2))
+    out = [StableSubgroup(record, SubgroupHandle(record, tuple(np.flatnonzero(inside[k]).tolist())),
+                          lattice.normal[k])
+           for k in np.flatnonzero(stable).tolist()]
+    out.sort(key=lambda s: (s.order, s.p_handle.members))
     return out
 
 
 def psi(stable: StableSubgroup) -> PsiResult:
     """Psi(P) = orbit of the identity point under P, as a subgroup of G."""
-    group = stable.hgs.group
-    orbit = sorted(set(stable.rows[:, 0].tolist()))
-    members = frozenset(orbit)
-    if len(members) != stable.order:
+    orbit = tuple(sorted(set(stable.rows[:, 0].tolist())))
+    if len(orbit) != stable.order:
         raise TheoremViolation(
             "identity orbit size differs from |P|; P was not lambda(G)-stable")
-    if any(group.mul(a, b) not in members for a in orbit for b in orbit):
-        raise TheoremViolation("identity orbit is not closed under the group operation; "
-                               "P was not lambda(G)-stable")
-    j_handle = SubgroupHandle(group, tuple(orbit))
-    core = core_of(group, j_handle)
-    return PsiResult(
-        j_handle=j_handle,
-        j_class=iso_class(_subgroup_as_group(group, j_handle)),
-        normal_in_g=core.order == j_handle.order,
-        core_order=core.order,
-    )
+    return _psi_of_orbit(stable.hgs.group, orbit)
+
+
+def _psi_of_orbit(group: FiniteGroup, orbit: tuple[int, ...]) -> PsiResult:
+    """J = the orbit as a subgroup of G; its closure, core and class are found once per (G, J).
+
+    Closure depends on the orbit alone, so an orbit that fails it fails for
+    every P and is never kept. J's class and core order are kept on G as plain
+    values: a kept handle would refer back to G, and that cycle would hold G
+    and its caches until the next garbage collection.
+    """
+    by_orbit = vars(group).setdefault("_psi", {})
+    if orbit not in by_orbit:
+        members = frozenset(orbit)
+        if any(group.mul(a, b) not in members for a in orbit for b in orbit):
+            raise TheoremViolation("identity orbit is not closed under the group operation; "
+                                   "P was not lambda(G)-stable")
+        j_handle = SubgroupHandle(group, orbit)
+        core = core_of(group, j_handle)
+        by_orbit[orbit] = (iso_class(_subgroup_as_group(group, j_handle)), core.order)
+    j_class, core_order = by_orbit[orbit]
+    return PsiResult(j_handle=SubgroupHandle(group, orbit), j_class=j_class,
+                     normal_in_g=core_order == len(orbit), core_order=core_order)
 
 
 def _subgroup_as_group(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGroup:
@@ -305,7 +366,6 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
     agg: dict[tuple, int] = {}
     for record in records:
         stables = (stables_by_record or {}).get(record.key) or stable_subgroups(record)
-        n_table = None
         for stable in stables:
             if not stable.normal_in_n:
                 continue
@@ -314,10 +374,7 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
             result = stable.psi_result
             if verify:
                 _verify_pair(stable, result)
-            if n_table is None:
-                n_table = record.n_table
-            p_class = iso_class(_subgroup_as_group(n_table, stable.p_handle)).name
-            key = (record.n_class.name, p_class, result.j_class.name,
+            key = (record.n_class.name, stable.p_class.name, result.j_class.name,
                    result.normal_in_g, result.core_order)
             agg[key] = agg.get(key, 0) + 1
     rows = [CorrespondenceRow(count, *key) for key, count in agg.items()]

@@ -23,7 +23,8 @@ raising TheoremViolation:
 - b is bijective;
 - the transported beta(G) equals lambda(G);
 - m -> (row m of N's table) is an injective homomorphism M -> N whose image is
-  N's rows, so N's class is M's catalog label;
+  N's rows, so N's class is M's catalog label (the record keeps this map as
+  ``m_to_n``);
 - N is regular;
 - lambda(G) normalizes N (the check also builds ``lambda_conj``);
 - N arose from exactly |Aut(M)| embeddings.
@@ -56,8 +57,8 @@ class HgsRecord:
     """One Hopf-Galois structure: a regular lambda(G)-normalized N <= Perm(G).
 
     ``rows`` holds N's elements as uint8 image arrays, sorted by image tuple;
-    ``n_table`` and ``lambda_conj`` view N on the indices of those rows.
-    Records compare by identity; ``key`` identifies N.
+    ``n_table``, ``lambda_conj`` and ``m_to_n`` view N on the indices of those
+    rows. Records compare by identity; ``key`` identifies N.
     """
 
     group: FiniteGroup
@@ -96,6 +97,23 @@ class HgsRecord:
         if conj is None:
             raise TheoremViolation("lambda(G) does not normalize N")
         return conj
+
+    @cached_property
+    def m_to_n(self) -> np.ndarray:
+        """Entry m is the index in N of the image of m under an isomorphism M -> N.
+
+        M is the catalog group of N's class, so N's order must be a catalog
+        order. An enumerated record keeps the map its contracts checked; a
+        given N is searched for one.
+        """
+        if not catalog_names(len(self.rows)):
+            raise UncoveredOrder(f"catalog does not cover order {len(self.rows)}")
+        iso = an_isomorphism(catalog_group(self.n_class.name), self.n_table)
+        if iso is None:
+            raise TheoremViolation(
+                f"N of provenance {self.provenance} is not isomorphic to its class "
+                f"{self.n_class.name} (G = {self.group!r})")
+        return np.array(iso, dtype=np.uint8)
 
 
 def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
@@ -287,6 +305,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
                 f"structure arose from {multiplicity[key]} embeddings, expected |Aut(M)| = {hol.aut_order}")
         record = HgsRecord(group, rows, GroupClassLabel(m_name, n), (m_name, first_id))
         vars(record)["lambda_conj"] = conj
+        vars(record)["m_to_n"] = col0.astype(np.uint8)
         records.append(record)
     return records
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,17 +22,19 @@ from hgw.correspond import (
 )
 from hgw.dsl import build_group
 from hgw.enumeration import HgsRecord, enumerate_hgs
-from hgw.errors import BlockSystemViolation, TheoremViolation
+from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
     SubgroupHandle,
     as_finite_group,
     generating_subset_of,
+    is_normal,
     left_regular,
     right_regular,
     subgroups,
 )
 from hgw.perm import PermGroup, Permutation, closure, normalizes
+from hgw.report import correspondence_table_doc
 
 
 def _record_of_class(records, name):
@@ -273,6 +277,136 @@ def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypat
     # lambda(G)'s 42 block images once per J, then N's 42 per verified pair
     pairs = sum(row.count for row in rows)
     assert sum(block_perms.values()) == 42 * (len(spaces) + pairs)
+
+
+# -- the lattice of N's class, carried into each record -------------------------
+
+LATTICE_GROUPS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("g_name", LATTICE_GROUPS + ["D21"])
+def test_carried_lattice_matches_lattice_of_n_table(g_name):
+    for record in enumerate_hgs(catalog_group(g_name)):
+        n_table, conj = record.n_table, record.lambda_conj
+        expected = [h for h in subgroups(n_table)
+                    if np.isin(conj[:, h.members], h.members).all()]
+        stables = stable_subgroups(record)
+        assert [s.p_handle.members for s in stables] == [h.members for h in expected]
+        for stable, handle in zip(stables, expected):
+            assert stable.normal_in_n == is_normal(n_table, handle)
+            assert stable.p_class == iso_class(correspond._subgroup_as_group(n_table, handle))
+
+
+def test_given_n_gets_its_lattice_from_an_isomorphism():
+    from hgw.fixture24 import DEGREE, _regular_identification, load_generators
+
+    g_abs, _ = _regular_identification(closure(load_generators("g"), DEGREE))
+    n_group = closure(load_generators("n"), DEGREE)
+    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("paper24", 0))
+    n_table = record.n_table
+    m_table = catalog_group("A4 x C2").table
+    m_to_n = record.m_to_n.tolist()
+    assert all(n_table.table[m_to_n[a]][m_to_n[b]] == m_to_n[m_table[a][b]]
+               for a in range(DEGREE) for b in range(DEGREE))
+    expected = [h for h in subgroups(n_table)
+                if np.isin(record.lambda_conj[:, h.members], h.members).all()]
+    stables = stable_subgroups(record)
+    assert [(s.p_handle.members, s.normal_in_n) for s in stables] == [
+        (h.members, is_normal(n_table, h)) for h in expected]
+
+
+def test_given_n_of_the_wrong_class_is_a_theorem_violation():
+    group = build_group("C6")
+    n_group = left_regular(group)
+    record = HgsRecord.from_perm_group(group, n_group, iso_class(build_group("D3")), ("test", 3))
+    with pytest.raises(TheoremViolation,
+                       match=r"provenance \('test', 3\) is not isomorphic to its class D3 "
+                             r"\(G = FiniteGroup\(C6\)\)"):
+        stable_subgroups(record)
+
+
+def test_given_n_of_an_uncovered_order_is_a_usage_error():
+    n_group = left_regular(build_group("C5"))
+    record = HgsRecord.from_perm_group(build_group("C5"), n_group, iso_class(n_group), ("test", 0))
+    with pytest.raises(UncoveredOrder, match="catalog does not cover order 5"):
+        stable_subgroups(record)
+
+
+def _count_calls(monkeypatch, func, counts, key, during=None):
+    """Count calls of ``func`` under every hgw name bound to it, optionally only inside ``during``."""
+    def counted(*args, **kwargs):
+        if during is None or during[0]:
+            counts[key] += 1
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hgw" or name.startswith("hgw."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypatch):
+    import hgw.report as report
+
+    # start from cold caches: the census, each class lattice and G's data per J
+    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
+    for name in catalog_names(42):
+        for key in ("_lattice", "_psi", "_lambda_blocks"):
+            monkeypatch.delitem(vars(catalog_group(name)), key, raising=False)
+    counts, psi_calls, stables = Counter(), Counter(), []
+    inside_psi = [0]
+    real_psi, real_stable = correspond.psi, report.stable_subgroups
+
+    def counted_psi(stable):
+        psi_calls[id(stable)] += 1
+        inside_psi[0] += 1
+        try:
+            return real_psi(stable)
+        finally:
+            inside_psi[0] -= 1
+
+    def kept_stable(record):
+        stables.append(real_stable(record))
+        return stables[-1]
+
+    _count_calls(monkeypatch, subgroups, counts, "subgroups")
+    _count_calls(monkeypatch, correspond.core_of, counts, "core_of")
+    _count_calls(monkeypatch, iso_class, counts, "j iso_class", during=inside_psi)
+    monkeypatch.setattr(correspond, "psi", counted_psi)
+    monkeypatch.setattr(report, "stable_subgroups", kept_stable)
+    census = report.group_census("D21")
+
+    classes = {r.n_class.name for r in census.records}
+    j_count = len(subgroups(catalog_group("D21")))
+    assert (len(census.records), len(classes), j_count) == (45, 4, 36)
+    assert counts["subgroups"] == len(classes) + 1  # one lattice per class M, plus G's
+    assert counts["core_of"] == counts["j iso_class"] == j_count
+    assert set(psi_calls.values()) == {1} and len(psi_calls) == sum(map(len, stables))
+
+
+# sha256 of the md correspondence table of each catalog group of orders 8, 12 and
+# 14, taken when P's class was still read from a lattice built on each N's table
+TABLE_SHA256_SMALL = {
+    "C8": "dc0dfdbe180891710a7cca411aba83f3557f80610a7d4fa5c0b05d6a9ae0a5bd",
+    "C4 x C2": "05b281ce3e616cae01abb37d6eef10c16782a8a6f54238ea1a971f759aed41e2",
+    "C2^3": "513c658c973bc59e2bdaf7ca0599397d1efc51c648cf4a2e9881d8e80c6f6c32",
+    "D4": "ee95be9d3751b0ef148b55e0b8ff10d8f9ca2e5d5c74b79520c26e95c90c75d5",
+    "Q8": "42d35083fc1a48d83da79d874022e77dfffb4a0f58160119d4a282df91675613",
+    "C12": "e0d47fde8fd995d8cdb581d73d580cb3adf7f9566aee96e15e276a3d5cb54a06",
+    "C6 x C2": "f871fed81af142f258a8c4f276417345e7790976e13f0d1c158e18a3f247eb1b",
+    "D6": "6f838c916748122220425562f0f201c8aabe12aadc0373a9d45622f8255d2913",
+    "A4": "34e95b8b5b22257df73a4386417789e87cccee93d45b96c26da8dee8765e8803",
+    "Dic3": "28600a0c8d62881c75d9f60a6b6bf2934776721c38715e86e5d989f5313d7626",
+    "C14": "4aafcd44525f47057cb96d95f88edf077317a4c3d9a9213ae18743f53959dc38",
+    "D7": "3a32797cb08ca1f68edd7dc925235fb777afda504435fcb8891f4a49fe7c826e",
+}
+
+
+@pytest.mark.parametrize("g_name", sorted(TABLE_SHA256_SMALL))
+def test_small_correspondence_tables_pinned(g_name):
+    text = correspondence_table_doc(correspondence_rows(catalog_group(g_name)), "md").render()
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256_SMALL[g_name]
 
 
 # -- the array block layer against the permutation one it replaced ---------------

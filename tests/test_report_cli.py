@@ -225,6 +225,13 @@ def test_cli_output_pinned(tmp_path, argv, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+def test_python_m_hgw_runs_the_cli():
+    result = subprocess.run([sys.executable, "-m", "hgw", "verify", "--fixture", "paper24"],
+                            capture_output=True, timeout=300)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == VERIFY_PAPER24_SHA256
+
+
 def test_census_and_model_report_build_no_perm_group(monkeypatch):
     # N, P and their block images stay uint8 rows from enumeration to the last check;
     # the first run of each warms the catalog and holomorph caches
