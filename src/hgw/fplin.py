@@ -56,13 +56,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def row_space_contains(mat: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    """True iff vec lies in the row space of mat (mod p)."""
-    base = rank(mat, p)
-    stacked = np.vstack([np.atleast_2d(mat), np.atleast_2d(vec)])
-    return rank(stacked, p) == base
-
-
 def row_spaces_equal(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     ra, _ = rref(np.atleast_2d(a), p)
     rb, _ = rref(np.atleast_2d(b), p)

@@ -3,7 +3,11 @@
 All descent statements are checked by exact linear algebra over F_p: fixed
 rings (K[V])^{lambda(G)} as nullspaces, actions as matrices, fixed fields as
 solution spaces, and the induced short exact sequence by ranks and spans.
-Field elements are coefficient tuples in the power basis 1, x, .., x^(n-1).
+A field element is its F_p coefficient vector in the power basis 1, x, ..,
+x^(n-1), and every field operation is a matrix: multiplication by c is
+sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
+is frobenius_matrices[j]. A stack of elements goes through one einsum or matmul,
+and every int64 sum of products stays below (n + 1)(p - 1)^2.
 A support group V (N, P or the block image of N) is its sorted uint8 image
 rows, as the enumeration and the correspondence hold them.
 """
@@ -35,6 +39,39 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _k(vec, p: int) -> KElem:
+    """An F_p vector as a field element: a tuple of ints in [0, p)."""
+    return tuple((np.asarray(vec) % p).tolist())
+
+
+def _matpow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    result = np.eye(len(mat), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = result @ mat % p
+        mat = mat @ mat % p
+        e >>= 1
+    return result
+
+
+def _field_matrices(p: int, modulus: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of y -> x^i y (i < n) and of y -> y^p in F_p[x]/(f), f monic.
+
+    x_powers are the powers of f's companion matrix; column i of the Frobenius
+    matrix is x^(p i) = (x^p)^i. Neither needs f to be irreducible.
+    """
+    n = len(modulus) - 1
+    companion = np.eye(n, k=-1, dtype=np.int64)
+    companion[:, -1] = -np.array(modulus[:n], dtype=np.int64) % p
+    x_to_p = _matpow(companion, p, p)
+    x_powers = [np.eye(n, dtype=np.int64)]
+    frob_cols = [x_powers[0][:, 0]]
+    for _ in range(n - 1):
+        x_powers.append(companion @ x_powers[-1] % p)
+        frob_cols.append(x_to_p @ frob_cols[-1] % p)
+    return np.array(x_powers), np.array(frob_cols).T
+
+
 class ExtensionModel:
     """Arithmetic in F_{p^n} with G generated by the Frobenius x -> x^p."""
 
@@ -42,9 +79,9 @@ class ExtensionModel:
         self.p = p
         self.n = n
         self.modulus = modulus  # monic, coefficient i of x^i, length n+1
-        self._red_rows = self._reduction_rows()
+        self.x_powers, frobenius = _field_matrices(p, modulus)
         self.group = build_group(f"C{n}")  # index j acts as Frobenius^j
-        self.frobenius_matrices = self._frobenius_matrices()
+        self.frobenius_matrices = self._frobenius_powers(frobenius)
 
     # -- field arithmetic --
 
@@ -56,82 +93,25 @@ class ExtensionModel:
     def one(self) -> KElem:
         return (1,) + (0,) * (self.n - 1)
 
-    def scalar(self, c: int) -> KElem:
-        return (c % self.p,) + (0,) * (self.n - 1)
-
-    def add(self, a: KElem, b: KElem) -> KElem:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: KElem, b: KElem) -> KElem:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a: KElem, b: KElem) -> KElem:
-        p, n = self.p, self.n
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                row = self._red_rows[k - n]
-                out = [(o + c * r) % p for o, r in zip(out, row)]
-        return tuple(out)
+        return _k(self.mult_matrix(a) @ np.asarray(b, dtype=np.int64), self.p)
 
     def smul(self, c: int, a: KElem) -> KElem:
         return tuple((c * x) % self.p for x in a)
 
     def kpow(self, a: KElem, e: int) -> KElem:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _k(_matpow(self.mult_matrix(a), e, self.p)[:, 0], self.p)
 
     def apply(self, j: int, a: KElem) -> KElem:
         """Apply the Galois group element j (= Frobenius^j)."""
-        return tuple(int(v) % self.p for v in self.frobenius_matrices[j] @ np.array(a))
+        return _k(self.frobenius_matrices[j] @ np.asarray(a, dtype=np.int64), self.p)
 
-    def mult_matrix(self, c: KElem) -> np.ndarray:
-        """Matrix of y -> c*y in the power basis (columns are c * x^i)."""
-        cols = [list(c)]
-        for _ in range(self.n - 1):
-            cols.append(self._times_x(cols[-1]))
-        return np.array(cols, dtype=np.int64).T % self.p
+    def mult_matrix(self, c) -> np.ndarray:
+        """Matrix of y -> c*y (columns are c * x^i); a stack of elements gives a stack."""
+        return np.tensordot(np.asarray(c, dtype=np.int64), self.x_powers, 1) % self.p
 
-    def _times_x(self, v: Sequence[int]) -> list[int]:
-        shifted = [0] + list(v[:-1])
-        top = v[-1]
-        if top:
-            shifted = [(s + top * r) % self.p for s, r in zip(shifted, self._red_rows[0])]
-        return shifted
-
-    def _reduction_rows(self) -> list[tuple[int, ...]]:
-        # row k: x^(n+k) mod modulus, for k = 0 .. n-2
+    def _frobenius_powers(self, frob: np.ndarray) -> np.ndarray:
         p, n = self.p, self.n
-        first = tuple((-c) % p for c in self.modulus[:n])
-        rows = [first]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                shifted = [(s + top * r) % p for s, r in zip(shifted, first)]
-            rows.append(tuple(shifted))
-        return rows
-
-    def _frobenius_matrices(self) -> list[np.ndarray]:
-        p, n = self.p, self.n
-        xp = self.kpow((0, 1) + (0,) * (n - 2) if n > 1 else (0,), p)
-        cols = [self.one]
-        for _ in range(n - 1):
-            cols.append(self.mul(cols[-1], xp))
-        frob = np.array(cols, dtype=np.int64).T % p
         mats = [np.eye(n, dtype=np.int64)]
         for _ in range(n - 1):
             mats.append((frob @ mats[-1]) % p)
@@ -140,75 +120,28 @@ class ExtensionModel:
         for d in range(1, n):
             if n % d == 0 and np.array_equal(mats[d], mats[0]):
                 raise TheoremViolation("Frobenius has order < n; modulus not irreducible?")
-        return mats
+        return np.array(mats)
 
     def __repr__(self) -> str:
         return f"ExtensionModel(p={self.p}, n={self.n})"
 
 
 def _irreducible(p: int, coeffs: tuple[int, ...], n: int) -> bool:
-    """Irreducibility over F_p: x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1."""
+    """Rabin's test for f = x^n + sum coeffs_i x^i over F_p, on f's field matrices.
 
-    def polmul(a, b):
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce by monic f
-        while len(conv) > n:
-            c = conv.pop()
-            if c:
-                d = len(conv) - n
-                for i in range(n):
-                    conv[d + i] = (conv[d + i] - c * coeffs[i]) % p
-        return conv + [0] * (n - len(conv))
-
-    def polpow_x(e: int) -> list[int]:
-        result = [1] + [0] * (n - 1)
-        base = ([0, 1] + [0] * (n - 2))[:n] if n > 1 else [0]
-        while e:
-            if e & 1:
-                result = polmul(result, base)
-            base = polmul(base, base)
-            e >>= 1
-        return result
-
-    def polgcd(a, b):
-        a = [c % p for c in a]
-        b = [c % p for c in b]
-
-        def deg(v):
-            d = len(v) - 1
-            while d >= 0 and v[d] == 0:
-                d -= 1
-            return d
-
-        while deg(b) >= 0:
-            da, db = deg(a), deg(b)
-            if da < db:
-                a, b = b, a
-                continue
-            inv = pow(b[deg(b)], p - 2, p)
-            c = (a[da] * inv) % p
-            shift = da - db
-            for i in range(db + 1):
-                a[shift + i] = (a[shift + i] - c * b[i]) % p
-            if deg(a) < deg(b):
-                a, b = b, a
-        return a
-
+    Frobenius^n fixes x (x^(p^n) = x mod f), and for each prime q | n the
+    multiplication matrix of Frobenius^(n/q)(x) - x has rank n, that is,
+    gcd(x^(p^(n/q)) - x, f) = 1.
+    """
     if n == 1:
         return True
-    xpn = polpow_x(p ** n)
-    x_itself = ([0, 1] + [0] * (n - 2))[:n]
-    if xpn != x_itself:
+    x_powers, frob = _field_matrices(p, tuple(coeffs) + (1,))
+    x = x_powers[1][:, 0]
+    if np.any((_matpow(frob, n, p) @ x - x) % p):
         return False
     for q in {d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)}:
-        xpk = polpow_x(p ** (n // q))
-        diff = [(a - b) % p for a, b in zip(xpk, x_itself)]
-        g = polgcd(list(coeffs) + [1], diff)
-        if any(g[1:]) or not any(g):
+        diff = (_matpow(frob, n // q, p) @ x - x) % p
+        if fplin.rank(np.tensordot(diff, x_powers, 1) % p, p) < n:
             return False
     return True
 
@@ -221,6 +154,8 @@ def make_extension(p: int, n: int) -> ExtensionModel:
         raise GroupSpecError("extension degree must be between 1 and 8")
     if p <= n:
         raise GroupSpecError("need p > n so that power-sum arguments apply")
+    if (n + 1) * (p - 1) ** 2 >= 2 ** 63:  # see the module docstring
+        raise GroupSpecError(f"p = {p} is too large for exact int64 arithmetic at n = {n}")
     for k in range(p ** n):
         coeffs = tuple((k // p ** i) % p for i in range(n))
         if _irreducible(p, coeffs, n):
@@ -239,10 +174,7 @@ class HopfElement:
     coeffs: tuple[KElem, ...]  # aligned with the support's rows
 
     def augmentation(self) -> KElem:
-        total = self.model.zero
-        for c in self.coeffs:
-            total = self.model.add(total, c)
-        return total
+        return _k(np.sum(self.coeffs, axis=0), self.model.p)
 
     def counit_scalar(self) -> int:
         eps = self.augmentation()
@@ -264,13 +196,14 @@ class FixedRing:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coeff_vectors(self) -> np.ndarray:
-        """Basis as flat vectors over F_p, coordinates (element, power-basis)."""
-        return np.array(
-            [[x for c in h.coeffs for x in c] for h in self.basis], dtype=np.int64)
+    def coeff_array(self) -> np.ndarray:
+        """The basis coefficients over F_p, shape (dimension, |V|, n)."""
+        return np.array([h.coeffs for h in self.basis], dtype=np.int64).reshape(
+            self.dimension, len(self.rows), self.model.n)
 
-    def contains_vector(self, vec: np.ndarray) -> bool:
-        return bool(np.all((self.constraint_matrix @ vec) % self.model.p == 0))
+    def contains(self, vectors: np.ndarray) -> bool:
+        """Whether every row of ``vectors`` (flat coefficients over F_p) lies in the ring."""
+        return bool(np.all((self.constraint_matrix @ vectors.T) % self.model.p == 0))
 
 
 def _row_index(rows: np.ndarray) -> dict[bytes, int]:
@@ -289,7 +222,7 @@ def _conjugation_index(support_rows: np.ndarray, gamma: np.ndarray) -> list[int]
 
 def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
                      gbar_rows: np.ndarray | None = None) -> FixedRing:
-    """Solve gamma(c_v) = c_{gamma v gamma^-1} over generators gamma of G.
+    """Solve gamma(c_v) = c_{gamma v gamma^-1} for the generator gamma of G.
 
     ``gbar_rows`` gives the action of each G element on the support domain
     (the left-regular action by default; block images for quotient supports).
@@ -300,32 +233,18 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     if gbar_rows is None:
         gbar_rows = np.array(group.table, dtype=np.uint8)
     size = len(support_rows)
-    generators = [j for j in range(group.order) if group.element_order(j) == group.order]
-    gens = generators[:1] if generators else []
-    if group.order > 1 and not gens:  # non-cyclic G never occurs here
-        raise GroupSpecError("model group must be cyclic")
-    rows = []
-    for j in gens:
-        conj = _conjugation_index(support_rows, gbar_rows[j])
-        frob = model.frobenius_matrices[j]
-        for vi in range(size):
-            block = np.zeros((n, size * n), dtype=np.int64)
-            block[:, vi * n:(vi + 1) * n] = frob
-            block[:, conj[vi] * n:(conj[vi] + 1) * n] -= np.eye(n, dtype=np.int64)
-            rows.append(block)
-    if rows:
-        constraints = np.vstack(rows) % p
-    else:
-        constraints = np.zeros((0, size * n), dtype=np.int64)
+    gen = next(j for j in range(group.order) if group.element_order(j) == group.order)
+    conj = _conjugation_index(support_rows, gbar_rows[gen])
+    # block row v: Frobenius on c_v minus the identity on c_{gamma v gamma^-1}
+    eye_v = np.eye(size, dtype=np.int64)
+    constraints = (np.kron(eye_v, model.frobenius_matrices[gen])
+                   - np.kron(eye_v[conj], np.eye(n, dtype=np.int64))) % p
     solutions = fplin.nullspace(constraints, p)
     if solutions.shape[0] != size:
         raise TheoremViolation(
             f"fixed ring dimension {solutions.shape[0]} != |V| = {size}")
-    basis = tuple(
-        HopfElement(model, tuple(tuple(int(x) for x in vec[i * n:(i + 1) * n])
-                                 for i in range(size)))
-        for vec in solutions
-    )
+    basis = tuple(HopfElement(model, tuple(map(tuple, vec)))
+                  for vec in solutions.reshape(size, size, n).tolist())
     return FixedRing(model, support_rows, basis, constraints)
 
 
@@ -339,37 +258,28 @@ def act(h: HopfElement, x: KElem, ring: FixedRing) -> KElem:
 
     (a) push embed(x) through the basis action v(e_g) = e_{v(g)}, check the
     result is again an embedded element, read the identity component;
-    (b) the closed formula sum_v c_v . (v^-1(0))(x).
+    (b) the closed formula sum_v c_v . (v^-1(0))(x), as act_matrix(h) @ x.
     """
     model = ring.model
-    group = model.group
-    v_rows = ring.rows.tolist()
-    embedded = embed_k(model, x)
-    components = [model.zero] * group.order
-    for c, v in zip(h.coeffs, v_rows):
-        for g in range(group.order):
-            t = v[g]
-            components[t] = model.add(components[t], model.mul(c, embedded[g]))
+    p, frob = model.p, model.frobenius_matrices
+    x = np.asarray(x, dtype=np.int64)
+    embedded = frob @ x % p  # row g: g(x)
+    components = np.zeros_like(embedded)
+    np.add.at(components, ring.rows,
+              np.einsum("vij,gj->vgi", model.mult_matrix(h.coeffs), embedded) % p)
+    components %= p
     y_slice = components[0]
-    for t in range(group.order):
-        if components[t] != model.apply(t, y_slice):
-            raise TheoremViolation("action did not land in the embedded copy of K")
-    y_formula = model.zero
-    for c, v in zip(h.coeffs, v_rows):
-        g = v.index(0)
-        y_formula = model.add(y_formula, model.mul(c, model.apply(g, x)))
-    if y_slice != y_formula:
+    if np.any(frob @ y_slice % p != components):
+        raise TheoremViolation("action did not land in the embedded copy of K")
+    if np.any(act_matrix(model, h, ring.rows) @ x % p != y_slice):
         raise TheoremViolation("slice action and closed formula disagree")
-    return y_slice
+    return _k(y_slice, p)
 
 
 def act_matrix(model: ExtensionModel, h: HopfElement, support_rows: np.ndarray) -> np.ndarray:
     """Matrix of x -> act(h, x) over F_p: sum_v Mult(c_v) . Frob^{v^-1(0)}."""
-    n, p = model.n, model.p
-    out = np.zeros((n, n), dtype=np.int64)
-    for c, g in zip(h.coeffs, np.argmin(support_rows, axis=1).tolist()):  # v^-1(0)
-        out = (out + model.mult_matrix(c) @ model.frobenius_matrices[g]) % p
-    return out
+    frob = model.frobenius_matrices[np.argmin(support_rows, axis=1)]  # v^-1(0)
+    return (model.mult_matrix(h.coeffs) @ frob % model.p).sum(axis=0) % model.p
 
 
 @dataclass(frozen=True)
@@ -388,10 +298,15 @@ class FixedFieldResult:
 def fixed_subfield_of_group(model: ExtensionModel, points: Sequence[int]) -> np.ndarray:
     """K^J for a set of group elements J: joint fixed space of their matrices."""
     n, p = model.n, model.p
-    stacked = np.vstack([
-        (model.frobenius_matrices[j] - np.eye(n, dtype=np.int64)) % p for j in points
-    ]) if points else np.zeros((0, n), dtype=np.int64)
-    return fplin.rref(fplin.nullspace(stacked, p), p)[0]
+    stacked = model.frobenius_matrices[list(points)] - np.eye(n, dtype=np.int64)
+    return fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
+
+
+def fixed_subfield_of_group(model: ExtensionModel, points: Sequence[int]) -> np.ndarray:
+    """K^J for a set of group elements J: joint fixed space of their matrices."""
+    n, p = model.n, model.p
+    stacked = model.frobenius_matrices[list(points)] - np.eye(n, dtype=np.int64)
+    return fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
 
 
 def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
@@ -402,22 +317,16 @@ def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
     """
     n, p = model.n, model.p
     p_rows = ring.rows
-    systems = []
-    for h in ring.basis:
-        eps = h.counit_scalar()
-        mat = (act_matrix(model, h, p_rows) - eps * np.eye(n, dtype=np.int64)) % p
-        systems.append(mat)
-    space = fplin.nullspace(np.vstack(systems), p)
-    space = fplin.rref(space, p)[0]
+    eye = np.eye(n, dtype=np.int64)
+    systems = [act_matrix(model, h, p_rows) - h.counit_scalar() * eye for h in ring.basis]
+    space = fplin.rref(fplin.nullspace(np.vstack(systems) % p, p), p)[0]
     expected_dim = model.group.order // len(p_rows)
     if space.shape[0] != expected_dim:
         raise TheoremViolation(
             f"fixed field dimension {space.shape[0]} != [G:P] = {expected_dim}")
-    for i in range(space.shape[0]):
-        for j in range(space.shape[0]):
-            product = model.mul(tuple(space[i]), tuple(space[j]))
-            if not fplin.row_space_contains(space, np.array(product), p):
-                raise TheoremViolation("fixed field is not multiplicatively closed")
+    products = np.einsum("aij,bj->abi", model.mult_matrix(space), space).reshape(-1, n)
+    if fplin.rank(np.vstack([space, products]), p) != space.shape[0]:
+        raise TheoremViolation("fixed field is not multiplicatively closed")
     j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
     k_j = fixed_subfield_of_group(model, j_points)
     if not fplin.row_spaces_equal(space, k_j, p):
@@ -428,13 +337,9 @@ def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
 def hopf_galois_rank(model: ExtensionModel, ring: FixedRing) -> bool:
     """True iff x (tensor) h -> x . act(h, -) spans all of End_k(K)."""
     n, p = model.n, model.p
-    flat = []
-    for h in ring.basis:
-        base_action = act_matrix(model, h, ring.rows)
-        for i in range(n):
-            xi = tuple(1 if j == i else 0 for j in range(n))
-            flat.append(((model.mult_matrix(xi) @ base_action) % p).reshape(-1))
-    return fplin.rank(np.array(flat, dtype=np.int64), p) == n * n
+    actions = np.array([act_matrix(model, h, ring.rows) for h in ring.basis])
+    flat = np.einsum("iab,hbc->hiac", model.x_powers, actions).reshape(-1, n * n) % p
+    return fplin.rank(flat, p) == n * n
 
 
 def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
@@ -446,14 +351,10 @@ def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
     """
     if model.p <= model.group.order:
         raise GroupSpecError("fixedsum check requires p > |G|")
-    n, p = model.n, model.p
-    total = np.zeros((n, n), dtype=np.int64)
-    for j in sigma_points:
-        total = (total + model.frobenius_matrices[j]) % p
+    p = model.p
+    total = model.frobenius_matrices[list(sigma_points)].sum(axis=0) % p
     basis = field_result.basis
-    hypothesis = all(
-        np.array_equal((total @ vec) % p, (len(sigma_points) * vec) % p) for vec in basis
-    )
+    hypothesis = np.array_equal(basis @ total.T % p, len(sigma_points) * basis % p)
     conclusion = set(sigma_points) <= set(field_result.j_points)
     return (not hypothesis) or conclusion
 
@@ -474,6 +375,7 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
     group = model.group
     h_n = fixed_ring_basis(model, n_rows)
     h_p = fixed_ring_basis(model, p_rows)
+    hn_coeffs, hp_coeffs = h_n.coeff_array(), h_p.coeff_array()
 
     # (i) zero-extend H_P coefficients to N's support and check membership
     n_index = _row_index(n_rows)
@@ -481,12 +383,10 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
     p_in_n = [n_index.get(q.tobytes()) for q in p_rows]
     if None in p_in_n:
         raise TheoremViolation("P is not contained in N")
-    for h in h_p.basis:
-        vec = np.zeros(size_n * nfld, dtype=np.int64)
-        for c, qi in zip(h.coeffs, p_in_n):
-            vec[qi * nfld:(qi + 1) * nfld] = c
-        if not h_n.contains_vector(vec):
-            raise TheoremViolation("H_P does not embed into H_N")
+    extended = np.zeros((h_p.dimension, size_n, nfld), dtype=np.int64)
+    extended[:, p_in_n] = hp_coeffs
+    if not h_n.contains(extended.reshape(h_p.dimension, -1)):
+        raise TheoremViolation("H_P does not embed into H_N")
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
     j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
@@ -498,14 +398,11 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
     h_quot = fixed_ring_basis(model, nbar, gbar_rows=actions.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
-    proj = np.zeros((m * nfld, size_n * nfld), dtype=np.int64)
-    for vi, bi in enumerate(nbar_index.reshape(-1).tolist()):
-        proj[bi * nfld:(bi + 1) * nfld, vi * nfld:(vi + 1) * nfld] = np.eye(nfld, dtype=np.int64)
-    hn_vectors = h_n.coeff_vectors()
-    images = (hn_vectors @ proj.T) % p
-    for vec in images:
-        if not h_quot.contains_vector(vec):
-            raise TheoremViolation("projection of H_N leaves H_{N/P}")
+    onehot = np.eye(m, dtype=np.int64)[:, nbar_index.reshape(-1)]  # block of each v
+    proj = np.kron(onehot, np.eye(nfld, dtype=np.int64))
+    images = hn_coeffs.reshape(h_n.dimension, -1) @ proj.T % p
+    if not h_quot.contains(images):
+        raise TheoremViolation("projection of H_N leaves H_{N/P}")
     image_rank = fplin.rank(images, p)
     if image_rank != m:
         raise TheoremViolation(f"projection image rank {image_rank} != [N:P] = {m}")
@@ -516,33 +413,18 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
         raise TheoremViolation("kernel dimension is not |N| - [N:P]")
 
     # (iv) kernel equals H_N . H_P^+
-    eps_rows = np.zeros((nfld, h_p.dimension), dtype=np.int64)
-    for col, h in enumerate(h_p.basis):
-        eps = h.augmentation()
-        for i in range(nfld):
-            eps_rows[i, col] = eps[i]
-    plus_coords = fplin.nullspace(eps_rows, p)
+    plus_coords = fplin.nullspace(hp_coeffs.sum(axis=1).T, p)  # augmentation zero
     if plus_coords.shape[0] != h_p.dimension - 1:
         raise TheoremViolation("augmentation ideal of H_P has wrong dimension")
-    hp_plus = [
-        _combine(model, h_p.basis, coords) for coords in plus_coords
-    ]
-    # vq_index[v][q] is the index of v o q in N
-    vq_index = [[n_index[row.tobytes()] for row in vq] for vq in n_rows[:, p_rows]]
-    products = []
-    for h in h_n.basis:
-        for hp in hp_plus:
-            products.append(_group_ring_product(model, h, hp, vq_index))
-    if products:
-        prod_mat = np.array(products, dtype=np.int64)
-        for vec in prod_mat:
-            if not h_n.contains_vector(vec):
-                raise TheoremViolation("a product H_N . H_P^+ left H_N")
-            if np.any((proj @ vec) % p):
-                raise TheoremViolation("a product H_N . H_P^+ is not in the kernel")
-        span_rank = fplin.rank(prod_mat, p)
-    else:
-        span_rank = 0
+    hp_plus = np.tensordot(plus_coords, hp_coeffs, 1) % p
+    # vq_index[v, q] is the index of v o q in N
+    vq_index = np.array([[n_index[row.tobytes()] for row in vq] for vq in n_rows[:, p_rows]])
+    products = _group_ring_product(model, hn_coeffs, hp_plus, vq_index)
+    if not h_n.contains(products):
+        raise TheoremViolation("a product H_N . H_P^+ left H_N")
+    if np.any(products @ proj.T % p):
+        raise TheoremViolation("a product H_N . H_P^+ is not in the kernel")
+    span_rank = fplin.rank(products, p)
     if span_rank != kernel_dim:
         raise TheoremViolation(
             f"H_N . H_P^+ has rank {span_rank}, kernel has dimension {kernel_dim}")
@@ -557,30 +439,15 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
     }
 
 
-def _combine(model: ExtensionModel, basis: Sequence[HopfElement], coords) -> HopfElement:
-    size = len(basis[0].coeffs)
-    out = [model.zero] * size
-    for w, h in zip(coords, basis):
-        w = int(w) % model.p
-        if w:
-            for i, c in enumerate(h.coeffs):
-                out[i] = model.add(out[i], model.smul(w, c))
-    return HopfElement(model, tuple(out))
+def _group_ring_product(model: ExtensionModel, left: np.ndarray, right: np.ndarray,
+                        vq_index: np.ndarray) -> np.ndarray:
+    """Every product (sum c_v v)(sum d_q q) in K[N], left[a] times right[b], flattened.
 
-
-def _group_ring_product(model: ExtensionModel, h_left: HopfElement, h_right: HopfElement,
-                        vq_index: list[list[int]]) -> np.ndarray:
-    """(sum c_v v)(sum d_q q) in K[N], flattened over F_p coordinates."""
-    nfld = model.n
-    out = [model.zero] * len(vq_index)
-    for c, v_times in zip(h_left.coeffs, vq_index):
-        if c == model.zero:
-            continue
-        for d, w in zip(h_right.coeffs, v_times):
-            if d == model.zero:
-                continue
-            out[w] = model.add(out[w], model.mul(c, d))
-    vec = np.zeros(len(vq_index) * nfld, dtype=np.int64)
-    for i, c in enumerate(out):
-        vec[i * nfld:(i + 1) * nfld] = c
-    return vec
+    ``left`` and ``right`` are coefficient arrays (count, support, n); row
+    a * len(right) + b of the result is the product over F_p coordinates.
+    """
+    p, nfld = model.p, model.n
+    terms = np.einsum("avij,bqj->vqabi", model.mult_matrix(left), right) % p
+    out = np.zeros((len(vq_index), len(left), len(right), nfld), dtype=np.int64)
+    np.add.at(out, vq_index, terms)
+    return out.transpose(1, 2, 0, 3).reshape(len(left) * len(right), len(vq_index) * nfld) % p

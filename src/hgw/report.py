@@ -193,7 +193,6 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
     import itertools
 
     from . import model as m
-    from .groups import subgroups as all_subgroups
 
     ext = m.make_extension(p, n)
     records = enumerate_hgs(ext.group)
@@ -208,8 +207,9 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
     for record in records:
         name = f"N~{record.n_class.name}#{record.provenance[1]}"
         stables = stable_subgroups(record)
-        if "fix" in checks:
+        if "fix" in checks or "rank" in checks:
             ring = m.fixed_ring_basis(ext, record.rows)
+        if "fix" in checks:
             acts = 0
             for h in ring.basis:
                 for x in samples:
@@ -222,7 +222,6 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
                 row("fix", f"{name}, |P|={stable.order}",
                     f"K^(H_P) = K^J, dim {result.dimension}")
         if "rank" in checks:
-            ring = m.fixed_ring_basis(ext, record.rows)
             if not m.hopf_galois_rank(ext, ring):
                 raise TheoremViolation("rank check failed")  # pragma: no cover
             row("rank", name, f"K#H -> End_k(K) bijective (rank {n * n})")
@@ -236,7 +235,7 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
                     f"H_N.H_P+ span {info['product_span']}")
     if "fixedsum" in checks:
         count = 0
-        for handle in all_subgroups(ext.group):
+        for handle in subgroups_of(ext.group):
             pts = tuple(sorted(handle.members))
             result = m.FixedFieldResult(ext, m.fixed_subfield_of_group(ext, pts), pts)
             for r in range(n + 1):

@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hgw import fplin
+from hgw import model as model_mod
 from hgw.correspond import stable_subgroups
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import GroupSpecError, TheoremViolation
 from hgw.groups import right_regular, subgroups
 from hgw.model import (
+    ExtensionModel,
+    FixedRing,
     FixedFieldResult,
     HopfElement,
     act,
@@ -47,6 +53,16 @@ def test_make_extension_validation():
     model = make_extension(11, 6)
     assert model.group.order == 6
     assert len(model.modulus) == 7 and model.modulus[-1] == 1
+
+
+def test_make_extension_rejects_p_beyond_int64_arithmetic():
+    # 2^32 + 15 is prime; its products overflow int64, so it is a usage error
+    with pytest.raises(GroupSpecError, match="too large for exact int64 arithmetic"):
+        make_extension(2 ** 32 + 15, 2)
+    model = make_extension(10 ** 9 + 7, 2)
+    assert model.modulus == (1, 0, 1)  # -1 is not a square mod 10^9 + 7
+    x = (3, 10 ** 9)
+    assert model.mul(x, x) == _ref_mul(model.p, model.modulus, x, x)
 
 
 def test_frobenius_order(model_11_6):
@@ -226,3 +242,333 @@ def test_fixed_ring_dimension_violation_detected(model_11_6):
                     Permutation.from_cycles([(0, 1)], 6).images], dtype=np.uint8)
     with pytest.raises(TheoremViolation, match="does not normalize the support group"):
         fixed_ring_basis(model, bad)
+
+
+# -- contracts: one case per TheoremViolation message in hgw.model ----------------
+
+
+def _one_stable(model, order, normal=True):
+    """A record of model.group and one of its lambda-stable P of the given order."""
+    for record in enumerate_hgs(model.group):
+        for stable in stable_subgroups(record):
+            if stable.order == order and stable.normal_in_n == normal:
+                return record, stable
+    raise LookupError(order)  # pragma: no cover
+
+
+def _tamper_ring(monkeypatch, which, **changes):
+    """Make exact_sequence_check see H_N, H_P or H_{N/P} with some fields replaced."""
+    original = model_mod.fixed_ring_basis
+    order = ("N", "P", "quotient")
+    seen = []
+
+    def patched(*args, **kwargs):
+        ring = original(*args, **kwargs)
+        seen.append(ring)
+        if order[len(seen) - 1] == which:
+            fields = {k: (v(ring) if callable(v) else v) for k, v in changes.items()}
+            return dataclasses.replace(ring, **fields)
+        return ring
+
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", patched)
+
+
+def _shift_products(monkeypatch, shift):
+    original = model_mod._group_ring_product
+    monkeypatch.setattr(model_mod, "_group_ring_product",
+                        lambda *args: shift(original(*args)))
+
+
+def _case_frobenius_order(monkeypatch):
+    ExtensionModel(11, 2, (0, 0, 1))  # x^2: Frobenius is not invertible
+
+
+def _case_frobenius_order_below_n(monkeypatch):
+    ExtensionModel(11, 2, (10, 0, 1))  # x^2 - 1 = (x - 1)(x + 1): Frobenius is the identity
+
+
+def _case_augmentation_not_in_k(monkeypatch):
+    model = make_extension(11, 2)
+    HopfElement(model, ((0, 1),)).counit_scalar()
+
+
+def _case_support_not_normalized(monkeypatch):
+    model = make_extension(11, 2)
+    bad = np.array([[0, 1, 2], [1, 0, 2]], dtype=np.uint8)
+    fixed_ring_basis(model, bad, gbar_rows=np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8))
+
+
+def _case_fixed_ring_dimension(monkeypatch):
+    # the generator of C2 permutes three transpositions in one 3-cycle, which
+    # no Frobenius of order 2 can match: the fixed ring has dimension 1
+    model = make_extension(11, 2)
+    transpositions = np.array([[0, 2, 1], [1, 0, 2], [2, 1, 0]], dtype=np.uint8)
+    gbar = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint8)
+    fixed_ring_basis(model, transpositions, gbar_rows=gbar)
+
+
+def _case_act_outside_embedded_k(monkeypatch):
+    model = make_extension(11, 6)
+    rho = right_regular(model.group)
+    ring = fixed_ring_basis(model, _rows(rho))
+    x = (0, 1, 0, 0, 0, 0)
+    # x . id is not in the fixed ring (x is not Frobenius-fixed)
+    ident_idx = rho.elements.index(Permutation.identity(6))
+    coeffs = [model.zero] * 6
+    coeffs[ident_idx] = x
+    act(HopfElement(model, tuple(coeffs)), x, ring)
+
+
+def _case_act_slice_and_formula(monkeypatch):
+    # a support "row" [0, 0] sends both points to 0: the slice sums c(x + Frob(x)),
+    # which is 0 for x of trace 0, while the closed formula reads c x
+    model = make_extension(11, 2)
+    a = (0, 1)
+    x = tuple((u - v) % model.p for u, v in zip(a, model.apply(1, a)))
+    ring = FixedRing(model, np.array([[0, 0]], dtype=np.uint8), (), np.zeros((0, 2)))
+    act(HopfElement(model, (model.one,)), x, ring)
+
+
+def _case_fixed_field_dimension(monkeypatch):
+    model = make_extension(11, 4)
+    _, stable = _one_stable(model, 2)
+    # 1 . id alone fixes all of K, not a subfield of index |P|
+    h = HopfElement(model, (model.one, model.zero))
+    fixed_field(model, FixedRing(model, stable.rows, (h,), np.zeros((0, 8))))
+
+
+def _case_fixed_field_not_closed(monkeypatch):
+    model = make_extension(11, 4)
+    _, stable = _one_stable(model, 2)
+    ring = fixed_ring_basis(model, stable.rows)
+    # span(1, x) has the right dimension 2 but x^2 is outside it
+    monkeypatch.setattr(fplin, "nullspace", lambda mat, p: np.eye(4, dtype=np.int64)[:2])
+    fixed_field(model, ring)
+
+
+def _case_fixed_field_not_k_j(monkeypatch):
+    model = make_extension(11, 4)
+    _, stable = _one_stable(model, 1)
+    ring = fixed_ring_basis(model, stable.rows)
+    monkeypatch.setattr(model_mod, "fixed_subfield_of_group",
+                        lambda model, points: np.eye(model.n, dtype=np.int64)[:1])
+    fixed_field(model, ring)
+
+
+def _case_p_not_in_n(monkeypatch):
+    model = make_extension(11, 4)
+    first, second = enumerate_hgs(model.group)[:2]
+    exact_sequence_check(model, first.rows, second.rows)
+
+
+def _case_h_p_not_in_h_n(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _tamper_ring(monkeypatch, "N", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix))
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_block_image_order(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    original = model_mod.block_actions
+
+    def collapsed(n_rows, j_handle):
+        actions = original(n_rows, j_handle)
+        return dataclasses.replace(actions, nbar_of=np.repeat(actions.nbar_of[:1], len(n_rows), 0))
+
+    monkeypatch.setattr(model_mod, "block_actions", collapsed)
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_projection_leaves_quotient(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _tamper_ring(monkeypatch, "quotient",
+                 constraint_matrix=lambda r: np.ones_like(r.constraint_matrix))
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_projection_rank(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _tamper_ring(monkeypatch, "N", basis=lambda r: r.basis[:1] * len(r.basis))
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_kernel_dimension(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _tamper_ring(monkeypatch, "N", basis=lambda r: r.basis + r.basis[:1])
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_augmentation_ideal(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    zero = HopfElement(model, (model.zero,) * stable.order)
+    _tamper_ring(monkeypatch, "P", basis=lambda r: (zero,) * len(r.basis))
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_product_left_h_n(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _shift_products(monkeypatch, lambda products: products + 1)
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_product_not_in_kernel(monkeypatch):
+    # adding the unit 1 . id of H_N keeps each product in H_N but not in the kernel
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    unit = np.zeros(len(record.rows) * model.n, dtype=np.int64)
+    unit[0] = 1  # row 0 of the sorted rows is the identity
+    _shift_products(monkeypatch, lambda products: products + unit)
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+def _case_product_span(monkeypatch):
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    _shift_products(monkeypatch, lambda products: 0 * products)
+    exact_sequence_check(model, record.rows, stable.rows)
+
+
+CONTRACT_CASES = {
+    "Frobenius does not have order n on K": _case_frobenius_order,
+    "Frobenius has order < n; modulus not irreducible?": _case_frobenius_order_below_n,
+    "augmentation of a fixed-ring element is not in F_p": _case_augmentation_not_in_k,
+    "conjugator does not normalize the support group": _case_support_not_normalized,
+    "fixed ring dimension 1 != |V| = 3": _case_fixed_ring_dimension,
+    "action did not land in the embedded copy of K": _case_act_outside_embedded_k,
+    "slice action and closed formula disagree": _case_act_slice_and_formula,
+    "fixed field dimension 4 != [G:P] = 2": _case_fixed_field_dimension,
+    "fixed field is not multiplicatively closed": _case_fixed_field_not_closed,
+    "K^{H_P} differs from K^J for J = Psi(P)": _case_fixed_field_not_k_j,
+    "P is not contained in N": _case_p_not_in_n,
+    "H_P does not embed into H_N": _case_h_p_not_in_h_n,
+    "block image of N does not have order [N:P]": _case_block_image_order,
+    "projection of H_N leaves H_{N/P}": _case_projection_leaves_quotient,
+    "projection image rank 1 != [N:P] = 2": _case_projection_rank,
+    "kernel dimension is not |N| - [N:P]": _case_kernel_dimension,
+    "augmentation ideal of H_P has wrong dimension": _case_augmentation_ideal,
+    "a product H_N . H_P^+ left H_N": _case_product_left_h_n,
+    "a product H_N . H_P^+ is not in the kernel": _case_product_not_in_kernel,
+    "H_N . H_P^+ has rank 0, kernel has dimension 2": _case_product_span,
+}
+
+
+@pytest.mark.parametrize("message", list(CONTRACT_CASES))
+def test_model_contract_violations_raise(monkeypatch, message):
+    with pytest.raises(TheoremViolation) as info:
+        CONTRACT_CASES[message](monkeypatch)
+    assert str(info.value) == message
+
+
+def test_every_model_contract_message_has_a_case():
+    source = Path(model_mod.__file__).read_text(encoding="utf-8")
+    found = re.findall(r'TheoremViolation\(\s*(f?)"([^"]*)"', source)
+    # an f-string message is matched by its text up to the first placeholder
+    patterns = {text.split("{", 1)[0] if is_f else text for is_f, text in found}
+    assert len(patterns) == len(CONTRACT_CASES)
+    for pattern in patterns:
+        assert any(case.startswith(pattern) for case in CONTRACT_CASES), pattern
+
+
+# -- reference arithmetic: polynomial convolution, kept to check the matrix model --
+
+
+def _ref_mul(p, modulus, a, b):
+    """a * b in F_p[x]/(f) by convolution, reduced with the rows x^(n+k) mod f."""
+    n = len(modulus) - 1
+    red_rows = [[(-c) % p for c in modulus[:n]]]
+    for _ in range(n - 2):
+        prev = red_rows[-1]
+        red_rows.append([(s + prev[-1] * r) % p for s, r in zip([0] + prev[:-1], red_rows[0])])
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = (conv[i + j] + x * y) % p
+    out = conv[:n]
+    for k in range(n, 2 * n - 1):
+        out = [(o + conv[k] * r) % p for o, r in zip(out, red_rows[k - n])]
+    return tuple(out)
+
+
+def _ref_pow(p, modulus, a, e):
+    n = len(modulus) - 1
+    result, base = (1,) + (0,) * (n - 1), a
+    while e:
+        if e & 1:
+            result = _ref_mul(p, modulus, result, base)
+        base = _ref_mul(p, modulus, base, base)
+        e >>= 1
+    return result
+
+
+def _ref_gcd(p, a, b):
+    """Monic-free Euclid on coefficient lists (low degree first) over F_p."""
+    def deg(v):
+        d = len(v) - 1
+        while d >= 0 and v[d] == 0:
+            d -= 1
+        return d
+
+    a, b = [c % p for c in a], [c % p for c in b]
+    while deg(b) >= 0:
+        da, db = deg(a), deg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        c = (a[da] * pow(b[db], p - 2, p)) % p
+        for i in range(db + 1):
+            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
+        if deg(a) < deg(b):
+            a, b = b, a
+    return a
+
+
+def _ref_irreducible(p, coeffs, n):
+    """x^(p^n) = x mod f, and gcd(x^(p^(n/q)) - x, f) = 1 for each prime q | n."""
+    if n == 1:
+        return True
+    modulus = tuple(coeffs) + (1,)
+    x = (0, 1) + (0,) * (n - 2)
+    if _ref_pow(p, modulus, x, p ** n) != x:
+        return False
+    for q in (d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))):
+        diff = [(a - b) % p for a, b in zip(_ref_pow(p, modulus, x, p ** (n // q)), x)]
+        g = _ref_gcd(p, list(modulus), diff)
+        if any(g[1:]) or not any(g):
+            return False
+    return True
+
+
+def test_irreducible_matches_polynomial_reference():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for coeffs in itertools.product(range(p), repeat=n):
+                coeffs = coeffs[::-1]
+                assert model_mod._irreducible(p, coeffs, n) == _ref_irreducible(p, coeffs, n), \
+                    (p, coeffs)
+
+
+def test_mul_and_kpow_match_convolution_reference():
+    rng = np.random.default_rng(2017)
+    for p, n in ((11, 2), (11, 4), (13, 6), (29, 7), (59, 8)):
+        model = make_extension(p, n)
+        for _ in range(20):
+            a, b = (tuple(int(v) for v in rng.integers(0, p, n)) for _ in range(2))
+            assert model.mul(a, b) == _ref_mul(p, model.modulus, a, b)
+            e = int(rng.integers(0, p ** n))
+            assert model.kpow(a, e) == _ref_pow(p, model.modulus, a, e)
+
+
+def test_make_extension_picks_the_least_irreducible_modulus():
+    for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for n in range(1, 9):
+            least = next(coeffs for k in range(p ** n)
+                         if _ref_irreducible(p, coeffs := tuple((k // p ** i) % p
+                                                                for i in range(n)), n))
+            assert make_extension(p, n).modulus == least + (1,), (p, n)

@@ -225,6 +225,26 @@ def test_cli_output_pinned(tmp_path, argv, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+# sha256 of `model_report(p, n, all four checks, "md").render()`, pinned before the
+# model moved to one matrix arithmetic. The rows name no p, so p = 11 and p = 13
+# give the same table; both are run because their moduli and fields differ.
+MODEL_REPORT_MD_SHA256 = {
+    2: "5913c0ad4d9c63c79210bdad88d085089e9a77c98ccdfffbc0b15fa253b80b23",
+    3: "135a91acc42d0d8c3b2047f81e9e42ab8f78fb07d46803764cf5764f77b2909f",
+    4: "1663e05e7ecb27b3cfc728491a758185e75e5fb018c8378e1e0ba13b35469ea3",
+    6: "b1ebc7e79a09db0d291ec7542ba842add7b8c61cd374dd579e66c018b3869e10",
+    7: "541760765f9884da810cf4093b5d92da3ac964888b7bc8df5a444f041506a72e",
+    8: "86625796b2d02810ab0675028302042f385768e8dd45a43eabca388e9784ace5",
+}
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("n", sorted(MODEL_REPORT_MD_SHA256))
+def test_model_report_md_pinned(p, n):
+    text = model_report(p, n, ("fix", "rank", "exact", "fixedsum"), "md").render()
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_REPORT_MD_SHA256[n]
+
+
 def test_python_m_hgw_runs_the_cli():
     result = subprocess.run([sys.executable, "-m", "hgw", "verify", "--fixture", "paper24"],
                             capture_output=True, timeout=300)
