@@ -42,7 +42,6 @@ from .groups import (
 from .model import (
     ExtensionModel,
     FixedRing,
-    HopfElement,
     act,
     embed_k,
     exact_sequence_check,
@@ -62,7 +61,6 @@ __all__ = [
     "FixedRing",
     "GroupClassLabel",
     "HgsRecord",
-    "HopfElement",
     "PermGroup",
     "Permutation",
     "PsiResult",

@@ -14,13 +14,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     r = 0
     pivots: list[int] = []
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
             continue
+        pivot_row = r + int(nonzero[0])
         if pivot_row != r:
             a[[r, pivot_row]] = a[[pivot_row, r]]
         a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
@@ -49,10 +46,8 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     red, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-red[i, fc]) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
     return basis
 
 

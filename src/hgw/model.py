@@ -9,7 +9,10 @@ sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
 is frobenius_matrices[j]. A stack of elements goes through one einsum or matmul,
 and every int64 sum of products stays below (n + 1)(p - 1)^2.
 A support group V (N, P or the block image of N) is its sorted uint8 image
-rows, as the enumeration and the correspondence hold them.
+rows, as the enumeration and the correspondence hold them. An element
+sum_v c_v . v of K[V] is its (|V|, n) coefficient array, and a fixed ring is
+one (dimension, |V|, n) array of basis coefficients: it is built once per
+support and every check reads the whole stack.
 """
 
 from __future__ import annotations
@@ -163,24 +166,7 @@ def make_extension(p: int, n: int) -> ExtensionModel:
     raise GroupSpecError("no irreducible modulus found")  # pragma: no cover
 
 
-# -- Hopf elements and fixed rings -------------------------------------------
-
-
-@dataclass(frozen=True)
-class HopfElement:
-    """h = sum over the support group of c_v . v, coefficients in K."""
-
-    model: ExtensionModel
-    coeffs: tuple[KElem, ...]  # aligned with the support's rows
-
-    def augmentation(self) -> KElem:
-        return _k(np.sum(self.coeffs, axis=0), self.model.p)
-
-    def counit_scalar(self) -> int:
-        eps = self.augmentation()
-        if any(eps[1:]):
-            raise TheoremViolation("augmentation of a fixed-ring element is not in F_p")
-        return eps[0]
+# -- fixed rings ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -189,17 +175,19 @@ class FixedRing:
 
     model: ExtensionModel
     rows: np.ndarray  # the support V, sorted
-    basis: tuple[HopfElement, ...]
+    basis: np.ndarray  # int64 (dimension, |V|, n): basis[a, v] is c_v of element a
     constraint_matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coeff_array(self) -> np.ndarray:
-        """The basis coefficients over F_p, shape (dimension, |V|, n)."""
-        return np.array([h.coeffs for h in self.basis], dtype=np.int64).reshape(
-            self.dimension, len(self.rows), self.model.n)
+    def counits(self) -> np.ndarray:
+        """The augmentation sum_v c_v of every basis element, as F_p scalars."""
+        eps = self.basis.sum(axis=1) % self.model.p
+        if np.any(eps[:, 1:]):
+            raise TheoremViolation("augmentation of a fixed-ring element is not in F_p")
+        return eps[:, 0]
 
     def contains(self, vectors: np.ndarray) -> bool:
         """Whether every row of ``vectors`` (flat coefficients over F_p) lies in the ring."""
@@ -243,9 +231,7 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     if solutions.shape[0] != size:
         raise TheoremViolation(
             f"fixed ring dimension {solutions.shape[0]} != |V| = {size}")
-    basis = tuple(HopfElement(model, tuple(map(tuple, vec)))
-                  for vec in solutions.reshape(size, size, n).tolist())
-    return FixedRing(model, support_rows, basis, constraints)
+    return FixedRing(model, support_rows, solutions.reshape(size, size, n), constraints)
 
 
 def embed_k(model: ExtensionModel, x: KElem) -> tuple[KElem, ...]:
@@ -253,33 +239,35 @@ def embed_k(model: ExtensionModel, x: KElem) -> tuple[KElem, ...]:
     return tuple(model.apply(j, x) for j in range(model.group.order))
 
 
-def act(h: HopfElement, x: KElem, ring: FixedRing) -> KElem:
-    """Action of h on x, computed two ways and cross-asserted.
+def act(ring: FixedRing, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Action of each h in ``coeffs`` (H, |V|, n) on each x in ``xs`` (X, n), cross-asserted.
 
+    Returns the (H, X, n) stack of h(x), computed two ways:
     (a) push embed(x) through the basis action v(e_g) = e_{v(g)}, check the
     result is again an embedded element, read the identity component;
-    (b) the closed formula sum_v c_v . (v^-1(0))(x), as act_matrix(h) @ x.
+    (b) the closed formula sum_v c_v . (v^-1(0))(x), as act_matrix(ring, h) @ x.
     """
     model = ring.model
     p, frob = model.p, model.frobenius_matrices
-    x = np.asarray(x, dtype=np.int64)
-    embedded = frob @ x % p  # row g: g(x)
-    components = np.zeros_like(embedded)
-    np.add.at(components, ring.rows,
-              np.einsum("vij,gj->vgi", model.mult_matrix(h.coeffs), embedded) % p)
+    xs = np.asarray(xs, dtype=np.int64)
+    embedded = np.einsum("gij,xj->xgi", frob, xs) % p  # [x, g]: g(x)
+    terms = np.einsum("hvij,xgj->vghxi", model.mult_matrix(coeffs), embedded) % p
+    components = np.zeros((len(frob),) + terms.shape[2:], dtype=np.int64)
+    np.add.at(components, ring.rows, terms)  # component g of h(embed(x))
     components %= p
     y_slice = components[0]
-    if np.any(frob @ y_slice % p != components):
+    if np.any(np.einsum("gij,hxj->ghxi", frob, y_slice) % p != components):
         raise TheoremViolation("action did not land in the embedded copy of K")
-    if np.any(act_matrix(model, h, ring.rows) @ x % p != y_slice):
+    if np.any(np.einsum("hij,xj->hxi", act_matrix(ring, coeffs), xs) % p != y_slice):
         raise TheoremViolation("slice action and closed formula disagree")
-    return _k(y_slice, p)
+    return y_slice
 
 
-def act_matrix(model: ExtensionModel, h: HopfElement, support_rows: np.ndarray) -> np.ndarray:
-    """Matrix of x -> act(h, x) over F_p: sum_v Mult(c_v) . Frob^{v^-1(0)}."""
-    frob = model.frobenius_matrices[np.argmin(support_rows, axis=1)]  # v^-1(0)
-    return (model.mult_matrix(h.coeffs) @ frob % model.p).sum(axis=0) % model.p
+def act_matrix(ring: FixedRing, coeffs: np.ndarray) -> np.ndarray:
+    """Matrices of x -> act(h, x) over F_p, one per h: sum_v Mult(c_v) . Frob^{v^-1(0)}."""
+    model = ring.model
+    frob = model.frobenius_matrices[np.argmin(ring.rows, axis=1)]  # v^-1(0)
+    return (model.mult_matrix(coeffs) @ frob % model.p).sum(axis=-3) % model.p
 
 
 @dataclass(frozen=True)
@@ -302,24 +290,18 @@ def fixed_subfield_of_group(model: ExtensionModel, points: Sequence[int]) -> np.
     return fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
 
 
-def fixed_subfield_of_group(model: ExtensionModel, points: Sequence[int]) -> np.ndarray:
-    """K^J for a set of group elements J: joint fixed space of their matrices."""
-    n, p = model.n, model.p
-    stacked = model.frobenius_matrices[list(points)] - np.eye(n, dtype=np.int64)
-    return fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
-
-
-def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
+def fixed_field(ring: FixedRing) -> FixedFieldResult:
     """Solution space of act(h_i, x) = eps(h_i) x over the basis of H_P.
 
     Asserts: dimension |G|/|P|, multiplicative closure, and exact equality
     with K^J for J the identity orbit of P.
     """
+    model = ring.model
     n, p = model.n, model.p
     p_rows = ring.rows
     eye = np.eye(n, dtype=np.int64)
-    systems = [act_matrix(model, h, p_rows) - h.counit_scalar() * eye for h in ring.basis]
-    space = fplin.rref(fplin.nullspace(np.vstack(systems) % p, p), p)[0]
+    systems = act_matrix(ring, ring.basis) - ring.counits()[:, None, None] * eye
+    space = fplin.rref(fplin.nullspace(systems.reshape(-1, n) % p, p), p)[0]
     expected_dim = model.group.order // len(p_rows)
     if space.shape[0] != expected_dim:
         raise TheoremViolation(
@@ -334,10 +316,11 @@ def fixed_field(model: ExtensionModel, ring: FixedRing) -> FixedFieldResult:
     return FixedFieldResult(model, space, j_points)
 
 
-def hopf_galois_rank(model: ExtensionModel, ring: FixedRing) -> bool:
+def hopf_galois_rank(ring: FixedRing) -> bool:
     """True iff x (tensor) h -> x . act(h, -) spans all of End_k(K)."""
+    model = ring.model
     n, p = model.n, model.p
-    actions = np.array([act_matrix(model, h, ring.rows) for h in ring.basis])
+    actions = act_matrix(ring, ring.basis)
     flat = np.einsum("iab,hbc->hiac", model.x_powers, actions).reshape(-1, n * n) % p
     return fplin.rank(flat, p) == n * n
 
@@ -362,20 +345,19 @@ def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
 # -- short exact sequence -------------------------------------------------------
 
 
-def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
-                         p_rows: np.ndarray) -> dict:
+def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     """Verify 1 -> H_P -> H_N -> H_{N/P} -> 1 by exact linear algebra.
 
+    Reads the rings H_N and H_P as given and builds only H_{N/P}.
     Checks: (i) H_P embeds in H_N; (ii) the coset projection maps H_N onto
     H_{N/P}; (iii) its kernel has dimension |N| - [N:P]; (iv) the kernel
     equals H_N . H_P^+; (v) dim H_P = |P| and dim H_{N/P} = [N:P].
     Raises TheoremViolation on any failure.
     """
+    model = h_n.model
     nfld, p = model.n, model.p
-    group = model.group
-    h_n = fixed_ring_basis(model, n_rows)
-    h_p = fixed_ring_basis(model, p_rows)
-    hn_coeffs, hp_coeffs = h_n.coeff_array(), h_p.coeff_array()
+    n_rows, p_rows = h_n.rows, h_p.rows
+    hn_coeffs, hp_coeffs = h_n.basis, h_p.basis
 
     # (i) zero-extend H_P coefficients to N's support and check membership
     n_index = _row_index(n_rows)
@@ -390,7 +372,7 @@ def exact_sequence_check(model: ExtensionModel, n_rows: np.ndarray,
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
     j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
-    actions = block_actions(n_rows, SubgroupHandle(group, j_points))
+    actions = block_actions(n_rows, SubgroupHandle(model.group, j_points))
     nbar, nbar_index = np.unique(actions.nbar_of, axis=0, return_inverse=True)
     m = actions.space.block_count
     if len(nbar) != size_n // len(p_rows):

@@ -9,6 +9,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import catalog_group, catalog_names
 from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable_subgroups
 from .enumeration import HgsRecord, enumerate_hgs
@@ -195,41 +197,37 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
     from . import model as m
 
     ext = m.make_extension(p, n)
-    records = enumerate_hgs(ext.group)
+    records = enumerate_hgs(ext.group) if {"fix", "rank", "exact"} & set(checks) else []
     rows: list[dict] = []
 
     def row(check: str, target: str, detail: str):
         rows.append({"check": check, "target": target, "status": "pass", "detail": detail})
 
-    samples = [ext.one] + [
-        tuple(1 if i == k else 0 for i in range(n)) for k in range(1, n)
-    ] + [tuple((3 * i + 1) % p for i in range(n))]
+    samples = np.vstack([np.eye(n, dtype=np.int64), (3 * np.arange(n) + 1) % p])
     for record in records:
         name = f"N~{record.n_class.name}#{record.provenance[1]}"
-        stables = stable_subgroups(record)
-        if "fix" in checks or "rank" in checks:
-            ring = m.fixed_ring_basis(ext, record.rows)
+        # H_N once per record, H_P once per stable P that a check reads
+        h_n = m.fixed_ring_basis(ext, record.rows)
+        stables = [s for s in stable_subgroups(record)
+                   if "fix" in checks or ("exact" in checks and s.normal_in_n)]
+        h_ps = [m.fixed_ring_basis(ext, stable.rows) for stable in stables]
         if "fix" in checks:
-            acts = 0
-            for h in ring.basis:
-                for x in samples:
-                    m.act(h, x, ring)  # asserts slice action == closed formula
-                    acts += 1
-            row("fix", name, f"dim H_N = {ring.dimension} = |N|; act agreement x{acts}")
-            for stable in stables:
-                p_ring = m.fixed_ring_basis(ext, stable.rows)
-                result = m.fixed_field(ext, p_ring)
+            m.act(h_n, h_n.basis, samples)  # asserts slice action == closed formula
+            acts = h_n.dimension * len(samples)
+            row("fix", name, f"dim H_N = {h_n.dimension} = |N|; act agreement x{acts}")
+            for stable, h_p in zip(stables, h_ps):
+                result = m.fixed_field(h_p)
                 row("fix", f"{name}, |P|={stable.order}",
                     f"K^(H_P) = K^J, dim {result.dimension}")
         if "rank" in checks:
-            if not m.hopf_galois_rank(ext, ring):
+            if not m.hopf_galois_rank(h_n):
                 raise TheoremViolation("rank check failed")  # pragma: no cover
             row("rank", name, f"K#H -> End_k(K) bijective (rank {n * n})")
         if "exact" in checks:
-            for stable in stables:
+            for stable, h_p in zip(stables, h_ps):
                 if not stable.normal_in_n:
                     continue
-                info = m.exact_sequence_check(ext, record.rows, stable.rows)
+                info = m.exact_sequence_check(h_n, h_p)
                 row("exact", f"{name}, |P|={stable.order}",
                     f"kernel dim {info['kernel_dim']} = |N| - [N:P]; "
                     f"H_N.H_P+ span {info['product_span']}")

@@ -16,7 +16,6 @@ from hgw.model import (
     ExtensionModel,
     FixedRing,
     FixedFieldResult,
-    HopfElement,
     act,
     embed_k,
     exact_sequence_check,
@@ -99,9 +98,9 @@ def test_fixed_ring_of_rho_is_group_ring(model_11_6):
     ring = fixed_ring_basis(model, _rows(rho))
     assert ring.dimension == 6
     # lambda acts trivially by conjugation on rho(G), so coefficients are Frobenius-fixed
-    for h in ring.basis:
-        for c in h.coeffs:
-            assert model.apply(1, c) == c  # c in k
+    assert ring.basis.shape == (6, 6, 6)
+    for c in ring.basis.reshape(-1, 6):
+        assert model.apply(1, c) == tuple(c)  # c in k
 
 
 def test_act_identities(model_11_6):
@@ -110,15 +109,15 @@ def test_act_identities(model_11_6):
     ring = fixed_ring_basis(model, _rows(rho))
     x = (4, 9, 0, 3, 0, 1)
     # h = 1 . id acts as the identity
-    ident_idx = rho.elements.index(Permutation.identity(6))
-    coeffs = [model.zero] * 6
-    coeffs[ident_idx] = model.one
-    h_id = HopfElement(model, tuple(coeffs))
-    assert act(h_id, x, ring) == x
+    h_id = np.zeros((6, 6), dtype=np.int64)
+    h_id[rho.elements.index(Permutation.identity(6))] = model.one
     # h = sum over rho(G) of 1 . rho(g) acts on k-elements as |N| .
-    h_sum = HopfElement(model, tuple(model.one for _ in range(6)))
+    h_sum = np.array([model.one] * 6)
     lam_fixed = (7, 0, 0, 0, 0, 0)
-    assert act(h_sum, lam_fixed, ring) == model.smul(6, lam_fixed)
+    y = act(ring, np.array([h_id, h_sum]), np.array([x, lam_fixed]))
+    assert y.shape == (2, 2, 6)
+    assert tuple(y[0, 0]) == x
+    assert tuple(y[1, 1]) == model.smul(6, lam_fixed)
 
 
 def test_act_matches_classical_action(model_11_6):
@@ -126,15 +125,15 @@ def test_act_matches_classical_action(model_11_6):
     rho = right_regular(model.group)
     ring = fixed_ring_basis(model, _rows(rho))
     x = (4, 9, 0, 3, 0, 1)
+    coeffs = np.zeros((6, 6, 6), dtype=np.int64)
     for g in range(6):
         # 1 . rho(g) acts as the automorphism g
         target = Permutation(tuple(model.group.table[y][model.group.inverse_table[g]]
                                    for y in range(6)))
-        idx = rho.elements.index(target)
-        coeffs = [model.zero] * 6
-        coeffs[idx] = model.one
-        h = HopfElement(model, tuple(coeffs))
-        assert act(h, x, ring) == model.apply(g, x)
+        coeffs[g, rho.elements.index(target)] = model.one
+    y = act(ring, coeffs, np.array([x]))
+    for g in range(6):
+        assert tuple(y[g, 0]) == model.apply(g, x)
 
 
 def test_act_e_basis_elements_are_multiplicative(model_11_6):
@@ -160,9 +159,9 @@ def test_fixed_field_trivial_and_full(model_11_6):
     records = enumerate_hgs(model.group)
     record = records[0]
     stables = {s.order: s for s in stable_subgroups(record)}
-    triv = fixed_field(model, fixed_ring_basis(model, stables[1].rows))
+    triv = fixed_field(fixed_ring_basis(model, stables[1].rows))
     assert triv.dimension == 6  # F = K
-    full = fixed_field(model, fixed_ring_basis(model, stables[6].rows))
+    full = fixed_field(fixed_ring_basis(model, stables[6].rows))
     assert full.dimension == 1  # F = k
 
 
@@ -170,7 +169,7 @@ def test_fixed_field_index_two(model_11_6):
     model = model_11_6
     record = enumerate_hgs(model.group)[0]
     stable = next(s for s in stable_subgroups(record) if s.order == 2)
-    result = fixed_field(model, fixed_ring_basis(model, stable.rows))
+    result = fixed_field(fixed_ring_basis(model, stable.rows))
     assert result.dimension == 3  # the subfield F_{p^3}
     assert set(result.j_points) <= set(range(6)) and len(result.j_points) == 2
     # cross-check against the fixed space of the cube of Frobenius
@@ -182,11 +181,11 @@ def test_rank_true_for_structures_false_for_proper_subring(model_11_4):
     model = model_11_4
     for record in enumerate_hgs(model.group):
         ring = fixed_ring_basis(model, record.rows)
-        assert hopf_galois_rank(model, ring)
+        assert hopf_galois_rank(ring)
         for stable in stable_subgroups(record):
             if 1 < stable.order < 4:
                 sub_ring = fixed_ring_basis(model, stable.rows)
-                assert not hopf_galois_rank(model, sub_ring)
+                assert not hopf_galois_rank(sub_ring)
 
 
 def test_fixedsum_hypothesis_and_conclusion(model_11_6):
@@ -218,19 +217,21 @@ def test_exact_sequence_degenerate_cases(model_11_6):
     model = model_11_6
     record = enumerate_hgs(model.group)[0]
     stables = {s.order: s for s in stable_subgroups(record)}
-    info = exact_sequence_check(model, record.rows, stables[1].rows)
+    h_n = fixed_ring_basis(model, record.rows)
+    info = exact_sequence_check(h_n, fixed_ring_basis(model, stables[1].rows))
     assert info["kernel_dim"] == 0 and info["dim_h_quot"] == 6
-    info = exact_sequence_check(model, record.rows, stables[6].rows)
+    info = exact_sequence_check(h_n, fixed_ring_basis(model, stables[6].rows))
     assert info["kernel_dim"] == 5 and info["dim_h_quot"] == 1
 
 
 def test_exact_sequence_all_pairs_n4(model_11_4):
     model = model_11_4
     for record in enumerate_hgs(model.group):
+        h_n = fixed_ring_basis(model, record.rows)
         for stable in stable_subgroups(record):
             if not stable.normal_in_n:
                 continue
-            info = exact_sequence_check(model, record.rows, stable.rows)
+            info = exact_sequence_check(h_n, fixed_ring_basis(model, stable.rows))
             assert info["dim_h_p"] == stable.order
             assert info["kernel_dim"] == 4 - info["dim_h_quot"]
 
@@ -256,21 +257,31 @@ def _one_stable(model, order, normal=True):
     raise LookupError(order)  # pragma: no cover
 
 
+def _exact_rings():
+    """H_N and H_P in F_{11^4} for a record N and a normal stable P of order 2."""
+    model = make_extension(11, 4)
+    record, stable = _one_stable(model, 2)
+    return fixed_ring_basis(model, record.rows), fixed_ring_basis(model, stable.rows)
+
+
 def _tamper_ring(monkeypatch, which, **changes):
-    """Make exact_sequence_check see H_N, H_P or H_{N/P} with some fields replaced."""
-    original = model_mod.fixed_ring_basis
-    order = ("N", "P", "quotient")
-    seen = []
+    """H_N and H_P as in _exact_rings, with fields of H_N, H_P or H_{N/P} replaced.
 
-    def patched(*args, **kwargs):
-        ring = original(*args, **kwargs)
-        seen.append(ring)
-        if order[len(seen) - 1] == which:
-            fields = {k: (v(ring) if callable(v) else v) for k, v in changes.items()}
-            return dataclasses.replace(ring, **fields)
-        return ring
+    exact_sequence_check takes H_N and H_P as arguments, so those are altered
+    directly; it builds H_{N/P} itself, which is altered by patching
+    fixed_ring_basis.
+    """
+    def tamper(ring):
+        return dataclasses.replace(ring, **{k: v(ring) for k, v in changes.items()})
 
-    monkeypatch.setattr(model_mod, "fixed_ring_basis", patched)
+    rings = dict(zip("NP", _exact_rings()))
+    if which == "quotient":
+        original = model_mod.fixed_ring_basis
+        monkeypatch.setattr(model_mod, "fixed_ring_basis",
+                            lambda *args, **kwargs: tamper(original(*args, **kwargs)))
+    else:
+        rings[which] = tamper(rings[which])
+    return rings["N"], rings["P"]
 
 
 def _shift_products(monkeypatch, shift):
@@ -289,7 +300,9 @@ def _case_frobenius_order_below_n(monkeypatch):
 
 def _case_augmentation_not_in_k(monkeypatch):
     model = make_extension(11, 2)
-    HopfElement(model, ((0, 1),)).counit_scalar()
+    ring = FixedRing(model, np.array([[0, 1]], dtype=np.uint8), np.array([[[0, 1]]]),
+                     np.zeros((0, 2)))
+    ring.counits()
 
 
 def _case_support_not_normalized(monkeypatch):
@@ -313,10 +326,9 @@ def _case_act_outside_embedded_k(monkeypatch):
     ring = fixed_ring_basis(model, _rows(rho))
     x = (0, 1, 0, 0, 0, 0)
     # x . id is not in the fixed ring (x is not Frobenius-fixed)
-    ident_idx = rho.elements.index(Permutation.identity(6))
-    coeffs = [model.zero] * 6
-    coeffs[ident_idx] = x
-    act(HopfElement(model, tuple(coeffs)), x, ring)
+    coeffs = np.zeros((1, 6, 6), dtype=np.int64)
+    coeffs[0, rho.elements.index(Permutation.identity(6))] = x
+    act(ring, coeffs, np.array([x]))
 
 
 def _case_act_slice_and_formula(monkeypatch):
@@ -325,16 +337,17 @@ def _case_act_slice_and_formula(monkeypatch):
     model = make_extension(11, 2)
     a = (0, 1)
     x = tuple((u - v) % model.p for u, v in zip(a, model.apply(1, a)))
-    ring = FixedRing(model, np.array([[0, 0]], dtype=np.uint8), (), np.zeros((0, 2)))
-    act(HopfElement(model, (model.one,)), x, ring)
+    ring = FixedRing(model, np.array([[0, 0]], dtype=np.uint8), np.zeros((0, 1, 2), dtype=np.int64),
+                     np.zeros((0, 2)))
+    act(ring, np.array([[model.one]]), np.array([x]))
 
 
 def _case_fixed_field_dimension(monkeypatch):
     model = make_extension(11, 4)
     _, stable = _one_stable(model, 2)
     # 1 . id alone fixes all of K, not a subfield of index |P|
-    h = HopfElement(model, (model.one, model.zero))
-    fixed_field(model, FixedRing(model, stable.rows, (h,), np.zeros((0, 8))))
+    h = np.array([model.one, model.zero])
+    fixed_field(FixedRing(model, stable.rows, h[None], np.zeros((0, 8))))
 
 
 def _case_fixed_field_not_closed(monkeypatch):
@@ -343,7 +356,7 @@ def _case_fixed_field_not_closed(monkeypatch):
     ring = fixed_ring_basis(model, stable.rows)
     # span(1, x) has the right dimension 2 but x^2 is outside it
     monkeypatch.setattr(fplin, "nullspace", lambda mat, p: np.eye(4, dtype=np.int64)[:2])
-    fixed_field(model, ring)
+    fixed_field(ring)
 
 
 def _case_fixed_field_not_k_j(monkeypatch):
@@ -352,25 +365,21 @@ def _case_fixed_field_not_k_j(monkeypatch):
     ring = fixed_ring_basis(model, stable.rows)
     monkeypatch.setattr(model_mod, "fixed_subfield_of_group",
                         lambda model, points: np.eye(model.n, dtype=np.int64)[:1])
-    fixed_field(model, ring)
+    fixed_field(ring)
 
 
 def _case_p_not_in_n(monkeypatch):
     model = make_extension(11, 4)
     first, second = enumerate_hgs(model.group)[:2]
-    exact_sequence_check(model, first.rows, second.rows)
+    exact_sequence_check(fixed_ring_basis(model, first.rows), fixed_ring_basis(model, second.rows))
 
 
 def _case_h_p_not_in_h_n(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    _tamper_ring(monkeypatch, "N", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix))
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_tamper_ring(
+        monkeypatch, "N", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix)))
 
 
 def _case_block_image_order(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
     original = model_mod.block_actions
 
     def collapsed(n_rows, j_handle):
@@ -378,61 +387,45 @@ def _case_block_image_order(monkeypatch):
         return dataclasses.replace(actions, nbar_of=np.repeat(actions.nbar_of[:1], len(n_rows), 0))
 
     monkeypatch.setattr(model_mod, "block_actions", collapsed)
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_exact_rings())
 
 
 def _case_projection_leaves_quotient(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    _tamper_ring(monkeypatch, "quotient",
-                 constraint_matrix=lambda r: np.ones_like(r.constraint_matrix))
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_tamper_ring(
+        monkeypatch, "quotient", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix)))
 
 
 def _case_projection_rank(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    _tamper_ring(monkeypatch, "N", basis=lambda r: r.basis[:1] * len(r.basis))
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_tamper_ring(
+        monkeypatch, "N", basis=lambda r: np.repeat(r.basis[:1], len(r.basis), axis=0)))
 
 
 def _case_kernel_dimension(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    _tamper_ring(monkeypatch, "N", basis=lambda r: r.basis + r.basis[:1])
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_tamper_ring(
+        monkeypatch, "N", basis=lambda r: np.concatenate([r.basis, r.basis[:1]])))
 
 
 def _case_augmentation_ideal(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    zero = HopfElement(model, (model.zero,) * stable.order)
-    _tamper_ring(monkeypatch, "P", basis=lambda r: (zero,) * len(r.basis))
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_tamper_ring(monkeypatch, "P", basis=lambda r: np.zeros_like(r.basis)))
 
 
 def _case_product_left_h_n(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
     _shift_products(monkeypatch, lambda products: products + 1)
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_exact_rings())
 
 
 def _case_product_not_in_kernel(monkeypatch):
     # adding the unit 1 . id of H_N keeps each product in H_N but not in the kernel
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
-    unit = np.zeros(len(record.rows) * model.n, dtype=np.int64)
+    h_n, h_p = _exact_rings()
+    unit = np.zeros(len(h_n.rows) * h_n.model.n, dtype=np.int64)
     unit[0] = 1  # row 0 of the sorted rows is the identity
     _shift_products(monkeypatch, lambda products: products + unit)
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(h_n, h_p)
 
 
 def _case_product_span(monkeypatch):
-    model = make_extension(11, 4)
-    record, stable = _one_stable(model, 2)
     _shift_products(monkeypatch, lambda products: 0 * products)
-    exact_sequence_check(model, record.rows, stable.rows)
+    exact_sequence_check(*_exact_rings())
 
 
 CONTRACT_CASES = {
@@ -572,3 +565,63 @@ def test_make_extension_picks_the_least_irreducible_modulus():
                          if _ref_irreducible(p, coeffs := tuple((k // p ** i) % p
                                                                 for i in range(n)), n))
             assert make_extension(p, n).modulus == least + (1,), (p, n)
+
+
+# -- reference linear algebra: the per-entry loops, kept to check fplin's array forms --
+
+
+def _ref_rref(mat, p):
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if a[i, c] % p:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[[r, pivot_row]] = a[[pivot_row, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+def _ref_nullspace(mat, p):
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    red, pivots = _ref_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-red[i, fc]) % p
+    return basis
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_rref_and_nullspace_match_loop_reference(p):
+    rng = np.random.default_rng(p)
+    for _ in range(300):
+        rows, cols, rank = (int(v) for v in rng.integers(0, 9, 3))
+        # a product of random factors has rank at most min(rows, cols, rank)
+        mat = rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))
+        if rng.random() < 0.3:
+            mat = mat - rng.integers(0, p, mat.shape) * (rng.random(mat.shape) < 0.2)
+        red, pivots = fplin.rref(mat, p)
+        ref_red, ref_pivots = _ref_rref(mat, p)
+        assert pivots == ref_pivots and np.array_equal(red, ref_red), (p, mat)
+        ns = fplin.nullspace(mat, p)
+        assert ns.dtype == np.int64 and np.array_equal(ns, _ref_nullspace(mat, p)), (p, mat)

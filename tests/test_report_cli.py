@@ -274,3 +274,33 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
     doc = model_report(11, 4)
     assert census.rows and doc.rows
     assert built == []
+
+
+def test_model_report_builds_each_ring_once(monkeypatch):
+    # H_N once per record, H_P once per stable P, H_{N/P} once per normal pair
+    import hgw.model as model_mod
+    from hgw.correspond import stable_subgroups
+    from hgw.enumeration import enumerate_hgs
+
+    calls = []
+    original = model_mod.fixed_ring_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", counted)
+    model_report(11, 8)
+    records = enumerate_hgs(model_mod.make_extension(11, 8).group)
+    stables = [s for record in records for s in stable_subgroups(record)]
+    normal_pairs = sum(s.normal_in_n for s in stables)
+    assert len(calls) == len(records) + len(stables) + normal_pairs == 54
+
+
+@pytest.mark.parametrize("check", ["fix", "rank", "exact", "fixedsum"])
+def test_single_check_report_renders_its_rows_of_the_full_report(check):
+    full = model_report(11, 6)
+    rows = [row for row in full.rows if row["check"] == check]
+    single = model_report(11, 6, (check,))
+    assert rows and single.rows == rows
+    assert single.render() == TableDocument(full.kind, rows, full.format, full.header).render()
