@@ -43,7 +43,6 @@ from .model import (
     ExtensionModel,
     FixedRing,
     act,
-    embed_k,
     exact_sequence_check,
     fixed_field,
     fixed_ring_basis,
@@ -75,7 +74,6 @@ __all__ = [
     "correspondence_rows",
     "coset_space",
     "direct_enumerate_oracle",
-    "embed_k",
     "enumerate_hgs",
     "exact_sequence_check",
     "fixed_field",

@@ -1,18 +1,17 @@
 """Named catalog of isomorphism types and class labeling.
 
-The catalog covers, by name, every order the census and fixtures touch:
-{1,2,3,4,6,7,8,12,14,21,24,42}. Other orders fall back to a fingerprint label
-``order<k>#<digest>``, disambiguated by pairwise isomorphism testing within a
-process.
+The catalog covers, by name, every isomorphism type of each order the census
+and fixtures touch: {1,2,3,4,6,7,8,12,14,21,24,42}. Classifying a group of any
+other order raises UncoveredOrder.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .dsl import build_group
+from .errors import TheoremViolation, UncoveredOrder
 from .groups import FiniteGroup, PermGroup, as_finite_group, is_isomorphic
 
 # Order 42 entries are listed in the column order of the degree-42 census.
@@ -118,16 +117,15 @@ def _catalog_fingerprint(name: str) -> tuple:
     return fingerprint(catalog_group(name))
 
 
-# fingerprint-collision registry for fallback labels: fingerprint -> representatives
-_fallback_registry: dict[tuple, list[tuple[FiniteGroup, str]]] = {}
-
-
 def iso_class(group) -> GroupClassLabel:
     """Classify a FiniteGroup or PermGroup against the named catalog."""
     if isinstance(group, PermGroup):
         group = as_finite_group(group)
+    names = catalog_names(group.order)
+    if not names:
+        raise UncoveredOrder(f"catalog does not cover order {group.order}")
     fp = fingerprint(group)
-    candidates = [n for n in catalog_names(group.order) if _catalog_fingerprint(n) == fp]
+    candidates = [n for n in names if _catalog_fingerprint(n) == fp]
     if len(candidates) == 1:
         # the catalog is complete at its orders, so a unique fingerprint match
         # already pins the class
@@ -135,15 +133,4 @@ def iso_class(group) -> GroupClassLabel:
     for name in candidates:
         if is_isomorphic(group, catalog_group(name)):
             return GroupClassLabel(name, group.order)
-    return _fallback_label(group, fp)
-
-
-def _fallback_label(group: FiniteGroup, fp: tuple) -> GroupClassLabel:
-    digest = hashlib.sha256(repr(fp).encode()).hexdigest()[:8]
-    reps = _fallback_registry.setdefault(fp, [])
-    for rep, name in reps:
-        if is_isomorphic(group, rep):
-            return GroupClassLabel(name, group.order)
-    name = f"order{group.order}#{digest}" + (f".{len(reps) + 1}" if reps else "")
-    reps.append((group, name))
-    return GroupClassLabel(name, group.order)
+    raise TheoremViolation(f"no catalog class of order {group.order} matches {group!r}")

@@ -117,18 +117,14 @@ class HgsRecord:
 
 
 def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
-    """``lambda_conj`` of N's rows; None unless lambda(G) normalizes N.
-
-    The conjugate sends 0 to g * a(g^-1), which fixes it in the regular N;
-    every full conjugate row is then compared with the row it was given.
-    """
+    """``lambda_conj`` of N's rows; None unless lambda(G) normalizes N."""
     index = np.arange(len(rows))
     lam = np.array(group.table, dtype=np.uint8)  # row g: x -> g x
     lam_inv = lam[list(group.inverse_table)]  # row g: x -> g^-1 x
     # conjugates[g, a, x] = g * a(g^-1 x)
     conjugates = lam[index[:, None, None], rows[index[None, :, None], lam_inv[:, None, :]]]
-    conj = _base_index(rows)[conjugates[:, :, 0]].astype(np.uint8)
-    return conj if np.array_equal(rows[conj], conjugates) else None
+    conj = row_indices(rows, conjugates)
+    return None if conj is None else conj.astype(np.uint8)
 
 
 # -- holomorph machinery ------------------------------------------------------
@@ -189,10 +185,21 @@ def _cycle_length_at_0(row: bytes) -> int:
 
 
 def _base_index(rows: np.ndarray) -> np.ndarray:
-    """Entry x is the index of the row that sends 0 to x."""
-    pos = np.empty(len(rows), dtype=np.intp)
+    """Entry x is the index of the row that sends 0 to x (0 where no row does)."""
+    pos = np.zeros(rows.shape[1], dtype=np.intp)
     pos[rows[:, 0]] = np.arange(len(rows))
     return pos
+
+
+def row_indices(rows: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """Index in ``rows`` of each row of the stack ``targets``; None if one is missing.
+
+    ``rows`` must be semiregular: no two of them send 0 to the same point. A
+    target is found by its image of 0 and then compared in full, so no
+    returned index is wrong.
+    """
+    found = _base_index(rows)[targets[..., 0]]
+    return found if np.array_equal(rows[found], targets) else None
 
 
 def regular_table(rows: np.ndarray) -> np.ndarray:

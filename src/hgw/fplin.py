@@ -32,18 +32,16 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(mat: np.ndarray, p: int) -> int:
+    """Rank of the rows of ``mat``; a stack of arrays counts each array as one row."""
     if np.size(mat) == 0:
         return 0
-    return rref(mat, p)[0].shape[0]
+    return rref(np.reshape(mat, (len(mat), -1)) if np.ndim(mat) > 2 else mat, p)[0].shape[0]
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : mat @ x = 0 mod p}, as rows; shape (dim, cols)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape if a.ndim == 2 else (0, a.shape[0])
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = rref(a, p)
+    red, pivots = rref(mat, p)
+    cols = red.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[range(len(free)), free] = 1

@@ -1,8 +1,9 @@
 """Explicit finite-field model: K = F_{p^n} over k = F_p, with cyclic Galois group.
 
 All descent statements are checked by exact linear algebra over F_p: fixed
-rings (K[V])^{lambda(G)} as nullspaces, actions as matrices, fixed fields as
-solution spaces, and the induced short exact sequence by ranks and spans.
+rings (K[V])^{lambda(G)} by Galois descent on the orbits of conjugation,
+actions as matrices, fixed fields as solution spaces, and the induced short
+exact sequence by ranks and spans.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
 sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
@@ -25,10 +26,9 @@ import numpy as np
 from . import fplin
 from .correspond import block_actions
 from .dsl import build_group
+from .enumeration import row_indices
 from .errors import GroupSpecError, TheoremViolation
 from .groups import SubgroupHandle
-
-KElem = tuple[int, ...]
 
 
 def _is_prime(p: int) -> bool:
@@ -40,11 +40,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _k(vec, p: int) -> KElem:
-    """An F_p vector as a field element: a tuple of ints in [0, p)."""
-    return tuple((np.asarray(vec) % p).tolist())
 
 
 def _matpow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -85,29 +80,6 @@ class ExtensionModel:
         self.x_powers, frobenius = _field_matrices(p, modulus)
         self.group = build_group(f"C{n}")  # index j acts as Frobenius^j
         self.frobenius_matrices = self._frobenius_powers(frobenius)
-
-    # -- field arithmetic --
-
-    @property
-    def zero(self) -> KElem:
-        return (0,) * self.n
-
-    @property
-    def one(self) -> KElem:
-        return (1,) + (0,) * (self.n - 1)
-
-    def mul(self, a: KElem, b: KElem) -> KElem:
-        return _k(self.mult_matrix(a) @ np.asarray(b, dtype=np.int64), self.p)
-
-    def smul(self, c: int, a: KElem) -> KElem:
-        return tuple((c * x) % self.p for x in a)
-
-    def kpow(self, a: KElem, e: int) -> KElem:
-        return _k(_matpow(self.mult_matrix(a), e, self.p)[:, 0], self.p)
-
-    def apply(self, j: int, a: KElem) -> KElem:
-        """Apply the Galois group element j (= Frobenius^j)."""
-        return _k(self.frobenius_matrices[j] @ np.asarray(a, dtype=np.int64), self.p)
 
     def mult_matrix(self, c) -> np.ndarray:
         """Matrix of y -> c*y (columns are c * x^i); a stack of elements gives a stack."""
@@ -150,15 +122,18 @@ def _irreducible(p: int, coeffs: tuple[int, ...], n: int) -> bool:
 
 
 def make_extension(p: int, n: int) -> ExtensionModel:
-    """F_{p^n}/F_p with the lexicographically least monic irreducible modulus."""
-    if not _is_prime(p):
-        raise GroupSpecError(f"{p} is not prime")
+    """F_{p^n}/F_p with the lexicographically least monic irreducible modulus.
+
+    The cheap guards run first, so a p too large for int64 is never trial-divided.
+    """
     if not 1 <= n <= 8:
         raise GroupSpecError("extension degree must be between 1 and 8")
     if p <= n:
         raise GroupSpecError("need p > n so that power-sum arguments apply")
     if (n + 1) * (p - 1) ** 2 >= 2 ** 63:  # see the module docstring
         raise GroupSpecError(f"p = {p} is too large for exact int64 arithmetic at n = {n}")
+    if not _is_prime(p):
+        raise GroupSpecError(f"{p} is not prime")
     for k in range(p ** n):
         coeffs = tuple((k // p ** i) % p for i in range(n))
         if _irreducible(p, coeffs, n):
@@ -171,12 +146,18 @@ def make_extension(p: int, n: int) -> ExtensionModel:
 
 @dataclass(frozen=True)
 class FixedRing:
-    """(K[V])^{lambda(G)}: basis of coefficient solutions for a support group V."""
+    """(K[V])^{lambda(G)} for a support group V, as a basis of coefficient arrays.
+
+    G is cyclic, so an element lies in the ring iff gamma(c_v) = c_{gamma v gamma^-1}
+    for the generator gamma: ``frobenius`` is gamma's matrix on K, and
+    ``conj[v]`` is the index of gamma v gamma^-1 in the support.
+    """
 
     model: ExtensionModel
     rows: np.ndarray  # the support V, sorted
     basis: np.ndarray  # int64 (dimension, |V|, n): basis[a, v] is c_v of element a
-    constraint_matrix: np.ndarray = field(repr=False, compare=False)
+    frobenius: np.ndarray = field(repr=False, compare=False)
+    conj: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -189,54 +170,57 @@ class FixedRing:
             raise TheoremViolation("augmentation of a fixed-ring element is not in F_p")
         return eps[:, 0]
 
-    def contains(self, vectors: np.ndarray) -> bool:
-        """Whether every row of ``vectors`` (flat coefficients over F_p) lies in the ring."""
-        return bool(np.all((self.constraint_matrix @ vectors.T) % self.model.p == 0))
-
-
-def _row_index(rows: np.ndarray) -> dict[bytes, int]:
-    return {row.tobytes(): i for i, row in enumerate(rows)}
-
-
-def _conjugation_index(support_rows: np.ndarray, gamma: np.ndarray) -> list[int]:
-    """Entry i is the index of gamma v_i gamma^-1 among the support rows."""
-    index = _row_index(support_rows)
-    conj = gamma[support_rows[:, np.argsort(gamma)]]
-    out = [index.get(row.tobytes()) for row in conj]
-    if None in out:
-        raise TheoremViolation("conjugator does not normalize the support group")
-    return out
+    def contains(self, coeffs: np.ndarray) -> bool:
+        """Whether every (|V|, n) coefficient array of the stack ``coeffs`` lies in the ring."""
+        moved = np.einsum("ij,kvj->kvi", self.frobenius, coeffs) - coeffs[:, self.conj]
+        return not np.any(moved % self.model.p)
 
 
 def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
                      gbar_rows: np.ndarray | None = None) -> FixedRing:
-    """Solve gamma(c_v) = c_{gamma v gamma^-1} for the generator gamma of G.
+    """(K[V])^{lambda(G)} by Galois descent on the orbits of conjugation by gamma.
 
+    gamma generates G. On an orbit v, gamma v gamma^-1, .. of length l the
+    fixed elements are exactly c_{gamma^i v gamma^-i} = gamma^i(b) for b in
+    K^<gamma^l>, so each orbit adds gamma^i applied to a basis of that subfield.
     ``gbar_rows`` gives the action of each G element on the support domain
     (the left-regular action by default; block images for quotient supports).
-    Asserts dim_k = |V|.
+    Asserts dim_k = |V| and that the basis is fixed.
     """
-    n, p = model.n, model.p
     group = model.group
     if gbar_rows is None:
         gbar_rows = np.array(group.table, dtype=np.uint8)
     size = len(support_rows)
     gen = next(j for j in range(group.order) if group.element_order(j) == group.order)
-    conj = _conjugation_index(support_rows, gbar_rows[gen])
-    # block row v: Frobenius on c_v minus the identity on c_{gamma v gamma^-1}
-    eye_v = np.eye(size, dtype=np.int64)
-    constraints = (np.kron(eye_v, model.frobenius_matrices[gen])
-                   - np.kron(eye_v[conj], np.eye(n, dtype=np.int64))) % p
-    solutions = fplin.nullspace(constraints, p)
-    if solutions.shape[0] != size:
-        raise TheoremViolation(
-            f"fixed ring dimension {solutions.shape[0]} != |V| = {size}")
-    return FixedRing(model, support_rows, solutions.reshape(size, size, n), constraints)
-
-
-def embed_k(model: ExtensionModel, x: KElem) -> tuple[KElem, ...]:
-    """The vector (g(x)) over g in G; the image of K inside Map(G, K)."""
-    return tuple(model.apply(j, x) for j in range(model.group.order))
+    gamma = gbar_rows[gen]
+    conj = row_indices(support_rows, gamma[support_rows[:, np.argsort(gamma)]])
+    if conj is None:
+        raise TheoremViolation("conjugator does not normalize the support group")
+    powers = [0]  # powers[i] is gamma^i as an index of G
+    for _ in range(size):
+        powers.append(group.table[powers[-1]][gen])
+    blocks = []
+    seen = np.zeros(size, dtype=bool)
+    for start in range(size):
+        orbit, v = [], start
+        while not seen[v]:
+            seen[v] = True
+            orbit.append(v)
+            v = conj[v]
+        if not orbit:
+            continue
+        sub = fixed_subfield_of_group(model, [powers[len(orbit)]])
+        block = np.zeros((len(sub), size, model.n), dtype=np.int64)
+        frob = model.frobenius_matrices[powers[:len(orbit)]]
+        block[:, orbit] = np.einsum("lij,dj->dli", frob, sub) % model.p
+        blocks.append(block)
+    basis = np.concatenate(blocks)
+    if len(basis) != size:
+        raise TheoremViolation(f"fixed ring dimension {len(basis)} != |V| = {size}")
+    ring = FixedRing(model, support_rows, basis, model.frobenius_matrices[gen], conj)
+    if not ring.contains(basis):
+        raise TheoremViolation("fixed ring basis is not lambda(G)-invariant")
+    return ring
 
 
 def act(ring: FixedRing, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -360,14 +344,16 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     hn_coeffs, hp_coeffs = h_n.basis, h_p.basis
 
     # (i) zero-extend H_P coefficients to N's support and check membership
-    n_index = _row_index(n_rows)
     size_n = len(n_rows)
-    p_in_n = [n_index.get(q.tobytes()) for q in p_rows]
-    if None in p_in_n:
+    p_in_n = row_indices(n_rows, p_rows)
+    if p_in_n is None:
         raise TheoremViolation("P is not contained in N")
+    vq_index = row_indices(n_rows, n_rows[:, p_rows])  # [v, q]: the index of v o q in N
+    if vq_index is None:
+        raise TheoremViolation("a product v o q of N and P is not in N")
     extended = np.zeros((h_p.dimension, size_n, nfld), dtype=np.int64)
     extended[:, p_in_n] = hp_coeffs
-    if not h_n.contains(extended.reshape(h_p.dimension, -1)):
+    if not h_n.contains(extended):
         raise TheoremViolation("H_P does not embed into H_N")
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
@@ -380,9 +366,12 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     h_quot = fixed_ring_basis(model, nbar, gbar_rows=actions.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
-    onehot = np.eye(m, dtype=np.int64)[:, nbar_index.reshape(-1)]  # block of each v
-    proj = np.kron(onehot, np.eye(nfld, dtype=np.int64))
-    images = hn_coeffs.reshape(h_n.dimension, -1) @ proj.T % p
+    onehot = np.eye(m, dtype=np.int64)[nbar_index.reshape(-1)]  # [v, b]: v lies over b
+
+    def project(coeffs):
+        return np.einsum("vb,kvi->kbi", onehot, coeffs) % p
+
+    images = project(hn_coeffs)
     if not h_quot.contains(images):
         raise TheoremViolation("projection of H_N leaves H_{N/P}")
     image_rank = fplin.rank(images, p)
@@ -399,12 +388,10 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     if plus_coords.shape[0] != h_p.dimension - 1:
         raise TheoremViolation("augmentation ideal of H_P has wrong dimension")
     hp_plus = np.tensordot(plus_coords, hp_coeffs, 1) % p
-    # vq_index[v, q] is the index of v o q in N
-    vq_index = np.array([[n_index[row.tobytes()] for row in vq] for vq in n_rows[:, p_rows]])
     products = _group_ring_product(model, hn_coeffs, hp_plus, vq_index)
     if not h_n.contains(products):
         raise TheoremViolation("a product H_N . H_P^+ left H_N")
-    if np.any(products @ proj.T % p):
+    if np.any(project(products)):
         raise TheoremViolation("a product H_N . H_P^+ is not in the kernel")
     span_rank = fplin.rank(products, p)
     if span_rank != kernel_dim:
@@ -423,13 +410,13 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
 
 def _group_ring_product(model: ExtensionModel, left: np.ndarray, right: np.ndarray,
                         vq_index: np.ndarray) -> np.ndarray:
-    """Every product (sum c_v v)(sum d_q q) in K[N], left[a] times right[b], flattened.
+    """Every product (sum c_v v)(sum d_q q) in K[N], left[a] times right[b].
 
-    ``left`` and ``right`` are coefficient arrays (count, support, n); row
-    a * len(right) + b of the result is the product over F_p coordinates.
+    ``left`` and ``right`` are coefficient arrays (count, support, n); entry
+    a * len(right) + b of the result is the product's (|N|, n) array.
     """
     p, nfld = model.p, model.n
     terms = np.einsum("avij,bqj->vqabi", model.mult_matrix(left), right) % p
     out = np.zeros((len(vq_index), len(left), len(right), nfld), dtype=np.int64)
     np.add.at(out, vq_index, terms)
-    return out.transpose(1, 2, 0, 3).reshape(len(left) * len(right), len(vq_index) * nfld) % p
+    return out.transpose(1, 2, 0, 3).reshape(len(left) * len(right), len(vq_index), nfld) % p

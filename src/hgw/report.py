@@ -92,14 +92,13 @@ class GroupCensus:
     rows: list[CorrespondenceRow]
 
 
-_CENSUS_CACHE: dict[tuple[str, bool], GroupCensus] = {}
+_CENSUS_CACHE: dict[str, GroupCensus] = {}
 
 
-def group_census(g_name: str, verify: bool = True) -> GroupCensus:
-    """Enumerate, classify, and aggregate for one catalog group (cached)."""
-    cache_key = (g_name, verify)
-    if cache_key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[cache_key]
+def group_census(g_name: str) -> GroupCensus:
+    """Enumerate, classify, and aggregate for one catalog group, fully verified (cached)."""
+    if g_name in _CENSUS_CACHE:
+        return _CENSUS_CACHE[g_name]
     group = catalog_group(g_name)
     records = enumerate_hgs(group)
     class_counts = Counter(r.n_class.name for r in records)
@@ -111,9 +110,9 @@ def group_census(g_name: str, verify: bool = True) -> GroupCensus:
         stables[record.key] = stab
         if psi_onto(record, stab, all_subgroup_sets):
             onto[record.n_class.name] += 1
-    rows = correspondence_rows(group, records, verify=verify, stables_by_record=stables)
+    rows = correspondence_rows(group, records, stables_by_record=stables)
     census = GroupCensus(g_name, group, records, dict(class_counts), dict(onto), rows)
-    _CENSUS_CACHE[cache_key] = census
+    _CENSUS_CACHE[g_name] = census
     return census
 
 

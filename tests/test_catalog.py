@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+from hgw import catalog
 from hgw.catalog import (
     CATALOG,
     catalog_groups,
@@ -8,6 +11,7 @@ from hgw.catalog import (
     iso_class,
 )
 from hgw.dsl import build_group
+from hgw.errors import TheoremViolation, UncoveredOrder
 from hgw.groups import is_isomorphic, left_regular
 
 
@@ -52,16 +56,16 @@ def test_fingerprint_separates_catalog_at_each_order():
             assert iso_class(group).name == name
 
 
-def test_fallback_label_for_uncataloged_order():
-    c5 = build_group("C5")
-    label = iso_class(c5)
-    assert label.name.startswith("order5#")
-    assert label.order == 5
-    # stable within a process, and equal for isomorphic groups
-    assert iso_class(build_group("C5")).name == label.name
-    c10 = build_group("C10")
-    d5 = build_group("D5")
-    assert iso_class(c10).name != iso_class(d5).name
+def test_iso_class_outside_the_catalog_raises(monkeypatch):
+    # an uncovered order is a usage error, with the message the CLI and the benchmark read
+    for spec in ("C5", "C10", "D5"):
+        order = build_group(spec).order
+        with pytest.raises(UncoveredOrder, match=f"^catalog does not cover order {order}$"):
+            iso_class(build_group(spec))
+    # a covered order where no entry matches means the catalog is incomplete
+    monkeypatch.setitem(catalog.CATALOG, 6, (("C6", "C6"),))
+    with pytest.raises(TheoremViolation, match="no catalog class of order 6 matches"):
+        iso_class(build_group("D3"))
 
 
 def test_fingerprint_components():

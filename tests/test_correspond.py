@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hgw.correspond as correspond
-from hgw.catalog import catalog_group, catalog_names, iso_class
+from hgw.catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from hgw.correspond import (
     StableSubgroup,
     correspondence_rows,
@@ -327,7 +327,8 @@ def test_given_n_of_the_wrong_class_is_a_theorem_violation():
 
 def test_given_n_of_an_uncovered_order_is_a_usage_error():
     n_group = left_regular(build_group("C5"))
-    record = HgsRecord.from_perm_group(build_group("C5"), n_group, iso_class(n_group), ("test", 0))
+    record = HgsRecord.from_perm_group(build_group("C5"), n_group, GroupClassLabel("C5", 5),
+                                       ("test", 0))
     with pytest.raises(UncoveredOrder, match="catalog does not cover order 5"):
         stable_subgroups(record)
 

@@ -8,6 +8,7 @@ import pytest
 
 from hgw import fplin
 from hgw import model as model_mod
+from hgw.catalog import catalog_names
 from hgw.correspond import stable_subgroups
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import GroupSpecError, TheoremViolation
@@ -17,7 +18,6 @@ from hgw.model import (
     FixedRing,
     FixedFieldResult,
     act,
-    embed_k,
     exact_sequence_check,
     fixed_field,
     fixed_ring_basis,
@@ -27,6 +27,7 @@ from hgw.model import (
     make_extension,
 )
 from hgw.perm import Permutation
+from hgw.report import model_report
 
 
 def _rows(perm_group):
@@ -42,6 +43,15 @@ def test_fplin_basics():
     assert not np.any((mat @ ns[0]) % p)
     assert fplin.row_spaces_equal(np.array([[1, 0], [0, 1]]),
                                   np.array([[3, 5], [7, 2]]), p)
+
+
+def test_nullspace_rejects_a_1d_array_as_rref_does():
+    # a 1-D array is no system of equations; (0, cols) is the empty system
+    for solve in (fplin.rref, fplin.nullspace):
+        with pytest.raises(ValueError, match="2-D"):
+            solve(np.array([1, 2]), 11)
+    assert np.array_equal(fplin.nullspace(np.zeros((0, 3), dtype=np.int64), 11),
+                          np.eye(3, dtype=np.int64))
 
 
 def test_make_extension_validation():
@@ -61,7 +71,18 @@ def test_make_extension_rejects_p_beyond_int64_arithmetic():
     model = make_extension(10 ** 9 + 7, 2)
     assert model.modulus == (1, 0, 1)  # -1 is not a square mod 10^9 + 7
     x = (3, 10 ** 9)
-    assert model.mul(x, x) == _ref_mul(model.p, model.modulus, x, x)
+    assert tuple(model.mult_matrix(x) @ x % model.p) == _ref_mul(model.p, model.modulus, x, x)
+
+
+def test_make_extension_checks_the_int64_bound_before_primality(monkeypatch):
+    # 2^61 - 1 is prime, and trial division up to its square root would run for minutes
+    calls = []
+    monkeypatch.setattr(model_mod, "_is_prime", lambda p: calls.append(p) or True)
+    with pytest.raises(GroupSpecError, match="too large for exact int64 arithmetic"):
+        make_extension(2 ** 61 - 1, 2)
+    with pytest.raises(GroupSpecError, match="extension degree"):
+        make_extension(2 ** 61 - 1, 9)
+    assert calls == []
 
 
 def test_frobenius_order(model_11_6):
@@ -70,7 +91,7 @@ def test_frobenius_order(model_11_6):
     assert np.array_equal(mats[0], np.eye(6, dtype=np.int64))
     # Frobenius really is x -> x^p
     x = (0, 1, 0, 0, 0, 0)
-    assert model_11_6.apply(1, x) == model_11_6.kpow(x, 11)
+    assert tuple(mats[1] @ x % 11) == _ref_pow(11, model_11_6.modulus, x, 11)
 
 
 def test_fixed_space_of_full_group_is_prime_field(model_11_6):
@@ -79,17 +100,21 @@ def test_fixed_space_of_full_group_is_prime_field(model_11_6):
     assert tuple(base[0]) == (1, 0, 0, 0, 0, 0)
 
 
-def test_embed_k(model_11_6):
+def test_frobenius_powers_embed_k_into_map_g_k(model_11_6):
+    # x -> (g(x))_g is a ring map K -> Map(G, K) whose identity component is x
     model = model_11_6
-    assert embed_k(model, model.zero) == tuple(model.zero for _ in range(6))
-    assert embed_k(model, model.one) == tuple(model.one for _ in range(6))
-    xs = [(0, 1, 0, 0, 0, 0), (3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)]
-    for a in xs:
-        for b in xs:
-            ea, eb = embed_k(model, a), embed_k(model, b)
-            eab = embed_k(model, model.mul(a, b))
-            assert all(model.mul(u, v) == w for u, v, w in zip(ea, eb, eab))
-        assert embed_k(model, a)[0] == a  # identity component is x itself
+    p, frob = model.p, model.frobenius_matrices
+    assert np.array_equal(frob[:, :, 0], np.tile(np.eye(6, dtype=np.int64)[0], (6, 1)))
+    xs = np.array([(0, 1, 0, 0, 0, 0), (3, 1, 4, 1, 5, 9), (2, 7, 1, 8, 2, 8)])
+    embedded = frob @ xs.T % p  # [g, :, x] = g(x)
+    assert np.array_equal(embedded[0], xs.T)
+    for a in range(len(xs)):
+        for b in range(len(xs)):
+            ab = model.mult_matrix(xs[a]) @ xs[b] % p
+            assert tuple(ab) == _ref_mul(p, model.modulus, xs[a], xs[b])
+            products = np.einsum("gij,gj->gi", model.mult_matrix(embedded[:, :, a]),
+                                 embedded[:, :, b]) % p
+            assert np.array_equal(products, frob @ ab % p)
 
 
 def test_fixed_ring_of_rho_is_group_ring(model_11_6):
@@ -100,7 +125,7 @@ def test_fixed_ring_of_rho_is_group_ring(model_11_6):
     # lambda acts trivially by conjugation on rho(G), so coefficients are Frobenius-fixed
     assert ring.basis.shape == (6, 6, 6)
     for c in ring.basis.reshape(-1, 6):
-        assert model.apply(1, c) == tuple(c)  # c in k
+        assert np.array_equal(model.frobenius_matrices[1] @ c % model.p, c)  # c in k
 
 
 def test_act_identities(model_11_6):
@@ -108,16 +133,17 @@ def test_act_identities(model_11_6):
     rho = right_regular(model.group)
     ring = fixed_ring_basis(model, _rows(rho))
     x = (4, 9, 0, 3, 0, 1)
+    one = np.eye(6, dtype=np.int64)[0]
     # h = 1 . id acts as the identity
     h_id = np.zeros((6, 6), dtype=np.int64)
-    h_id[rho.elements.index(Permutation.identity(6))] = model.one
+    h_id[rho.elements.index(Permutation.identity(6))] = one
     # h = sum over rho(G) of 1 . rho(g) acts on k-elements as |N| .
-    h_sum = np.array([model.one] * 6)
-    lam_fixed = (7, 0, 0, 0, 0, 0)
+    h_sum = np.tile(one, (6, 1))
+    lam_fixed = np.array([7, 0, 0, 0, 0, 0])
     y = act(ring, np.array([h_id, h_sum]), np.array([x, lam_fixed]))
     assert y.shape == (2, 2, 6)
     assert tuple(y[0, 0]) == x
-    assert tuple(y[1, 1]) == model.smul(6, lam_fixed)
+    assert np.array_equal(y[1, 1], 6 * lam_fixed % model.p)
 
 
 def test_act_matches_classical_action(model_11_6):
@@ -130,28 +156,27 @@ def test_act_matches_classical_action(model_11_6):
         # 1 . rho(g) acts as the automorphism g
         target = Permutation(tuple(model.group.table[y][model.group.inverse_table[g]]
                                    for y in range(6)))
-        coeffs[g, rho.elements.index(target)] = model.one
+        coeffs[g, rho.elements.index(target), 0] = 1
     y = act(ring, coeffs, np.array([x]))
-    for g in range(6):
-        assert tuple(y[g, 0]) == model.apply(g, x)
+    assert np.array_equal(y[:, 0], model.frobenius_matrices @ x % model.p)
 
 
 def test_act_e_basis_elements_are_multiplicative(model_11_6):
     # in the Map(G, K) model each support element permutes the orthogonal
     # idempotent basis, hence acts multiplicatively componentwise
     model = model_11_6
+    p, frob = model.p, model.frobenius_matrices
     rho = right_regular(model.group)
     xs = [(0, 1, 0, 0, 0, 0), (3, 1, 4, 1, 5, 9)]
     for x in xs:
         for y in xs:
-            ex, ey = embed_k(model, x), embed_k(model, y)
-            exy = embed_k(model, model.mul(x, y))
+            ex, ey = frob @ x % p, frob @ y % p  # row g is g(x)
+            exy = frob @ (model.mult_matrix(x) @ y) % p
             for perm in rho.elements:
-                permuted_prod = tuple(exy[perm.inverse()(t)] for t in range(6))
-                prod_of_permuted = tuple(
-                    model.mul(ex[perm.inverse()(t)], ey[perm.inverse()(t)])
-                    for t in range(6))
-                assert permuted_prod == prod_of_permuted
+                moved = np.array(perm.inverse().images)
+                prod_of_permuted = np.einsum("gij,gj->gi", model.mult_matrix(ex[moved]),
+                                             ey[moved]) % p
+                assert np.array_equal(exy[moved], prod_of_permuted)
 
 
 def test_fixed_field_trivial_and_full(model_11_6):
@@ -284,6 +309,11 @@ def _tamper_ring(monkeypatch, which, **changes):
     return rings["N"], rings["P"]
 
 
+def _bare_ring(model, rows, basis):
+    """A FixedRing with the given fields, gamma = id and no conjugation, built without checks."""
+    return FixedRing(model, rows, basis, np.eye(model.n, dtype=np.int64), np.arange(len(rows)))
+
+
 def _shift_products(monkeypatch, shift):
     original = model_mod._group_ring_product
     monkeypatch.setattr(model_mod, "_group_ring_product",
@@ -300,8 +330,7 @@ def _case_frobenius_order_below_n(monkeypatch):
 
 def _case_augmentation_not_in_k(monkeypatch):
     model = make_extension(11, 2)
-    ring = FixedRing(model, np.array([[0, 1]], dtype=np.uint8), np.array([[[0, 1]]]),
-                     np.zeros((0, 2)))
+    ring = _bare_ring(model, np.array([[0, 1]], dtype=np.uint8), np.array([[[0, 1]]]))
     ring.counits()
 
 
@@ -320,6 +349,15 @@ def _case_fixed_ring_dimension(monkeypatch):
     fixed_ring_basis(model, transpositions, gbar_rows=gbar)
 
 
+def _case_fixed_ring_not_invariant(monkeypatch):
+    # rho(G) commutes with lambda(G), so every orbit has length 1 and takes its
+    # coefficients from K^G = F_p; x in place of 1 keeps the dimension but is not fixed
+    model = make_extension(11, 2)
+    monkeypatch.setattr(model_mod, "fixed_subfield_of_group",
+                        lambda model, points: np.eye(model.n, dtype=np.int64)[1:])
+    fixed_ring_basis(model, _rows(right_regular(model.group)))
+
+
 def _case_act_outside_embedded_k(monkeypatch):
     model = make_extension(11, 6)
     rho = right_regular(model.group)
@@ -335,19 +373,18 @@ def _case_act_slice_and_formula(monkeypatch):
     # a support "row" [0, 0] sends both points to 0: the slice sums c(x + Frob(x)),
     # which is 0 for x of trace 0, while the closed formula reads c x
     model = make_extension(11, 2)
-    a = (0, 1)
-    x = tuple((u - v) % model.p for u, v in zip(a, model.apply(1, a)))
-    ring = FixedRing(model, np.array([[0, 0]], dtype=np.uint8), np.zeros((0, 1, 2), dtype=np.int64),
-                     np.zeros((0, 2)))
-    act(ring, np.array([[model.one]]), np.array([x]))
+    a = np.array([0, 1])
+    x = (a - model.frobenius_matrices[1] @ a) % model.p
+    ring = _bare_ring(model, np.array([[0, 0]], dtype=np.uint8), np.zeros((0, 1, 2), dtype=np.int64))
+    act(ring, np.array([[[1, 0]]]), np.array([x]))
 
 
 def _case_fixed_field_dimension(monkeypatch):
     model = make_extension(11, 4)
     _, stable = _one_stable(model, 2)
     # 1 . id alone fixes all of K, not a subfield of index |P|
-    h = np.array([model.one, model.zero])
-    fixed_field(FixedRing(model, stable.rows, h[None], np.zeros((0, 8))))
+    h = np.array([[1, 0, 0, 0], [0, 0, 0, 0]])
+    fixed_field(_bare_ring(model, stable.rows, h[None]))
 
 
 def _case_fixed_field_not_closed(monkeypatch):
@@ -374,9 +411,19 @@ def _case_p_not_in_n(monkeypatch):
     exact_sequence_check(fixed_ring_basis(model, first.rows), fixed_ring_basis(model, second.rows))
 
 
+def _case_product_v_q_not_in_n(monkeypatch):
+    # swap two images of a row of N outside P: P still lies in N, but N is no group
+    h_n, h_p = _exact_rings()
+    rows = h_n.rows.copy()
+    outside = next(i for i, row in enumerate(rows) if not (row == h_p.rows).all(axis=1).any())
+    rows[outside, [1, 2]] = rows[outside, [2, 1]]
+    exact_sequence_check(dataclasses.replace(h_n, rows=rows), h_p)
+
+
 def _case_h_p_not_in_h_n(monkeypatch):
+    # with gamma's matrix zero, only elements with every coefficient zero are fixed
     exact_sequence_check(*_tamper_ring(
-        monkeypatch, "N", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix)))
+        monkeypatch, "N", frobenius=lambda r: np.zeros_like(r.frobenius)))
 
 
 def _case_block_image_order(monkeypatch):
@@ -392,7 +439,7 @@ def _case_block_image_order(monkeypatch):
 
 def _case_projection_leaves_quotient(monkeypatch):
     exact_sequence_check(*_tamper_ring(
-        monkeypatch, "quotient", constraint_matrix=lambda r: np.ones_like(r.constraint_matrix)))
+        monkeypatch, "quotient", frobenius=lambda r: np.zeros_like(r.frobenius)))
 
 
 def _case_projection_rank(monkeypatch):
@@ -417,8 +464,8 @@ def _case_product_left_h_n(monkeypatch):
 def _case_product_not_in_kernel(monkeypatch):
     # adding the unit 1 . id of H_N keeps each product in H_N but not in the kernel
     h_n, h_p = _exact_rings()
-    unit = np.zeros(len(h_n.rows) * h_n.model.n, dtype=np.int64)
-    unit[0] = 1  # row 0 of the sorted rows is the identity
+    unit = np.zeros((len(h_n.rows), h_n.model.n), dtype=np.int64)
+    unit[0, 0] = 1  # row 0 of the sorted rows is the identity
     _shift_products(monkeypatch, lambda products: products + unit)
     exact_sequence_check(h_n, h_p)
 
@@ -434,12 +481,14 @@ CONTRACT_CASES = {
     "augmentation of a fixed-ring element is not in F_p": _case_augmentation_not_in_k,
     "conjugator does not normalize the support group": _case_support_not_normalized,
     "fixed ring dimension 1 != |V| = 3": _case_fixed_ring_dimension,
+    "fixed ring basis is not lambda(G)-invariant": _case_fixed_ring_not_invariant,
     "action did not land in the embedded copy of K": _case_act_outside_embedded_k,
     "slice action and closed formula disagree": _case_act_slice_and_formula,
     "fixed field dimension 4 != [G:P] = 2": _case_fixed_field_dimension,
     "fixed field is not multiplicatively closed": _case_fixed_field_not_closed,
     "K^{H_P} differs from K^J for J = Psi(P)": _case_fixed_field_not_k_j,
     "P is not contained in N": _case_p_not_in_n,
+    "a product v o q of N and P is not in N": _case_product_v_q_not_in_n,
     "H_P does not embed into H_N": _case_h_p_not_in_h_n,
     "block image of N does not have order [N:P]": _case_block_image_order,
     "projection of H_N leaves H_{N/P}": _case_projection_leaves_quotient,
@@ -547,15 +596,18 @@ def test_irreducible_matches_polynomial_reference():
                     (p, coeffs)
 
 
-def test_mul_and_kpow_match_convolution_reference():
+def test_mult_and_frobenius_matrices_match_convolution_reference():
     rng = np.random.default_rng(2017)
     for p, n in ((11, 2), (11, 4), (13, 6), (29, 7), (59, 8)):
         model = make_extension(p, n)
         for _ in range(20):
             a, b = (tuple(int(v) for v in rng.integers(0, p, n)) for _ in range(2))
-            assert model.mul(a, b) == _ref_mul(p, model.modulus, a, b)
+            assert tuple(model.mult_matrix(a) @ b % p) == _ref_mul(p, model.modulus, a, b)
             e = int(rng.integers(0, p ** n))
-            assert model.kpow(a, e) == _ref_pow(p, model.modulus, a, e)
+            power = model_mod._matpow(model.mult_matrix(a), e, p)[:, 0]
+            assert tuple(power) == _ref_pow(p, model.modulus, a, e)
+            j = int(rng.integers(0, n))
+            assert tuple(model.frobenius_matrices[j] @ a % p) == _ref_pow(p, model.modulus, a, p ** j)
 
 
 def test_make_extension_picks_the_least_irreducible_modulus():
@@ -565,6 +617,45 @@ def test_make_extension_picks_the_least_irreducible_modulus():
                          if _ref_irreducible(p, coeffs := tuple((k // p ** i) % p
                                                                 for i in range(n)), n))
             assert make_extension(p, n).modulus == least + (1,), (p, n)
+
+
+# -- reference fixed rings: one Kronecker system, kept to check the orbit descent --
+
+
+def _ref_fixed_ring(model, support_rows, gbar_rows=None):
+    """Solve gamma(c_v) = c_{gamma v gamma^-1} as one |V|n x |V|n nullspace over F_p."""
+    n, p, group = model.n, model.p, model.group
+    if gbar_rows is None:
+        gbar_rows = np.array(group.table, dtype=np.uint8)
+    size = len(support_rows)
+    gen = next(j for j in range(group.order) if group.element_order(j) == group.order)
+    gamma = gbar_rows[gen]
+    index = {row.tobytes(): i for i, row in enumerate(support_rows)}
+    conj = [index[row.tobytes()] for row in gamma[support_rows[:, np.argsort(gamma)]]]
+    eye_v = np.eye(size, dtype=np.int64)
+    constraints = (np.kron(eye_v, model.frobenius_matrices[gen])
+                   - np.kron(eye_v[conj], np.eye(n, dtype=np.int64))) % p
+    return fplin.nullspace(constraints, p)
+
+
+@pytest.mark.parametrize("p, n", [(11, n) for n in range(1, 9) if catalog_names(n)]
+                         + [(13, 6), (13, 8)])
+def test_fixed_ring_basis_matches_nullspace_reference(monkeypatch, p, n):
+    # every ring model_report builds: H_N, each stable H_P and each quotient H_{N/P}
+    built = []
+    original = model_mod.fixed_ring_basis
+
+    def recorded(model, support_rows, gbar_rows=None):
+        ring = original(model, support_rows, gbar_rows)
+        built.append((ring, gbar_rows))
+        return ring
+
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", recorded)
+    model_report(p, n)
+    assert any(gbar is not None for _, gbar in built)
+    for ring, gbar in built:
+        reference = _ref_fixed_ring(ring.model, ring.rows, gbar)
+        assert fplin.row_spaces_equal(ring.basis.reshape(len(ring.basis), -1), reference, p)
 
 
 # -- reference linear algebra: the per-entry loops, kept to check fplin's array forms --

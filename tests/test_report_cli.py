@@ -259,7 +259,7 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
     from hgw.perm import PermGroup
 
     monkeypatch.setattr(report, "_CENSUS_CACHE", {})
-    report.group_census("D21", verify=True)
+    report.group_census("D21")
     model_report(11, 4)
     built = []
     real_init = PermGroup.__init__
@@ -270,7 +270,7 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "__init__", counted_init)
     monkeypatch.setattr(report, "_CENSUS_CACHE", {})
-    census = report.group_census("D21", verify=True)
+    census = report.group_census("D21")
     doc = model_report(11, 4)
     assert census.rows and doc.rows
     assert built == []
