@@ -6,12 +6,17 @@ isomorphism beta: G -> V, transports to one regular subgroup N <= Perm(G)
 normalized by lambda(G), via conjugation by the base-point bijection
 b(g) = beta(g)(0).
 
-Only the regular subgroups of G's class are classified, lazily and once per
-Hol(M) and class: a subgroup whose element-order spectrum differs from G's is
-skipped before its Cayley table is built. Aut(G) is computed once per
-``enumerate_hgs`` call; each V then needs one isomorphism beta0: G -> V, and
-its embeddings are the maps beta0 o alpha for alpha in Aut(G), numbered in
-sorted order, which is the order ``all_isomorphisms(G, V)`` would list them in.
+The regular subgroups of each Hol(M) are searched once, up to conjugation by
+the automorphisms of M that fix the point 1 (see ``regsearch``), and come back
+as one uint8 stack of sorted rows in canonical order. Only those of G's class
+are classified, lazily and once per Hol(M) and class: the element-order
+spectra of the whole stack are read in one pass, and a subgroup whose
+spectrum differs from G's is skipped before its Cayley table is built.
+
+Aut(G) is computed once per ``enumerate_hgs`` call; each V then needs one
+isomorphism beta0: G -> V, and its embeddings are the maps beta0 o alpha for
+alpha in Aut(G), numbered in sorted order, which is the order
+``all_isomorphisms(G, V)`` would list them in.
 Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
 so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
 
@@ -131,7 +136,8 @@ def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | No
 
 
 class _HolData:
-    """Rows of Hol(M) as bytes, its regular subgroups, and those of one class on demand."""
+    """Rows of Hol(M) as bytes, its regular subgroups as one uint8 stack, and those
+    of one class on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -146,27 +152,25 @@ class _HolData:
         self.rows = [r.tobytes() for r in stacked]
         if len(set(self.rows)) != n * self.aut_order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
-        self.subgroups = regsearch.regular_subgroups(self.rows, n)
+        # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root
+        stabiliser = aut_rows[aut_rows[:, 1] == 1] if n > 1 else None
+        self.subgroups = regsearch.regular_subgroups(self.rows, n, stabiliser)
         self._isomorphic: dict[str, list[_RegularSubgroup]] = {}
-        self._spectra: list[bytes] | None = None
+        self._spectra: np.ndarray | None = None
 
     def isomorphic_to(self, class_name: str) -> list[_RegularSubgroup]:
         """The regular subgroups of class ``class_name``, in canonical search order.
 
-        Every element of a regular group has all its cycles of the element's
-        order, so the cycle through 0 gives the order spectrum; only subgroups
-        whose spectrum is the class's get a table and an ``iso_class`` call.
+        Only subgroups whose order spectrum is the class's get a table and an
+        ``iso_class`` call.
         """
         if class_name not in self._isomorphic:
             if self._spectra is None:
-                self._spectra = [bytes(sorted(map(_cycle_length_at_0, rows)))
-                                 for rows in self.subgroups]
-            spectrum = bytes(sorted(catalog_group(class_name).element_orders()))
+                self._spectra = _order_spectra(self.subgroups)
+            spectrum = np.sort(catalog_group(class_name).element_orders())
             found = []
-            for rows, rows_spectrum in zip(self.subgroups, self._spectra):
-                if rows_spectrum != spectrum:
-                    continue
-                sub = _RegularSubgroup(rows, self.model.order)
+            for i in np.flatnonzero((self._spectra == spectrum).all(axis=1)).tolist():
+                sub = _RegularSubgroup(self.subgroups[i])
                 if iso_class(sub.abstract).name == class_name:
                     found.append(sub)
             self._isomorphic[class_name] = found
@@ -176,12 +180,22 @@ class _HolData:
         return len(self.isomorphic_to(class_name))
 
 
-def _cycle_length_at_0(row: bytes) -> int:
-    length, x = 1, row[0]
-    while x:
-        x = row[x]
-        length += 1
-    return length
+def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
+    """Row i is the sorted element orders of the regular subgroup ``subgroups[i]``.
+
+    Every element of a regular group has all its cycles of the element's
+    order, so its cycle through 0 gives that order; the points of those
+    cycles advance together, one gather per step.
+    """
+    point = subgroups[:, :, 0]
+    orders = np.ones(point.shape, dtype=np.intp)
+    moving = point != 0
+    while moving.any():
+        orders += moving
+        step = np.take_along_axis(subgroups, point[..., None], axis=2)[..., 0]
+        point = np.where(moving, step, 0)
+        moving = point != 0
+    return np.sort(orders, axis=1)
 
 
 def _base_index(rows: np.ndarray) -> np.ndarray:
@@ -218,9 +232,9 @@ def _table_group(rows: np.ndarray, spec: str) -> FiniteGroup:
 class _RegularSubgroup:
     """V with its rows sorted (identity first) and its Cayley table on those indices."""
 
-    def __init__(self, rows: frozenset[bytes], degree: int):
-        self.sorted_rows = np.frombuffer(b"".join(sorted(rows)), np.uint8).reshape(degree, degree)
-        self.abstract = _table_group(self.sorted_rows, "regular subgroup")
+    def __init__(self, rows: np.ndarray):
+        self.sorted_rows = rows
+        self.abstract = _table_group(rows, "regular subgroup")
 
 
 _HOL_CACHE: dict[str, _HolData] = {}
@@ -334,9 +348,8 @@ def _sym_regular_subgroups(n: int) -> np.ndarray:
     Entry i is subgroup i in search order, its rows sorted, as one uint8 array.
     """
     if n not in _SYM_REGULAR:
-        found = regsearch.regular_subgroups(map(bytes, itertools.permutations(range(n))), n)
-        packed = b"".join(row for rows in found for row in sorted(rows))
-        _SYM_REGULAR[n] = np.frombuffer(packed, np.uint8).reshape(len(found), n, n)
+        _SYM_REGULAR[n] = regsearch.regular_subgroups(
+            map(bytes, itertools.permutations(range(n))), n)
     return _SYM_REGULAR[n]
 
 

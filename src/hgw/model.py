@@ -182,7 +182,8 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
 
     gamma generates G. On an orbit v, gamma v gamma^-1, .. of length l the
     fixed elements are exactly c_{gamma^i v gamma^-i} = gamma^i(b) for b in
-    K^<gamma^l>, so each orbit adds gamma^i applied to a basis of that subfield.
+    K^<gamma^l>, so each orbit adds gamma^i applied to a basis of that subfield,
+    which is solved for once per orbit length.
     ``gbar_rows`` gives the action of each G element on the support domain
     (the left-regular action by default; block images for quotient supports).
     Asserts dim_k = |V| and that the basis is fixed.
@@ -200,6 +201,7 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     for _ in range(size):
         powers.append(group.table[powers[-1]][gen])
     blocks = []
+    subfields: dict[int, np.ndarray] = {}  # orbit length l -> K^<gamma^l>, shared by its orbits
     seen = np.zeros(size, dtype=bool)
     for start in range(size):
         orbit, v = [], start
@@ -209,7 +211,9 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
             v = conj[v]
         if not orbit:
             continue
-        sub = fixed_subfield_of_group(model, [powers[len(orbit)]])
+        if len(orbit) not in subfields:
+            subfields[len(orbit)] = fixed_subfield_of_group(model, [powers[len(orbit)]])
+        sub = subfields[len(orbit)]
         block = np.zeros((len(sub), size, model.n), dtype=np.int64)
         frob = model.frobenius_matrices[powers[:len(orbit)]]
         block[:, orbit] = np.einsum("lij,dj->dli", frob, sub) % model.p

@@ -25,6 +25,27 @@ each node:
   trivial, so <S, f> is semiregular and {r_x} is all of it, at a cost of
   |orbit| x #generators products instead of a closure under all pairwise
   products.
+
+Root orbits. Every candidate at the root sends 0 to 1, and the subtree below
+such an f holds exactly the regular subgroups that contain f. A permutation
+alpha that fixes 0 and 1 and normalises the element group maps root
+candidates to root candidates, and V -> alpha V alpha^-1 maps the subtree of
+f one-to-one onto the subtree of alpha f alpha^-1. Given a group of such
+symmetries (for Hol(M), the automorphisms of M that fix 1), the search splits
+the root candidates into orbits with one batched conjugation, walks the
+subtree of the least candidate of each orbit only, and gets every other
+subtree of the orbit by one gather on the found stack. With no symmetries
+every orbit is a single candidate and the search is the whole tree.
+
+Output. A regular subgroup is its rows sorted by image of 0 (identity first),
+as a (degree, degree) uint8 array, and the search returns one (k, degree,
+degree) stack, sorted by the bytes of each subgroup. That is the order in
+which the whole tree meets them: two subgroups part at some node S, through
+candidates g < g' at its point t. Every point below t is in the orbit of S,
+so both subgroups send 0 to those points by the same elements of S, and
+their rows first differ at row t, which is g in one and g' in the other.
+Candidates are walked in bytes order, so the one met first has the lesser
+bytes. The sort is one stable argsort on a void view of the stack.
 """
 
 from __future__ import annotations
@@ -32,6 +53,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import TheoremViolation
 
 _PAD = bytes(range(256))
 
@@ -48,18 +71,19 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
 
     Row p is uniform iff at the first power p^s that fixes any point, p^s
     fixes every point: a shorter cycle would have returned earlier. The
-    powers come from repeated gathers, until every row has been decided.
+    powers come from repeated gathers, each on the rows not yet decided.
     """
     points = np.arange(rows.shape[1], dtype=np.uint8)
     uniform = np.zeros(len(rows), dtype=bool)
-    undecided = np.ones(len(rows), dtype=bool)
-    power = rows
-    while undecided.any():
+    live = np.arange(len(rows))  # the undecided rows, as indices into ``rows``
+    base = power = rows
+    while len(live):
         fixed = power == points
-        first = undecided & fixed.any(axis=1)
-        uniform[first] = fixed[first].all(axis=1)
-        undecided &= ~first
-        power = np.take_along_axis(rows, power, axis=1)  # uint8 indices: no index copy
+        first = fixed.any(axis=1)
+        uniform[live[first]] = fixed[first].all(axis=1)
+        rest = ~first
+        live, base, power = live[rest], base[rest], power[rest]
+        power = np.take_along_axis(base, power, axis=1)  # uint8 indices: no index copy
     return uniform
 
 
@@ -72,24 +96,73 @@ def _as_array(rows: Sequence[bytes], degree: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), degree)
 
 
-def regular_subgroups(elements: Iterable[bytes], degree: int) -> list[frozenset[bytes]]:
+def regular_subgroups(elements: Iterable[bytes], degree: int,
+                      symmetries: np.ndarray | None = None) -> np.ndarray:
     """All order-``degree`` fixed-point-free subgroups of the given element set.
 
     ``elements`` must be (the rows of) a permutation group; the identity row
-    may be included or not. Output order is the canonical search order.
+    may be included or not. ``symmetries``, if given, is a group of
+    permutations, as uint8 rows, that fix 0 and 1 and normalise that group.
+    Returns a (k, degree, degree) uint8 stack: each subgroup's rows sorted by
+    image of 0, the subgroups in canonical search order.
     """
     ident = bytes(range(degree))
     if degree == 1:
-        return [frozenset({ident})]
+        return np.zeros((1, 1, 1), dtype=np.uint8)
     uniform = _uniform_elements(elements, degree)
     allowed = frozenset(uniform) | {ident}
     by_image: dict[int, list[bytes]] = {t: [] for t in range(1, degree)}
     for p in uniform:
         by_image[p[0]].append(p)
     buckets = {t: (_as_array(rows, degree), rows) for t, rows in by_image.items()}
-    found: list[frozenset[bytes]] = []
-    _search({0: ident}, [], degree, buckets, allowed, found)
-    return found
+    if symmetries is None:
+        symmetries = np.arange(degree, dtype=np.uint8)[None]
+    root_array, roots = buckets[1]
+    stacks = [np.zeros((0, degree, degree), dtype=np.uint8)]
+    for i, movers in _root_orbits(root_array, roots, symmetries):
+        found: list[bytes] = []
+        # the root node walks the candidates of point 1: give it f alone
+        root = {**buckets, 1: (root_array[i:i + 1], roots[i:i + 1])}
+        _search({0: ident}, [], degree, root, allowed, found)
+        stack = np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
+        stacks.append(stack)
+        for alpha in movers:
+            # row x of alpha V alpha^-1 is alpha o (row alpha^-1(x) of V) o alpha^-1
+            inv = np.argsort(alpha)
+            stacks.append(alpha[stack[:, inv[:, None], inv]])
+    out = np.concatenate(stacks)
+    keys = out.reshape(len(out), degree * degree).view(np.dtype((np.void, degree * degree)))
+    return out[np.argsort(keys[:, 0], kind="stable")]
+
+
+def _root_orbits(root_array: np.ndarray, roots: list[bytes],
+                 symmetries: np.ndarray) -> list[tuple[int, list[np.ndarray]]]:
+    """The orbits of the root candidates under conjugation by the group ``symmetries``.
+
+    One entry per orbit, in candidate order: the index of its least candidate
+    f, and for each other member one alpha with alpha f alpha^-1 = that member.
+    """
+    degree = root_array.shape[1]
+    inv = np.argsort(symmetries, axis=1)
+    # conj[a, i] = alpha_a o f_i o alpha_a^-1
+    conj = symmetries[np.arange(len(symmetries))[:, None, None],
+                      root_array[:, inv].transpose(1, 0, 2)]
+    index = {f: i for i, f in enumerate(roots)}
+    blob = conj.tobytes()
+    image = [index.get(blob[k:k + degree]) for k in range(0, len(blob), degree)]
+    if None in image:
+        raise TheoremViolation("a symmetry does not map the root candidates to themselves")
+    image = np.array(image, dtype=np.intp).reshape(len(symmetries), len(roots))
+    orbits = []
+    done = np.zeros(len(roots), dtype=bool)
+    for i in range(len(roots)):
+        if done[i]:
+            continue
+        members, first = np.unique(image[:, i], return_index=True)
+        done[members] = True
+        orbits.append((i, [symmetries[a] for j, a in zip(members.tolist(), first.tolist())
+                           if j != i]))
+    return orbits
 
 
 def _uniform_elements(elements: Iterable[bytes], degree: int) -> list[bytes]:
@@ -101,8 +174,8 @@ def _uniform_elements(elements: Iterable[bytes], degree: int) -> list[bytes]:
 
 def _search(elems: dict[int, bytes], gen_tabs: list[bytes], degree: int,
             buckets: dict[int, tuple[np.ndarray, list[bytes]]], allowed: frozenset[bytes],
-            found: list[frozenset[bytes]]) -> None:
-    """Append to ``found`` every regular subgroup below the node ``elems``.
+            found: list[bytes]) -> None:
+    """Append to ``found`` every regular subgroup below the node ``elems``, as its sorted rows.
 
     Module-level, not a recursive closure: a closure that refers to itself is a
     reference cycle, which would keep the candidate pool alive until the cyclic
@@ -121,7 +194,7 @@ def _search(elems: dict[int, bytes], gen_tabs: list[bytes], degree: int,
         if ext is None:
             continue
         if len(ext) == degree:
-            found.append(frozenset(ext.values()))
+            found.append(b"".join(sorted(ext.values())))
         else:
             _search(ext, gen_tabs + [f_tab], degree, buckets, allowed, found)
 

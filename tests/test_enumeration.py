@@ -168,7 +168,7 @@ def _eager_class_tables(hol, class_name):
     """Reference: every regular subgroup's table built by composing rows, then classified."""
     out = []
     for rows in hol.subgroups:
-        sorted_rows = sorted(rows)
+        sorted_rows = sorted(map(bytes, rows))
         index = {r: i for i, r in enumerate(sorted_rows)}
         # (p o q)(x) = p[q[x]]
         table = [[index[bytes(p[x] for x in q)] for q in sorted_rows] for p in sorted_rows]
@@ -252,10 +252,12 @@ def test_count_formula_builds_no_n_perm_group(monkeypatch):
 def test_searches_leave_no_reference_cycles():
     group = catalog_group("D4")
     rows = enumeration._hol_data("D4").rows
+    stabiliser = _stabiliser_of_1(group)
     gc.collect()
     gc.disable()
     try:
         assert len(regsearch.regular_subgroups(rows, 8)) == 20
+        assert len(regsearch.regular_subgroups(rows, 8, stabiliser)) == 20
         assert len(all_isomorphisms(group, group)) == 8
         assert gc.collect() == 0
     finally:
@@ -270,21 +272,32 @@ def _reference_regular_subgroups(elements, degree):
     ident = bytes(range(degree))
     if degree == 1:
         return [frozenset({ident})]
-
-    def uniform(p):
-        lengths = set()
-        for x in range(degree):
-            length, y = 1, p[x]
-            while y != x:
-                y, length = p[y], length + 1
-            lengths.add(length)
-        return len(lengths) == 1
-
-    candidates = sorted({p for p in elements if p != ident and uniform(p)})
+    candidates = sorted({p for p in elements if p != ident and _uniform(p)})
     allowed = frozenset(candidates) | {ident}
     found = []
     _reference_search([ident], degree, candidates, allowed, found)
     return found
+
+
+def _uniform(p):
+    """The definition: the cycles of the row p all have one length."""
+    lengths, seen = set(), set()
+    for x in range(len(p)):
+        if x in seen:
+            continue
+        seen.add(x)
+        length, y = 1, p[x]
+        while y != x:
+            seen.add(y)
+            y, length = p[y], length + 1
+        lengths.add(length)
+    return len(lengths) == 1
+
+
+def _packed(found, degree):
+    """Frozensets of rows as the search's output: one stack, each subgroup's rows sorted."""
+    packed = b"".join(row for rows in found for row in sorted(rows))
+    return np.frombuffer(packed, np.uint8).reshape(len(found), degree, degree)
 
 
 def _reference_search(members, degree, candidates, allowed, found):
@@ -326,15 +339,18 @@ def _sym_rows(n):
 
 @pytest.mark.parametrize("m_name", SMALL_CATALOG)
 def test_regular_subgroups_match_pairwise_closure_in_hol(m_name):
-    rows = enumeration._hol_data(m_name).rows
+    hol = enumeration._hol_data(m_name)
     order = catalog_group(m_name).order
-    assert regsearch.regular_subgroups(rows, order) == _reference_regular_subgroups(rows, order)
+    expected = _packed(_reference_regular_subgroups(hol.rows, order), order)
+    assert np.array_equal(regsearch.regular_subgroups(hol.rows, order), expected)
+    assert np.array_equal(hol.subgroups, expected)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_regular_subgroups_match_pairwise_closure_in_sym(n):
     rows = _sym_rows(n)
-    assert regsearch.regular_subgroups(rows, n) == _reference_regular_subgroups(rows, n)
+    expected = _packed(_reference_regular_subgroups(rows, n), n)
+    assert np.array_equal(regsearch.regular_subgroups(rows, n), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -356,6 +372,8 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
         degrees.append(degree)
         return real(elements, degree)
 
+    for m_name in catalog_names(8):  # the holomorphs' own searches are not the oracle's
+        enumeration._hol_data(m_name)
     monkeypatch.setattr(regsearch, "regular_subgroups", counted)
     monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
     for spec in ("D4", "Q8"):
@@ -363,3 +381,81 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
         oracle = direct_enumerate_oracle(group)
         assert _element_sets(oracle) == _element_sets(r.n_group for r in enumerate_hgs(group))
     assert degrees == [8]
+
+
+# -- the search reduced by Stab_Aut(M)(1) against the whole canonical tree -----
+
+HOL_CATALOG = [name for order in (2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)
+               for name in catalog_names(order)]
+
+
+def _stabiliser_of_1(model):
+    aut = np.array(all_isomorphisms(model, model), dtype=np.uint8)
+    return aut[aut[:, 1] == 1]
+
+
+def _unreduced_regular_subgroups(elements, degree):
+    """The search without symmetries: ``_search`` from the root over every candidate."""
+    ident = bytes(range(degree))
+    uniform = regsearch._uniform_elements(elements, degree)
+    by_image = {t: [] for t in range(1, degree)}
+    for p in uniform:
+        by_image[p[0]].append(p)
+    buckets = {t: (regsearch._as_array(rows, degree), rows) for t, rows in by_image.items()}
+    found = []
+    regsearch._search({0: ident}, [], degree, buckets, frozenset(uniform) | {ident}, found)
+    return np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
+
+
+@pytest.mark.parametrize("m_name", HOL_CATALOG)
+def test_orbit_reduced_search_matches_whole_tree(m_name):
+    hol = enumeration._hol_data(m_name)
+    degree = hol.model.order
+    reduced = regsearch.regular_subgroups(hol.rows, degree, _stabiliser_of_1(hol.model))
+    expected = _unreduced_regular_subgroups(hol.rows, degree)
+    assert reduced.dtype == np.uint8 and reduced.shape == expected.shape
+    assert np.array_equal(reduced, expected)
+    assert np.array_equal(hol.subgroups, expected)
+    # canonical order: each subgroup's rows by image of 0, the stack by its bytes
+    assert np.array_equal(reduced[:, :, 0], np.broadcast_to(np.arange(degree), reduced.shape[:2]))
+    keys = [v.tobytes() for v in reduced]
+    assert keys == sorted(set(keys))
+
+
+def test_reduced_search_walks_one_subtree_per_root_orbit(monkeypatch):
+    # Hol(C6 x C2^2): 86 root candidates fall into 8 orbits of Stab_Aut(M)(1)
+    hol = enumeration._hol_data("C6 x C2^2")
+    stabiliser = _stabiliser_of_1(hol.model)
+    roots = [p for p in regsearch._uniform_elements(hol.rows, 24) if p[0] == 1]
+    orbits = regsearch._root_orbits(regsearch._as_array(roots, 24), roots, stabiliser)
+    assert (len(roots), len(orbits)) == (86, 8)
+    assert sum(1 + len(movers) for _, movers in orbits) == 86
+    walked = []
+    real = regsearch._search
+
+    def counted(elems, gen_tabs, degree, buckets, allowed, found):
+        if len(elems) == 1:
+            walked.append(buckets[1][1])
+        return real(elems, gen_tabs, degree, buckets, allowed, found)
+
+    monkeypatch.setattr(regsearch, "_search", counted)
+    assert len(regsearch.regular_subgroups(hol.rows, 24, stabiliser)) == 1856
+    assert walked == [[roots[i]] for i, _ in orbits]
+
+
+def test_symmetry_that_moves_a_root_candidate_out_is_a_theorem_violation():
+    # the transposition (2 3) fixes 0 and 1 but does not normalise Hol(C4)
+    hol = enumeration._hol_data("C4")
+    swap = np.array([[0, 1, 2, 3], [0, 1, 3, 2]], dtype=np.uint8)
+    with pytest.raises(TheoremViolation, match="does not map the root candidates"):
+        regsearch.regular_subgroups(hol.rows, 4, swap)
+
+
+@pytest.mark.parametrize("source", ["D21", "C6 x C2^2", "Sym(6)"])
+def test_uniform_rows_matches_cycle_length_definition(source):
+    rows = _sym_rows(6) if source == "Sym(6)" else enumeration._hol_data(source).rows
+    degree = len(rows[0])
+    mask = regsearch.uniform_rows(regsearch._as_array(rows, degree))
+    expected = [_uniform(p) for p in rows]
+    assert mask.tolist() == expected
+    assert 0 < sum(expected) < len(rows)

@@ -128,6 +128,37 @@ def test_fixed_ring_of_rho_is_group_ring(model_11_6):
         assert np.array_equal(model.frobenius_matrices[1] @ c % model.p, c)  # c in k
 
 
+def _cycle_lengths(perm):
+    lengths, seen = set(), set()
+    for start in range(len(perm)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v, length = perm[v], length + 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
+def test_fixed_ring_solves_one_subfield_per_orbit_length(monkeypatch):
+    model = make_extension(11, 8)
+    calls = []
+    real = model_mod.fixed_subfield_of_group
+    monkeypatch.setattr(model_mod, "fixed_subfield_of_group",
+                        lambda model, points: calls.append(tuple(points)) or real(model, points))
+    # rho(G) commutes with lambda(G): its eight orbits of length 1 share K^G = F_p
+    ring = fixed_ring_basis(model, _rows(right_regular(model.group)))
+    assert ring.dimension == 8 and len(calls) == 1
+    lengths_seen = set()
+    for record in enumerate_hgs(model.group):
+        calls.clear()
+        ring = fixed_ring_basis(model, record.rows)
+        lengths = _cycle_lengths(ring.conj.tolist())
+        assert ring.dimension == 8 and len(calls) == len(set(calls)) == len(lengths)
+        lengths_seen.add(frozenset(lengths))
+    assert any(len(lengths) > 1 for lengths in lengths_seen)
+
+
 def test_act_identities(model_11_6):
     model = model_11_6
     rho = right_regular(model.group)

@@ -159,12 +159,22 @@ def test_cli_non_order_spec_error_has_no_coverage_suffix(capsys):
 # SL(2,3)), pinned from the full-backtrack enumeration: the embedding ids in
 # the provenance column must not move.
 ENUM_SL23_JSON_SHA256 = "5d823d8a700c834b1f78a3efcada31e7f3e959bcadd9b5e57f9c669486dc6a0f"
+# sha256 of `hgw enum --group D21 --format json`, pinned from the search that walked
+# every root candidate of each Hol(M): the embedding ids follow the order in which
+# the regular subgroups of order 42 are found.
+ENUM_D21_JSON_SHA256 = "d2d0955aa143dd0f0b9a9e664d590002f17693f27acdb0106f187e71f1aea357"
 
 
 def test_enum_sl23_json_pinned(tmp_path):
     out = tmp_path / "sl23.json"
     assert main(["enum", "--group", "sdp(Q8, C3, 3)", "--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_SL23_JSON_SHA256
+
+
+def test_enum_d21_json_pinned(tmp_path):
+    out = tmp_path / "d21.json"
+    assert main(["enum", "--group", "D21", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_D21_JSON_SHA256
 
 
 @pytest.mark.parametrize("label", ["C2^2", "C2^3", "C6 x C2^2", "SL(2,3)", "C3:C8", "C3:D4"])
