@@ -328,7 +328,7 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
         raise TheoremViolation("block image of N is not regular of order [N:P]")
     if len(np.unique(gbar[:, 0])) != m:
         raise TheoremViolation("block image of lambda(G) is not transitive")
-    if not normalized_by([r.tobytes() for r in nbar], [r.tobytes() for r in gbar], m):
+    if not normalized_by(nbar[None], gbar)[0]:
         raise TheoremViolation("block image of lambda(G) does not normalize that of N")
 
     gbar_regular = False

@@ -35,7 +35,10 @@ raising TheoremViolation:
 - N arose from exactly |Aut(M)| embeddings.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
-degrees; its regular subgroups of Sym(n) are searched once per degree.
+degrees. Its regular subgroups of Sym(n) are searched once per degree, up to
+conjugation by the stabiliser of 0 and 1, and come back as one stack; one
+stack test against lambda of a generating sequence of G keeps those that
+lambda(G) normalizes.
 """
 
 from __future__ import annotations
@@ -342,33 +345,50 @@ def iso_class_name_cached(group: FiniteGroup) -> str:
 _SYM_REGULAR: dict[int, np.ndarray] = {}
 
 
+def _sym_stabiliser_generators(n: int) -> np.ndarray:
+    """(2 3) and (2 3 ... n-1), which generate the stabiliser of 0 and 1 in Sym(n).
+
+    Both fix 0 and 1 and normalise Sym(n). Below degree 4 the stabiliser is
+    trivial and the identity alone is returned.
+    """
+    ident = np.arange(n, dtype=np.uint8)
+    if n < 4:
+        return ident[None]
+    swap, cycle = ident.copy(), ident.copy()
+    swap[[2, 3]] = 3, 2
+    cycle[2:] = np.roll(ident[2:], -1)
+    return np.stack([swap, cycle])
+
+
 def _sym_regular_subgroups(n: int) -> np.ndarray:
     """The regular subgroups of Sym(n), searched once per degree.
 
     Entry i is subgroup i in search order, its rows sorted, as one uint8 array.
+    The search walks one root candidate per orbit of the stabiliser of 0 and 1.
     """
     if n not in _SYM_REGULAR:
         _SYM_REGULAR[n] = regsearch.regular_subgroups(
-            map(bytes, itertools.permutations(range(n))), n)
+            map(bytes, itertools.permutations(range(n))), n, _sym_stabiliser_generators(n))
     return _SYM_REGULAR[n]
 
 
 def direct_enumerate_oracle(group: FiniteGroup) -> list[PermGroup]:
     """Brute-force ground truth inside Perm(G), for |G| <= 8.
 
-    Searches the full symmetric group for regular subgroups (once per degree),
-    then keeps those normalized by lambda(G). Independent of the holomorph route.
+    Searches Sym(n) for its regular subgroups, once per degree and up to
+    conjugation by the stabiliser of 0 and 1, then keeps, with one stack test,
+    those that lambda of a generating sequence of G normalizes. Independent of
+    the holomorph route.
     """
     n = group.order
     if n > ORACLE_DEGREE_CAP:
         raise EnumerationOverflow(f"direct oracle capped at degree {ORACLE_DEGREE_CAP}")
-    lam_rows = [bytes(row) for row in group.table]
+    lam_gens = np.array(group.table, dtype=np.uint8)[groups.generating_sequence(group)]
+    subgroups = _sym_regular_subgroups(n)
     out = []
-    for subgroup in _sym_regular_subgroups(n):
-        rows = [row.tobytes() for row in subgroup]
-        if regsearch.normalized_by(rows, lam_rows, n):
-            perms = [Permutation(r) for r in rows]
-            out.append(PermGroup(n, generating_subset_of(perms), perms))
+    for subgroup in subgroups[regsearch.normalized_by(subgroups, lam_gens)]:
+        perms = [Permutation(row.tobytes()) for row in subgroup]
+        out.append(PermGroup(n, generating_subset_of(perms), perms))
     out.sort(key=lambda pg: tuple(p.images for p in pg.elements))
     return out
 

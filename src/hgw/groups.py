@@ -323,6 +323,11 @@ def _word_tree(group: FiniteGroup) -> tuple[list[int], list[list[_Edge]]]:
     return seq, levels
 
 
+def generating_sequence(group: FiniteGroup) -> list[int]:
+    """Element indices that generate ``group``: the greedy sequence of ``_word_tree``."""
+    return _word_tree(group)[0]
+
+
 def _iso_backtrack(g1: FiniteGroup, g2: FiniteGroup, find_all: bool) -> list[tuple[int, ...]]:
     """Isomorphisms g1 -> g2, found by giving images to g1's generating sequence only."""
     if max(g1.order, g2.order) > ISO_ORDER_CAP:

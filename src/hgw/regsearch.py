@@ -30,12 +30,23 @@ Root orbits. Every candidate at the root sends 0 to 1, and the subtree below
 such an f holds exactly the regular subgroups that contain f. A permutation
 alpha that fixes 0 and 1 and normalises the element group maps root
 candidates to root candidates, and V -> alpha V alpha^-1 maps the subtree of
-f one-to-one onto the subtree of alpha f alpha^-1. Given a group of such
-symmetries (for Hol(M), the automorphisms of M that fix 1), the search splits
-the root candidates into orbits with one batched conjugation, walks the
-subtree of the least candidate of each orbit only, and gets every other
-subtree of the orbit by one gather on the found stack. With no symmetries
-every orbit is a single candidate and the search is the whole tree.
+f one-to-one onto the subtree of alpha f alpha^-1. The symmetries are given
+as generators of such a group: for Hol(M), all automorphisms of M that fix 1
+(a group generates itself); for Sym(n), two generators of the stabiliser of
+0 and 1. One batched conjugation of every root candidate by every generator
+gives the generators' action on the candidates. Pulling the least index
+along that action until it is stable labels each candidate with the least
+candidate of its orbit, and a breadth-first walk from those leaders reaches
+each member f_k from some f_j by a generator s: alpha_k = s o alpha_j then
+conjugates the orbit's least candidate to f_k. The search walks the subtree
+of the least candidate of each orbit only, and gets every other subtree of
+the orbit by one gather on the found stack. With no symmetries every orbit is
+a single candidate and the search is the whole tree.
+
+Normalisation. ``normalized_by`` tests a whole stack of regular subgroups
+against a few conjugators at once: a regular subgroup holds at most one
+element with a given image of 0, so c r c^-1 lies in it iff it equals the row
+of its own image of 0.
 
 Output. A regular subgroup is its rows sorted by image of 0 (identity first),
 as a (degree, degree) uint8 array, and the search returns one (k, degree,
@@ -59,13 +70,6 @@ from .errors import TheoremViolation
 _PAD = bytes(range(256))
 
 
-def inverse(p: bytes) -> bytes:
-    inv = bytearray(len(p))
-    for i, x in enumerate(p):
-        inv[x] = i
-    return bytes(inv)
-
-
 def uniform_rows(rows: np.ndarray) -> np.ndarray:
     """Mask of the uint8 rows whose cycles all have one length.
 
@@ -87,11 +91,6 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
     return uniform
 
 
-def is_uniform(p: bytes) -> bool:
-    """All cycles of one length; such elements make up semiregular groups."""
-    return bool(uniform_rows(np.frombuffer(p, np.uint8).reshape(1, len(p)))[0])
-
-
 def _as_array(rows: Sequence[bytes], degree: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), degree)
 
@@ -101,8 +100,8 @@ def regular_subgroups(elements: Iterable[bytes], degree: int,
     """All order-``degree`` fixed-point-free subgroups of the given element set.
 
     ``elements`` must be (the rows of) a permutation group; the identity row
-    may be included or not. ``symmetries``, if given, is a group of
-    permutations, as uint8 rows, that fix 0 and 1 and normalise that group.
+    may be included or not. ``symmetries``, if given, are uint8 rows that
+    generate a group of permutations that fix 0 and 1 and normalise that group.
     Returns a (k, degree, degree) uint8 stack: each subgroup's rows sorted by
     image of 0, the subgroups in canonical search order.
     """
@@ -136,15 +135,16 @@ def regular_subgroups(elements: Iterable[bytes], degree: int,
 
 
 def _root_orbits(root_array: np.ndarray, roots: list[bytes],
-                 symmetries: np.ndarray) -> list[tuple[int, list[np.ndarray]]]:
-    """The orbits of the root candidates under conjugation by the group ``symmetries``.
+                 symmetries: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The orbits of the root candidates under conjugation by the group ``symmetries`` generate.
 
     One entry per orbit, in candidate order: the index of its least candidate
-    f, and for each other member one alpha with alpha f alpha^-1 = that member.
+    f, and a (m, degree) uint8 array holding, for each of the orbit's m other
+    members, one alpha with alpha f alpha^-1 = that member.
     """
     degree = root_array.shape[1]
     inv = np.argsort(symmetries, axis=1)
-    # conj[a, i] = alpha_a o f_i o alpha_a^-1
+    # conj[a, i] = s_a o f_i o s_a^-1
     conj = symmetries[np.arange(len(symmetries))[:, None, None],
                       root_array[:, inv].transpose(1, 0, 2)]
     index = {f: i for i, f in enumerate(roots)}
@@ -153,16 +153,31 @@ def _root_orbits(root_array: np.ndarray, roots: list[bytes],
     if None in image:
         raise TheoremViolation("a symmetry does not map the root candidates to themselves")
     image = np.array(image, dtype=np.intp).reshape(len(symmetries), len(roots))
-    orbits = []
-    done = np.zeros(len(roots), dtype=bool)
-    for i in range(len(roots)):
-        if done[i]:
-            continue
-        members, first = np.unique(image[:, i], return_index=True)
-        done[members] = True
-        orbits.append((i, [symmetries[a] for j, a in zip(members.tolist(), first.tolist())
-                           if j != i]))
-    return orbits
+    # the least candidate of each orbit: pull the least label along the generators' edges
+    leader = np.arange(len(roots))
+    while True:
+        pulled = np.minimum(leader, leader[image].min(axis=0))
+        if np.array_equal(pulled, leader):
+            break
+        leader = pulled
+    # breadth-first from every leader at once, one level per pass: an edge from f_j
+    # to f_k by the generator s gives alpha_k = s o alpha_j
+    alpha = np.empty_like(root_array)
+    alpha[:] = np.arange(degree)
+    frontier = np.flatnonzero(leader == np.arange(len(roots)))
+    seen = np.zeros(len(roots), dtype=bool)
+    seen[frontier] = True
+    while len(frontier):
+        reached, first = np.unique(image[:, frontier], return_index=True)
+        fresh = ~seen[reached]
+        reached = reached[fresh]
+        a, j = np.divmod(first[fresh], len(frontier))
+        seen[reached] = True
+        alpha[reached] = symmetries[a[:, None], alpha[frontier[j]]]
+        frontier = reached
+    by_orbit = np.argsort(leader, kind="stable")  # each orbit's leader comes first
+    orbits = np.split(by_orbit, np.flatnonzero(np.diff(leader[by_orbit])) + 1)
+    return [(int(members[0]), alpha[members[1:]]) for members in orbits if len(members)]
 
 
 def _uniform_elements(elements: Iterable[bytes], degree: int) -> list[bytes]:
@@ -224,14 +239,31 @@ def _extend(elems: dict[int, bytes], gen_tabs: list[bytes], f_tab: bytes,
     return ext
 
 
-def normalized_by(rows: Sequence[bytes], conjugators: Iterable[bytes], degree: int) -> bool:
-    """True iff every conjugator c maps the row set into itself (c r c^-1)."""
-    member = frozenset(rows)
-    pad_tail = _PAD[degree:]
-    for c in conjugators:
-        c_inv = inverse(c)
-        tab = c + pad_tail
-        for r in rows:
-            if c_inv.translate(r.translate(tab) + pad_tail) not in member:
-                return False
-    return True
+def normalized_by(stack: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
+    """Mask of the regular subgroups in ``stack`` that every conjugator normalises.
+
+    ``stack`` is (k, n, n) uint8, each subgroup's rows sorted by image of 0, so
+    that row x is its element sending 0 to x; ``conjugators`` is (c, n). Entry
+    s is True iff for each conjugator c and row r of subgroup s, c r c^-1 equals
+    the row of subgroup s at (c r c^-1)(0). Generators of a group of
+    conjugators suffice. Raises ValueError unless column 0 of every subgroup
+    is 0..n-1.
+    """
+    n = stack.shape[-1]
+    if stack.ndim != 3 or stack.shape[1] != n or not (stack[:, :, 0] == np.arange(n)).all():
+        raise ValueError("normalized_by needs regular subgroups with rows sorted by image of 0")
+    if len(stack) == 1:
+        return _conjugates_inside(stack, conjugators)
+    # most subgroups of a large stack fail at the first conjugator: test the rest on survivors
+    mask = _conjugates_inside(stack, conjugators[:1])
+    live = np.flatnonzero(mask)
+    mask[live] = _conjugates_inside(stack[live], conjugators[1:])
+    return mask
+
+
+def _conjugates_inside(stack: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
+    """``normalized_by`` without the input check, all conjugators at once."""
+    inv = np.argsort(conjugators, axis=1)
+    # conj[s, x, c, y] = c(row x of subgroup s (c^-1(y)))
+    conj = conjugators[np.arange(len(conjugators))[:, None], stack[:, :, inv]]
+    return (stack[np.arange(len(stack))[:, None, None], conj[..., 0]] == conj).all(axis=(1, 2, 3))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import re
@@ -368,9 +369,9 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
     degrees = []
     real = regsearch.regular_subgroups
 
-    def counted(elements, degree):
+    def counted(elements, degree, symmetries=None):
         degrees.append(degree)
-        return real(elements, degree)
+        return real(elements, degree, symmetries)
 
     for m_name in catalog_names(8):  # the holomorphs' own searches are not the oracle's
         enumeration._hol_data(m_name)
@@ -397,6 +398,8 @@ def _stabiliser_of_1(model):
 def _unreduced_regular_subgroups(elements, degree):
     """The search without symmetries: ``_search`` from the root over every candidate."""
     ident = bytes(range(degree))
+    if degree == 1:  # the tree has no point to extend through; its one subgroup is {ident}
+        return np.zeros((1, 1, 1), dtype=np.uint8)
     uniform = regsearch._uniform_elements(elements, degree)
     by_image = {t: [] for t in range(1, degree)}
     for p in uniform:
@@ -459,3 +462,126 @@ def test_uniform_rows_matches_cycle_length_definition(source):
     expected = [_uniform(p) for p in rows]
     assert mask.tolist() == expected
     assert 0 < sum(expected) < len(rows)
+
+
+# -- the oracle's Sym(n) search reduced by the stabiliser of 0 and 1 -----------
+
+
+def _conjugate(alpha, f):
+    """alpha o f o alpha^-1 as bytes."""
+    inv = np.argsort(alpha)
+    return alpha[np.frombuffer(f, np.uint8)[inv]].tobytes()
+
+
+def _cycle_length(p):
+    length, y = 1, p[0]
+    while y != 0:
+        y, length = p[y], length + 1
+    return length
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reduced_sym_search_matches_whole_tree(monkeypatch, n):
+    monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
+    reduced = enumeration._sym_regular_subgroups(n)
+    expected = _unreduced_regular_subgroups(_sym_rows(n), n)
+    assert reduced.dtype == np.uint8
+    assert reduced.tobytes() == expected.tobytes() and reduced.shape == expected.shape
+
+
+def test_sym8_root_candidates_fall_into_three_orbits():
+    gens = enumeration._sym_stabiliser_generators(8)
+    roots = [p for p in regsearch._uniform_elements(_sym_rows(8), 8) if p[0] == 1]
+    orbits = regsearch._root_orbits(regsearch._as_array(roots, 8), roots, gens)
+    assert len(roots) == 915
+    assert [1 + len(movers) for _, movers in orbits] == [15, 180, 720]
+    # the cycle length l of the candidates is constant on an orbit: l = 2, 4, 8
+    assert [_cycle_length(roots[i]) for i, _ in orbits] == [2, 4, 8]
+    covered = []
+    for i, movers in orbits:
+        leader = roots[i]
+        assert movers.dtype == np.uint8
+        assert (movers[:, :2] == [0, 1]).all()  # each alpha lies in Stab_Sym(8)(0, 1)
+        members = [leader] + [_conjugate(alpha, leader) for alpha in movers]
+        assert len(set(members)) == len(members)
+        assert min(roots.index(f) for f in members) == i  # the leader is the least member
+        covered += members
+    assert sorted(covered) == roots
+
+
+def test_generating_subset_of_stabiliser_gives_the_same_orbits():
+    hol = enumeration._hol_data("C6 x C2^2")
+    stabiliser = _stabiliser_of_1(hol.model)
+    gens = generating_subset_of([Permutation(row) for row in stabiliser.tolist()])
+    gen_rows = np.array([p.images for p in gens], dtype=np.uint8)
+    assert len(gen_rows) < len(stabiliser)
+    roots = [p for p in regsearch._uniform_elements(hol.rows, 24) if p[0] == 1]
+    root_array = regsearch._as_array(roots, 24)
+
+    def orbit_sets(symmetries):
+        orbits = regsearch._root_orbits(root_array, roots, symmetries)
+        return [(i, frozenset([roots[i]] + [_conjugate(a, roots[i]) for a in movers]))
+                for i, movers in orbits]
+
+    by_group, by_gens = orbit_sets(stabiliser), orbit_sets(gen_rows)
+    assert len(by_gens) == 8
+    assert by_gens == by_group
+    assert np.array_equal(regsearch.regular_subgroups(hol.rows, 24, gen_rows), hol.subgroups)
+
+
+# -- normalisation tested on a whole stack --------------------------------------
+
+ORACLE_GROUPS = [m for n in range(1, 9) for m in catalog_names(n)] + ["C5"]
+
+
+def _oracle_group(name):
+    return build_group(name) if name == "C5" else catalog_group(name)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_stack_normalized_by_matches_permutation_products(name):
+    group = _oracle_group(name)
+    stack = enumeration._sym_regular_subgroups(group.order)
+    lam = np.array(group.table, dtype=np.uint8)
+    conjugators = [(c, c.inverse()) for c in map(Permutation, group.table)]
+    perm_of = {r: Permutation(r) for r in map(tuple, stack.reshape(-1, group.order).tolist())}
+    expected = []
+    for subgroup in stack.tolist():
+        members = set(map(tuple, subgroup))
+        rows = [perm_of[r] for r in members]
+        expected.append(all((c * r * c_inv).images in members
+                            for c, c_inv in conjugators for r in rows))
+    by_all_rows = regsearch.normalized_by(stack, lam)
+    by_generators = regsearch.normalized_by(stack, lam[groups.generating_sequence(group)])
+    assert by_all_rows.dtype == bool and by_all_rows.shape == (len(stack),)
+    assert by_all_rows.tolist() == expected
+    assert by_generators.tolist() == expected
+    assert any(expected)  # lambda(G) itself
+    if group.order >= 5:
+        assert not all(expected)
+
+
+def test_normalized_by_rejects_non_regular_stacks():
+    stack = enumeration._sym_regular_subgroups(4)
+    lam = np.array(catalog_group("C4").table, dtype=np.uint8)
+    with pytest.raises(ValueError, match="sorted by image of 0"):
+        regsearch.normalized_by(stack[:, ::-1], lam)  # rows in reverse order
+    with pytest.raises(ValueError, match="sorted by image of 0"):
+        regsearch.normalized_by(stack[0], lam)  # one subgroup, not a stack
+    with pytest.raises(ValueError, match="sorted by image of 0"):
+        regsearch.normalized_by(stack[:, :2], lam)  # two rows of degree 4
+
+
+# sha256 of the oracle's PermGroups (elements, then generators) for every group of
+# order <= 8, in ORACLE_GROUPS order, pinned from the search of the whole Sym(n) tree
+ORACLE_OUTPUT_SHA256 = "a320f0930e8120a89239f1b8affe2b9c36490839fc61a3b951c3f380ed36f327"
+
+
+def test_oracle_output_pinned():
+    digest = hashlib.sha256()
+    for name in ORACLE_GROUPS:
+        for pg in direct_enumerate_oracle(_oracle_group(name)):
+            digest.update(repr([p.images for p in pg.elements]).encode())
+            digest.update(repr([p.images for p in pg.generators]).encode())
+        digest.update(b"|")
+    assert digest.hexdigest() == ORACLE_OUTPUT_SHA256

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from hgw.errors import EnumerationOverflow
 from hgw.perm import Permutation, closure, normalizes
-from hgw.regsearch import is_uniform
+from hgw.regsearch import uniform_rows
 
 
 def test_identity_and_composition():
@@ -36,13 +37,13 @@ def test_parse_rejects_garbage():
 
 
 def test_uniformity():
-    def row(p):
-        return bytes(p.images)
+    def is_uniform(p):
+        return bool(uniform_rows(np.array([p.images], dtype=np.uint8))[0])
 
-    assert is_uniform(row(Permutation.from_cycles([(0, 1), (2, 3)], 4)))
-    assert not is_uniform(row(Permutation.from_cycles([(0, 1), (2, 3, 4)], 5)))
-    assert not is_uniform(row(Permutation.from_cycles([(0, 1)], 4)))  # fixed points
-    assert is_uniform(row(Permutation.identity(4)))
+    assert is_uniform(Permutation.from_cycles([(0, 1), (2, 3)], 4))
+    assert not is_uniform(Permutation.from_cycles([(0, 1), (2, 3, 4)], 5))
+    assert not is_uniform(Permutation.from_cycles([(0, 1)], 4))  # fixed points
+    assert is_uniform(Permutation.identity(4))
 
 
 def test_closure_deterministic_and_capped():
