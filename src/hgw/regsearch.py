@@ -252,17 +252,6 @@ def normalized_by(stack: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
     n = stack.shape[-1]
     if stack.ndim != 3 or stack.shape[1] != n or not (stack[:, :, 0] == np.arange(n)).all():
         raise ValueError("normalized_by needs regular subgroups with rows sorted by image of 0")
-    if len(stack) == 1:
-        return _conjugates_inside(stack, conjugators)
-    # most subgroups of a large stack fail at the first conjugator: test the rest on survivors
-    mask = _conjugates_inside(stack, conjugators[:1])
-    live = np.flatnonzero(mask)
-    mask[live] = _conjugates_inside(stack[live], conjugators[1:])
-    return mask
-
-
-def _conjugates_inside(stack: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
-    """``normalized_by`` without the input check, all conjugators at once."""
     inv = np.argsort(conjugators, axis=1)
     # conj[s, x, c, y] = c(row x of subgroup s (c^-1(y)))
     conj = conjugators[np.arange(len(conjugators))[:, None], stack[:, :, inv]]
