@@ -3,6 +3,12 @@
 The catalog covers, by name, every isomorphism type of each order the census
 and fixtures touch: {1,2,3,4,6,7,8,12,14,21,24,42}. Classifying a group of any
 other order raises UncoveredOrder.
+
+A group is classified by its sorted order spectrum: the catalog classes of its
+order with the same spectrum are kept, and the isomorphism search decides
+between them on a tie. A single match is returned without a search, which
+relies on the catalog listing every class of each order it covers. No two
+classes of a covered order share a spectrum today.
 """
 
 from __future__ import annotations
@@ -101,34 +107,20 @@ def catalog_groups(order: int) -> list[tuple[str, FiniteGroup]]:
     return [(name, catalog_group(name)) for name in catalog_names(order)]
 
 
-def fingerprint(group: FiniteGroup) -> tuple:
-    """Cheap isomorphism invariants: order spectrum, abelianness, |Z|, |G'|."""
-    return (
-        group.order,
-        tuple(sorted(group.element_orders())),
-        group.is_abelian(),
-        len(group.center()),
-        len(group.derived_subgroup()),
-    )
-
-
-@lru_cache(maxsize=None)
-def _catalog_fingerprint(name: str) -> tuple:
-    return fingerprint(catalog_group(name))
-
-
 def iso_class(group) -> GroupClassLabel:
-    """Classify a FiniteGroup or PermGroup against the named catalog."""
+    """Classify a FiniteGroup or PermGroup by its order spectrum, searching only on ties.
+
+    No match means the catalog misses a class: a TheoremViolation.
+    """
     if isinstance(group, PermGroup):
         group = as_finite_group(group)
     names = catalog_names(group.order)
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {group.order}")
-    fp = fingerprint(group)
-    candidates = [n for n in names if _catalog_fingerprint(n) == fp]
+    spectrum = sorted(group.element_orders())
+    candidates = [name for name in names
+                  if sorted(catalog_group(name).element_orders()) == spectrum]
     if len(candidates) == 1:
-        # the catalog is complete at its orders, so a unique fingerprint match
-        # already pins the class
         return GroupClassLabel(candidates[0], group.order)
     for name in candidates:
         if is_isomorphic(group, catalog_group(name)):

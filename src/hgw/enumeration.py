@@ -264,7 +264,7 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     names = catalog_names(n)
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {n}")
-    g_class = iso_class_name_cached(group)
+    g_class = iso_class(group).name
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
     return [rec for m_name in names for rec in _records_for_model(group, g_class, aut_g, m_name)]
 
@@ -334,14 +334,6 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
     return records
 
 
-def iso_class_name_cached(group: FiniteGroup) -> str:
-    name = getattr(group, "_iso_class_name", None)
-    if name is None:
-        name = iso_class(group).name
-        group._iso_class_name = name
-    return name
-
-
 _SYM_REGULAR: dict[int, np.ndarray] = {}
 
 
@@ -401,7 +393,7 @@ def count_formula_report(group: FiniteGroup) -> list[dict]:
     has already built for G's class M_G.
     """
     records = enumerate_hgs(group)
-    g_class = iso_class_name_cached(group)
+    g_class = iso_class(group).name
     aut_g = _hol_data(g_class).aut_order
     out = []
     for m_name in catalog_names(group.order):

@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EnumerationOverflow, GroupSpecError
-from .perm import PermGroup, Permutation, closure
+from .perm import PermGroup, Permutation
 
 SUBGROUP_CAP = 100
 AUTOMORPHISM_ORDER_CAP = 48
@@ -77,14 +79,6 @@ class FiniteGroup:
         n = self.order
         return frozenset(a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n)))
 
-    def derived_subgroup(self) -> frozenset[int]:
-        comms = {
-            self.table[self.table[a][b]][self.table[self.inverse_table[a]][self.inverse_table[b]]]
-            for a in range(self.order)
-            for b in range(self.order)
-        }
-        return close_subset(self, comms)
-
     def check_associative(self) -> bool:
         """Exhaustive associativity check; meant for construction-time validation."""
         t = self.table
@@ -128,21 +122,31 @@ class SubgroupHandle:
 
 
 def generating_subset_of(perms: Sequence[Permutation]) -> tuple[Permutation, ...]:
-    """Greedy deterministic generating subset of a closed permutation set."""
-    degree = perms[0].degree
-    target = {p.images for p in perms}
-    chosen: list[Permutation] = []
-    have = {tuple(range(degree))}
-    for p in sorted(perms, key=lambda q: (-q.order(), q.images)):
-        if len(have) == len(target):
-            break
-        if p.images in have:
-            continue
-        chosen.append(p)
-        have = {q.images for q in closure(chosen, degree).elements}
-    if not chosen:
-        chosen = [Permutation.identity(degree)]
-    return tuple(chosen)
+    """Greedy deterministic generating subset of a closed permutation set.
+
+    The ``generating_sequence`` of the set's Cayley table: highest element
+    order first, then least image tuple.
+    """
+    elems = sorted(perms)
+    seq = generating_sequence(FiniteGroup(range(len(elems)), _cayley_table(elems)))
+    return tuple(elems[i] for i in seq) or (elems[0],)
+
+
+def _cayley_table(elems: Sequence[Permutation]) -> list[list[int]]:
+    """Entry [i][j] is the index of elems[i] * elems[j] in ``elems``.
+
+    ``elems`` must be closed and sorted by image tuple. All products come
+    from one gather on the uint8 rows, and a binary search on the rows'
+    bytes, whose order is the image tuples' order, finds them.
+    """
+    rows = np.array([p.images for p in elems], dtype=np.uint8)
+    k, n = rows.shape
+    products = rows[:, rows].reshape(k * k, n)  # row i*k + j: x -> elems[i](elems[j](x))
+    found = np.searchsorted(rows.view(f"V{n}").ravel(), products.view(f"V{n}").ravel())
+    found = np.minimum(found, k - 1)
+    if not np.array_equal(rows[found], products):
+        raise GroupSpecError("permutation set is not closed under composition")
+    return found.reshape(k, k).tolist()
 
 
 # -- regular representations ----------------------------------------------
@@ -168,8 +172,7 @@ def right_regular(group: FiniteGroup) -> PermGroup:
 def as_finite_group(group: PermGroup, spec: str = "") -> FiniteGroup:
     """Abstract Cayley-table copy of a PermGroup (element order = sorted perms)."""
     elems = group.elements
-    index = {p.images: i for i, p in enumerate(elems)}
-    table = [[index[(p * q).images] for q in elems] for p in elems]
+    table = _cayley_table(elems)
     labels = [p.cycle_string() for p in elems]
     return FiniteGroup(labels, table, spec=spec or f"perm group of order {len(elems)}")
 

@@ -5,8 +5,8 @@ import pytest
 
 from hgw.catalog import catalog_group, catalog_names
 from hgw.dsl import build_group
-from hgw.enumeration import _hol_data
-from hgw.errors import EnumerationOverflow
+from hgw.enumeration import _hol_data, enumerate_hgs
+from hgw.errors import EnumerationOverflow, GroupSpecError
 from hgw.groups import (
     FiniteGroup,
     all_isomorphisms,
@@ -15,12 +15,14 @@ from hgw.groups import (
     automorphisms,
     close_subset,
     core_of,
+    generating_subset_of,
     is_isomorphic,
     left_regular,
     right_regular,
     subgroups,
     subgroups_brute_oracle,
 )
+from hgw.perm import Permutation, closure
 
 
 @pytest.mark.parametrize("spec", ["C6", "D4", "Q8", "A4", "S4", "C7:C3", "D21", "C42"])
@@ -260,3 +262,53 @@ def test_distinct_catalog_classes_are_not_isomorphic():
             assert not is_isomorphic(catalog_group(a), catalog_group(b)), (a, b)
             assert all_isomorphisms(catalog_group(a), catalog_group(b)) == []
 
+
+# -- generating subsets against one closure per chosen generator --------------
+
+
+def _reference_generating_subset(perms):
+    """Highest order first, then least image tuple, skipping what the chosen ones generate."""
+    degree = perms[0].degree
+    chosen = []
+    have = {tuple(range(degree))}
+    for p in sorted(perms, key=lambda q: (-q.order(), q.images)):
+        if len(have) == len(perms):
+            break
+        if p.images not in have:
+            chosen.append(p)
+            have = {q.images for q in closure(chosen, degree).elements}
+    return tuple(chosen) or (Permutation.identity(degree),)
+
+
+def _assert_same_generators(perms, label):
+    perms = list(perms)
+    assert generating_subset_of(perms) == _reference_generating_subset(perms), label
+
+
+def test_generating_subset_of_regular_representations_matches_closure_reference():
+    for name in CATALOG:
+        group = catalog_group(name)
+        _assert_same_generators(left_regular(group).elements, f"lambda({name})")
+        _assert_same_generators(right_regular(group).elements, f"rho({name})")
+
+
+def test_generating_subset_of_automorphisms_matches_closure_reference():
+    for name in CATALOG:
+        aut = automorphisms(catalog_group(name))
+        _assert_same_generators(aut.elements, f"Aut({name})")
+        if aut.degree > 1:
+            _assert_same_generators([p for p in aut.elements if p(1) == 1], f"Stab({name})")
+
+
+def test_generating_subset_of_records_matches_closure_reference(census42):
+    records = [r for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)
+               for r in enumerate_hgs(catalog_group(name))]
+    records += census42["D21"].records
+    for record in records:
+        perms = [Permutation(row) for row in record.rows.tolist()]
+        _assert_same_generators(perms, (record.group, record.provenance))
+
+
+def test_generating_subset_of_rejects_a_set_that_is_not_closed():
+    with pytest.raises(GroupSpecError, match="not closed"):
+        generating_subset_of([Permutation.identity(3), Permutation.from_cycles([(0, 1, 2)], 3)])
