@@ -59,7 +59,9 @@ CATALOG: dict[int, tuple[tuple[str, str], ...]] = {
         ("D6 x C2", "D6 x C2"),
         ("Dic3 x C2", "Dic3 x C2"),
         ("D3 x C4", "D3 x C4"),
-        ("C3:D4", "sdp(C6 x C2, C2, 2, %d)"),  # index pinned by _C3_D4_INDEX below
+        # Which order-2 automorphism of C6 x C2 yields the mixed (non direct-product)
+        # extension: index 2, resolved empirically and checked by the catalog tests.
+        ("C3:D4", "sdp(C6 x C2, C2, 2, 2)"),
     ),
     42: (
         ("C42", "C42"),
@@ -70,11 +72,6 @@ CATALOG: dict[int, tuple[tuple[str, str], ...]] = {
         ("(C7:C3):C2", "sdp(C7:C3, C2, 2)"),
     ),
 }
-
-# Which order-2 automorphism of C6 x C2 yields the mixed (non direct-product)
-# extension: resolved empirically and pinned; validated by the catalog tests.
-_C3_D4_INDEX = 2
-
 
 @dataclass(frozen=True)
 class GroupClassLabel:
@@ -97,8 +94,6 @@ def catalog_group(name: str) -> FiniteGroup:
     for order, entries in CATALOG.items():
         for label, spec in entries:
             if label == name:
-                if "%d" in spec:
-                    spec = spec % _C3_D4_INDEX
                 return build_group(spec)
     raise KeyError(f"no catalog entry named {name!r}")
 

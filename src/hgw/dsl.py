@@ -14,6 +14,9 @@ the generator of C<k> acts as the automorphism of X with order ``a`` that comes
 ``idx``-th (default first) in the lexicographic ordering of image tuples.
 Different same-order automorphism choices can give non-isomorphic products,
 which is what ``idx`` disambiguates.
+
+Every constructor refuses an order above ``GROUP_ORDER_CAP`` (256, the most
+points a uint8 row can name) with GroupSpecError before it builds a table.
 """
 
 from __future__ import annotations
@@ -26,21 +29,30 @@ from .groups import FiniteGroup, automorphisms
 
 _ATOM_RE = re.compile(r"([A-Za-z]+)(\d+)$")
 
+GROUP_ORDER_CAP = 256  # the most points a uint8 row can name
+
 
 def build_group(spec: str) -> FiniteGroup:
     """Build a FiniteGroup from a group expression; see the module docstring."""
-    parser = _Parser(spec)
-    group = parser.parse()
-    result = FiniteGroup(group.elements, group.table, spec=spec.strip())
-    return result
+    group = _Parser(spec).parse()
+    group.spec = spec.strip()
+    return group
 
 
 # -- constructors ------------------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    """Refuse a group above GROUP_ORDER_CAP before its table, quadratic in the order, is built."""
+    if order > GROUP_ORDER_CAP:
+        raise GroupSpecError(
+            f"group expressions capped at order {GROUP_ORDER_CAP}; this one has order {order}")
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError("cyclic order must be >= 1")
+    _check_order(n)
     labels = ["e"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(labels, table, spec=f"C{n}")
@@ -51,6 +63,7 @@ def dihedral(k: int) -> FiniteGroup:
     if k < 1:
         raise GroupSpecError("dihedral parameter must be >= 1")
     n = 2 * k
+    _check_order(n)
 
     def idx(i: int, j: int) -> int:
         return j * k + i % k
@@ -73,6 +86,7 @@ def dicyclic(m: int) -> FiniteGroup:
         raise GroupSpecError("dicyclic parameter must be >= 1")
     k = 2 * m
     n = 4 * m
+    _check_order(n)
 
     def idx(i: int, j: int) -> int:
         return j * k + i % k
@@ -130,6 +144,7 @@ def _perm_table(perms, spec: str) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    _check_order(g1.order * g2.order)
     n2 = g2.order
     labels = [f"({a},{b})" for a in g1.elements for b in g2.elements]
     table = [
@@ -147,6 +162,7 @@ def semidirect_product(base: FiniteGroup, k: int, aut_order: int, aut_index: int
     if k % aut_order != 0:
         raise GroupSpecError(
             f"sdp action of order {aut_order} does not define an automorphism action of C{k}")
+    _check_order(base.order * k)
     auts = [p for p in automorphisms(base).elements if p.order() == aut_order]
     if aut_index >= len(auts):
         raise GroupSpecError(

@@ -34,6 +34,10 @@ raising TheoremViolation:
 - lambda(G) normalizes N (the check also builds ``lambda_conj``);
 - N arose from exactly |Aut(M)| embeddings.
 
+Both views are fields of the record. A given N (``HgsRecord.from_perm_group``)
+gets them when its record is built, from the same normalization check and
+from a search for an isomorphism M -> N.
+
 A direct brute-force search of Perm(G) certifies the holomorph route at small
 degrees. Its regular subgroups of Sym(n) are searched once per degree, up to
 conjugation by the stabiliser of 0 and 1, and come back as one stack; one
@@ -65,23 +69,38 @@ class HgsRecord:
     """One Hopf-Galois structure: a regular lambda(G)-normalized N <= Perm(G).
 
     ``rows`` holds N's elements as uint8 image arrays, sorted by image tuple;
-    ``n_table``, ``lambda_conj`` and ``m_to_n`` view N on the indices of those
-    rows. Records compare by identity; ``key`` identifies N.
+    the fields ``lambda_conj`` and ``m_to_n`` view N on the indices of those
+    rows, and both are checked when the record is built. Records compare by
+    identity; ``key`` identifies N.
     """
 
     group: FiniteGroup
     rows: np.ndarray
     n_class: GroupClassLabel
     provenance: tuple[str, int]  # (model class name, embedding id within that model)
+    lambda_conj: np.ndarray  # row g maps index a to the index of lambda(g) a lambda(g)^-1 in N
+    m_to_n: np.ndarray  # entry m is the index in N of m's image under an isomorphism M -> N
 
     @classmethod
     def from_perm_group(cls, group: FiniteGroup, n_group: PermGroup, n_class: GroupClassLabel,
                         provenance: tuple[str, int]) -> HgsRecord:
-        """The record of a given N, keeping N's own generators."""
+        """The record of a given N, its views computed and checked here.
+
+        M is the catalog group of N's class, so N's order must be a catalog
+        order; an isomorphism M -> N is searched for.
+        """
         rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
-        record = cls(group, rows, n_class, provenance)
-        vars(record)["n_group"] = n_group
-        return record
+        conj = _lambda_conjugation(group, rows)
+        if conj is None:
+            raise TheoremViolation("lambda(G) does not normalize N")
+        if not catalog_names(len(rows)):
+            raise UncoveredOrder(f"catalog does not cover order {len(rows)}")
+        iso = an_isomorphism(catalog_group(n_class.name), _table_group(rows, "N"))
+        if iso is None:
+            raise TheoremViolation(
+                f"N of provenance {provenance} is not isomorphic to its class "
+                f"{n_class.name} (G = {group!r})")
+        return cls(group, rows, n_class, provenance, conj, np.array(iso, dtype=np.uint8))
 
     @property
     def key(self) -> bytes:
@@ -92,36 +111,6 @@ class HgsRecord:
         """N as a PermGroup, built on first read."""
         perms = [Permutation(row) for row in self.rows.tolist()]
         return PermGroup(len(perms), generating_subset_of(perms), perms)
-
-    @property
-    def n_table(self) -> FiniteGroup:
-        """N's Cayley table on its element indices; built on each access."""
-        return _table_group(self.rows, "N")
-
-    @cached_property
-    def lambda_conj(self) -> np.ndarray:
-        """Row g maps index a to the index of lambda(g) a lambda(g)^-1 in N."""
-        conj = _lambda_conjugation(self.group, self.rows)
-        if conj is None:
-            raise TheoremViolation("lambda(G) does not normalize N")
-        return conj
-
-    @cached_property
-    def m_to_n(self) -> np.ndarray:
-        """Entry m is the index in N of the image of m under an isomorphism M -> N.
-
-        M is the catalog group of N's class, so N's order must be a catalog
-        order. An enumerated record keeps the map its contracts checked; a
-        given N is searched for one.
-        """
-        if not catalog_names(len(self.rows)):
-            raise UncoveredOrder(f"catalog does not cover order {len(self.rows)}")
-        iso = an_isomorphism(catalog_group(self.n_class.name), self.n_table)
-        if iso is None:
-            raise TheoremViolation(
-                f"N of provenance {self.provenance} is not isomorphic to its class "
-                f"{self.n_class.name} (G = {self.group!r})")
-        return np.array(iso, dtype=np.uint8)
 
 
 def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
@@ -140,7 +129,7 @@ def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | No
 
 class _HolData:
     """Rows of Hol(M) as bytes, its regular subgroups as one uint8 stack, and those
-    of one class on demand."""
+    of one class, with their Cayley tables, on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -158,11 +147,12 @@ class _HolData:
         # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root
         stabiliser = aut_rows[aut_rows[:, 1] == 1] if n > 1 else None
         self.subgroups = regsearch.regular_subgroups(self.rows, n, stabiliser)
-        self._isomorphic: dict[str, list[_RegularSubgroup]] = {}
+        self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup]]] = {}
         self._spectra: np.ndarray | None = None
 
-    def isomorphic_to(self, class_name: str) -> list[_RegularSubgroup]:
-        """The regular subgroups of class ``class_name``, in canonical search order.
+    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, FiniteGroup]]:
+        """(rows, table) of each regular subgroup of class ``class_name``, in canonical
+        search order; the rows are sorted, identity first, and the table is on their indices.
 
         Only subgroups whose order spectrum is the class's get a table and an
         ``iso_class`` call.
@@ -173,14 +163,11 @@ class _HolData:
             spectrum = np.sort(catalog_group(class_name).element_orders())
             found = []
             for i in np.flatnonzero((self._spectra == spectrum).all(axis=1)).tolist():
-                sub = _RegularSubgroup(self.subgroups[i])
-                if iso_class(sub.abstract).name == class_name:
-                    found.append(sub)
+                table = _table_group(self.subgroups[i], "regular subgroup")
+                if iso_class(table).name == class_name:
+                    found.append((self.subgroups[i], table))
             self._isomorphic[class_name] = found
         return self._isomorphic[class_name]
-
-    def count_isomorphic_to(self, class_name: str) -> int:
-        return len(self.isomorphic_to(class_name))
 
 
 def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
@@ -229,15 +216,7 @@ def regular_table(rows: np.ndarray) -> np.ndarray:
 
 
 def _table_group(rows: np.ndarray, spec: str) -> FiniteGroup:
-    return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows).tolist(), spec=spec)
-
-
-class _RegularSubgroup:
-    """V with its rows sorted (identity first) and its Cayley table on those indices."""
-
-    def __init__(self, rows: np.ndarray):
-        self.sorted_rows = rows
-        self.abstract = _table_group(rows, "regular subgroup")
+    return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows), spec=spec)
 
 
 _HOL_CACHE: dict[str, _HolData] = {}
@@ -280,14 +259,14 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    for sub in hol.isomorphic_to(g_class):
-        beta0 = an_isomorphism(group, sub.abstract)
+    for v_rows, v_table in hol.isomorphic_to(g_class):
+        beta0 = an_isomorphism(group, v_table)
         if beta0 is None:
             raise TheoremViolation(f"regular subgroup of Hol({m_name}) classed {g_class} "
                                    "is not isomorphic to G")
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = np.array(beta0)[aut_g]
-        b0 = sub.sorted_rows[list(beta0), 0].astype(np.intp)
+        b0 = v_rows[list(beta0), 0].astype(np.intp)
         table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
         rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
         # row x of N_alpha = alpha^-1 N0 alpha is alpha^-1 o rows0[alpha(x)] o alpha
@@ -297,7 +276,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
             key = n_rows[a].tobytes()
             multiplicity[key] += 1
             if key not in first:
-                first[key] = (emb_id, sub.sorted_rows[isos[a]], n_rows[a].copy())
+                first[key] = (emb_id, v_rows[isos[a]], n_rows[a].copy())
             emb_id += 1
 
     lam_table = np.array(group.table, dtype=np.intp)
@@ -327,10 +306,8 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
         if multiplicity[key] != hol.aut_order:
             raise TheoremViolation(
                 f"structure arose from {multiplicity[key]} embeddings, expected |Aut(M)| = {hol.aut_order}")
-        record = HgsRecord(group, rows, GroupClassLabel(m_name, n), (m_name, first_id))
-        vars(record)["lambda_conj"] = conj
-        vars(record)["m_to_n"] = col0.astype(np.uint8)
-        records.append(record)
+        records.append(HgsRecord(group, rows, GroupClassLabel(m_name, n), (m_name, first_id),
+                                 conj, col0.astype(np.uint8)))
     return records
 
 
@@ -399,7 +376,7 @@ def count_formula_report(group: FiniteGroup) -> list[dict]:
     for m_name in catalog_names(group.order):
         hol = _hol_data(m_name)
         n_count = sum(1 for r in records if r.n_class.name == m_name)
-        v_count = hol.count_isomorphic_to(g_class)
+        v_count = len(hol.isomorphic_to(g_class))
         out.append(
             {
                 "model": m_name,

@@ -29,11 +29,15 @@ class FiniteGroup:
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]], spec: str = ""):
         self.elements = tuple(str(s) for s in labels)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.spec = spec
         n = len(self.elements)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        try:
+            square = np.asarray(table, dtype=np.intp)
+        except ValueError:  # ragged rows
+            square = None
+        if square is None or square.shape != (n, n):
             raise GroupSpecError("multiplication table shape does not match element count")
+        self.table = tuple(map(tuple, square.tolist()))
         if any(self.table[0][x] != x or self.table[x][0] != x for x in range(n)):
             raise GroupSpecError("element 0 is not an identity")
         self.inverse_table = self._compute_inverses()

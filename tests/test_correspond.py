@@ -21,7 +21,7 @@ from hgw.correspond import (
     stable_subgroups,
 )
 from hgw.dsl import build_group
-from hgw.enumeration import HgsRecord, enumerate_hgs
+from hgw.enumeration import HgsRecord, _table_group, enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
@@ -213,7 +213,7 @@ def test_index_views_match_permutation_products(g_name):
         n_group = record.n_group
         elems = n_group.elements
         index = {p.images: i for i, p in enumerate(elems)}
-        assert record.n_table.table == as_finite_group(n_group).table
+        assert _table_group(record.rows, "N").table == as_finite_group(n_group).table
         for g in range(group.order):
             lam_g = Permutation(group.table[g])
             expected = [index[(lam_g * a * lam_g.inverse()).images] for a in elems]
@@ -237,9 +237,8 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     group = build_group("D3")
     n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
     assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
-    record = HgsRecord.from_perm_group(group, n_group, iso_class(n_group), ("test", 0))
     with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
-        stable_subgroups(record)
+        HgsRecord.from_perm_group(group, n_group, iso_class(n_group), ("test", 0))
 
 
 def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypatch):
@@ -287,7 +286,7 @@ LATTICE_GROUPS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalo
 @pytest.mark.parametrize("g_name", LATTICE_GROUPS + ["D21"])
 def test_carried_lattice_matches_lattice_of_n_table(g_name):
     for record in enumerate_hgs(catalog_group(g_name)):
-        n_table, conj = record.n_table, record.lambda_conj
+        n_table, conj = _table_group(record.rows, "N"), record.lambda_conj
         expected = [h for h in subgroups(n_table)
                     if np.isin(conj[:, h.members], h.members).all()]
         stables = stable_subgroups(record)
@@ -297,13 +296,30 @@ def test_carried_lattice_matches_lattice_of_n_table(g_name):
             assert stable.p_class == iso_class(correspond._subgroup_as_group(n_table, handle))
 
 
+@pytest.mark.parametrize("g_name", LATTICE_GROUPS)
+def test_given_n_path_agrees_with_the_enumerated_path(g_name):
+    group = catalog_group(g_name)
+    for record in enumerate_hgs(group):
+        given = HgsRecord.from_perm_group(group, record.n_group, record.n_class, record.provenance)
+        assert np.array_equal(given.rows, record.rows)
+        assert np.array_equal(given.lambda_conj, record.lambda_conj)
+        n_table = _table_group(given.rows, "N").table
+        m_table = catalog_group(record.n_class.name).table
+        m_to_n = given.m_to_n.tolist()
+        assert sorted(m_to_n) == list(range(group.order))
+        assert all(n_table[m_to_n[a]][m_to_n[b]] == m_to_n[m_table[a][b]]
+                   for a in range(group.order) for b in range(group.order))
+        assert [(s.p_handle.members, s.normal_in_n, s.p_class) for s in stable_subgroups(given)] \
+            == [(s.p_handle.members, s.normal_in_n, s.p_class) for s in stable_subgroups(record)]
+
+
 def test_given_n_gets_its_lattice_from_an_isomorphism():
     from hgw.fixture24 import DEGREE, _regular_identification, load_generators
 
     g_abs, _ = _regular_identification(closure(load_generators("g"), DEGREE))
     n_group = closure(load_generators("n"), DEGREE)
     record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("paper24", 0))
-    n_table = record.n_table
+    n_table = _table_group(record.rows, "N")
     m_table = catalog_group("A4 x C2").table
     m_to_n = record.m_to_n.tolist()
     assert all(n_table.table[m_to_n[a]][m_to_n[b]] == m_to_n[m_table[a][b]]
@@ -318,19 +334,17 @@ def test_given_n_gets_its_lattice_from_an_isomorphism():
 def test_given_n_of_the_wrong_class_is_a_theorem_violation():
     group = build_group("C6")
     n_group = left_regular(group)
-    record = HgsRecord.from_perm_group(group, n_group, iso_class(build_group("D3")), ("test", 3))
     with pytest.raises(TheoremViolation,
                        match=r"provenance \('test', 3\) is not isomorphic to its class D3 "
                              r"\(G = FiniteGroup\(C6\)\)"):
-        stable_subgroups(record)
+        HgsRecord.from_perm_group(group, n_group, iso_class(build_group("D3")), ("test", 3))
 
 
 def test_given_n_of_an_uncovered_order_is_a_usage_error():
     n_group = left_regular(build_group("C5"))
-    record = HgsRecord.from_perm_group(build_group("C5"), n_group, GroupClassLabel("C5", 5),
-                                       ("test", 0))
     with pytest.raises(UncoveredOrder, match="catalog does not cover order 5"):
-        stable_subgroups(record)
+        HgsRecord.from_perm_group(build_group("C5"), n_group, GroupClassLabel("C5", 5),
+                                  ("test", 0))
 
 
 def _count_calls(monkeypatch, func, counts, key, during=None):

@@ -66,6 +66,19 @@ def test_sdp_rejects_bad_action():
         build_group("sdp(C7, C2, 7)")  # 7 does not divide 2
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("C257", 257), ("D129", 258), ("Dic65", 260), ("C16 x C17", 272), ("sdp(C7, C39, 3)", 273),
+])
+def test_orders_above_the_cap_are_refused_before_a_table_is_built(spec, order):
+    with pytest.raises(GroupSpecError, match=f"capped at order 256; this one has order {order}$"):
+        build_group(spec)
+
+
+def test_orders_at_the_cap_are_built():
+    assert build_group("C256").order == 256
+    assert build_group("C16 x C16").order == 256
+
+
 def test_parse_failures():
     for bad in ["", "C", "X7", "C6 y C2", "sdp(C6)", "(C6", "C6)", "C6 x", "Q16"]:
         with pytest.raises(GroupSpecError):

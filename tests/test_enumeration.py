@@ -190,12 +190,12 @@ def test_lazy_classification_and_beta0_composition(g_name):
         hol = enumeration._hol_data(m_name)
         subs = hol.isomorphic_to(g_name)
         expected = _eager_class_tables(hol, g_name)
-        assert [([bytes(r) for r in sub.sorted_rows], sub.abstract.table) for sub in subs] \
+        assert [([bytes(r) for r in rows], table.table) for rows, table in subs] \
             == expected, (g_name, m_name)
-        for sub in subs:
-            beta0 = np.array(an_isomorphism(group, sub.abstract))
+        for _, table in subs:
+            beta0 = np.array(an_isomorphism(group, table))
             assert sorted(map(tuple, beta0[aut_g].tolist())) \
-                == all_isomorphisms(group, sub.abstract), (g_name, m_name)
+                == all_isomorphisms(group, table), (g_name, m_name)
 
 
 def _reference_records(group):
@@ -209,9 +209,9 @@ def _reference_records(group):
         mul = np.array(hol.model.table)
         first = {}
         emb_id = 0
-        for sub in hol.isomorphic_to(g_class):
-            for iso in all_isomorphisms(group, sub.abstract):
-                b = sub.sorted_rows[list(iso), 0].astype(np.intp)
+        for v_rows, v_table in hol.isomorphic_to(g_class):
+            for iso in all_isomorphisms(group, v_table):
+                b = v_rows[list(iso), 0].astype(np.intp)
                 b_inv = np.argsort(b)
                 perms = tuple(sorted(Permutation(row) for row in b_inv[mul[:, b]].tolist()))
                 first.setdefault(perms, emb_id)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hgw.catalog import catalog_group, catalog_names
@@ -312,3 +313,31 @@ def test_generating_subset_of_records_matches_closure_reference(census42):
 def test_generating_subset_of_rejects_a_set_that_is_not_closed():
     with pytest.raises(GroupSpecError, match="not closed"):
         generating_subset_of([Permutation.identity(3), Permutation.from_cycles([(0, 1, 2)], 3)])
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1]],  # ragged
+    [[0, 1, 2], [1, 0, 2]],  # two rows for three elements
+    [[0, 1], [1, 0], [0, 1]],  # three rows for two elements
+], ids=["ragged", "too_few_rows", "too_many_rows"])
+def test_finite_group_rejects_a_table_of_the_wrong_shape(table):
+    labels = ["e", "a", "b"][:len(table[0])]
+    with pytest.raises(GroupSpecError, match="shape does not match element count"):
+        FiniteGroup(labels, table)
+
+
+def test_finite_group_rejects_a_table_without_identity_at_zero():
+    with pytest.raises(GroupSpecError, match="element 0 is not an identity"):
+        FiniteGroup(["a", "e"], [[1, 0], [0, 1]])
+
+
+def test_finite_group_rejects_an_element_without_two_sided_inverse():
+    # row 1 has 0 in column 2, but 2 * 1 = 2
+    with pytest.raises(GroupSpecError, match="element 1 has no two-sided inverse"):
+        FiniteGroup(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 2, 1]])
+
+
+def test_finite_group_keeps_python_int_entries():
+    group = FiniteGroup(["e", "a"], np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert group.table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in group.table for x in row)

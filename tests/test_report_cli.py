@@ -138,6 +138,13 @@ def test_cli_usage_errors():
     assert err.value.code == 2
 
 
+def test_cli_group_above_the_expression_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enum", "--group", "C257"])
+    assert err.value.code == 2
+    assert "--group: group expressions capped at order 256" in capsys.readouterr().err
+
+
 COVERED = "(covered orders: 1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)"
 
 
