@@ -1,7 +1,7 @@
 """Command-line interface: enum, correspond, table42, verify, model.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (including a group order
-outside the catalog or above an enumeration cap).
+outside the catalog or an isomorphism search beyond its bound).
 """
 
 from __future__ import annotations

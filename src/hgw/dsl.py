@@ -17,12 +17,17 @@ which is what ``idx`` disambiguates.
 
 Every constructor refuses an order above ``GROUP_ORDER_CAP`` (256, the most
 points a uint8 row can name) with GroupSpecError before it builds a table.
+``sdp`` lists Aut(X) with the isomorphism search, so it also refuses, with
+EnumerationOverflow, a base X whose search would try more generator images
+than ``groups.ISO_SEARCH_BOUND``: C2^4 is listed, C2^5 is refused at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+
+import numpy as np
 
 from .errors import GroupSpecError
 from .groups import FiniteGroup, automorphisms
@@ -163,16 +168,16 @@ def semidirect_product(base: FiniteGroup, k: int, aut_order: int, aut_index: int
         raise GroupSpecError(
             f"sdp action of order {aut_order} does not define an automorphism action of C{k}")
     _check_order(base.order * k)
-    auts = [p for p in automorphisms(base).elements if p.order() == aut_order]
+    auts = _of_order(automorphisms(base), aut_order)  # sorted by image tuple
     if aut_index >= len(auts):
         raise GroupSpecError(
             f"sdp action: no automorphism of order {aut_order} at index {aut_index} "
             f"({len(auts)} available)")
-    phi = auts[aut_index]  # automorphisms() is sorted by image tuple
+    phi = auts[aut_index].tolist()
     nb = base.order
     powers = [tuple(range(nb))]
     for _ in range(k - 1):
-        powers.append(tuple(phi(x) for x in powers[-1]))
+        powers.append(tuple(phi[x] for x in powers[-1]))
 
     def idx(x: int, c: int) -> int:
         return c * nb + x
@@ -187,6 +192,17 @@ def semidirect_product(base: FiniteGroup, k: int, aut_order: int, aut_index: int
                 for x2 in range(nb):
                     row[idx(x2, c2)] = idx(base.mul(x1, twist[x2]), (c1 + c2) % k)
     return FiniteGroup(labels, table, spec=f"sdp({base.spec}, C{k}, {aut_order}, {aut_index})")
+
+
+def _of_order(rows: np.ndarray, order: int) -> np.ndarray:
+    """The permutation rows of order exactly ``order``, in their given order."""
+    identity = np.arange(rows.shape[1])
+    keep = np.ones(len(rows), dtype=bool)
+    power = rows
+    for _ in range(order - 1):
+        keep &= (power != identity).any(axis=1)
+        power = np.take_along_axis(rows, power, axis=1)  # row a: a o a^s
+    return rows[keep & (power == identity).all(axis=1)]
 
 
 # -- parser ------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .groups import FiniteGroup, all_isomorphisms, an_isomorphism, generating_su
 from .perm import PermGroup, Permutation
 
 ORACLE_DEGREE_CAP = 8
-ENUMERATION_ORDER_CAP = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +107,11 @@ class HgsRecord:
 
     @cached_property
     def n_group(self) -> PermGroup:
-        """N as a PermGroup, built on first read."""
+        """N as a PermGroup, built on first read.
+
+        Nothing in the package reads it; it stays for the benchmark's oracle
+        workload and the tests, which compare N's element sets.
+        """
         perms = [Permutation(row) for row in self.rows.tolist()]
         return PermGroup(len(perms), generating_subset_of(perms), perms)
 
@@ -237,12 +240,9 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     Output is deterministic: records sorted by (model class in catalog order,
     element set).
     """
-    n = group.order
-    if n > ENUMERATION_ORDER_CAP:
-        raise EnumerationOverflow(f"enumeration capped at order {ENUMERATION_ORDER_CAP}")
-    names = catalog_names(n)
+    names = catalog_names(group.order)
     if not names:
-        raise UncoveredOrder(f"catalog does not cover order {n}")
+        raise UncoveredOrder(f"catalog does not cover order {group.order}")
     g_class = iso_class(group).name
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
     return [rec for m_name in names for rec in _records_for_model(group, g_class, aut_g, m_name)]

@@ -14,7 +14,8 @@ class UncoveredOrder(GroupSpecError):
 
 
 class EnumerationOverflow(HgwError):
-    """A closure or subgroup enumeration exceeded its configured cap."""
+    """A search or closure would outgrow its fixed bound: the isomorphism search's
+    count of generator images, a closure's order or the brute-force oracle's degree."""
 
 
 class TheoremViolation(HgwError):

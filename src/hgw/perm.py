@@ -213,8 +213,8 @@ class PermGroup:
         return self.is_semiregular() and self.order == self.degree
 
 
-def closure(gens: Sequence[Permutation], degree: int, cap: int = CLOSURE_CAP) -> PermGroup:
-    """The subgroup generated by ``gens``, with a hard cap on its order."""
+def closure(gens: Sequence[Permutation], degree: int) -> PermGroup:
+    """The subgroup generated by ``gens``; EnumerationOverflow above ``CLOSURE_CAP`` elements."""
     for g in gens:
         if g.degree != degree:
             raise GroupSpecError(f"generator degree {g.degree} != {degree}")
@@ -227,8 +227,8 @@ def closure(gens: Sequence[Permutation], degree: int, cap: int = CLOSURE_CAP) ->
         for gi in gen_imgs:
             w = tuple(gi[x] for x in u)
             if w not in elems:
-                if len(elems) >= cap:
-                    raise EnumerationOverflow(f"closure exceeds cap {cap}")
+                if len(elems) >= CLOSURE_CAP:
+                    raise EnumerationOverflow(f"closure exceeds cap {CLOSURE_CAP}")
                 elems[w] = Permutation(w)
                 frontier.append(w)
     return PermGroup(degree, gens, list(elems.values()))

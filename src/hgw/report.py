@@ -13,11 +13,12 @@ import numpy as np
 
 from .catalog import catalog_group, catalog_names
 from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable_subgroups
-from .enumeration import HgsRecord, enumerate_hgs
+from .enumeration import HgsRecord, enumerate_hgs, regular_table
 from .errors import GroupSpecError, TheoremViolation
 from .fixture24 import FixtureReport, run_fixture
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generating_sequence
 from .groups import subgroups as subgroups_of
+from .perm import Permutation
 
 FORMATS = ("md", "csv", "json")
 
@@ -160,18 +161,24 @@ def emit_per_g_table(g_name: str, fmt: str = "md") -> TableDocument:
 
 
 def emit_enum_table(group: FiniteGroup, fmt: str = "md") -> TableDocument:
-    """One row per enumerated structure: class, order, provenance, generators."""
+    """One row per enumerated structure: class, order, provenance, generators.
+
+    The generators are the greedy ``generating_sequence`` of N's table, or the
+    identity for the trivial N.
+    """
     records = enumerate_hgs(group)
     rows = []
     for i, record in enumerate(records):
+        n = len(record.rows)
+        gens = generating_sequence(FiniteGroup(range(n), regular_table(record.rows))) or [0]
         rows.append(
             {
                 "index": i,
                 "N_class": record.n_class.name,
-                "order": record.n_group.order,
+                "order": n,
                 "provenance": f"{record.provenance[0]}#{record.provenance[1]}",
                 "generator_cycles": " ".join(
-                    p.cycle_string() for p in record.n_group.generators),
+                    Permutation(record.rows[g]).cycle_string() for g in gens),
             }
         )
     header = ["index", "N_class", "order", "provenance", "generator_cycles"]

@@ -1,20 +1,30 @@
 import pytest
 
+import hgw.groups as groups
 from hgw.dsl import build_group
-from hgw.errors import GroupSpecError
+from hgw.errors import EnumerationOverflow, GroupSpecError
 from hgw.groups import is_isomorphic
+
+
+def _center(group):
+    n = group.order
+    return [a for a in range(n) if all(group.mul(a, b) == group.mul(b, a) for b in range(n))]
+
+
+def _is_abelian(group):
+    return len(_center(group)) == group.order
 
 
 def test_cyclic():
     g = build_group("C42")
-    assert g.order == 42 and g.is_abelian()
+    assert g.order == 42 and _is_abelian(g)
     assert g.element_order(1) == 42
 
 
 def test_dihedral_order_convention():
     # D_k has order 2k; D21 has 21 involutions
     d21 = build_group("D21")
-    assert d21.order == 42 and not d21.is_abelian()
+    assert d21.order == 42 and not _is_abelian(d21)
     assert sum(1 for o in d21.element_orders() if o == 2) == 21
     assert build_group("D7").order == 14
 
@@ -22,9 +32,9 @@ def test_dihedral_order_convention():
 def test_nonabelian_order21_and_center():
     g = build_group("C7:C3 x C2")
     assert g.order == 42
-    assert len(g.center()) == 2
+    assert len(_center(g)) == 2
     q = build_group("C7:C3")
-    assert q.order == 21 and not q.is_abelian()
+    assert q.order == 21 and not _is_abelian(q)
 
 
 def test_product_grouping_and_parens():
@@ -36,7 +46,7 @@ def test_product_grouping_and_parens():
 def test_symmetric_alternating():
     assert build_group("S4").order == 24
     assert build_group("A4").order == 12
-    assert not build_group("A4").is_abelian()
+    assert not _is_abelian(build_group("A4"))
 
 
 def test_dicyclic_and_q8():
@@ -53,7 +63,7 @@ def test_dicyclic_and_q8():
 def test_sdp_f42():
     g = build_group("sdp(C7:C3, C2, 2)")
     assert g.order == 42
-    assert len(g.center()) == 1
+    assert len(_center(g)) == 1
     assert is_isomorphic(g, build_group("C7:C6"))
 
 
@@ -72,6 +82,21 @@ def test_sdp_rejects_bad_action():
 def test_orders_above_the_cap_are_refused_before_a_table_is_built(spec, order):
     with pytest.raises(GroupSpecError, match=f"capped at order 256; this one has order {order}$"):
         build_group(spec)
+
+
+def test_sdp_over_c2_to_the_4_builds_an_order_32_group():
+    group = build_group("sdp(C2 x C2 x C2 x C2, C2, 2)")
+    assert group.order == 32 and group.check_associative()
+    assert max(group.element_orders()) == 4  # C2 acts by an involution, not trivially
+
+
+def test_sdp_over_c2_to_the_5_is_refused_before_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the isomorphism search started")
+
+    monkeypatch.setattr(groups, "_iso_search", no_search)
+    with pytest.raises(EnumerationOverflow, match="would try 28629151 generator images"):
+        build_group("sdp(C2 x C2 x C2 x C2 x C2, C2, 2)")
 
 
 def test_orders_at_the_cap_are_built():

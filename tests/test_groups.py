@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,21 +8,19 @@ import pytest
 from hgw.catalog import catalog_group, catalog_names
 from hgw.dsl import build_group
 from hgw.enumeration import _hol_data, enumerate_hgs
-from hgw.errors import EnumerationOverflow, GroupSpecError
+from hgw.errors import GroupSpecError
 from hgw.groups import (
     FiniteGroup,
     all_isomorphisms,
     an_isomorphism,
     as_finite_group,
     automorphisms,
-    close_subset,
     core_of,
     generating_subset_of,
     is_isomorphic,
     left_regular,
     right_regular,
     subgroups,
-    subgroups_brute_oracle,
 )
 from hgw.perm import Permutation, closure
 
@@ -53,7 +52,9 @@ def test_lambda_rho_intersection_is_center():
         group = build_group(spec)
         lam = {p.images for p in left_regular(group).elements}
         rho = {p.images for p in right_regular(group).elements}
-        center_lams = {tuple(group.table[z]) for z in group.center()}
+        n = group.order
+        center = [z for z in range(n) if all(group.mul(z, b) == group.mul(b, z) for b in range(n))]
+        center_lams = {tuple(group.table[z]) for z in center}
         assert lam & rho == center_lams
 
 
@@ -75,17 +76,36 @@ def test_subgroup_counts():
     assert sorted(h.order for h in subs_d7) == [1, 2, 2, 2, 2, 2, 2, 2, 7, 14]
 
 
+def close_subset(group, seed):
+    """Subgroup of a FiniteGroup generated by ``seed`` element indices."""
+    members = {0} | set(seed)
+    frontier = list(members)
+    table = group.table
+    while frontier:
+        u = frontier.pop()
+        for v in tuple(members):
+            for w in (table[u][v], table[v][u]):
+                if w not in members:
+                    members.add(w)
+                    frontier.append(w)
+    return frozenset(members)
+
+
+def subgroups_brute_oracle(group):
+    """Closures of all generator subsets of size at most log2(n), an upper bound on the rank."""
+    n = group.order
+    found = {frozenset({0})}
+    for k in range(max(1, n.bit_length() - 1) + 1):
+        for combo in itertools.combinations(range(1, n), k):
+            found.add(close_subset(group, combo))
+    return found
+
+
 @pytest.mark.parametrize("spec", ["C6", "C8", "D4", "Q8", "C2 x C2 x C2", "D6", "C12", "A4"])
 def test_subgroups_match_brute_oracle(spec):
     group = build_group(spec)
     ours = {frozenset(h.members) for h in subgroups(group)}
-    oracle = set(subgroups_brute_oracle(group))
-    assert ours == oracle
-
-
-def test_subgroups_cap():
-    with pytest.raises(EnumerationOverflow):
-        subgroups(build_group("C6"), cap=4)
+    assert ours == subgroups_brute_oracle(group)
 
 
 def test_core_of():
@@ -119,10 +139,42 @@ def test_core_of_normal_is_itself():
 
 
 def test_automorphism_counts():
-    assert automorphisms(build_group("C7")).order == 6
-    aut = automorphisms(build_group("C2 x C2 x C2"))
-    assert aut.order == 168
-    assert aut.order == 7 * 6 * 4  # ordered bases of F_2^3
+    assert len(automorphisms(build_group("C7"))) == 6
+    group = build_group("C2 x C2 x C2")
+    aut = automorphisms(group)
+    assert len(aut) == 168
+    assert len(aut) == 7 * 6 * 4  # ordered bases of F_2^3
+    # the sorted uint8 rows of all_isomorphisms(X, X)
+    assert aut.dtype == np.uint8 and aut.shape == (168, 8)
+    assert aut.tolist() == sorted(aut.tolist()) == list(map(list, all_isomorphisms(group, group)))
+
+
+def _gl_order(k, q):
+    return math.prod(q ** k - q ** i for i in range(k))
+
+
+def _closed_form_aut_order(name):
+    """|Aut| from the literature for the catalog classes with a closed form; None otherwise."""
+    kind, k = name[0], name[1:]
+    if k.isdigit() and kind == "C":
+        n = int(k)
+        return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)  # phi(n)
+    if k.isdigit() and kind == "D" and int(k) >= 3:
+        return int(k) * _closed_form_aut_order(f"C{k}")  # Aut(D_k) = Hol(C_k) for k >= 3
+    return {"C2^2": _gl_order(2, 2), "C2^3": _gl_order(3, 2),
+            "Q8": 24, "A4": 24, "S4": 24}.get(name)
+
+
+def test_automorphism_counts_match_closed_forms():
+    checked = []
+    for name in CATALOG:
+        expected = _closed_form_aut_order(name)
+        if expected is not None:
+            assert len(automorphisms(catalog_group(name))) == expected, name
+            checked.append(name)
+    assert len(checked) == 23  # 12 cyclic, 6 dihedral, C2^2, C2^3, Q8, A4, S4
+    assert len(automorphisms(build_group("C2 x C2 x C2 x C2"))) == _gl_order(4, 2) == 20160
+    assert len(automorphisms(build_group("C3 x C3 x C3"))) == _gl_order(3, 3) == 11232
 
 
 def test_holomorph_orders():
@@ -138,7 +190,7 @@ def test_holomorph_order_identity_up_to_24():
         for name in catalog_names(order):
             group = catalog_group(name)
             rows = _hol_data(name).rows
-            assert len(set(rows)) == group.order * automorphisms(group).order
+            assert len(set(rows)) == group.order * len(automorphisms(group))
 
 
 def test_is_isomorphic_equivalence_relation():
@@ -295,10 +347,10 @@ def test_generating_subset_of_regular_representations_matches_closure_reference(
 
 def test_generating_subset_of_automorphisms_matches_closure_reference():
     for name in CATALOG:
-        aut = automorphisms(catalog_group(name))
-        _assert_same_generators(aut.elements, f"Aut({name})")
-        if aut.degree > 1:
-            _assert_same_generators([p for p in aut.elements if p(1) == 1], f"Stab({name})")
+        aut = [Permutation(row) for row in automorphisms(catalog_group(name)).tolist()]
+        _assert_same_generators(aut, f"Aut({name})")
+        if aut[0].degree > 1:
+            _assert_same_generators([p for p in aut if p(1) == 1], f"Stab({name})")
 
 
 def test_generating_subset_of_records_matches_closure_reference(census42):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hgw.perm as perm
 from hgw.errors import EnumerationOverflow
 from hgw.perm import Permutation, closure, normalizes
 from hgw.regsearch import uniform_rows
@@ -46,14 +47,15 @@ def test_uniformity():
     assert is_uniform(Permutation.identity(4))
 
 
-def test_closure_deterministic_and_capped():
+def test_closure_deterministic_and_capped(monkeypatch):
     gens = [Permutation.from_cycles([(0, 1, 2)], 3)]
     grp = closure(gens, 3)
     assert grp.order == 3
     assert [p.images for p in grp.elements] == sorted(p.images for p in grp.elements)
-    with pytest.raises(EnumerationOverflow):
+    monkeypatch.setattr(perm, "CLOSURE_CAP", 10)
+    with pytest.raises(EnumerationOverflow, match="closure exceeds cap 10"):
         closure([Permutation.from_cycles([(0, 1, 2, 3, 4)], 5),
-                 Permutation.from_cycles([(0, 1)], 5)], 5, cap=10)
+                 Permutation.from_cycles([(0, 1)], 5)], 5)
 
 
 def test_regularity_flags():

@@ -150,8 +150,13 @@ COVERED = "(covered orders: 1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)"
 
 @pytest.mark.parametrize("spec, message", [
     ("C5", "catalog does not cover order 5"),
-    ("C50", "enumeration capped at order 48"),
-], ids=["C5", "C50"])
+    ("C50", "catalog does not cover order 50"),
+    # Aut(C2^4) is listed and the order-32 group built; the catalog then refuses it
+    ("sdp(C2 x C2 x C2 x C2, C2, 2)", "catalog does not cover order 32"),
+    # listing Aut(C2^5) is refused by the isomorphism-search bound before any search
+    ("sdp(C2 x C2 x C2 x C2 x C2, C2, 2)",
+     "isomorphism search on order 32 would try 28629151 generator images, above the bound 100000"),
+], ids=["C5", "C50", "sdp_C2^4", "sdp_C2^5"])
 def test_cli_uncovered_order_is_usage_error(capsys, spec, message):
     assert main(["enum", "--group", spec]) == 2
     assert capsys.readouterr().err == f"usage error: {message} {COVERED}\n"
@@ -270,7 +275,8 @@ def test_python_m_hgw_runs_the_cli():
 
 
 def test_census_and_model_report_build_no_perm_group(monkeypatch):
-    # N, P and their block images stay uint8 rows from enumeration to the last check;
+    # N, P and their block images stay uint8 rows from enumeration to the last check
+    # and the enum table;
     # the first run of each warms the catalog and holomorph caches
     import hgw.report as report
     from hgw.perm import PermGroup
@@ -289,7 +295,8 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
     monkeypatch.setattr(report, "_CENSUS_CACHE", {})
     census = report.group_census("D21")
     doc = model_report(11, 4)
-    assert census.rows and doc.rows
+    enum_doc = emit_enum_table(build_group("D21"))
+    assert census.rows and doc.rows and enum_doc.rows
     assert built == []
 
 
