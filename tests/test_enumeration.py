@@ -48,9 +48,14 @@ def test_oracle_degree_cap():
 
 
 def test_enumeration_requires_catalog_coverage():
-    for order in (10, 50):  # neither order has catalog entries
-        with pytest.raises(UncoveredOrder, match=f"catalog does not cover order {order}$"):
-            enumerate_hgs(build_group(f"C{order}"))
+    with pytest.raises(UncoveredOrder, match="catalog does not cover order 10$"):
+        enumerate_hgs(build_group("C10"))
+
+
+def test_enumeration_order_cap():
+    """Orders past the catalog are refused before any search starts."""
+    with pytest.raises(UncoveredOrder, match="catalog does not cover order 50$"):
+        enumerate_hgs(build_group("C50"))
 
 
 def test_rho_always_enumerated():
