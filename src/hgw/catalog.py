@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .dsl import build_group
 from .errors import TheoremViolation, UncoveredOrder
-from .groups import FiniteGroup, PermGroup, as_finite_group, is_isomorphic
+from .groups import FiniteGroup, is_isomorphic
 
 # Order 42 entries are listed in the column order of the degree-42 census.
 CATALOG: dict[int, tuple[tuple[str, str], ...]] = {
@@ -102,13 +102,11 @@ def catalog_groups(order: int) -> list[tuple[str, FiniteGroup]]:
     return [(name, catalog_group(name)) for name in catalog_names(order)]
 
 
-def iso_class(group) -> GroupClassLabel:
-    """Classify a FiniteGroup or PermGroup by its order spectrum, searching only on ties.
+def iso_class(group: FiniteGroup) -> GroupClassLabel:
+    """Classify a group by its order spectrum, searching only on ties.
 
     No match means the catalog misses a class: a TheoremViolation.
     """
-    if isinstance(group, PermGroup):
-        group = as_finite_group(group)
     names = catalog_names(group.order)
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {group.order}")

@@ -29,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import GroupClassLabel, catalog_group, iso_class
-from .enumeration import HgsRecord, enumerate_hgs, regular_table
+from .enumeration import HgsRecord, enumerate_hgs
 from .errors import BlockSystemViolation, TheoremViolation
 from .groups import FiniteGroup, SubgroupHandle, core_of, is_normal, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
-from .regsearch import normalized_by
+from .regsearch import is_regular, normalized_by, regular_table
 
 
 @dataclass(frozen=True)
@@ -211,11 +211,10 @@ def _psi_of_orbit(group: FiniteGroup, orbit: tuple[int, ...]) -> PsiResult:
 
 
 def _subgroup_as_group(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGroup:
+    """The closed set ``handle`` as a group: lambda of its members is semiregular."""
     members = list(handle.members)
-    index = {x: i for i, x in enumerate(members)}
-    table = [[index[group.mul(a, b)] for b in members] for a in members]
-    labels = [group.elements[x] for x in members]
-    return FiniteGroup(labels, table, spec=f"subgroup of order {len(members)}")
+    return FiniteGroup([group.elements[x] for x in members], regular_table(group.rows[members]),
+                       spec=f"subgroup of order {len(members)}")
 
 
 def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
@@ -295,14 +294,9 @@ def _lambda_blocks(j_handle: SubgroupHandle) -> tuple[CosetSpace, np.ndarray, np
     by_j = vars(group).setdefault("_lambda_blocks", {})
     if j_handle.members not in by_j:
         space = coset_space(group, j_handle)
-        gbar_of = induced_block_perm(np.array(group.table, dtype=np.uint8), space)
+        gbar_of = induced_block_perm(group.rows, space)
         by_j[j_handle.members] = (space, gbar_of, np.unique(gbar_of, axis=0))
     return by_j[j_handle.members]
-
-
-def _is_regular(rows: np.ndarray) -> bool:
-    """Whether the distinct sorted rows of a group act regularly: one row per image of 0."""
-    return len(rows) == rows.shape[1] and bool((rows[:, 0] == np.arange(len(rows))).all())
 
 
 def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS:
@@ -324,7 +318,7 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
     kernel = tuple(np.flatnonzero((actions.nbar_of == np.arange(m)).all(axis=1)).tolist())
     if kernel != stable.p_handle.members:
         raise TheoremViolation("kernel of the block action of N is not exactly P")
-    if not _is_regular(nbar) or len(nbar) * stable.order != len(record.rows):
+    if not is_regular(nbar) or len(nbar) * stable.order != len(record.rows):
         raise TheoremViolation("block image of N is not regular of order [N:P]")
     if len(np.unique(gbar[:, 0])) != m:
         raise TheoremViolation("block image of lambda(G) is not transitive")
@@ -334,7 +328,7 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS
     gbar_regular = False
     if result.normal_in_g:
         _assert_lambda_j_trivial(stable, result, actions)
-        gbar_regular = _is_regular(gbar)
+        gbar_regular = bool(is_regular(gbar))
         if not gbar_regular or len(gbar) * result.j_handle.order != group.order:
             raise TheoremViolation("block image of lambda(G) is not regular of order [G:J]")
     return QuotientHGS(**vars(actions), gbar_regular=gbar_regular)

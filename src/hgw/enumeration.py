@@ -6,12 +6,14 @@ isomorphism beta: G -> V, transports to one regular subgroup N <= Perm(G)
 normalized by lambda(G), via conjugation by the base-point bijection
 b(g) = beta(g)(0).
 
-The regular subgroups of each Hol(M) are searched once, up to conjugation by
-the automorphisms of M that fix the point 1 (see ``regsearch``), and come back
-as one uint8 stack of sorted rows in canonical order. Only those of G's class
-are classified, lazily and once per Hol(M) and class: the element-order
-spectra of the whole stack are read in one pass, and a subgroup whose
-spectrum differs from G's is skipped before its Cayley table is built.
+Hol(M) is one uint8 stack of rows x -> m alpha(x), gathered from M's ``rows``.
+Its regular subgroups are searched once, up to conjugation by the
+automorphisms of M that fix the point 1 (see ``regsearch``, which owns the row
+format), and come back as one uint8 stack of sorted rows in canonical order.
+Only those of G's class are classified, lazily and once per Hol(M) and class:
+the element-order spectra of the whole stack are read in one pass, and a
+subgroup whose spectrum differs from G's is skipped before its Cayley table is
+built.
 
 Aut(G) is computed once per ``enumerate_hgs`` call; each V then needs one
 isomorphism beta0: G -> V, and its embeddings are the maps beta0 o alpha for
@@ -39,10 +41,10 @@ gets them when its record is built, from the same normalization check and
 from a search for an isomorphism M -> N.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
-degrees. Its regular subgroups of Sym(n) are searched once per degree, up to
-conjugation by the stabiliser of 0 and 1, and come back as one stack; one
-stack test against lambda of a generating sequence of G keeps those that
-lambda(G) normalizes.
+degrees. Sym(n) is one stack of rows, its regular subgroups are searched once
+per degree, up to conjugation by the stabiliser of 0 and 1, and come back as
+one stack; one stack test against lambda of a generating sequence of G keeps
+those that lambda(G) normalizes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
 from .groups import FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of
 from .perm import PermGroup, Permutation
+from .regsearch import conjugate, is_regular, regular_table, row_indices
 
 ORACLE_DEGREE_CAP = 8
 
@@ -118,12 +121,7 @@ class HgsRecord:
 
 def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
     """``lambda_conj`` of N's rows; None unless lambda(G) normalizes N."""
-    index = np.arange(len(rows))
-    lam = np.array(group.table, dtype=np.uint8)  # row g: x -> g x
-    lam_inv = lam[list(group.inverse_table)]  # row g: x -> g^-1 x
-    # conjugates[g, a, x] = g * a(g^-1 x)
-    conjugates = lam[index[:, None, None], rows[index[None, :, None], lam_inv[:, None, :]]]
-    conj = row_indices(rows, conjugates)
+    conj = row_indices(rows, conjugate(rows, group.rows))  # [g, a]: lambda(g) a lambda(g)^-1
     return None if conj is None else conj.astype(np.uint8)
 
 
@@ -131,8 +129,8 @@ def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | No
 
 
 class _HolData:
-    """Rows of Hol(M) as bytes, its regular subgroups as one uint8 stack, and those
-    of one class, with their Cayley tables, on demand."""
+    """Hol(M) and its regular subgroups as uint8 stacks, and those of one class,
+    with their Cayley tables, on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -141,15 +139,14 @@ class _HolData:
         # called through the module: this module's alias may be replaced to fake Aut(G)
         aut_rows = np.array(groups.all_isomorphisms(model, model), dtype=np.uint8)
         self.aut_order = len(aut_rows)
-        mul = np.array(model.table, dtype=np.uint8)
-        # rows[(m, a)] : x -> m * alpha(x); this product set is all of Hol(M)
-        stacked = mul[:, aut_rows].reshape(n * self.aut_order, n)
-        self.rows = [r.tobytes() for r in stacked]
-        if len(set(self.rows)) != n * self.aut_order:  # pragma: no cover - sanity
+        # row (m, a): x -> m * alpha(x); this product set is all of Hol(M), and row (m, a)
+        # sends 0 to m, so its rows are distinct iff the automorphisms are
+        self.rows = model.rows[:, aut_rows].reshape(n * self.aut_order, n)
+        if len({row.tobytes() for row in aut_rows}) != self.aut_order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
         # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root
         stabiliser = aut_rows[aut_rows[:, 1] == 1] if n > 1 else None
-        self.subgroups = regsearch.regular_subgroups(self.rows, n, stabiliser)
+        self.subgroups = regsearch.regular_subgroups(self.rows, stabiliser)
         self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup]]] = {}
         self._spectra: np.ndarray | None = None
 
@@ -191,33 +188,6 @@ def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
     return np.sort(orders, axis=1)
 
 
-def _base_index(rows: np.ndarray) -> np.ndarray:
-    """Entry x is the index of the row that sends 0 to x (0 where no row does)."""
-    pos = np.zeros(rows.shape[1], dtype=np.intp)
-    pos[rows[:, 0]] = np.arange(len(rows))
-    return pos
-
-
-def row_indices(rows: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
-    """Index in ``rows`` of each row of the stack ``targets``; None if one is missing.
-
-    ``rows`` must be semiregular: no two of them send 0 to the same point. A
-    target is found by its image of 0 and then compared in full, so no
-    returned index is wrong.
-    """
-    found = _base_index(rows)[targets[..., 0]]
-    return found if np.array_equal(rows[found], targets) else None
-
-
-def regular_table(rows: np.ndarray) -> np.ndarray:
-    """Cayley table of a regular group on the indices of its rows.
-
-    (p o q)(0) = p[q[0]], and an element of a regular group is fixed by its
-    image of 0, so one gather gives the whole table.
-    """
-    return _base_index(rows)[rows[:, rows[:, 0]]]
-
-
 def _table_group(rows: np.ndarray, spec: str) -> FiniteGroup:
     return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows), spec=spec)
 
@@ -253,7 +223,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
     """The structures of class M: one record per distinct N, sorted by element set."""
     n = group.order
     hol = _hol_data(m_name)
-    mul = np.array(hol.model.table, dtype=np.intp)
+    mul = hol.model.rows
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
     # key -> (embedding id, beta rows, N's rows) of N's first embedding
     first: dict[bytes, tuple] = {}
@@ -279,7 +249,6 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
                 first[key] = (emb_id, v_rows[isos[a]], n_rows[a].copy())
             emb_id += 1
 
-    lam_table = np.array(group.table, dtype=np.intp)
     records = []
     for key in sorted(first):
         first_id, beta, rows = first[key]
@@ -287,7 +256,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
         if len(set(b.tolist())) != n:
             raise TheoremViolation("embedding image is not regular: base map not bijective")
         b_inv = np.argsort(b)
-        if not np.array_equal(b_inv[beta[:, b]], lam_table):
+        if not np.array_equal(b_inv[beta[:, b]], group.rows):
             raise TheoremViolation("transported embedding image differs from lambda(G)")
         # With column 0 a bijection c, row m1 (row m2 (0)) = row (m1 m2) (0) for all
         # m1, m2 forces row m = c lambda(m) c^-1: an injective homomorphism M -> N.
@@ -298,7 +267,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
             raise TheoremViolation(
                 f"transported subgroup is not the injective image of {m_name}")
         # the image of M is closed, so column 0 a bijection makes N regular
-        if not np.array_equal(rows[:, 0], np.arange(n)):
+        if not is_regular(rows):
             raise TheoremViolation("transported subgroup is not regular")
         conj = _lambda_conjugation(group, rows)
         if conj is None:
@@ -336,8 +305,9 @@ def _sym_regular_subgroups(n: int) -> np.ndarray:
     The search walks one root candidate per orbit of the stabiliser of 0 and 1.
     """
     if n not in _SYM_REGULAR:
+        perms = b"".join(map(bytes, itertools.permutations(range(n))))
         _SYM_REGULAR[n] = regsearch.regular_subgroups(
-            map(bytes, itertools.permutations(range(n))), n, _sym_stabiliser_generators(n))
+            np.frombuffer(perms, np.uint8).reshape(-1, n), _sym_stabiliser_generators(n))
     return _SYM_REGULAR[n]
 
 
@@ -352,7 +322,7 @@ def direct_enumerate_oracle(group: FiniteGroup) -> list[PermGroup]:
     n = group.order
     if n > ORACLE_DEGREE_CAP:
         raise EnumerationOverflow(f"direct oracle capped at degree {ORACLE_DEGREE_CAP}")
-    lam_gens = np.array(group.table, dtype=np.uint8)[groups.generating_sequence(group)]
+    lam_gens = group.rows[groups.generating_sequence(group)]
     subgroups = _sym_regular_subgroups(n)
     out = []
     for subgroup in subgroups[regsearch.normalized_by(subgroups, lam_gens)]:

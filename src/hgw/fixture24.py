@@ -2,7 +2,8 @@
 
 Generator files live under fixtures/paper24/ in 1-based cycle notation; the
 loader shifts to 0-based points and identifies point 0 with the identity of G
-(the regular action makes points and group elements interchangeable). The
+(the regular action makes points and group elements interchangeable). G is
+classified by its Cayley table, N and P by the tables of their uint8 rows. The
 fixture exercises the non-normal branch: P is normal in N and G-stable, yet
 J = Psi(P) is one of three conjugate non-normal order-8 subgroups.
 """
@@ -13,12 +14,15 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalog import iso_class
+import numpy as np
+
+from .catalog import GroupClassLabel, iso_class
 from .correspond import StableSubgroup, orbit_coset_check, psi, quotient_structure
-from .enumeration import HgsRecord, regular_table
+from .enumeration import HgsRecord
 from .errors import FixtureFailure
-from .groups import FiniteGroup, SubgroupHandle, core_of, generating_subset_of, subgroups
+from .groups import FiniteGroup, SubgroupHandle, core_of, subgroups
 from .perm import PermGroup, Permutation, closure, normalizes
+from .regsearch import regular_table
 
 DEGREE = 24
 
@@ -72,18 +76,22 @@ def run_fixture() -> FixtureReport:
 
     g_group = closure(load_generators("g"), DEGREE)
     n_group = closure(load_generators("n"), DEGREE)
-    p_perms = load_generators("p")
-    p_group = closure(p_perms, DEGREE)
+    p_group = closure(load_generators("p"), DEGREE)
 
     check("G order and regularity", g_group.order == 24 and g_group.is_regular(),
           f"|G|={g_group.order}, regular={g_group.is_regular()}")
-    check("G class", iso_class(g_group).name == "S4", f"[G]={iso_class(g_group).name}")
+    # identify points with elements of G: point i <-> the element sending 0 to i
+    g_abs = _regular_identification(g_group)
+    g_class = iso_class(g_abs).name
+    check("G class", g_class == "S4", f"[G]={g_class}")
     check("N order and regularity", n_group.order == 24 and n_group.is_regular(),
           f"|N|={n_group.order}, regular={n_group.is_regular()}")
-    check("N class", iso_class(n_group).name == "A4 x C2", f"[N]={iso_class(n_group).name}")
+    n_class = _class_of(_rows(n_group))
+    check("N class", n_class.name == "A4 x C2", f"[N]={n_class.name}")
     check("N normalized by G", normalizes(g_group, n_group), "conjugation check")
-    check("P order and class", p_group.order == 8 and iso_class(p_group).name == "C2^3",
-          f"|P|={p_group.order}, [P]={iso_class(p_group).name}")
+    p_class = _class_of(_rows(p_group)).name  # P is semiregular: its rows give its table
+    check("P order and class", p_group.order == 8 and p_class == "C2^3",
+          f"|P|={p_group.order}, [P]={p_class}")
     check("P inside N", all(q in n_group for q in p_group.elements), "membership")
     check("P normal in N", normalizes(n_group, p_group), "conjugation check")
     check("P normalized by G", normalizes(g_group, p_group), "conjugation check")
@@ -95,9 +103,7 @@ def run_fixture() -> FixtureReport:
     check("P orbits", set(p_orbits) == set(EXPECTED_P_ORBITS),
           f"got {sorted(sorted(o) for o in p_orbits)}")
 
-    # identify points with elements of G: point i <-> the element sending 0 to i
-    g_abs, lam = _regular_identification(g_group)
-    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("paper24", 0))
+    record = HgsRecord.from_perm_group(g_abs, n_group, n_class, ("paper24", 0))
     n_index = {perm.images: i for i, perm in enumerate(n_group.elements)}
     p_handle = SubgroupHandle(record, tuple(sorted(n_index[q.images] for q in p_group.elements)))
     stable = StableSubgroup(record, p_handle, normal_in_n=True)
@@ -113,11 +119,11 @@ def run_fixture() -> FixtureReport:
           len(order8) == 3 and all(core_of(g_abs, h).order < 8 for h in order8),
           f"count={len(order8)}")
 
-    j_perm_group = _subgroup_action(g_group, result.j_handle.members)
-    j_orbits = tuple(_one_based(o) for o in j_perm_group.orbits())
-    check("J orbits (right cosets)", set(j_orbits) == set(EXPECTED_J_ORBITS),
+    # the orbits of lambda(J) are the right cosets Jx: the columns of J's rows
+    j_orbits = {_one_based(col) for col in g_abs.rows[list(result.j_handle.members)].T.tolist()}
+    check("J orbits (right cosets)", j_orbits == set(EXPECTED_J_ORBITS),
           f"got {sorted(sorted(o) for o in j_orbits)}")
-    shared = set(j_orbits) & set(p_orbits)
+    shared = j_orbits & set(p_orbits)
     check("left/right coset mismatch",
           shared == {EXPECTED_P_ORBITS[0]},
           f"J and P share only the identity block; shared={sorted(sorted(o) for o in shared)}")
@@ -128,31 +134,29 @@ def run_fixture() -> FixtureReport:
           f"blocks={quotient.space.block_count}")
     # quotient_structure has asserted that Nbar is regular and Gbar transitive
     blocks = quotient.space.block_count
-    nbar_class = iso_class(FiniteGroup(list(map(str, range(blocks))),
-                                       regular_table(quotient.nbar).tolist())).name
+    nbar_class = _class_of(quotient.nbar).name
     check("quotient N image", nbar_class == "C3", f"[Nbar]={nbar_class}")
     check("quotient G image transitive, not regular", len(quotient.gbar) > blocks,
           f"|Gbar|={len(quotient.gbar)}")
     return FixtureReport(rows)
 
 
-def _regular_identification(g_group: PermGroup) -> tuple[FiniteGroup, PermGroup]:
-    """Index G's elements by their image of point 0; then lambda(G) = G itself."""
-    by_point = {}
-    for perm in g_group.elements:
-        by_point[perm(0)] = perm
+def _rows(group: PermGroup) -> np.ndarray:
+    return np.array([p.images for p in group.elements], dtype=np.uint8)
+
+
+def _class_of(rows: np.ndarray) -> GroupClassLabel:
+    """The catalog class of the semiregular group with these sorted uint8 rows."""
+    return iso_class(FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows)))
+
+
+def _regular_identification(g_group: PermGroup) -> FiniteGroup:
+    """G with its elements indexed by their image of point 0, so that lambda(G) = G."""
+    by_point = {perm(0): perm for perm in g_group.elements}
     if len(by_point) != g_group.degree:
         raise FixtureFailure("fixture group is not regular; cannot identify points")
     table = [by_point[i].images for i in range(g_group.degree)]
     g_abs = FiniteGroup([str(i + 1) for i in range(g_group.degree)], table, spec="paper24 G")
-    lam_perms = [Permutation(row) for row in table]
-    lam = PermGroup(g_group.degree, generating_subset_of(lam_perms), lam_perms)
-    if lam != g_group:
+    if {row.tobytes() for row in g_abs.rows} != {bytes(p.images) for p in g_group.elements}:
         raise FixtureFailure("identification did not reproduce G as lambda(G)")
-    return g_abs, lam
-
-
-def _subgroup_action(g_group: PermGroup, points) -> PermGroup:
-    by_point = {perm(0): perm for perm in g_group.elements}
-    perms = [by_point[x] for x in points]
-    return PermGroup(g_group.degree, generating_subset_of(perms), perms)
+    return g_abs

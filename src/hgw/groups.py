@@ -1,7 +1,8 @@
 """Abstract finite groups via Cayley tables, plus subgroup/automorphism machinery.
 
 Elements of a FiniteGroup are indices 0..n-1 with the identity fixed at 0;
-every permutation representation built here acts on those indices.
+every permutation representation built here acts on those indices, and
+``FiniteGroup.rows`` gives lambda(G) in the uint8 row format of ``regsearch``.
 
 Isomorphisms g1 -> g2 are searched on generator images alone. A backtrack
 gives each element of g1's greedy generating sequence an image of the same
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +62,16 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverse_table[g]]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """lambda(G) as read-only uint8 rows, built on first read: row g is x -> g x.
+
+        Never read above order 256, as on the tables ``generating_subset_of`` builds.
+        """
+        rows = np.array(self.table, dtype=np.uint8)
+        rows.flags.writeable = False
+        return rows
 
     def element_order(self, a: int) -> int:
         x, k = a, 1
@@ -163,26 +175,17 @@ def right_regular(group: FiniteGroup) -> PermGroup:
     return PermGroup(group.order, gens, perms)
 
 
-def as_finite_group(group: PermGroup, spec: str = "") -> FiniteGroup:
-    """Abstract Cayley-table copy of a PermGroup (element order = sorted perms)."""
-    elems = group.elements
-    table = _cayley_table(elems)
-    labels = [p.cycle_string() for p in elems]
-    return FiniteGroup(labels, table, spec=spec or f"perm group of order {len(elems)}")
-
-
 # -- subgroup enumeration ---------------------------------------------------
 
 
-def subgroups(group) -> list[SubgroupHandle]:
+def subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     """All subgroups: cyclic seeds, then extend each known subgroup by one element.
 
     Output is complete (every subgroup arises from a chain of one-element
     extensions starting at a cyclic subgroup) and sorted by (order, members).
     """
-    table_group = as_finite_group(group) if isinstance(group, PermGroup) else group
-    n = table_group.order
-    table = table_group.table
+    n = group.order
+    table = group.table
     whole = frozenset(range(n))
     known: set[frozenset[int]] = {whole}
     queue: list[frozenset[int]] = []

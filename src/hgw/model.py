@@ -26,9 +26,9 @@ import numpy as np
 from . import fplin
 from .correspond import block_actions
 from .dsl import build_group
-from .enumeration import row_indices
 from .errors import GroupSpecError, TheoremViolation
 from .groups import SubgroupHandle
+from .regsearch import conjugate, row_indices
 
 
 def _is_prime(p: int) -> bool:
@@ -190,11 +190,10 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     """
     group = model.group
     if gbar_rows is None:
-        gbar_rows = np.array(group.table, dtype=np.uint8)
+        gbar_rows = group.rows
     size = len(support_rows)
     gen = next(j for j in range(group.order) if group.element_order(j) == group.order)
-    gamma = gbar_rows[gen]
-    conj = row_indices(support_rows, gamma[support_rows[:, np.argsort(gamma)]])
+    conj = row_indices(support_rows, conjugate(support_rows, gbar_rows[gen:gen + 1])[0])
     if conj is None:
         raise TheoremViolation("conjugator does not normalize the support group")
     powers = [0]  # powers[i] is gamma^i as an index of G

@@ -1,8 +1,14 @@
-"""Search for regular (sharply transitive) subgroups inside a permutation group.
+"""Permutations as uint8 rows, and the search for regular subgroups among them.
 
-Elements are image rows packed as ``bytes`` so composition is a single
-``bytes.translate`` call. Only uniform elements (all cycles of one length)
-can lie in a semiregular group; one numpy pass over the pool finds them.
+The row format. A permutation of {0..n-1} is its uint8 image row (n <= 256),
+a set of them a (k, n) stack. Below cycle input and output every module passes
+permutations this way, and reads them with the primitives here: ``conjugate``,
+``row_indices`` and ``regular_table`` (lookups in a semiregular set, whose
+elements are fixed by their images of 0) and ``is_regular``.
+
+Inside ``_search`` and ``_extend`` elements are ``bytes``, so that composition
+is a single ``bytes.translate`` call. Only uniform elements (all cycles of one
+length) can lie in a semiregular group; one numpy pass over the pool finds them.
 
 The search walks a canonical tree: at each node the current subgroup S is
 extended through the least point t not yet in the orbit of the base point 0,
@@ -33,15 +39,16 @@ candidates to root candidates, and V -> alpha V alpha^-1 maps the subtree of
 f one-to-one onto the subtree of alpha f alpha^-1. The symmetries are given
 as generators of such a group: for Hol(M), all automorphisms of M that fix 1
 (a group generates itself); for Sym(n), two generators of the stabiliser of
-0 and 1. One batched conjugation of every root candidate by every generator
-gives the generators' action on the candidates. Pulling the least index
-along that action until it is stable labels each candidate with the least
-candidate of its orbit, and a breadth-first walk from those leaders reaches
-each member f_k from some f_j by a generator s: alpha_k = s o alpha_j then
-conjugates the orbit's least candidate to f_k. The search walks the subtree
-of the least candidate of each orbit only, and gets every other subtree of
-the orbit by one gather on the found stack. With no symmetries every orbit is
-a single candidate and the search is the whole tree.
+0 and 1. One batched conjugation of every root candidate by every generator,
+and one binary search among the sorted candidates, give the generators'
+action on the candidates. Pulling the least index along that action until it
+is stable labels each candidate with the least candidate of its orbit, and a
+breadth-first walk from those leaders reaches each member f_k from some f_j
+by a generator s: alpha_k = s o alpha_j then conjugates the orbit's least
+candidate to f_k. The search walks the subtree of the least candidate of each
+orbit only, and gets every other subtree of the orbit by conjugating the
+found stack. With no symmetries every orbit is a single candidate and the
+search is the whole tree.
 
 Normalisation. ``normalized_by`` tests a whole stack of regular subgroups
 against a few conjugators at once: a regular subgroup holds at most one
@@ -61,13 +68,54 @@ bytes. The sort is one stable argsort on a void view of the stack.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import TheoremViolation
 
 _PAD = bytes(range(256))
+
+
+def conjugate(rows: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
+    """c o r o c^-1 for each (c, n) conjugator c and (..., n) row r, as a (c, ..., n) stack."""
+    moved = np.moveaxis(rows[..., np.argsort(conjugators, axis=1)], -2, 0)  # r(c_a^-1(y))
+    which = np.arange(len(conjugators)).reshape((-1,) + (1,) * rows.ndim)
+    return conjugators[which, moved]
+
+
+def _base_index(rows: np.ndarray) -> np.ndarray:
+    """Entry x is the index of the row that sends 0 to x (0 where no row does)."""
+    pos = np.zeros(rows.shape[1], dtype=np.intp)
+    pos[rows[:, 0]] = np.arange(len(rows))
+    return pos
+
+
+def row_indices(rows: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """Index in ``rows`` of each row of the stack ``targets``; None if one is missing.
+
+    ``rows`` must be semiregular: no two of them send 0 to the same point. A
+    target is found by its image of 0 and then compared in full, so no
+    returned index is wrong.
+    """
+    found = _base_index(rows)[targets[..., 0]]
+    return found if np.array_equal(rows[found], targets) else None
+
+
+def regular_table(rows: np.ndarray) -> np.ndarray:
+    """Cayley table of a semiregular group on the indices of its rows.
+
+    (p o q)(0) = p[q[0]], and an element of a semiregular group is fixed by its
+    image of 0, so one gather gives the whole table.
+    """
+    return _base_index(rows)[rows[:, rows[:, 0]]]
+
+
+def is_regular(rows: np.ndarray) -> np.bool_ | np.ndarray:
+    """Whether a group's rows, sorted by image of 0, are regular: row x sends 0 to x.
+
+    ``rows`` is one (k, n) set, or an (s, k, n) stack for a mask over its sets.
+    """
+    k, n = rows.shape[-2:]
+    return (k == n) & (rows[..., 0] == np.arange(k)).all(axis=-1)
 
 
 def uniform_rows(rows: np.ndarray) -> np.ndarray:
@@ -91,70 +139,64 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
     return uniform
 
 
-def _as_array(rows: Sequence[bytes], degree: int) -> np.ndarray:
-    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), degree)
+def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray | None = None) -> np.ndarray:
+    """All fixed-point-free subgroups of order n among the (k, n) uint8 ``rows``.
 
-
-def regular_subgroups(elements: Iterable[bytes], degree: int,
-                      symmetries: np.ndarray | None = None) -> np.ndarray:
-    """All order-``degree`` fixed-point-free subgroups of the given element set.
-
-    ``elements`` must be (the rows of) a permutation group; the identity row
-    may be included or not. ``symmetries``, if given, are uint8 rows that
+    ``rows`` must be the distinct elements of a permutation group; the identity
+    row may be included or not. ``symmetries``, if given, are uint8 rows that
     generate a group of permutations that fix 0 and 1 and normalise that group.
-    Returns a (k, degree, degree) uint8 stack: each subgroup's rows sorted by
-    image of 0, the subgroups in canonical search order.
+    Returns an (s, n, n) uint8 stack: each subgroup's rows sorted by image of 0,
+    the subgroups in canonical search order.
     """
-    ident = bytes(range(degree))
+    degree = rows.shape[1]
     if degree == 1:
         return np.zeros((1, 1, 1), dtype=np.uint8)
-    uniform = _uniform_elements(elements, degree)
-    allowed = frozenset(uniform) | {ident}
-    by_image: dict[int, list[bytes]] = {t: [] for t in range(1, degree)}
-    for p in uniform:
-        by_image[p[0]].append(p)
-    buckets = {t: (_as_array(rows, degree), rows) for t, rows in by_image.items()}
+    # the candidates, in bytes order: the uniform rows that move 0 (the identity is uniform too)
+    pool = rows[uniform_rows(rows) & (rows[:, 0] != 0)]
+    pool = pool[np.lexsort(pool.T[::-1])]
+    blob = pool.tobytes()
+    ident = bytes(range(degree))
+    allowed = frozenset(blob[i:i + degree] for i in range(0, len(blob), degree)) | {ident}
+    buckets = {t: pool[pool[:, 0] == t] for t in range(1, degree)}  # by image of 0
     if symmetries is None:
         symmetries = np.arange(degree, dtype=np.uint8)[None]
-    root_array, roots = buckets[1]
+    roots = buckets[1]
     stacks = [np.zeros((0, degree, degree), dtype=np.uint8)]
-    for i, movers in _root_orbits(root_array, roots, symmetries):
+    for i, movers in _root_orbits(roots, symmetries):
         found: list[bytes] = []
         # the root node walks the candidates of point 1: give it f alone
-        root = {**buckets, 1: (root_array[i:i + 1], roots[i:i + 1])}
-        _search({0: ident}, [], degree, root, allowed, found)
+        _search({0: ident}, [], degree, {**buckets, 1: roots[i:i + 1]}, allowed, found)
         stack = np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
         stacks.append(stack)
-        for alpha in movers:
-            # row x of alpha V alpha^-1 is alpha o (row alpha^-1(x) of V) o alpha^-1
-            inv = np.argsort(alpha)
-            stacks.append(alpha[stack[:, inv[:, None], inv]])
+        if len(movers):
+            moved = conjugate(stack, movers)  # [a, v, x] = alpha_a o (row x of V_v) o alpha_a^-1
+            # alpha_a fixes 0, so that row sends 0 to alpha_a(x): row y is moved[a, v, alpha_a^-1(y)]
+            a, v = np.ogrid[:len(movers), :len(stack)]
+            inv = np.argsort(movers, axis=1)[:, None, :]
+            stacks.append(moved[a[..., None], v[..., None], inv].reshape(-1, degree, degree))
     out = np.concatenate(stacks)
     keys = out.reshape(len(out), degree * degree).view(np.dtype((np.void, degree * degree)))
     return out[np.argsort(keys[:, 0], kind="stable")]
 
 
-def _root_orbits(root_array: np.ndarray, roots: list[bytes],
-                 symmetries: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The orbits of the root candidates under conjugation by the group ``symmetries`` generate.
+def _root_orbits(roots: np.ndarray, symmetries: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The orbits of the sorted root candidates under conjugation by <symmetries>.
 
     One entry per orbit, in candidate order: the index of its least candidate
     f, and a (m, degree) uint8 array holding, for each of the orbit's m other
     members, one alpha with alpha f alpha^-1 = that member.
     """
-    degree = root_array.shape[1]
-    inv = np.argsort(symmetries, axis=1)
-    # conj[a, i] = s_a o f_i o s_a^-1
-    conj = symmetries[np.arange(len(symmetries))[:, None, None],
-                      root_array[:, inv].transpose(1, 0, 2)]
-    index = {f: i for i, f in enumerate(roots)}
-    blob = conj.tobytes()
-    image = [index.get(blob[k:k + degree]) for k in range(0, len(blob), degree)]
-    if None in image:
+    count, degree = roots.shape
+    if not count:
+        return []
+    conj = np.ascontiguousarray(conjugate(roots, symmetries))  # [a, i] = s_a o f_i o s_a^-1
+    keys = roots.view(f"V{degree}").ravel()
+    image = np.searchsorted(keys, conj.view(f"V{degree}").ravel()).reshape(len(symmetries), count)
+    image = np.minimum(image, count - 1)  # a conjugate past the last candidate is missing
+    if not np.array_equal(roots[image], conj):
         raise TheoremViolation("a symmetry does not map the root candidates to themselves")
-    image = np.array(image, dtype=np.intp).reshape(len(symmetries), len(roots))
     # the least candidate of each orbit: pull the least label along the generators' edges
-    leader = np.arange(len(roots))
+    leader = np.arange(count)
     while True:
         pulled = np.minimum(leader, leader[image].min(axis=0))
         if np.array_equal(pulled, leader):
@@ -162,10 +204,10 @@ def _root_orbits(root_array: np.ndarray, roots: list[bytes],
         leader = pulled
     # breadth-first from every leader at once, one level per pass: an edge from f_j
     # to f_k by the generator s gives alpha_k = s o alpha_j
-    alpha = np.empty_like(root_array)
+    alpha = np.empty_like(roots)
     alpha[:] = np.arange(degree)
-    frontier = np.flatnonzero(leader == np.arange(len(roots)))
-    seen = np.zeros(len(roots), dtype=bool)
+    frontier = np.flatnonzero(leader == np.arange(count))
+    seen = np.zeros(count, dtype=bool)
     seen[frontier] = True
     while len(frontier):
         reached, first = np.unique(image[:, frontier], return_index=True)
@@ -177,34 +219,28 @@ def _root_orbits(root_array: np.ndarray, roots: list[bytes],
         frontier = reached
     by_orbit = np.argsort(leader, kind="stable")  # each orbit's leader comes first
     orbits = np.split(by_orbit, np.flatnonzero(np.diff(leader[by_orbit])) + 1)
-    return [(int(members[0]), alpha[members[1:]]) for members in orbits if len(members)]
-
-
-def _uniform_elements(elements: Iterable[bytes], degree: int) -> list[bytes]:
-    """The distinct uniform non-identity rows, sorted; the pool is dropped on return."""
-    pool = list(elements)
-    keep = np.flatnonzero(uniform_rows(_as_array(pool, degree))).tolist()
-    return sorted({pool[i] for i in keep} - {bytes(range(degree))})
+    return [(int(members[0]), alpha[members[1:]]) for members in orbits]
 
 
 def _search(elems: dict[int, bytes], gen_tabs: list[bytes], degree: int,
-            buckets: dict[int, tuple[np.ndarray, list[bytes]]], allowed: frozenset[bytes],
+            buckets: dict[int, np.ndarray], allowed: frozenset[bytes],
             found: list[bytes]) -> None:
     """Append to ``found`` every regular subgroup below the node ``elems``, as its sorted rows.
 
-    Module-level, not a recursive closure: a closure that refers to itself is a
-    reference cycle, which would keep the candidate pool alive until the cyclic
-    garbage collector runs.
+    ``buckets[t]`` holds the candidates that send 0 to t, sorted. Module-level,
+    not a recursive closure: a closure that refers to itself is a reference
+    cycle, which would keep the candidate pool alive until the cyclic garbage
+    collector runs.
     """
     t = next(x for x in range(degree) if x not in elems)
-    cand_array, candidates = buckets[t]
+    candidates = buckets[t]
     if len(elems) > 1:
-        members = _as_array(list(elems.values()), degree)
-        clash = (cand_array[:, None, :] == members[None, :, :]).any(axis=(1, 2))
-        candidates = [candidates[i] for i in np.flatnonzero(~clash).tolist()]
-    tail = _PAD[degree:]
-    for f in candidates:
-        f_tab = f + tail
+        members = np.frombuffer(b"".join(elems.values()), np.uint8).reshape(len(elems), degree)
+        clash = (candidates[:, None, :] == members[None, :, :]).any(axis=(1, 2))
+        candidates = candidates[~clash]
+    blob, tail = candidates.tobytes(), _PAD[degree:]
+    for start in range(0, len(blob), degree):
+        f_tab = blob[start:start + degree] + tail
         ext = _extend(elems, gen_tabs, f_tab, allowed)
         if ext is None:
             continue
@@ -249,10 +285,8 @@ def normalized_by(stack: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
     conjugators suffice. Raises ValueError unless column 0 of every subgroup
     is 0..n-1.
     """
-    n = stack.shape[-1]
-    if stack.ndim != 3 or stack.shape[1] != n or not (stack[:, :, 0] == np.arange(n)).all():
+    if stack.ndim != 3 or not is_regular(stack).all():
         raise ValueError("normalized_by needs regular subgroups with rows sorted by image of 0")
-    inv = np.argsort(conjugators, axis=1)
-    # conj[s, x, c, y] = c(row x of subgroup s (c^-1(y)))
-    conj = conjugators[np.arange(len(conjugators))[:, None], stack[:, :, inv]]
-    return (stack[np.arange(len(stack))[:, None, None], conj[..., 0]] == conj).all(axis=(1, 2, 3))
+    conj = conjugate(stack, conjugators)  # conj[c, s, x]: c o (row x of subgroup s) o c^-1
+    held = stack[np.arange(len(stack))[:, None], conj[..., 0]]
+    return (held == conj).all(axis=(0, 2, 3))

@@ -4,21 +4,25 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import model as m
 from .catalog import catalog_group, catalog_names
 from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable_subgroups
-from .enumeration import HgsRecord, enumerate_hgs, regular_table
+from .enumeration import HgsRecord, enumerate_hgs
 from .errors import GroupSpecError, TheoremViolation
 from .fixture24 import FixtureReport, run_fixture
 from .groups import FiniteGroup, generating_sequence
 from .groups import subgroups as subgroups_of
 from .perm import Permutation
+from .regsearch import regular_table
 
 FORMATS = ("md", "csv", "json")
 
@@ -46,7 +50,6 @@ FILE_SLUGS = {
 class TableDocument:
     """A rendered table: deterministic rows plus one of the three formats."""
 
-    kind: str  # count-matrix-42 | per-g-table | fixture-report | model-report
     rows: list[dict]
     format: str
     header: list[str] = field(default_factory=list)
@@ -129,8 +132,8 @@ def emit_count_matrix_42(fmt: str = "md") -> TableDocument:
             braces = census.onto_counts.get(m_name, 0)
             row[DISPLAY_42[m_name]] = f"{count} {{{braces}}}" if count else "0"
         rows.append(row)
-    header = ["G"] + [DISPLAY_42[m] for m in names]
-    return TableDocument("count-matrix-42", rows, fmt, header)
+    header = ["G"] + [DISPLAY_42[m_name] for m_name in names]
+    return TableDocument(rows, fmt, header)
 
 
 def correspondence_table_doc(rows, fmt: str) -> TableDocument:
@@ -151,7 +154,7 @@ def correspondence_table_doc(rows, fmt: str) -> TableDocument:
     header = ["count", "N_class", "P_class", "J_class", "J_normal", "core_order"]
     if fmt != "json":
         header.append("status")
-    return TableDocument("per-g-table", out, fmt, header)
+    return TableDocument(out, fmt, header)
 
 
 def emit_per_g_table(g_name: str, fmt: str = "md") -> TableDocument:
@@ -182,13 +185,13 @@ def emit_enum_table(group: FiniteGroup, fmt: str = "md") -> TableDocument:
             }
         )
     header = ["index", "N_class", "order", "provenance", "generator_cycles"]
-    return TableDocument("enum-table", rows, fmt, header)
+    return TableDocument(rows, fmt, header)
 
 
 def run_fixture_paper24(fmt: str = "md") -> TableDocument:
     """Run the bundled degree-24 fixture and render its check rows."""
     report: FixtureReport = run_fixture()
-    return TableDocument("fixture-report", report.rows, fmt, ["check", "status", "detail"])
+    return TableDocument(report.rows, fmt, ["check", "status", "detail"])
 
 
 def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank", "exact", "fixedsum"),
@@ -198,10 +201,6 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
     Every row's computation raises TheoremViolation on failure, so a rendered
     report certifies that each listed check passed with the shown dimensions.
     """
-    import itertools
-
-    from . import model as m
-
     ext = m.make_extension(p, n)
     records = enumerate_hgs(ext.group) if {"fix", "rank", "exact"} & set(checks) else []
     rows: list[dict] = []
@@ -248,13 +247,11 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
                         raise TheoremViolation("fixedsum counterexample")  # pragma: no cover
                     count += 1
         row("fixedsum", f"all subsets of G, all subfields", f"{count} instances, no counterexample")
-    return TableDocument("model-report", rows, fmt, ["check", "target", "status", "detail"])
+    return TableDocument(rows, fmt, ["check", "target", "status", "detail"])
 
 
 def write_table42(out_dir, fmt: str = "md") -> list[str]:
     """Write the count matrix plus all six per-group tables; returns paths."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

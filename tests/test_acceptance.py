@@ -177,6 +177,7 @@ def test_extra_quotient_example_d21(census42):
     from hgw.catalog import iso_class
     from hgw.correspond import quotient_structure
     from hgw.perm import PermGroup, Permutation
+    from perm_tables import as_finite_group
 
     def as_perm_group(rows):
         perms = [Permutation(row) for row in rows.tolist()]
@@ -186,13 +187,13 @@ def test_extra_quotient_example_d21(census42):
     record = next(r for r in census.records if r.n_class.name == "C42")
     stable = next(s for s in stable_subgroups(record)
                   if s.normal_in_n and s.order == 6
-                  and iso_class(as_perm_group(s.rows)).name == "C6")
+                  and iso_class(as_finite_group(as_perm_group(s.rows))).name == "C6")
     result = psi(stable)
     assert result.j_class.name == "D3" and not result.normal_in_g
     assert result.core_order == 3
     quotient = quotient_structure(stable, result)
     nbar, gbar = as_perm_group(quotient.nbar), as_perm_group(quotient.gbar)
-    assert iso_class(nbar).name == "C7" and nbar.is_regular()
+    assert iso_class(as_finite_group(nbar)).name == "C7" and nbar.is_regular()
     assert gbar.is_transitive() and not gbar.is_regular()
     _passline(7, "worked quotient example (D21, C42, C6) verified")
 

@@ -26,13 +26,13 @@ from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
     SubgroupHandle,
-    as_finite_group,
     generating_subset_of,
     is_normal,
     left_regular,
     right_regular,
     subgroups,
 )
+from perm_tables import as_finite_group
 from hgw.perm import PermGroup, Permutation, closure, normalizes
 from hgw.report import correspondence_table_doc
 
@@ -54,7 +54,7 @@ def test_rho_all_subgroups_stable():
     record = next(r for r in records
                   if frozenset(p.images for p in r.n_group.elements) == rho)
     stables = stable_subgroups(record)
-    assert len(stables) == len(subgroups(record.n_group))  # every subgroup stable
+    assert len(stables) == len(subgroups(as_finite_group(record.n_group)))  # every subgroup stable
     orders = sorted(s.order for s in stables)
     assert orders[0] == 1 and orders[-1] == group.order
 
@@ -92,11 +92,12 @@ def test_psi_rejects_unstable_subgroup():
 
     g_group = closure(load_generators("g"), DEGREE)
     n_group = closure(load_generators("n"), DEGREE)
-    g_abs, lam = _regular_identification(g_group)
-    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("fixture", 0))
+    g_abs = _regular_identification(g_group)  # lambda(G) is G itself
+    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(as_finite_group(n_group)),
+                                       ("fixture", 0))
     tripped = 0
-    for handle in subgroups(n_group):
-        if normalizes(lam, _as_perm_group(record.rows[list(handle.members)])):
+    for handle in subgroups(as_finite_group(n_group)):
+        if normalizes(g_group, _as_perm_group(record.rows[list(handle.members)])):
             continue
         bogus = StableSubgroup(record, SubgroupHandle(record, handle.members), normal_in_n=False)
         try:
@@ -190,7 +191,7 @@ def test_quotient_small_normal_case():
     assert quotient.space.block_count == 3
     nbar, gbar = _as_perm_group(quotient.nbar), _as_perm_group(quotient.gbar)
     assert nbar.is_regular() and gbar.is_regular()
-    assert iso_class(nbar).name == "C3"
+    assert iso_class(as_finite_group(nbar)).name == "C3"
 
 
 # -- the index views against permutation products -------------------------------
@@ -219,7 +220,7 @@ def test_index_views_match_permutation_products(g_name):
             expected = [index[(lam_g * a * lam_g.inverse()).images] for a in elems]
             assert record.lambda_conj[g].tolist() == expected
         reference = []
-        for handle in subgroups(n_group):
+        for handle in subgroups(as_finite_group(n_group)):
             sub = _as_perm_group(record.rows[list(handle.members)])
             if normalizes(lam, sub):
                 reference.append((handle.members, normalizes(n_group, sub)))
@@ -238,7 +239,7 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
     assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
     with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
-        HgsRecord.from_perm_group(group, n_group, iso_class(n_group), ("test", 0))
+        HgsRecord.from_perm_group(group, n_group, iso_class(as_finite_group(n_group)), ("test", 0))
 
 
 def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypatch):
@@ -316,9 +317,10 @@ def test_given_n_path_agrees_with_the_enumerated_path(g_name):
 def test_given_n_gets_its_lattice_from_an_isomorphism():
     from hgw.fixture24 import DEGREE, _regular_identification, load_generators
 
-    g_abs, _ = _regular_identification(closure(load_generators("g"), DEGREE))
+    g_abs = _regular_identification(closure(load_generators("g"), DEGREE))
     n_group = closure(load_generators("n"), DEGREE)
-    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(n_group), ("paper24", 0))
+    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(as_finite_group(n_group)),
+                                       ("paper24", 0))
     n_table = _table_group(record.rows, "N")
     m_table = catalog_group("A4 x C2").table
     m_to_n = record.m_to_n.tolist()
@@ -512,7 +514,7 @@ def _tamper_lambda(monkeypatch, tamper):
     """Rewrite lambda(G)'s point maps once the cosets of J are built.
 
     The coset space stays that of the real G; only the block images of
-    lambda(G), which are read from G's table afterwards, change.
+    lambda(G), which are read from G's rows afterwards, change.
     """
     real = correspond.coset_space
 
@@ -521,6 +523,7 @@ def _tamper_lambda(monkeypatch, tamper):
         rows = [list(row) for row in group.table]
         tamper(group, space, rows)
         group.table = tuple(map(tuple, rows))
+        vars(group)["rows"] = np.array(rows, dtype=np.uint8)  # lambda(G)'s cached rows
         return space
 
     monkeypatch.setattr(correspond, "coset_space", space_then_tamper)

@@ -25,6 +25,7 @@ from hgw.groups import (
     right_regular,
 )
 from hgw.perm import PermGroup, Permutation, normalizes
+from perm_tables import as_finite_group
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -73,7 +74,7 @@ def test_every_record_sound():
     for record in enumerate_hgs(group):
         assert record.n_group.is_regular()
         assert normalizes(lam, record.n_group)
-        assert iso_class(record.n_group).name == record.n_class.name
+        assert iso_class(as_finite_group(record.n_group)).name == record.n_class.name
 
 
 def test_count_formula_small():
@@ -256,8 +257,8 @@ def test_searches_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert len(regsearch.regular_subgroups(rows, 8)) == 20
-        assert len(regsearch.regular_subgroups(rows, 8, stabiliser)) == 20
+        assert len(regsearch.regular_subgroups(rows)) == 20
+        assert len(regsearch.regular_subgroups(rows, stabiliser)) == 20
         assert len(all_isomorphisms(group, group)) == 8
         assert gc.collect() == 0
     finally:
@@ -334,23 +335,28 @@ def _reference_extend(members, f, degree, allowed):
 
 
 def _sym_rows(n):
-    return [bytes(p) for p in itertools.permutations(range(n))]
+    return np.array(list(itertools.permutations(range(n))), dtype=np.uint8).reshape(-1, n)
+
+
+def _as_bytes(rows):
+    """A uint8 stack as the list of its rows' bytes, the references' element format."""
+    return [row.tobytes() for row in rows]
 
 
 @pytest.mark.parametrize("m_name", SMALL_CATALOG)
 def test_regular_subgroups_match_pairwise_closure_in_hol(m_name):
     hol = enumeration._hol_data(m_name)
     order = catalog_group(m_name).order
-    expected = _packed(_reference_regular_subgroups(hol.rows, order), order)
-    assert np.array_equal(regsearch.regular_subgroups(hol.rows, order), expected)
+    expected = _packed(_reference_regular_subgroups(_as_bytes(hol.rows), order), order)
+    assert np.array_equal(regsearch.regular_subgroups(hol.rows), expected)
     assert np.array_equal(hol.subgroups, expected)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_regular_subgroups_match_pairwise_closure_in_sym(n):
     rows = _sym_rows(n)
-    expected = _packed(_reference_regular_subgroups(rows, n), n)
-    assert np.array_equal(regsearch.regular_subgroups(rows, n), expected)
+    expected = _packed(_reference_regular_subgroups(_as_bytes(rows), n), n)
+    assert np.array_equal(regsearch.regular_subgroups(rows), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -359,7 +365,7 @@ def test_regular_subgroups_of_sym_n_count(n):
     conjugate to lambda(G), whose normalizer is Hol(G) of order n |Aut(G)|."""
     classes = [build_group("C5")] if n == 5 else [catalog_group(m) for m in catalog_names(n)]
     expected = sum(math.factorial(n - 1) // len(automorphisms(g)) for g in classes)
-    assert len(regsearch.regular_subgroups(_sym_rows(n), n)) == expected
+    assert len(regsearch.regular_subgroups(_sym_rows(n))) == expected
     if n == 8:
         assert expected == 2760
 
@@ -368,9 +374,9 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
     degrees = []
     real = regsearch.regular_subgroups
 
-    def counted(elements, degree, symmetries=None):
-        degrees.append(degree)
-        return real(elements, degree, symmetries)
+    def counted(rows, symmetries=None):
+        degrees.append(rows.shape[1])
+        return real(rows, symmetries)
 
     for m_name in catalog_names(8):  # the holomorphs' own searches are not the oracle's
         enumeration._hol_data(m_name)
@@ -394,16 +400,27 @@ def _stabiliser_of_1(model):
     return aut[aut[:, 1] == 1]
 
 
-def _unreduced_regular_subgroups(elements, degree):
+def _uniform_candidates(rows):
+    """The distinct uniform non-identity rows of a uint8 stack, as sorted bytes."""
+    ident = bytes(range(rows.shape[1]))
+    return sorted(set(_as_bytes(rows[regsearch.uniform_rows(rows)])) - {ident})
+
+
+def _stack(elements, degree):
+    return np.frombuffer(b"".join(elements), np.uint8).reshape(len(elements), degree)
+
+
+def _unreduced_regular_subgroups(rows):
     """The search without symmetries: ``_search`` from the root over every candidate."""
+    degree = rows.shape[1]
     ident = bytes(range(degree))
     if degree == 1:  # the tree has no point to extend through; its one subgroup is {ident}
         return np.zeros((1, 1, 1), dtype=np.uint8)
-    uniform = regsearch._uniform_elements(elements, degree)
+    uniform = _uniform_candidates(rows)
     by_image = {t: [] for t in range(1, degree)}
     for p in uniform:
         by_image[p[0]].append(p)
-    buckets = {t: (regsearch._as_array(rows, degree), rows) for t, rows in by_image.items()}
+    buckets = {t: _stack(elements, degree) for t, elements in by_image.items()}
     found = []
     regsearch._search({0: ident}, [], degree, buckets, frozenset(uniform) | {ident}, found)
     return np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
@@ -413,8 +430,8 @@ def _unreduced_regular_subgroups(elements, degree):
 def test_orbit_reduced_search_matches_whole_tree(m_name):
     hol = enumeration._hol_data(m_name)
     degree = hol.model.order
-    reduced = regsearch.regular_subgroups(hol.rows, degree, _stabiliser_of_1(hol.model))
-    expected = _unreduced_regular_subgroups(hol.rows, degree)
+    reduced = regsearch.regular_subgroups(hol.rows, _stabiliser_of_1(hol.model))
+    expected = _unreduced_regular_subgroups(hol.rows)
     assert reduced.dtype == np.uint8 and reduced.shape == expected.shape
     assert np.array_equal(reduced, expected)
     assert np.array_equal(hol.subgroups, expected)
@@ -428,8 +445,8 @@ def test_reduced_search_walks_one_subtree_per_root_orbit(monkeypatch):
     # Hol(C6 x C2^2): 86 root candidates fall into 8 orbits of Stab_Aut(M)(1)
     hol = enumeration._hol_data("C6 x C2^2")
     stabiliser = _stabiliser_of_1(hol.model)
-    roots = [p for p in regsearch._uniform_elements(hol.rows, 24) if p[0] == 1]
-    orbits = regsearch._root_orbits(regsearch._as_array(roots, 24), roots, stabiliser)
+    roots = [p for p in _uniform_candidates(hol.rows) if p[0] == 1]
+    orbits = regsearch._root_orbits(_stack(roots, 24), stabiliser)
     assert (len(roots), len(orbits)) == (86, 8)
     assert sum(1 + len(movers) for _, movers in orbits) == 86
     walked = []
@@ -437,11 +454,11 @@ def test_reduced_search_walks_one_subtree_per_root_orbit(monkeypatch):
 
     def counted(elems, gen_tabs, degree, buckets, allowed, found):
         if len(elems) == 1:
-            walked.append(buckets[1][1])
+            walked.append(_as_bytes(buckets[1]))
         return real(elems, gen_tabs, degree, buckets, allowed, found)
 
     monkeypatch.setattr(regsearch, "_search", counted)
-    assert len(regsearch.regular_subgroups(hol.rows, 24, stabiliser)) == 1856
+    assert len(regsearch.regular_subgroups(hol.rows, stabiliser)) == 1856
     assert walked == [[roots[i]] for i, _ in orbits]
 
 
@@ -450,15 +467,14 @@ def test_symmetry_that_moves_a_root_candidate_out_is_a_theorem_violation():
     hol = enumeration._hol_data("C4")
     swap = np.array([[0, 1, 2, 3], [0, 1, 3, 2]], dtype=np.uint8)
     with pytest.raises(TheoremViolation, match="does not map the root candidates"):
-        regsearch.regular_subgroups(hol.rows, 4, swap)
+        regsearch.regular_subgroups(hol.rows, swap)
 
 
 @pytest.mark.parametrize("source", ["D21", "C6 x C2^2", "Sym(6)"])
 def test_uniform_rows_matches_cycle_length_definition(source):
     rows = _sym_rows(6) if source == "Sym(6)" else enumeration._hol_data(source).rows
-    degree = len(rows[0])
-    mask = regsearch.uniform_rows(regsearch._as_array(rows, degree))
-    expected = [_uniform(p) for p in rows]
+    mask = regsearch.uniform_rows(rows)
+    expected = [_uniform(p) for p in rows.tolist()]
     assert mask.tolist() == expected
     assert 0 < sum(expected) < len(rows)
 
@@ -483,15 +499,15 @@ def _cycle_length(p):
 def test_reduced_sym_search_matches_whole_tree(monkeypatch, n):
     monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
     reduced = enumeration._sym_regular_subgroups(n)
-    expected = _unreduced_regular_subgroups(_sym_rows(n), n)
+    expected = _unreduced_regular_subgroups(_sym_rows(n))
     assert reduced.dtype == np.uint8
     assert reduced.tobytes() == expected.tobytes() and reduced.shape == expected.shape
 
 
 def test_sym8_root_candidates_fall_into_three_orbits():
     gens = enumeration._sym_stabiliser_generators(8)
-    roots = [p for p in regsearch._uniform_elements(_sym_rows(8), 8) if p[0] == 1]
-    orbits = regsearch._root_orbits(regsearch._as_array(roots, 8), roots, gens)
+    roots = [p for p in _uniform_candidates(_sym_rows(8)) if p[0] == 1]
+    orbits = regsearch._root_orbits(_stack(roots, 8), gens)
     assert len(roots) == 915
     assert [1 + len(movers) for _, movers in orbits] == [15, 180, 720]
     # the cycle length l of the candidates is constant on an orbit: l = 2, 4, 8
@@ -514,18 +530,18 @@ def test_generating_subset_of_stabiliser_gives_the_same_orbits():
     gens = generating_subset_of([Permutation(row) for row in stabiliser.tolist()])
     gen_rows = np.array([p.images for p in gens], dtype=np.uint8)
     assert len(gen_rows) < len(stabiliser)
-    roots = [p for p in regsearch._uniform_elements(hol.rows, 24) if p[0] == 1]
-    root_array = regsearch._as_array(roots, 24)
+    roots = [p for p in _uniform_candidates(hol.rows) if p[0] == 1]
+    root_array = _stack(roots, 24)
 
     def orbit_sets(symmetries):
-        orbits = regsearch._root_orbits(root_array, roots, symmetries)
+        orbits = regsearch._root_orbits(root_array, symmetries)
         return [(i, frozenset([roots[i]] + [_conjugate(a, roots[i]) for a in movers]))
                 for i, movers in orbits]
 
     by_group, by_gens = orbit_sets(stabiliser), orbit_sets(gen_rows)
     assert len(by_gens) == 8
     assert by_gens == by_group
-    assert np.array_equal(regsearch.regular_subgroups(hol.rows, 24, gen_rows), hol.subgroups)
+    assert np.array_equal(regsearch.regular_subgroups(hol.rows, gen_rows), hol.subgroups)
 
 
 # -- normalisation tested on a whole stack --------------------------------------
@@ -569,6 +585,87 @@ def test_normalized_by_rejects_non_regular_stacks():
         regsearch.normalized_by(stack[0], lam)  # one subgroup, not a stack
     with pytest.raises(ValueError, match="sorted by image of 0"):
         regsearch.normalized_by(stack[:, :2], lam)  # two rows of degree 4
+
+
+def test_normalized_by_rejects_a_stack_with_one_non_regular_subgroup():
+    stack = enumeration._sym_regular_subgroups(4).copy()
+    lam = catalog_group("C4").rows
+    stack[-1] = stack[-1, ::-1]
+    with pytest.raises(ValueError, match="sorted by image of 0"):
+        regsearch.normalized_by(stack, lam)
+
+
+# -- the row primitives ----------------------------------------------------------
+
+
+def test_identity_only_stack_has_no_regular_subgroup():
+    for n in (2, 5, 8):
+        identity = np.arange(n, dtype=np.uint8)[None]
+        for symmetries in (None, enumeration._sym_stabiliser_generators(n)):
+            found = regsearch.regular_subgroups(identity, symmetries)
+            assert found.dtype == np.uint8 and found.shape == (0, n, n)
+
+
+def test_symmetry_whose_conjugate_sorts_after_every_root_candidate():
+    # lambda(C4) has one root candidate, f = (0 1 2 3); (2 3) f (2 3) = (0 1 3 2) is not
+    # in lambda(C4), and its row sorts after f's, past the end of the candidates
+    rows = catalog_group("C4").rows
+    swap = np.array([[0, 1, 3, 2]], dtype=np.uint8)
+    roots = rows[rows[:, 0] == 1]
+    assert len(roots) == 1
+    assert regsearch.conjugate(roots, swap)[0, 0].tobytes() > roots[-1].tobytes()
+    with pytest.raises(TheoremViolation, match="does not map the root candidates"):
+        regsearch.regular_subgroups(rows, swap)
+
+
+def test_is_regular_takes_one_set_or_a_stack():
+    stack = enumeration._sym_regular_subgroups(4)
+    assert regsearch.is_regular(stack).tolist() == [True] * len(stack)
+    assert regsearch.is_regular(stack[0])
+    assert not regsearch.is_regular(stack[0, ::-1])
+    assert regsearch.is_regular(stack[:, ::-1]).tolist() == [False] * len(stack)
+    assert regsearch.is_regular(stack[:, :2]).tolist() == [False] * len(stack)
+    assert not regsearch.is_regular(catalog_group("C4").rows[[0, 2]])  # semiregular, order 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_conjugate_matches_permutation_products(n):
+    perms = [Permutation(p) for p in itertools.permutations(range(n))]
+    rows = np.array([p.images for p in perms], dtype=np.uint8)
+    conjugators = rows[::max(1, len(rows) // 5)]
+    conj = regsearch.conjugate(rows, conjugators)
+    assert conj.dtype == np.uint8 and conj.shape == (len(conjugators), len(rows), n)
+    for a, c in enumerate(map(Permutation, conjugators.tolist())):
+        assert conj[a].tolist() == [list((c * r * c.inverse()).images) for r in perms]
+    stacked = regsearch.conjugate(rows.reshape(-1, 1, n), conjugators)
+    assert np.array_equal(stacked[:, :, 0], conj)
+
+
+@pytest.mark.parametrize("name", [m for n in (1, 4, 6, 8, 12, 24) for m in catalog_names(n)])
+def test_row_primitives_on_lambda_and_its_subgroups(name):
+    group = catalog_group(name)
+    rows = group.rows
+    assert rows.dtype == np.uint8 and not rows.flags.writeable
+    assert rows.tolist() == [list(row) for row in group.table]
+    assert regsearch.regular_table(rows).tolist() == rows.tolist()
+    assert np.array_equal(regsearch.row_indices(rows, rows[::-1]), np.arange(len(rows))[::-1])
+    for handle in groups.subgroups(group):
+        members = list(handle.members)
+        # the parent's dict table of a subgroup, against the table of its semiregular rows
+        index = {x: i for i, x in enumerate(members)}
+        expected = [[index[group.mul(a, b)] for b in members] for a in members]
+        assert regsearch.regular_table(rows[members]).tolist() == expected
+    if len(rows) > 1:  # the identity row is missing from the others
+        assert regsearch.row_indices(rows[1:], rows[:1]) is None
+
+
+def test_finite_group_rows_are_built_on_first_read():
+    group = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
+    assert "rows" not in vars(group)
+    first = group.rows
+    assert group.rows is first and first.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError):
+        first[0, 0] = 1
 
 
 # sha256 of the oracle's PermGroups (elements, then generators) for every group of

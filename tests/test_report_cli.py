@@ -11,16 +11,14 @@ from hgw.report import TableDocument, emit_enum_table, model_report, run_fixture
 
 
 def test_markdown_rendering_alignment():
-    doc = TableDocument("enum-table", [{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}],
-                        "md", ["a", "b"])
+    doc = TableDocument([{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}], "md", ["a", "b"])
     text = doc.render()
     lines = text.splitlines()
     assert lines[0].startswith("| a") and len({len(l) for l in lines}) == 1
 
 
 def test_csv_quoting():
-    doc = TableDocument("enum-table",
-                        [{"a": 'he said "hi", twice', "b": 3}], "csv", ["a", "b"])
+    doc = TableDocument([{"a": 'he said "hi", twice', "b": 3}], "csv", ["a", "b"])
     text = doc.render()
     assert '"he said ""hi"", twice"' in text
 
@@ -327,4 +325,4 @@ def test_single_check_report_renders_its_rows_of_the_full_report(check):
     rows = [row for row in full.rows if row["check"] == check]
     single = model_report(11, 6, (check,))
     assert rows and single.rows == rows
-    assert single.render() == TableDocument(full.kind, rows, full.format, full.header).render()
+    assert single.render() == TableDocument(rows, full.format, full.header).render()
