@@ -175,15 +175,18 @@ def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
 
     Every element of a regular group has all its cycles of the element's
     order, so its cycle through 0 gives that order; the points of those
-    cycles advance together, one gather per step.
+    cycles advance together, one gather per step from the flat stack, at the
+    offset of each element's row.
     """
+    count, degree = subgroups.shape[:2]
+    flat = np.ascontiguousarray(subgroups).ravel()
+    offsets = np.arange(0, count * degree * degree, degree).reshape(count, degree)
     point = subgroups[:, :, 0]
     orders = np.ones(point.shape, dtype=np.intp)
     moving = point != 0
     while moving.any():
         orders += moving
-        step = np.take_along_axis(subgroups, point[..., None], axis=2)[..., 0]
-        point = np.where(moving, step, 0)
+        point = np.where(moving, flat[offsets + point], 0)
         moving = point != 0
     return np.sort(orders, axis=1)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import EnumerationOverflow, GroupSpecError
 from .perm import PermGroup, Permutation
+from .regsearch import sorted_row_indices
 
 
 class FiniteGroup:
@@ -142,17 +143,14 @@ def _cayley_table(elems: Sequence[Permutation]) -> list[list[int]]:
     """Entry [i][j] is the index of elems[i] * elems[j] in ``elems``.
 
     ``elems`` must be closed and sorted by image tuple. All products come
-    from one gather on the uint8 rows, and a binary search on the rows'
-    bytes, whose order is the image tuples' order, finds them.
+    from one gather on the uint8 rows, and ``sorted_row_indices`` finds them,
+    since the rows' bytes order is the image tuples' order.
     """
     rows = np.array([p.images for p in elems], dtype=np.uint8)
-    k, n = rows.shape
-    products = rows[:, rows].reshape(k * k, n)  # row i*k + j: x -> elems[i](elems[j](x))
-    found = np.searchsorted(rows.view(f"V{n}").ravel(), products.view(f"V{n}").ravel())
-    found = np.minimum(found, k - 1)
-    if not np.array_equal(rows[found], products):
+    found = sorted_row_indices(rows, rows[:, rows])  # [i, j]: x -> elems[i](elems[j](x))
+    if found is None:
         raise GroupSpecError("permutation set is not closed under composition")
-    return found.reshape(k, k).tolist()
+    return found.tolist()
 
 
 # -- regular representations ----------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import hgw.enumeration as enumeration
 import hgw.groups as groups
 from hgw import regsearch
-from hgw.catalog import catalog_group, catalog_names, iso_class
+from hgw.catalog import CATALOG, catalog_group, catalog_names, iso_class
 from hgw.dsl import build_group
 from hgw.enumeration import count_formula_report, direct_enumerate_oracle, enumerate_hgs
 from hgw.errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
@@ -477,6 +477,77 @@ def test_uniform_rows_matches_cycle_length_definition(source):
     expected = [_uniform(p) for p in rows.tolist()]
     assert mask.tolist() == expected
     assert 0 < sum(expected) < len(rows)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[0]], [True]),  # degree 1: the identity alone
+    ([[0], [0]], [True, True]),
+    ([[0, 1, 2, 3, 4]], [True]),  # the identity alone, at degree 5
+    ([[1, 2, 0, 4, 3]], [False]),  # one row: a 3-cycle and a 2-cycle
+    ([[1, 0, 3, 2]], [True]),  # one row: two 2-cycles
+    (np.zeros((0, 4)), []),
+])
+def test_uniform_rows_small_stacks(rows, expected):
+    assert regsearch.uniform_rows(np.array(rows, dtype=np.uint8)).tolist() == expected
+
+
+def test_sorted_row_indices_finds_rows_or_returns_none():
+    rows = _sym_rows(4)  # in bytes order
+    targets = rows[[[5, 0], [23, 7]]]
+    assert regsearch.sorted_row_indices(rows, targets).tolist() == [[5, 0], [23, 7]]
+    assert regsearch.sorted_row_indices(rows[:-1], targets) is None  # past the last row
+    assert regsearch.sorted_row_indices(rows[1:], targets) is None  # before the first row
+    assert regsearch.sorted_row_indices(rows[::2], rows[[0, 1]]) is None  # between two rows
+
+
+# -- the generator test and the pinned search output ----------------------------
+
+CATALOG_NAMES = [name for order in sorted(CATALOG) for name in catalog_names(order)]
+
+# sha256 of the search's stacks, shape then bytes: every catalog Hol(M) in catalog
+# order, then Sym(n) for n = 1..8; pinned before the generator test was added
+HOL_SEARCH_SHA256 = "55c8760613473c7145e94ac87ae18860cef4429c9abf7162bbdbc1c89d904822"
+SYM_SEARCH_SHA256 = "56c033192168537ce2f6d8d9b885f33e9847395e55464b3221c6ad5068c537fd"
+
+
+def _stack_digest(stacks):
+    digest = hashlib.sha256()
+    for stack in stacks:
+        digest.update(repr(stack.shape).encode())
+        digest.update(stack.tobytes())
+    return digest.hexdigest()
+
+
+def test_search_output_pinned():
+    hol = [enumeration._HolData(name, catalog_group(name)).subgroups for name in CATALOG_NAMES]
+    assert _stack_digest(hol) == HOL_SEARCH_SHA256
+    sym = [regsearch.regular_subgroups(_sym_rows(n), enumeration._sym_stabiliser_generators(n))
+           for n in range(1, 9)]
+    assert _stack_digest(sym) == SYM_SEARCH_SHA256
+
+
+def test_generator_test_spares_most_schreier_checks(monkeypatch):
+    calls = []
+    real = regsearch._extend
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(regsearch, "_extend", counted)
+    hol = enumeration._HolData("D21", catalog_group("D21"))
+    assert len(hol.subgroups) == 464
+    assert len(calls) == 936  # 7,096 without the generator test
+
+
+@pytest.mark.parametrize("m_name", CATALOG_NAMES)
+def test_order_spectra_match_element_orders(m_name):
+    stack = enumeration._hol_data(m_name).subgroups
+    orders = {}  # the order of each distinct element, as the lcm of its cycle lengths
+    for row in set(map(tuple, stack.reshape(-1, stack.shape[2]).tolist())):
+        orders[row] = Permutation(row).order()
+    expected = [sorted(orders[tuple(row)] for row in subgroup) for subgroup in stack.tolist()]
+    assert enumeration._order_spectra(stack).tolist() == expected
 
 
 # -- the oracle's Sym(n) search reduced by the stabiliser of 0 and 1 -----------
