@@ -11,10 +11,13 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_group
+from .correspond import correspondence_rows
 from .dsl import build_group
+from .enumeration import enumerate_hgs
 from .errors import EnumerationOverflow, GroupSpecError, HgwError, UncoveredOrder
 from .report import (
     FORMATS,
+    correspondence_table_doc,
     emit_enum_table,
     model_report,
     run_fixture_paper24,
@@ -96,10 +99,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc.render(), args.out)
         elif args.command == "correspond":
             group = _parse_group(parser, args.group)
-            from .correspond import correspondence_rows
-            from .enumeration import enumerate_hgs
-            from .report import correspondence_table_doc
-
             records = enumerate_hgs(group)
             rows = correspondence_rows(group, records)
             doc = correspondence_table_doc(rows, args.format)

@@ -6,18 +6,23 @@ point. Blocks (left cosets of J) carry quotient actions of N/P and lambda(G);
 normality of J in G decides whether the block image of lambda(G) is regular.
 
 Everything about P runs on the index views of its record, on the indices of
-N's elements: P is a set of indices, lambda(G)-stability reads
-``lambda_conj[:, P]``, the P-orbit of a point x is ``rows[P, x]`` (so
-Psi(P) = ``rows[P, 0]``), and lambda(J)-triviality compares coset labels of
-N/P. N is its catalog class M relabelled by the record's isomorphism
-``m_to_n``, so the subgroup lattice of M, with each subgroup's normality in M,
-is computed once per class and carried into every record of that class by
-index; P's class is read from its preimage there, classified on first use.
-The block images of N and lambda(G) are uint8 rows too, one gather each, from
-one builder, ``block_actions``. What depends on (G, J) only is computed once
-per pair and kept on G: lambda(G)'s block images, and J's closure check, core
-and class. Each stable P computes Psi(P) once, as
-``StableSubgroup.psi_result``, which the onto check and the census share.
+N's elements: P is a set of indices, the P-orbit of a point x is ``rows[P, x]``
+(so Psi(P) = ``rows[P, 0]``), and lambda(J)-triviality compares coset labels
+of N/P. N is its catalog class M relabelled by the record's isomorphism
+``m_to_n``, so the subgroup lattice of M is computed once per class and
+carried into every record of that class by index; P's class is read from its
+preimage there, classified on first use.
+
+One mask gather, ``groups.core_masks``, gives P's lambda(G)-stability over
+``lambda_conj``, normality in M over M's ``conjugation`` and J's core over
+G's. The left coset xJ is the row ``G.rows[x, J]``, labelled by its least
+point, as N/P's cosets are; J's closure test, the orbit-coset check and the
+coset blocks are gathers on lambda(G)'s rows too. The block images of N and
+lambda(G) are uint8 rows, one gather each, from ``block_actions``. What
+depends on (G, J) only is computed once per pair and kept on G: lambda(G)'s
+block images, and J's closure test, core and class. Each stable P computes
+Psi(P) once, as ``StableSubgroup.psi_result``, which the onto check and the
+census share.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .catalog import GroupClassLabel, catalog_group, iso_class
 from .enumeration import HgsRecord, enumerate_hgs
 from .errors import BlockSystemViolation, TheoremViolation
-from .groups import FiniteGroup, SubgroupHandle, core_of, is_normal, subgroups
+from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
 from .regsearch import is_regular, normalized_by, regular_table
 
@@ -77,15 +82,15 @@ class PsiResult:
     core_order: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetSpace:
     """The left cosets gJ as blocks of G-indices; identity block first."""
 
     group: FiniteGroup
     j_handle: SubgroupHandle
     blocks: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    block_index: tuple[int, ...]  # point -> containing block
+    representatives: tuple[int, ...]  # each block's least point
+    block_index: np.ndarray  # uint8 row: point -> containing block
 
     @property
     def block_count(self) -> int:
@@ -100,6 +105,7 @@ class BlockActions:
     nbar_of: np.ndarray  # row i: image of N's row i
     gbar_of: np.ndarray  # row g: image of lambda(g)
     nbar: np.ndarray  # the distinct rows of nbar_of, sorted
+    nbar_index: np.ndarray  # entry i: the index in nbar of nbar_of's row i
     gbar: np.ndarray  # the distinct rows of gbar_of, sorted
 
 
@@ -131,18 +137,17 @@ class CorrespondenceRow:
 class _ClassLattice:
     """The subgroups of a catalog class M, sorted by (order, members), with normality in M.
 
-    ``mask`` row k marks the members of subgroup k; a subgroup's class is
-    found on first read, once per subgroup.
+    ``mask`` row k marks the members of subgroup k; a subgroup is normal iff
+    its core is itself. A subgroup's class is found on first read, once per
+    subgroup.
     """
 
     def __init__(self, model: FiniteGroup):
         self.model = model
         self.subgroups = subgroups(model)
-        self.normal = [is_normal(model, h) for h in self.subgroups]
         self.position = {h.members: k for k, h in enumerate(self.subgroups)}
-        self.mask = np.zeros((len(self.subgroups), model.order), dtype=bool)
-        for k, h in enumerate(self.subgroups):
-            self.mask[k, list(h.members)] = True
+        self.mask = np.array([np.isin(np.arange(model.order), h.members) for h in self.subgroups])
+        self.normal = (core_masks(self.mask, model.conjugation) == self.mask).all(axis=1).tolist()
         self._classes: dict[int, GroupClassLabel] = {}
 
     def class_of(self, k: int) -> GroupClassLabel:
@@ -166,12 +171,10 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     (order, members) in N's indices; P is normal in N iff its preimage is
     normal in M.
     """
-    conj = record.lambda_conj
     n_to_m = np.argsort(record.m_to_n)
     lattice = _class_lattice(record.n_class.name)
     inside = lattice.mask[:, n_to_m]  # row k: subgroup k on N's indices
-    # P is stable iff every conjugate lambda(g) a lambda(g)^-1 of an a in P is in P
-    stable = (inside[:, conj] | ~inside[:, None, :]).all(axis=(1, 2))
+    stable = (core_masks(inside, record.lambda_conj) == inside).all(axis=1)
     out = [StableSubgroup(record, SubgroupHandle(record, tuple(np.flatnonzero(inside[k]).tolist())),
                           lattice.normal[k])
            for k in np.flatnonzero(stable).tolist()]
@@ -198,8 +201,7 @@ def _psi_of_orbit(group: FiniteGroup, orbit: tuple[int, ...]) -> PsiResult:
     """
     by_orbit = vars(group).setdefault("_psi", {})
     if orbit not in by_orbit:
-        members = frozenset(orbit)
-        if any(group.mul(a, b) not in members for a in orbit for b in orbit):
+        if not np.isin(group.rows[np.ix_(orbit, orbit)], orbit).all():
             raise TheoremViolation("identity orbit is not closed under the group operation; "
                                    "P was not lambda(G)-stable")
         j_handle = SubgroupHandle(group, orbit)
@@ -218,11 +220,13 @@ def _subgroup_as_group(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGrou
 
 
 def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
-    """Every P-orbit rows[P, x] must be the left coset xJ."""
-    table = stable.hgs.group.table
-    j = result.j_handle.members
-    orbits = stable.rows.T.tolist()
-    return all(set(orbit) == {table[x][y] for y in j} for x, orbit in enumerate(orbits))
+    """Every P-orbit rows[P, x] must be the left coset xJ = rows[x, J].
+
+    P is semiregular and |P| = |J|, so the orbit and the coset are equal as
+    sets iff they are equal sorted.
+    """
+    cosets = stable.hgs.group.rows[:, list(result.j_handle.members)]
+    return np.array_equal(np.sort(stable.rows.T, axis=1), np.sort(cosets, axis=1))
 
 
 def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup] | None = None,
@@ -240,21 +244,18 @@ def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup] | None = None,
 
 
 def coset_space(group: FiniteGroup, j_handle: SubgroupHandle) -> CosetSpace:
-    """Left cosets of J in G; representatives minimal, identity block first."""
-    j = sorted(j_handle.members)
-    remaining = set(range(group.order))
-    blocks: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    block_index = [-1] * group.order
-    while remaining:
-        rep = 0 if not blocks else min(remaining)
-        coset = tuple(sorted(group.mul(rep, x) for x in j))
-        for x in coset:
-            block_index[x] = len(blocks)
-        blocks.append(coset)
-        reps.append(rep)
-        remaining -= set(coset)
-    return CosetSpace(group, j_handle, tuple(blocks), tuple(reps), tuple(block_index))
+    """Left cosets of J in G as blocks sorted by label; the identity block, labelled 0, first."""
+    labels = _coset_labels(group.rows, j_handle.members)
+    reps, block_index = np.unique(labels, return_inverse=True)
+    blocks = np.argsort(block_index, kind="stable").reshape(len(reps), -1)  # points by block
+    return CosetSpace(group, j_handle, tuple(map(tuple, blocks.tolist())), tuple(reps.tolist()),
+                      block_index.astype(np.uint8))
+
+
+def _coset_labels(table: np.ndarray, members: Sequence[int]) -> np.ndarray:
+    """The label of each point x of a group's Cayley table: the least point of its left
+    coset xH = table[x, H], for H the subgroup ``members``."""
+    return table[:, list(members)].min(axis=1)
 
 
 def induced_block_perm(rows: np.ndarray, space: CosetSpace) -> np.ndarray:
@@ -263,9 +264,9 @@ def induced_block_perm(rows: np.ndarray, space: CosetSpace) -> np.ndarray:
     Row r sends block i to the block of r(block i's least point); it respects
     the blocks iff every point lands in the block its own block is sent to.
     """
-    block_index = np.array(space.block_index, dtype=np.uint8)
+    block_index = space.block_index
     landed = block_index[rows]  # block of r(x)
-    images = landed[:, [block[0] for block in space.blocks]]
+    images = landed[:, space.representatives]
     broken = landed != images[:, block_index]
     if broken.any():
         r = int(np.flatnonzero(broken.any(axis=1))[0])
@@ -281,7 +282,8 @@ def block_actions(n_rows: np.ndarray, j_handle: SubgroupHandle) -> BlockActions:
     """The left cosets of J in G, with the block images of N's rows and lambda(G) on them."""
     space, gbar_of, gbar = _lambda_blocks(j_handle)
     nbar_of = induced_block_perm(n_rows, space)
-    return BlockActions(space, nbar_of, gbar_of, np.unique(nbar_of, axis=0), gbar)
+    nbar, nbar_index = np.unique(nbar_of, axis=0, return_inverse=True)
+    return BlockActions(space, nbar_of, gbar_of, nbar, nbar_index.reshape(-1), gbar)
 
 
 def _lambda_blocks(j_handle: SubgroupHandle) -> tuple[CosetSpace, np.ndarray, np.ndarray]:
@@ -340,8 +342,7 @@ def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
     j = list(result.j_handle.members)
     if not (actions.gbar_of[j] == np.arange(actions.space.block_count)).all():
         raise TheoremViolation("lambda(j) moves a block although J is normal")
-    # the label of nP is its least index
-    coset_of = regular_table(stable.hgs.rows)[:, list(stable.p_handle.members)].min(axis=1)
+    coset_of = _coset_labels(regular_table(stable.hgs.rows), stable.p_handle.members)
     if not (coset_of[stable.hgs.lambda_conj[j]] == coset_of).all():
         raise TheoremViolation(
             "conjugation by lambda(j) moves a coset nP although J is normal")

@@ -1,8 +1,10 @@
 """Abstract finite groups via Cayley tables, plus subgroup/automorphism machinery.
 
 Elements of a FiniteGroup are indices 0..n-1 with the identity fixed at 0;
-every permutation representation built here acts on those indices, and
-``FiniteGroup.rows`` gives lambda(G) in the uint8 row format of ``regsearch``.
+every permutation representation built here acts on those indices.
+``FiniteGroup.rows`` gives lambda(G) in the uint8 row format of ``regsearch``,
+and ``FiniteGroup.conjugation`` the table g x g^-1; ``core_masks`` reads cores,
+and with them normality and stability, from one gather through such a table.
 
 Isomorphisms g1 -> g2 are searched on generator images alone. A backtrack
 gives each element of g1's greedy generating sequence an image of the same
@@ -43,7 +45,7 @@ class FiniteGroup:
         self.table = tuple(map(tuple, square.tolist()))
         if any(self.table[0][x] != x or self.table[x][0] != x for x in range(n)):
             raise GroupSpecError("element 0 is not an identity")
-        self.inverse_table = self._compute_inverses()
+        self.inverse_table = self._compute_inverses(square)
         self._orders: tuple[int, ...] | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -57,13 +59,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse_table[a]
-
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.table[self.table[g][x]][self.inverse_table[g]]
-
     @cached_property
     def rows(self) -> np.ndarray:
         """lambda(G) as read-only uint8 rows, built on first read: row g is x -> g x.
@@ -73,6 +68,13 @@ class FiniteGroup:
         rows = np.array(self.table, dtype=np.uint8)
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """Conjugation in G as read-only uint8 rows, built on first read: [g, x] is g x g^-1."""
+        conj = self.rows[self.rows, np.array(self.inverse_table)[:, None]]
+        conj.flags.writeable = False
+        return conj
 
     def element_order(self, a: int) -> int:
         x, k = a, 1
@@ -94,16 +96,15 @@ class FiniteGroup:
             t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
         )
 
-    def _compute_inverses(self) -> tuple[int, ...]:
-        inv = [-1] * self.order
-        for a in range((self.order)):
-            for b in range(self.order):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0 or self.table[inv[a]][a] != 0:
-                raise GroupSpecError(f"element {a} has no two-sided inverse")
-        return tuple(inv)
+    @staticmethod
+    def _compute_inverses(square: np.ndarray) -> tuple[int, ...]:
+        """The first b with a b = 0 in each row a, which must also have b a = 0."""
+        points = np.arange(len(square))
+        inv = (square == 0).argmax(axis=1)
+        bad = (square[points, inv] != 0) | (square[inv, points] != 0)
+        if bad.any():
+            raise GroupSpecError(f"element {bad.argmax()} has no two-sided inverse")
+        return tuple(inv.tolist())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.spec or 'order ' + str(self.order)!s})"
@@ -234,20 +235,17 @@ def subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     return handles
 
 
+def core_masks(masks: np.ndarray, conjugation: np.ndarray) -> np.ndarray:
+    """The cores of a (k, n) stack of subgroup masks under a table whose entry [g, x] is
+    x conjugated by g; H is stable (under a group's own ``conjugation``, normal) iff core = H."""
+    return masks[:, conjugation].all(axis=1) & masks
+
+
 def core_of(group: FiniteGroup, sub: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside ``sub``: intersection of all conjugates."""
-    core = set(sub.members)
-    for g in range(group.order):
-        conj = {group.conj(g, x) for x in sub.members}
-        core &= conj
-        if len(core) == 1:
-            break
-    return SubgroupHandle(group, tuple(sorted(core)))
-
-
-def is_normal(group: FiniteGroup, sub: SubgroupHandle) -> bool:
-    members = sub.member_set
-    return all(group.conj(g, x) in members for g in range(group.order) for x in sub.members)
+    mask = np.isin(np.arange(group.order), sub.members)[None]
+    core = core_masks(mask, group.conjugation)[0]
+    return SubgroupHandle(group, tuple(np.flatnonzero(core).tolist()))
 
 
 # -- isomorphisms and automorphisms -----------------------------------------

@@ -362,14 +362,14 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
     j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
     actions = block_actions(n_rows, SubgroupHandle(model.group, j_points))
-    nbar, nbar_index = np.unique(actions.nbar_of, axis=0, return_inverse=True)
+    nbar, nbar_index = actions.nbar, actions.nbar_index
     m = actions.space.block_count
     if len(nbar) != size_n // len(p_rows):
         raise TheoremViolation("block image of N does not have order [N:P]")
     h_quot = fixed_ring_basis(model, nbar, gbar_rows=actions.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
-    onehot = np.eye(m, dtype=np.int64)[nbar_index.reshape(-1)]  # [v, b]: v lies over b
+    onehot = np.eye(m, dtype=np.int64)[nbar_index]  # [v, b]: v lies over b
 
     def project(coeffs):
         return np.einsum("vb,kvi->kbi", onehot, coeffs) % p

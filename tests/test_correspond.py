@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import re
 import sys
 from collections import Counter
@@ -26,13 +27,15 @@ from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
     SubgroupHandle,
+    core_masks,
+    core_of,
     generating_subset_of,
-    is_normal,
     left_regular,
     right_regular,
     subgroups,
 )
 from perm_tables import as_finite_group
+from subgroup_references import core_of as reference_core_of, is_normal
 from hgw.perm import PermGroup, Permutation, closure, normalizes
 from hgw.report import correspondence_table_doc
 
@@ -295,6 +298,44 @@ def test_carried_lattice_matches_lattice_of_n_table(g_name):
         for stable, handle in zip(stables, expected):
             assert stable.normal_in_n == is_normal(n_table, handle)
             assert stable.p_class == iso_class(correspond._subgroup_as_group(n_table, handle))
+
+
+CATALOG_NAMES = [name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)
+                 for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("g_name", CATALOG_NAMES)
+def test_core_gather_matches_the_reference_loops(g_name):
+    group = catalog_group(g_name)
+    lattice = correspond._class_lattice(g_name)
+    cores = core_masks(lattice.mask, group.conjugation)
+    for handle, core, normal in zip(lattice.subgroups, cores, lattice.normal):
+        expected = reference_core_of(group, handle).members
+        assert tuple(np.flatnonzero(core).tolist()) == core_of(group, handle).members == expected
+        assert normal == is_normal(group, handle)
+
+
+# sha256 over every catalog group's subgroups, each with its normality, core
+# members and coset space fields, taken when cores and cosets were Python loops
+# over single products
+LATTICE_FACTS_SHA256 = "8d9ad86bbd0c3a2a55c863aada3705a1808c46b0692a905a0af6e51b69560ff1"
+
+
+def test_lattice_normality_cores_and_cosets_match_the_pinned_digest():
+    facts = {}
+    for name in CATALOG_NAMES:
+        group = catalog_group(name)
+        lattice = correspond._class_lattice(name)
+        assert [h.members for h in lattice.subgroups] == [h.members for h in subgroups(group)]
+        facts[name] = []
+        for handle, normal in zip(lattice.subgroups, lattice.normal):
+            space = coset_space(group, handle)
+            facts[name].append([
+                list(handle.members), normal, list(core_of(group, handle).members),
+                [list(b) for b in space.blocks], list(space.representatives),
+                [int(x) for x in space.block_index]])
+    text = json.dumps(facts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_FACTS_SHA256
 
 
 @pytest.mark.parametrize("g_name", LATTICE_GROUPS)

@@ -76,6 +76,16 @@ def test_subgroup_counts():
     assert sorted(h.order for h in subs_d7) == [1, 2, 2, 2, 2, 2, 2, 2, 7, 14]
 
 
+@pytest.mark.parametrize("spec, count", [
+    ("C14", 4), ("C21", 4), ("C24", 8), ("C42", 8), ("D7", 10), ("D12", 34), ("D21", 36)])
+def test_subgroup_counts_match_closed_forms(spec, count):
+    """tau(n) subgroups in C_n and tau(n) + sigma(n) in D_n, the dihedral group of order 2n."""
+    n = int(spec[1:])
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert count == len(divisors) + (sum(divisors) if spec[0] == "D" else 0)
+    assert len(subgroups(build_group(spec))) == count
+
+
 def close_subset(group, seed):
     """Subgroup of a FiniteGroup generated by ``seed`` element indices."""
     members = {0} | set(seed)
@@ -114,7 +124,7 @@ def test_core_of():
         core = core_of(d21, handle)
         # the core is normal, inside J, and contains every normal subgroup inside J
         assert core.member_set <= handle.member_set
-        assert all(d21.conj(g, x) in core.member_set for g in range(42) for x in core.members)
+        assert all(d21.conjugation[g, x] in core.member_set for g in range(42) for x in core.members)
     d7_sub = next(h for h in subgroups(d21)
                   if h.order == 14)
     assert core_of(d21, d7_sub).order == 7
@@ -124,7 +134,7 @@ def test_core_contains_every_normal_subgroup_inside():
     group = build_group("S4")
     subs = subgroups(group)
     normal = [h for h in subs
-              if all(group.conj(g, x) in h.member_set for g in range(24) for x in h.members)]
+              if all(group.conjugation[g, x] in h.member_set for g in range(24) for x in h.members)]
     for handle in subs:
         core = core_of(group, handle)
         for n_handle in normal:

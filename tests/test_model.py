@@ -462,7 +462,9 @@ def _case_block_image_order(monkeypatch):
 
     def collapsed(n_rows, j_handle):
         actions = original(n_rows, j_handle)
-        return dataclasses.replace(actions, nbar_of=np.repeat(actions.nbar_of[:1], len(n_rows), 0))
+        nbar_of = np.repeat(actions.nbar_of[:1], len(n_rows), 0)
+        return dataclasses.replace(actions, nbar_of=nbar_of, nbar=nbar_of[:1],
+                                   nbar_index=np.zeros(len(n_rows), dtype=np.intp))
 
     monkeypatch.setattr(model_mod, "block_actions", collapsed)
     exact_sequence_check(*_exact_rings())
