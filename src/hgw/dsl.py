@@ -15,6 +15,14 @@ the generator of C<k> acts as the automorphism of X with order ``a`` that comes
 Different same-order automorphism choices can give non-isomorphic products,
 which is what ``idx`` disambiguates.
 
+``D<k>``, ``Dic<m>``, ``Cp:Cq`` and ``sdp`` share one product rule: each is a
+base X extended by t, its elements the words x t^c (c < k) with
+t x t^-1 = phi(x) and t^k = z. ``D<k>`` is C_k with phi = inversion and z = e,
+``Dic<m>`` is C_2m with phi = inversion and z = a^m, and ``sdp`` (so ``Cp:Cq``)
+the chosen automorphism with z = e. ``_extension`` builds all four tables with
+one gather on X's rows; ``S<k>``/``A<k>`` are ``groups.cayley_table`` of their
+permutation rows, and direct products a gather on both factors' rows.
+
 Every constructor refuses an order above ``GROUP_ORDER_CAP`` (256, the most
 points a uint8 row can name) with GroupSpecError before it builds a table.
 ``sdp`` lists Aut(X) with the isomorphism search, so it also refuses, with
@@ -30,7 +38,7 @@ import re
 import numpy as np
 
 from .errors import GroupSpecError
-from .groups import FiniteGroup, automorphisms
+from .groups import FiniteGroup, automorphisms, cayley_table
 
 _ATOM_RE = re.compile(r"([A-Za-z]+)(\d+)$")
 
@@ -59,105 +67,65 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupSpecError("cyclic order must be >= 1")
     _check_order(n)
     labels = ["e"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(labels, table, spec=f"C{n}")
+    points = np.arange(n)
+    return FiniteGroup(labels, np.add.outer(points, points) % n, spec=f"C{n}")
 
 
 def dihedral(k: int) -> FiniteGroup:
     """Dihedral group of order 2k: r of order k, s an involution, s r s = r^-1."""
     if k < 1:
         raise GroupSpecError("dihedral parameter must be >= 1")
-    n = 2 * k
-    _check_order(n)
-
-    def idx(i: int, j: int) -> int:
-        return j * k + i % k
-
+    _check_order(2 * k)
+    base = cyclic(k)
     labels = [f"r^{i}" if j == 0 else f"r^{i}s" for j in (0, 1) for i in range(k)]
     labels[0] = "e"
-    table = [[0] * n for _ in range(n)]
-    for j1 in (0, 1):
-        for i1 in range(k):
-            for j2 in (0, 1):
-                for i2 in range(k):
-                    i = i1 + (i2 if j1 == 0 else -i2)
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i % k, (j1 + j2) % 2)
-    return FiniteGroup(labels, table, spec=f"D{k}")
+    return _extension(base, 2, base.inverse_table, 0, labels, f"D{k}")
 
 
 def dicyclic(m: int) -> FiniteGroup:
     """Dicyclic group of order 4m: a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1."""
     if m < 1:
         raise GroupSpecError("dicyclic parameter must be >= 1")
-    k = 2 * m
-    n = 4 * m
-    _check_order(n)
-
-    def idx(i: int, j: int) -> int:
-        return j * k + i % k
-
-    labels = [f"a^{i}" if j == 0 else f"a^{i}b" for j in (0, 1) for i in range(k)]
+    _check_order(4 * m)
+    base = cyclic(2 * m)
+    labels = [f"a^{i}" if j == 0 else f"a^{i}b" for j in (0, 1) for i in range(2 * m)]
     labels[0] = "e"
-    table = [[0] * n for _ in range(n)]
-    for j1 in (0, 1):
-        for i1 in range(k):
-            for j2 in (0, 1):
-                for i2 in range(k):
-                    i = i1 + (i2 if j1 == 0 else -i2)
-                    j = j1 + j2
-                    if j == 2:
-                        i, j = i + m, 0
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i % k, j)
-    return FiniteGroup(labels, table, spec=f"Dic{m}")
+    return _extension(base, 2, base.inverse_table, m, labels, f"Dic{m}")
 
 
 def symmetric(k: int) -> FiniteGroup:
     if not 1 <= k <= 5:
         raise GroupSpecError("symmetric groups supported for 1 <= k <= 5")
-    return _perm_table(list(itertools.permutations(range(k))), f"S{k}")
+    return _perm_table(_permutation_rows(k), f"S{k}")
 
 
 def alternating(k: int) -> FiniteGroup:
     if not 1 <= k <= 5:
         raise GroupSpecError("alternating groups supported for 1 <= k <= 5")
-    evens = [p for p in itertools.permutations(range(k)) if _parity(p) == 0]
-    return _perm_table(evens, f"A{k}")
+    rows = _permutation_rows(k)
+    i, j = np.triu_indices(k, 1)
+    inversions = (rows[:, i] > rows[:, j]).sum(axis=1)  # even permutations have an even count
+    return _perm_table(rows[inversions % 2 == 0], f"A{k}")
 
 
-def _parity(p) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+def _permutation_rows(k: int) -> np.ndarray:
+    """Sym(k) as uint8 rows in lexicographic, that is sorted, order."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.uint8)
 
 
-def _perm_table(perms, spec: str) -> FiniteGroup:
-    perms = sorted(perms)  # identity tuple is lexicographically least
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms]
-    labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(labels, table, spec=spec)
+def _perm_table(rows: np.ndarray, spec: str) -> FiniteGroup:
+    labels = ["".join(map(str, p)) for p in rows.tolist()]  # identity row first: it is least
+    return FiniteGroup(labels, cayley_table(rows), spec=spec)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     _check_order(g1.order * g2.order)
     n2 = g2.order
     labels = [f"({a},{b})" for a in g1.elements for b in g2.elements]
-    table = [
-        [g1.mul(a1, a2) * n2 + g2.mul(b1, b2) for a2 in range(g1.order) for b2 in range(n2)]
-        for a1 in range(g1.order)
-        for b1 in range(n2)
-    ]
-    return FiniteGroup(labels, table, spec=f"({g1.spec}) x ({g2.spec})")
+    # [a1, b1, a2, b2]: (a1 a2, b1 b2) at index (a1 a2) * |g2| + b1 b2
+    table = g1.rows.astype(np.intp)[:, None, :, None] * n2 + g2.rows[None, :, None, :]
+    return FiniteGroup(labels, table.reshape(g1.order * n2, -1),
+                       spec=f"({g1.spec}) x ({g2.spec})")
 
 
 def semidirect_product(base: FiniteGroup, k: int, aut_order: int, aut_index: int = 0) -> FiniteGroup:
@@ -173,25 +141,32 @@ def semidirect_product(base: FiniteGroup, k: int, aut_order: int, aut_index: int
         raise GroupSpecError(
             f"sdp action: no automorphism of order {aut_order} at index {aut_index} "
             f"({len(auts)} available)")
-    phi = auts[aut_index].tolist()
+    labels = [f"({base.elements[x]};t^{c})" for c in range(k) for x in range(base.order)]
+    return _extension(base, k, auts[aut_index], 0, labels,
+                      f"sdp({base.spec}, C{k}, {aut_order}, {aut_index})")
+
+
+def _extension(base: FiniteGroup, k: int, phi, z: int, labels: list[str],
+               spec: str) -> FiniteGroup:
+    """The group of words x t^c (x in base, c < k) with t x t^-1 = phi(x) and t^k = z.
+
+    ``phi`` is an automorphism of ``base`` as an image sequence, and ``z`` an
+    element that phi fixes, with phi^k conjugation by z. Word x t^c has index
+    c |base| + x, and (x1 t^c1)(x2 t^c2) = x1 phi^c1(x2) t^(c1 + c2), where
+    t^(c1 + c2) is z t^(c1 + c2 - k) once c1 + c2 reaches k: one gather on
+    base's rows gives every product.
+    """
     nb = base.order
-    powers = [tuple(range(nb))]
+    phi = np.asarray(phi, dtype=np.intp)
+    powers = [np.arange(nb)]  # powers[c] is phi^c
     for _ in range(k - 1):
-        powers.append(tuple(phi[x] for x in powers[-1]))
-
-    def idx(x: int, c: int) -> int:
-        return c * nb + x
-
-    labels = [f"({base.elements[x]};t^{c})" for c in range(k) for x in range(nb)]
-    table = [[0] * (nb * k) for _ in range(nb * k)]
-    for c1 in range(k):
-        for x1 in range(nb):
-            row = table[idx(x1, c1)]
-            twist = powers[c1]
-            for c2 in range(k):
-                for x2 in range(nb):
-                    row[idx(x2, c2)] = idx(base.mul(x1, twist[x2]), (c1 + c2) % k)
-    return FiniteGroup(labels, table, spec=f"sdp({base.spec}, C{k}, {aut_order}, {aut_index})")
+        powers.append(phi[powers[-1]])
+    twisted = base.rows[:, np.array(powers)].transpose(1, 0, 2)  # [c1, x1, x2]: x1 phi^c1(x2)
+    exponent = np.add.outer(np.arange(k), np.arange(k))  # [c1, c2]: c1 + c2
+    wrapped = base.rows[:, z][twisted]  # x1 phi^c1(x2) z
+    x = np.where((exponent >= k)[:, None, :, None], wrapped[:, :, None, :], twisted[:, :, None, :])
+    table = (exponent % k)[:, None, :, None] * nb + x  # [c1, x1, c2, x2]
+    return FiniteGroup(labels, table.reshape(k * nb, k * nb), spec=spec)
 
 
 def _of_order(rows: np.ndarray, order: int) -> np.ndarray:

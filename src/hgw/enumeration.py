@@ -144,9 +144,16 @@ class _HolData:
         self.rows = model.rows[:, aut_rows].reshape(n * self.aut_order, n)
         if len({row.tobytes() for row in aut_rows}) != self.aut_order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
-        # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root
-        stabiliser = aut_rows[aut_rows[:, 1] == 1] if n > 1 else None
-        self.subgroups = regsearch.regular_subgroups(self.rows, stabiliser)
+        # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root,
+        # and a generating set of them gives the search the same orbits
+        symmetries = None
+        if n > 1:
+            stabiliser = aut_rows[aut_rows[:, 1] == 1]  # sorted, as aut_rows are
+            table = groups.cayley_table(stabiliser)
+            # a trivial stabiliser has no generators, but _root_orbits needs one symmetry
+            gens = groups.generating_sequence(FiniteGroup(range(len(table)), table)) or [0]
+            symmetries = stabiliser[gens]
+        self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
         self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup]]] = {}
         self._spectra: np.ndarray | None = None
 

@@ -89,12 +89,10 @@ class FiniteGroup:
         return self._orders
 
     def check_associative(self) -> bool:
-        """Exhaustive associativity check; meant for construction-time validation."""
-        t = self.table
-        n = self.order
-        return all(
-            t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
-        )
+        """Exhaustive associativity check, (a b) c = a (b c) for all triples in one gather
+        on ``rows``; meant for construction-time validation."""
+        rows = self.rows
+        return np.array_equal(rows[rows], rows[:, rows])  # [a, b, c]: (a b) c and a (b c)
 
     @staticmethod
     def _compute_inverses(square: np.ndarray) -> tuple[int, ...]:
@@ -136,22 +134,22 @@ def generating_subset_of(perms: Sequence[Permutation]) -> tuple[Permutation, ...
     order first, then least image tuple.
     """
     elems = sorted(perms)
-    seq = generating_sequence(FiniteGroup(range(len(elems)), _cayley_table(elems)))
+    rows = np.array([p.images for p in elems], dtype=np.uint8)
+    seq = generating_sequence(FiniteGroup(range(len(elems)), cayley_table(rows)))
     return tuple(elems[i] for i in seq) or (elems[0],)
 
 
-def _cayley_table(elems: Sequence[Permutation]) -> list[list[int]]:
-    """Entry [i][j] is the index of elems[i] * elems[j] in ``elems``.
+def cayley_table(rows: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is the index of rows[i] o rows[j] in ``rows``.
 
-    ``elems`` must be closed and sorted by image tuple. All products come
-    from one gather on the uint8 rows, and ``sorted_row_indices`` finds them,
-    since the rows' bytes order is the image tuples' order.
+    ``rows`` must be a closed (k, n) uint8 stack of distinct rows sorted by
+    image tuple. All products come from one gather, and ``sorted_row_indices``
+    finds them, since the rows' bytes order is the image tuples' order.
     """
-    rows = np.array([p.images for p in elems], dtype=np.uint8)
-    found = sorted_row_indices(rows, rows[:, rows])  # [i, j]: x -> elems[i](elems[j](x))
+    found = sorted_row_indices(rows, rows[:, rows])  # [i, j]: x -> rows[i][rows[j][x]]
     if found is None:
         raise GroupSpecError("permutation set is not closed under composition")
-    return found.tolist()
+    return found
 
 
 # -- regular representations ----------------------------------------------

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 import hgw.groups as groups
-from hgw.dsl import build_group
+from hgw.catalog import CATALOG
+from hgw.dsl import _of_order, _Parser, build_group
 from hgw.errors import EnumerationOverflow, GroupSpecError
-from hgw.groups import is_isomorphic
+from hgw.groups import automorphisms, is_isomorphic
 
 
 def _center(group):
@@ -114,3 +118,73 @@ def test_identity_is_index_zero():
     for spec in ["C6", "D4", "S4", "Dic3", "sdp(C7:C3, C2, 2)"]:
         g = build_group(spec)
         assert all(g.mul(0, x) == x == g.mul(x, 0) for x in range(g.order))
+
+
+# Every catalog spec and each constructor across its range, up to the order cap and one
+# refusal past it; the digest is of the tables, labels and specs the per-product loops
+# that ``_extension`` replaced built for these expressions.
+PINNED_EXPRESSIONS = (
+    [spec for entries in CATALOG.values() for _, spec in entries]
+    + [f"C{n}" for n in (1, 2, 5, 17, 256)]
+    + [f"D{k}" for k in range(1, 30)] + ["D128"]
+    + [f"Dic{m}" for m in range(1, 20)] + ["Dic64"]
+    + [f"S{k}" for k in range(1, 6)] + [f"A{k}" for k in range(1, 6)]
+    + ["C3:C4", "C5:C4", "C7:C6", "C13:C3", "sdp(C4, C2, 2)", "sdp(C5, C4, 2)",
+       "sdp(C8, C2, 2, 0)", "sdp(C8, C2, 2, 1)", "sdp(C8, C2, 2, 2)",
+       "sdp(C4 x C2, C2, 2, 1)", "sdp(C9, C3, 3)", "sdp(C3 x C3, C3, 3)",
+       "sdp(Q8, C4, 2)", "sdp(C2 x C2 x C2 x C2, C2, 2)"]
+    + ["sdp(C7, C39, 3)"])
+DSL_TABLES_SHA256 = "a2dd530f5bb13a841c4d753dde11c5e985220baa92cc11af4b283f44a44179e8"
+
+
+def test_dsl_tables_labels_and_specs_pinned():
+    assert len(PINNED_EXPRESSIONS) == 123
+    digest = hashlib.sha256()
+    for expr in PINNED_EXPRESSIONS:
+        try:
+            g = _Parser(expr).parse()  # the constructor's own spec, before build_group's
+            item = [expr, g.spec, list(g.elements), [list(row) for row in g.table]]
+        except GroupSpecError as exc:
+            item = [expr, "GroupSpecError", str(exc)]
+        digest.update(json.dumps(item).encode())
+    assert digest.hexdigest() == DSL_TABLES_SHA256
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 21, 128])
+def test_dihedral_presentation(k):
+    g = build_group(f"D{k}")
+    r, s = 1 % k, k  # r^1 and r^0 s
+    assert g.mul(g.mul(s, r), g.inverse_table[s]) == g.inverse_table[r]
+    assert g.mul(s, s) == 0
+    assert g.element_order(r) == k and g.element_order(s) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 19, 64])
+def test_dicyclic_presentation(m):
+    g = build_group(f"Dic{m}")
+    a, b = 1, 2 * m  # a^1 and a^0 b
+    assert g.mul(b, b) == m  # a^m
+    assert g.mul(g.mul(b, a), g.inverse_table[b]) == g.inverse_table[a]
+    assert g.element_order(a) == 2 * m
+
+
+@pytest.mark.parametrize("base, k, aut_order, idx", [
+    ("C7", 3, 3, 0), ("C7", 6, 3, 1), ("C7:C3", 2, 2, 0), ("Q8", 3, 3, 0), ("C3", 8, 2, 0),
+    ("C6 x C2", 2, 2, 2), ("C8", 2, 2, 1), ("C2 x C2 x C2 x C2", 2, 2, 0),
+])
+def test_sdp_presentation(base, k, aut_order, idx):
+    x_group = build_group(base)
+    phi = _of_order(automorphisms(x_group), aut_order)[idx].tolist()
+    g = build_group(f"sdp({base}, C{k}, {aut_order}, {idx})")
+    nb = x_group.order
+    t = nb  # 0 t^1
+    assert g.element_order(t) == k
+    for x in range(nb):  # the base sits at indices 0..|X|-1 with its own product
+        assert g.mul(g.mul(t, x), g.inverse_table[t]) == phi[x]
+        assert all(g.mul(x, y) == x_group.mul(x, y) for y in range(nb))
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (7, 3), (7, 6), (5, 4), (13, 3)])
+def test_colon_is_sdp_by_the_full_order(p, q):
+    colon, sdp = build_group(f"C{p}:C{q}"), build_group(f"sdp(C{p}, C{q}, {q})")
+    assert colon.table == sdp.table and colon.elements == sdp.elements

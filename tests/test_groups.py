@@ -14,6 +14,7 @@ from hgw.groups import (
     all_isomorphisms,
     an_isomorphism,
     automorphisms,
+    cayley_table,
     core_of,
     generating_subset_of,
     is_isomorphic,
@@ -29,6 +30,17 @@ from perm_tables import as_finite_group
 def test_associativity_full(spec):
     group = build_group(spec)
     assert group.check_associative()
+
+
+def test_associativity_check_refuses_a_loop():
+    # a Latin square with identity 0 and two-sided inverses that is not a group:
+    # (1 1) 2 = 0 2 = 2, but 1 (1 2) = 1 3 = 4
+    loop = FiniteGroup(range(5), [[0, 1, 2, 3, 4],
+                                  [1, 0, 3, 4, 2],
+                                  [2, 4, 0, 1, 3],
+                                  [3, 2, 4, 0, 1],
+                                  [4, 3, 1, 2, 0]])
+    assert loop.check_associative() is False
 
 
 def test_associativity_every_catalog_group():
@@ -375,6 +387,19 @@ def test_generating_subset_of_records_matches_closure_reference(census42):
 def test_generating_subset_of_rejects_a_set_that_is_not_closed():
     with pytest.raises(GroupSpecError, match="not closed"):
         generating_subset_of([Permutation.identity(3), Permutation.from_cycles([(0, 1, 2)], 3)])
+
+
+def test_cayley_table_rejects_a_set_that_is_not_closed():
+    rows = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint8)  # e and (0 1 2), without its square
+    with pytest.raises(GroupSpecError, match="^permutation set is not closed under composition$"):
+        cayley_table(rows)
+
+
+def test_cayley_table_of_a_closed_set_composes_rows():
+    rows = np.array(sorted(itertools.permutations(range(4))), dtype=np.uint8)
+    table = cayley_table(rows)
+    for i, j in [(0, 5), (3, 17), (23, 23), (11, 6)]:
+        assert rows[table[i, j]].tolist() == rows[i][rows[j]].tolist()
 
 
 @pytest.mark.parametrize("table", [
