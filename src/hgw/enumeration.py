@@ -92,6 +92,8 @@ class HgsRecord:
         order; an isomorphism M -> N is searched for.
         """
         rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
+        if not is_regular(rows):  # the rows are sorted by image tuple, so by image of 0 if regular
+            raise TheoremViolation(f"N of provenance {provenance} is not regular (G = {group!r})")
         conj = _lambda_conjugation(group, rows)
         if conj is None:
             raise TheoremViolation("lambda(G) does not normalize N")

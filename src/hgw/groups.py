@@ -6,6 +6,10 @@ every permutation representation built here acts on those indices.
 and ``FiniteGroup.conjugation`` the table g x g^-1; ``core_masks`` reads cores,
 and with them normality and stability, from one gather through such a table.
 
+``subgroups`` builds the lattice as joins of cyclic subgroups: from the trivial
+subgroup on, each known H is joined with each cyclic <c> not inside it, and the
+join is H closed under right multiplication by H's recorded generators and c.
+
 Isomorphisms g1 -> g2 are searched on generator images alone. A backtrack
 gives each element of g1's greedy generating sequence an image of the same
 order, extends the map along a word tree of g1, and rejects the candidate
@@ -175,59 +179,47 @@ def right_regular(group: FiniteGroup) -> PermGroup:
 # -- subgroup enumeration ---------------------------------------------------
 
 
-def subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
-    """All subgroups: cyclic seeds, then extend each known subgroup by one element.
+def _generated(table, members: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+    """The closure of ``members`` under right multiplication by ``gens``, breadth-first.
 
-    Output is complete (every subgroup arises from a chain of one-element
-    extensions starting at a cyclic subgroup) and sorted by (order, members).
+    In a finite group the words in ``gens`` form <gens>, so this is <gens>
+    whenever ``members`` is a subgroup of <gens>, such as {0}.
     """
-    n = group.order
+    found = set(members)
+    queue = list(members)
+    for u in queue:
+        row = table[u]
+        for g in gens:
+            w = row[g]
+            if w not in found:
+                found.add(w)
+                queue.append(w)
+    return frozenset(found)
+
+
+def subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
+    """All subgroups, as joins of cyclic subgroups, sorted by (order, members).
+
+    Every subgroup <h1, ..., hk> is the join of the cyclic <h1>, ..., <hk>, so
+    joining each known subgroup H with each cyclic <c> not inside H, from the
+    trivial subgroup on, reaches them all. The join is H closed under right
+    multiplication by H's recorded generators and c alone.
+    """
     table = group.table
-    whole = frozenset(range(n))
-    known: set[frozenset[int]] = {whole}
-    queue: list[frozenset[int]] = []
-    for a in range(n):
-        cyc = {0}
-        x = a
-        while x not in cyc:
-            cyc.add(x)
-            x = table[x][a]
-        fs = frozenset(cyc)
-        if fs not in known:
-            known.add(fs)
-            queue.append(fs)
-    while queue:
-        sub = queue.pop()
-        for x in range(1, n):
-            if x in sub:
+    trivial = frozenset((0,))
+    cyclic = {_generated(table, trivial, (a,)): a for a in range(1, group.order)}
+    known = {trivial: ()}  # each subgroup and the generators it was first reached by
+    queue = [trivial]
+    for sub in queue:
+        gens = known[sub]
+        for c in cyclic.values():
+            if c in sub:
                 continue
-            members = set(sub)
-            members.add(x)
-            mlist = list(members)
-            qi = 0
-            full = False
-            while qi < len(mlist):
-                u = mlist[qi]
-                qi += 1
-                row_u = table[u]
-                for v in mlist:
-                    w = row_u[v]
-                    if w not in members:
-                        members.add(w)
-                        mlist.append(w)
-                    w = table[v][u]
-                    if w not in members:
-                        members.add(w)
-                        mlist.append(w)
-                if len(members) == n:
-                    full = True
-                    break
-            if full:
-                continue
-            fs = frozenset(members)
-            if fs not in known:
-                known.add(fs)
-                queue.append(fs)
+            join_gens = gens + (c,)
+            join = _generated(table, sub, join_gens)
+            if join not in known:
+                known[join] = join_gens
+                queue.append(join)
     handles = [SubgroupHandle(group, tuple(sorted(s))) for s in known]
     handles.sort(key=lambda h: (h.order, h.members))
     return handles

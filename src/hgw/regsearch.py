@@ -153,6 +153,8 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
     fixes every point: a shorter cycle would have returned earlier. Each
     power of the rows not yet decided is one gather from the flat original
     rows at those rows' offsets, so no copy of the rows is kept per power.
+    Only the first n/2 powers are read: a row with no fixed point in them has
+    no cycle of length at most n/2, so it is one n-cycle, and uniform.
     """
     degree = rows.shape[1]
     flat = np.ascontiguousarray(rows).ravel()
@@ -160,13 +162,16 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
     uniform = np.zeros(len(rows), dtype=bool)
     live = np.arange(len(rows))  # the undecided rows, as indices into ``rows``
     power = rows
-    while len(live):
+    for _ in range(degree // 2):
         fixed = power == points
         first = fixed.any(axis=1)
         uniform[live[first]] = fixed[first].all(axis=1)
         rest = ~first
         live, power = live[rest], power[rest]
+        if not len(live):
+            break
         power = flat[(live * degree)[:, None] + power]  # p o p^s
+    uniform[live] = True
     return uniform
 
 

@@ -245,6 +245,16 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
         HgsRecord.from_perm_group(group, n_group, iso_class(as_finite_group(n_group)), ("test", 0))
 
 
+def test_given_n_that_is_not_regular_is_named_so():
+    """lambda(C2 x C2) normalizes <(0 1), (2 3)>, which fixes points: the rows are not regular."""
+    group = build_group("C2 x C2")
+    n_group = closure([Permutation.from_cycles([(0, 1)], 4), Permutation.from_cycles([(2, 3)], 4)], 4)
+    assert not n_group.is_regular() and normalizes(left_regular(group), n_group)
+    with pytest.raises(TheoremViolation,
+                       match=r"N of provenance \('test', 1\) is not regular \(G = FiniteGroup\(C2 x C2\)\)"):
+        HgsRecord.from_perm_group(group, n_group, iso_class(build_group("C2 x C2")), ("test", 1))
+
+
 def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypatch):
     spaces, psi_calls, block_perms = Counter(), Counter(), Counter()
     real_space, real_psi, real_block_perm = (

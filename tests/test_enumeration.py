@@ -470,9 +470,9 @@ def test_symmetry_that_moves_a_root_candidate_out_is_a_theorem_violation():
         regsearch.regular_subgroups(hol.rows, swap)
 
 
-@pytest.mark.parametrize("source", ["D21", "C6 x C2^2", "Sym(6)"])
+@pytest.mark.parametrize("source", ["D21", "C6 x C2^2", "Sym(6)", "Sym(7)"])
 def test_uniform_rows_matches_cycle_length_definition(source):
-    rows = _sym_rows(6) if source == "Sym(6)" else enumeration._hol_data(source).rows
+    rows = _sym_rows(int(source[4:-1])) if source.startswith("Sym") else enumeration._hol_data(source).rows
     mask = regsearch.uniform_rows(rows)
     expected = [_uniform(p) for p in rows.tolist()]
     assert mask.tolist() == expected
@@ -485,6 +485,11 @@ def test_uniform_rows_matches_cycle_length_definition(source):
     ([[0, 1, 2, 3, 4]], [True]),  # the identity alone, at degree 5
     ([[1, 2, 0, 4, 3]], [False]),  # one row: a 3-cycle and a 2-cycle
     ([[1, 0, 3, 2]], [True]),  # one row: two 2-cycles
+    ([[1, 0]], [True]),  # degree 2: one power read, no fixed point, one 2-cycle
+    ([[1, 2, 0]], [True]),  # degree 3: one power read, one 3-cycle
+    ([[1, 0, 2]], [False]),  # degree 3: a 2-cycle and a fixed point
+    ([[1, 2, 3, 0]], [True]),  # degree 4: two powers read, one 4-cycle
+    ([[1, 2, 0, 3]], [False]),  # degree 4: a 3-cycle and a fixed point
     (np.zeros((0, 4)), []),
 ])
 def test_uniform_rows_small_stacks(rows, expected):

@@ -98,6 +98,28 @@ def test_subgroup_counts_match_closed_forms(spec, count):
     assert len(subgroups(build_group(spec))) == count
 
 
+def _gaussian_binomial_sum(p, d):
+    """The number of subspaces of F_p^d: the sum over k of the Gaussian binomials [d, k]_p."""
+    total = 0
+    for k in range(d + 1):
+        count = 1
+        for i in range(k):
+            count = count * (p ** (d - i) - 1) // (p ** (i + 1) - 1)
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("C2 x C2 x C2 x C2", 67), ("C3 x C3 x C3", 28), ("C5 x C5", 8),
+    ("C2 x C2 x C2 x C2 x C2", 374), ("A5", 59), ("S5", 156)])
+def test_subgroup_counts_beyond_the_catalog_match_closed_forms(spec, count):
+    """Subspace counts for elementary abelian p-groups; A5 and S5 have 59 and 156 subgroups."""
+    factors = spec.split(" x ")
+    if len(set(factors)) == 1 and factors[0].startswith("C"):
+        assert count == _gaussian_binomial_sum(int(factors[0][1:]), len(factors))
+    assert len(subgroups(build_group(spec))) == count
+
+
 def close_subset(group, seed):
     """Subgroup of a FiniteGroup generated by ``seed`` element indices."""
     members = {0} | set(seed)
@@ -123,7 +145,8 @@ def subgroups_brute_oracle(group):
     return found
 
 
-@pytest.mark.parametrize("spec", ["C6", "C8", "D4", "Q8", "C2 x C2 x C2", "D6", "C12", "A4"])
+@pytest.mark.parametrize("spec", ["C6", "C8", "D4", "Q8", "C2 x C2 x C2", "D6", "C12", "A4",
+                                  "C2 x C2 x C2 x C2"])
 def test_subgroups_match_brute_oracle(spec):
     group = build_group(spec)
     ours = {frozenset(h.members) for h in subgroups(group)}
