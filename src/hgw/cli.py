@@ -1,7 +1,8 @@
 """Command-line interface: enum, correspond, table42, verify, model.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (including a group order
-outside the catalog or an isomorphism search beyond its bound).
+outside the catalog, an isomorphism search beyond its bound or an --out path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except GroupSpecError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 2
+    except OSError as exc:  # the --out writes are the package's only file-system writes
+        sys.stderr.write(f"usage error: cannot write {args.out}: {exc}\n")
         return 2
     except HgwError as exc:
         sys.stderr.write(f"check failed: {exc}\n")

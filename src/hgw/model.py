@@ -1,9 +1,11 @@
 """Explicit finite-field model: K = F_{p^n} over k = F_p, with cyclic Galois group.
 
 All descent statements are checked by exact linear algebra over F_p: fixed
-rings (K[V])^{lambda(G)} by Galois descent on the orbits of conjugation,
-actions as matrices, fixed fields as solution spaces, and the induced short
-exact sequence by ranks and spans.
+rings (K[V])^{lambda(G)} by Galois descent on the lambda(G)-orbits (c_v in K^S
+for the stabiliser S of v, and c_{gvg^-1} = g(c_v)), actions as matrices,
+fixed fields as solution spaces, and the induced short exact sequence by ranks
+and spans. G is read only through its rows and frobenius_matrices; only
+ExtensionModel knows that G is cyclic, and it solves each K^S once.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
 sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
@@ -80,6 +82,7 @@ class ExtensionModel:
         self.x_powers, frobenius = _field_matrices(p, modulus)
         self.group = build_group(f"C{n}")  # index j acts as Frobenius^j
         self.frobenius_matrices = self._frobenius_powers(frobenius)
+        self._subfields: dict[tuple[int, ...], np.ndarray] = {}  # K^J by J's sorted points
 
     def mult_matrix(self, c) -> np.ndarray:
         """Matrix of y -> c*y (columns are c * x^i); a stack of elements gives a stack."""
@@ -148,9 +151,9 @@ def make_extension(p: int, n: int) -> ExtensionModel:
 class FixedRing:
     """(K[V])^{lambda(G)} for a support group V, as a basis of coefficient arrays.
 
-    G is cyclic, so an element lies in the ring iff gamma(c_v) = c_{gamma v gamma^-1}
-    for the generator gamma: ``frobenius`` is gamma's matrix on K, and
-    ``conj[v]`` is the index of gamma v gamma^-1 in the support.
+    An element lies in the ring iff g(c_v) = c_{g v g^-1} for every g in G:
+    ``frobenius[g]`` is g's matrix on K, and ``conj[g, v]`` is the index of
+    g v g^-1 in the support.
     """
 
     model: ExtensionModel
@@ -172,55 +175,38 @@ class FixedRing:
 
     def contains(self, coeffs: np.ndarray) -> bool:
         """Whether every (|V|, n) coefficient array of the stack ``coeffs`` lies in the ring."""
-        moved = np.einsum("ij,kvj->kvi", self.frobenius, coeffs) - coeffs[:, self.conj]
+        moved = np.einsum("gij,kvj->kgvi", self.frobenius, coeffs) - coeffs[:, self.conj]
         return not np.any(moved % self.model.p)
 
 
 def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
                      gbar_rows: np.ndarray | None = None) -> FixedRing:
-    """(K[V])^{lambda(G)} by Galois descent on the orbits of conjugation by gamma.
+    """(K[V])^{lambda(G)} by Galois descent on the orbits of conjugation by G.
 
-    gamma generates G. On an orbit v, gamma v gamma^-1, .. of length l the
-    fixed elements are exactly c_{gamma^i v gamma^-i} = gamma^i(b) for b in
-    K^<gamma^l>, so each orbit adds gamma^i applied to a basis of that subfield,
-    which is solved for once per orbit length.
-    ``gbar_rows`` gives the action of each G element on the support domain
-    (the left-regular action by default; block images for quotient supports).
+    On the orbit of v (taken by its least member) with stabiliser S the fixed
+    elements are exactly c_{g v g^-1} = g(b) for b in K^S, one g per coset gS
+    (its least element). ``gbar_rows`` gives the action of each G element on
+    the support domain (the left-regular action by default; block images for
+    quotient supports).
     Asserts dim_k = |V| and that the basis is fixed.
     """
-    group = model.group
     if gbar_rows is None:
-        gbar_rows = group.rows
-    size = len(support_rows)
-    gen = next(j for j in range(group.order) if group.element_order(j) == group.order)
-    conj = row_indices(support_rows, conjugate(support_rows, gbar_rows[gen:gen + 1])[0])
+        gbar_rows = model.group.rows
+    size, frob = len(support_rows), model.frobenius_matrices
+    conj = row_indices(support_rows, conjugate(support_rows, gbar_rows))
     if conj is None:
         raise TheoremViolation("conjugator does not normalize the support group")
-    powers = [0]  # powers[i] is gamma^i as an index of G
-    for _ in range(size):
-        powers.append(group.table[powers[-1]][gen])
     blocks = []
-    subfields: dict[int, np.ndarray] = {}  # orbit length l -> K^<gamma^l>, shared by its orbits
-    seen = np.zeros(size, dtype=bool)
-    for start in range(size):
-        orbit, v = [], start
-        while not seen[v]:
-            seen[v] = True
-            orbit.append(v)
-            v = conj[v]
-        if not orbit:
-            continue
-        if len(orbit) not in subfields:
-            subfields[len(orbit)] = fixed_subfield_of_group(model, [powers[len(orbit)]])
-        sub = subfields[len(orbit)]
+    for v in np.unique(conj.min(axis=0)):
+        sub = fixed_subfield_of_group(model, np.flatnonzero(conj[:, v] == v))
+        orbit, cosets = np.unique(conj[:, v], return_index=True)
         block = np.zeros((len(sub), size, model.n), dtype=np.int64)
-        frob = model.frobenius_matrices[powers[:len(orbit)]]
-        block[:, orbit] = np.einsum("lij,dj->dli", frob, sub) % model.p
+        block[:, orbit] = np.einsum("lij,dj->dli", frob[cosets], sub) % model.p
         blocks.append(block)
     basis = np.concatenate(blocks)
     if len(basis) != size:
         raise TheoremViolation(f"fixed ring dimension {len(basis)} != |V| = {size}")
-    ring = FixedRing(model, support_rows, basis, model.frobenius_matrices[gen], conj)
+    ring = FixedRing(model, support_rows, basis, frob, conj)
     if not ring.contains(basis):
         raise TheoremViolation("fixed ring basis is not lambda(G)-invariant")
     return ring
@@ -271,10 +257,15 @@ class FixedFieldResult:
 
 
 def fixed_subfield_of_group(model: ExtensionModel, points: Sequence[int]) -> np.ndarray:
-    """K^J for a set of group elements J: joint fixed space of their matrices."""
-    n, p = model.n, model.p
-    stacked = model.frobenius_matrices[list(points)] - np.eye(n, dtype=np.int64)
-    return fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
+    """K^J for a set of group elements J, as read-only RREF rows solved once per model."""
+    key = tuple(sorted({int(j) for j in points}))
+    if key not in model._subfields:
+        n, p = model.n, model.p
+        stacked = model.frobenius_matrices[list(key)] - np.eye(n, dtype=np.int64)
+        basis = fplin.rref(fplin.nullspace(stacked.reshape(-1, n), p), p)[0]
+        basis.flags.writeable = False
+        model._subfields[key] = basis
+    return model._subfields[key]
 
 
 def fixed_field(ring: FixedRing) -> FixedFieldResult:

@@ -100,6 +100,22 @@ def test_fixed_space_of_full_group_is_prime_field(model_11_6):
     assert tuple(base[0]) == (1, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("p, n", [(p, n) for p in (11, 13) for n in range(1, 9) if catalog_names(n)])
+def test_fixed_subfields_follow_the_galois_correspondence(p, n):
+    # S -> K^S reverses inclusion and dim K^S = [G:S] (Galois correspondence)
+    model = make_extension(p, n)
+    fields = {}
+    for handle in subgroups(model.group):
+        points = tuple(sorted(handle.members))
+        k_s = fixed_subfield_of_group(model, points)
+        assert k_s.shape == (n // len(points), n)
+        assert fixed_subfield_of_group(model, points[::-1]) is k_s and not k_s.flags.writeable
+        fields[frozenset(points)] = k_s
+    for s, k_s in fields.items():
+        for t, k_t in fields.items():
+            assert (fplin.rank(np.vstack([k_s, k_t]), p) == len(k_s)) == (s <= t), (s, t)
+
+
 def test_frobenius_powers_embed_k_into_map_g_k(model_11_6):
     # x -> (g(x))_g is a ring map K -> Map(G, K) whose identity component is x
     model = model_11_6
@@ -128,35 +144,27 @@ def test_fixed_ring_of_rho_is_group_ring(model_11_6):
         assert np.array_equal(model.frobenius_matrices[1] @ c % model.p, c)  # c in k
 
 
-def _cycle_lengths(perm):
-    lengths, seen = set(), set()
-    for start in range(len(perm)):
-        length, v = 0, start
-        while v not in seen:
-            seen.add(v)
-            v, length = perm[v], length + 1
-        if length:
-            lengths.add(length)
-    return lengths
-
-
 def test_fixed_ring_solves_one_subfield_per_orbit_length(monkeypatch):
+    # C8 has one subgroup of each order, so an orbit's length names its stabiliser
+    # S; each K^S is solved once per model, however many orbits and rings read it
     model = make_extension(11, 8)
-    calls = []
-    real = model_mod.fixed_subfield_of_group
+    asked, solved = [], []
+    real_subfield, real_nullspace = model_mod.fixed_subfield_of_group, fplin.nullspace
     monkeypatch.setattr(model_mod, "fixed_subfield_of_group",
-                        lambda model, points: calls.append(tuple(points)) or real(model, points))
-    # rho(G) commutes with lambda(G): its eight orbits of length 1 share K^G = F_p
+                        lambda model, points: asked.append(tuple(points)) or real_subfield(model, points))
+    monkeypatch.setattr(fplin, "nullspace", lambda mat, p: solved.append(p) or real_nullspace(mat, p))
+    # rho(G) commutes with lambda(G): its eight orbits of length 1 share one solve of K^G = F_p
     ring = fixed_ring_basis(model, _rows(right_regular(model.group)))
-    assert ring.dimension == 8 and len(calls) == 1
+    assert ring.dimension == 8 and len(asked) == 8 and len(solved) == 1
     lengths_seen = set()
     for record in enumerate_hgs(model.group):
-        calls.clear()
         ring = fixed_ring_basis(model, record.rows)
-        lengths = _cycle_lengths(ring.conj.tolist())
-        assert ring.dimension == 8 and len(calls) == len(set(calls)) == len(lengths)
-        lengths_seen.add(frozenset(lengths))
+        assert ring.dimension == 8
+        lengths_seen.add(frozenset(len(np.unique(orbit)) for orbit in ring.conj.T))
     assert any(len(lengths) > 1 for lengths in lengths_seen)
+    assert {len(points) for points in asked} == {8 // length for lengths in lengths_seen
+                                                 for length in lengths} | {8}
+    assert len(solved) == len(set(asked)) < len(asked)
 
 
 def test_act_identities(model_11_6):
@@ -341,8 +349,9 @@ def _tamper_ring(monkeypatch, which, **changes):
 
 
 def _bare_ring(model, rows, basis):
-    """A FixedRing with the given fields, gamma = id and no conjugation, built without checks."""
-    return FixedRing(model, rows, basis, np.eye(model.n, dtype=np.int64), np.arange(len(rows)))
+    """A FixedRing with the given fields and a trivial G = {id}, built without checks."""
+    return FixedRing(model, rows, basis, np.eye(model.n, dtype=np.int64)[None],
+                     np.arange(len(rows))[None])
 
 
 def _shift_products(monkeypatch, shift):
@@ -372,8 +381,8 @@ def _case_support_not_normalized(monkeypatch):
 
 
 def _case_fixed_ring_dimension(monkeypatch):
-    # the generator of C2 permutes three transpositions in one 3-cycle, which
-    # no Frobenius of order 2 can match: the fixed ring has dimension 1
+    # the generator of C2 permutes three transpositions in one 3-cycle, which is
+    # no action of C2: two "orbits" of length 2 overlap, giving dimension 4
     model = make_extension(11, 2)
     transpositions = np.array([[0, 2, 1], [1, 0, 2], [2, 1, 0]], dtype=np.uint8)
     gbar = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint8)
@@ -513,7 +522,7 @@ CONTRACT_CASES = {
     "Frobenius has order < n; modulus not irreducible?": _case_frobenius_order_below_n,
     "augmentation of a fixed-ring element is not in F_p": _case_augmentation_not_in_k,
     "conjugator does not normalize the support group": _case_support_not_normalized,
-    "fixed ring dimension 1 != |V| = 3": _case_fixed_ring_dimension,
+    "fixed ring dimension 4 != |V| = 3": _case_fixed_ring_dimension,
     "fixed ring basis is not lambda(G)-invariant": _case_fixed_ring_not_invariant,
     "action did not land in the embedded copy of K": _case_act_outside_embedded_k,
     "slice action and closed formula disagree": _case_act_slice_and_formula,

@@ -201,6 +201,19 @@ def test_enum_by_catalog_name_matches_its_spec(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUM_SL23_JSON_SHA256
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["table42"], ""),  # the output directory is a regular file
+    (["enum", "--group", "D3"], "/x.md"),  # the output file's parent is a regular file
+], ids=["table42_dir", "enum_parent"])
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    blocker = tmp_path / "regular"
+    blocker.write_text("", encoding="utf-8")
+    out = f"{blocker}{target}"
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {out}: [Errno 17] File exists: '{blocker}'\n")
+
+
 def test_cli_check_failure_exits_1(monkeypatch, capsys):
     import hgw.enumeration as enumeration
 
