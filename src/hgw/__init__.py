@@ -35,8 +35,6 @@ from .groups import (
     SubgroupHandle,
     automorphisms,
     core_of,
-    left_regular,
-    right_regular,
     subgroups,
 )
 from .model import (
@@ -82,14 +80,12 @@ __all__ = [
     "hopf_galois_rank",
     "induced_block_perm",
     "iso_class",
-    "left_regular",
     "make_extension",
     "normalizes",
     "orbit_coset_check",
     "psi",
     "psi_onto",
     "quotient_structure",
-    "right_regular",
     "stable_subgroups",
     "subgroups",
     "__version__",

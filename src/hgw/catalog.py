@@ -9,6 +9,12 @@ order with the same spectrum are kept, and the isomorphism search decides
 between them on a tie. A single match is returned without a search, which
 relies on the catalog listing every class of each order it covers. No two
 classes of a covered order share a spectrum today.
+
+``iso_class`` classifies G, its subgroups and given groups, but no longer the
+regular subgroups V of a holomorph: the enumeration searches for an
+isomorphism from G's catalog group onto each V whose spectrum is G's, and
+asks ``iso_class`` only to confirm that a V the search does not reach is of
+another class.
 """
 
 from __future__ import annotations

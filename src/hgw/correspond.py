@@ -36,7 +36,7 @@ import numpy as np
 from .catalog import GroupClassLabel, catalog_group, iso_class
 from .enumeration import HgsRecord, enumerate_hgs
 from .errors import BlockSystemViolation, TheoremViolation
-from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, subgroups
+from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, semiregular_group, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
 from .regsearch import is_regular, normalized_by, regular_table
 
@@ -152,7 +152,8 @@ class _ClassLattice:
 
     def class_of(self, k: int) -> GroupClassLabel:
         if k not in self._classes:
-            self._classes[k] = iso_class(_subgroup_as_group(self.model, self.subgroups[k]))
+            members = list(self.subgroups[k].members)
+            self._classes[k] = iso_class(semiregular_group(self.model.rows[members]))
         return self._classes[k]
 
 
@@ -204,19 +205,11 @@ def _psi_of_orbit(group: FiniteGroup, orbit: tuple[int, ...]) -> PsiResult:
         if not np.isin(group.rows[np.ix_(orbit, orbit)], orbit).all():
             raise TheoremViolation("identity orbit is not closed under the group operation; "
                                    "P was not lambda(G)-stable")
-        j_handle = SubgroupHandle(group, orbit)
-        core = core_of(group, j_handle)
-        by_orbit[orbit] = (iso_class(_subgroup_as_group(group, j_handle)), core.order)
+        core = core_of(group, SubgroupHandle(group, orbit))
+        by_orbit[orbit] = (iso_class(semiregular_group(group.rows[list(orbit)])), core.order)
     j_class, core_order = by_orbit[orbit]
     return PsiResult(j_handle=SubgroupHandle(group, orbit), j_class=j_class,
                      normal_in_g=core_order == len(orbit), core_order=core_order)
-
-
-def _subgroup_as_group(group: FiniteGroup, handle: SubgroupHandle) -> FiniteGroup:
-    """The closed set ``handle`` as a group: lambda of its members is semiregular."""
-    members = list(handle.members)
-    return FiniteGroup([group.elements[x] for x in members], regular_table(group.rows[members]),
-                       spec=f"subgroup of order {len(members)}")
 
 
 def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:

@@ -10,35 +10,31 @@ Hol(M) is one uint8 stack of rows x -> m alpha(x), gathered from M's ``rows``.
 Its regular subgroups are searched once, up to conjugation by the
 automorphisms of M that fix the point 1 (see ``regsearch``, which owns the row
 format), and come back as one uint8 stack of sorted rows in canonical order.
-Only those of G's class are classified, lazily and once per Hol(M) and class:
-the element-order spectra of the whole stack are read in one pass, and a
-subgroup whose spectrum differs from G's is skipped before its Cayley table is
-built.
+Those isomorphic to G's catalog group M_G are found lazily, once per Hol(M)
+and class: the element-order spectra of the whole stack are read in one pass,
+and each V with M_G's spectrum gets a Cayley table and one isomorphism search
+M_G -> V, kept with them; a V the search misses must be of another class.
 
-Aut(G) is computed once per ``enumerate_hgs`` call; each V then needs one
-isomorphism beta0: G -> V, and its embeddings are the maps beta0 o alpha for
-alpha in Aut(G), numbered in sorted order, which is the order
-``all_isomorphisms(G, V)`` would list them in.
+Aut(G) and one isomorphism G -> M_G are computed once per ``enumerate_hgs``
+call; beta0 = (M_G -> V) o (G -> M_G), and V's embeddings are the maps
+beta0 o alpha for alpha in Aut(G), numbered in sorted order, which is the
+order ``all_isomorphisms(G, V)`` would list them in. Whichever beta0 is
+composed, they are all the isomorphisms G -> V, so that numbering, and with
+it provenance, does not depend on the search.
 Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
 so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
 the rows are also the key that deduplicates embeddings. N's PermGroup is built
-only when read. For each distinct N these contracts are checked once, each
-raising TheoremViolation:
-
-- b is bijective;
-- the transported beta(G) equals lambda(G);
-- m -> (row m of N's table) is an injective homomorphism M -> N whose image is
-  N's rows, so N's class is M's catalog label (the record keeps this map as
-  ``m_to_n``);
-- N is regular;
-- lambda(G) normalizes N (the check also builds ``lambda_conj``);
-- N arose from exactly |Aut(M)| embeddings.
-
-Both views are fields of the record. A given N (``HgsRecord.from_perm_group``)
-gets them when its record is built, from the same normalization check and
-from a search for an isomorphism M -> N.
+only when read. For each distinct N the transport is checked once: b is
+bijective, the transported beta(G) equals lambda(G), N's rows are
+b^-1 lambda(M) b, and N arose from exactly |Aut(M)| embeddings. Then N gets
+the checks that a given N (``HgsRecord.from_perm_group``) gets too, in one
+constructor: N's degree is |G|, N is regular, lambda(G) normalizes N (the
+check also builds ``lambda_conj``), and ``m_to_n`` is an isomorphism from M,
+the catalog group of N's class, onto N's rows. The transport gives ``m_to_n``
+as b^-1; a given N gets it from the search that finds each V. Every failed
+check raises TheoremViolation naming N's class, its provenance and G.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
 degrees. Sym(n) is one stack of rows, its regular subgroups are searched once
@@ -59,9 +55,10 @@ import numpy as np
 from . import groups, regsearch
 from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
-from .groups import FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of
+from .groups import (FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of,
+                     semiregular_group)
 from .perm import PermGroup, Permutation
-from .regsearch import conjugate, is_regular, regular_table, row_indices
+from .regsearch import conjugate, is_regular, row_indices
 
 ORACLE_DEGREE_CAP = 8
 
@@ -86,25 +83,41 @@ class HgsRecord:
     @classmethod
     def from_perm_group(cls, group: FiniteGroup, n_group: PermGroup, n_class: GroupClassLabel,
                         provenance: tuple[str, int]) -> HgsRecord:
-        """The record of a given N, its views computed and checked here.
-
-        M is the catalog group of N's class, so N's order must be a catalog
-        order; an isomorphism M -> N is searched for.
-        """
+        """The record of a given N, its views computed and checked by ``_checked``."""
         rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
+        return cls._checked(group, rows, n_class, provenance)
+
+    @classmethod
+    def _checked(cls, group: FiniteGroup, rows: np.ndarray, n_class: GroupClassLabel,
+                 provenance: tuple[str, int], m_to_n: np.ndarray | None = None) -> HgsRecord:
+        """The record of N's sorted rows, once every check that both routes share holds.
+
+        N's degree must be |G|, N regular and normalized by lambda(G), which
+        builds ``lambda_conj``, and ``m_to_n`` an isomorphism from M, the
+        catalog group of N's class, onto N's rows. Without ``m_to_n`` one is
+        searched for, as for each V of Hol(M), so N's order must be a catalog
+        order.
+        """
+        n = group.order
+        if rows.shape[1] != n:
+            raise _violation(group, n_class, provenance,
+                             f"has degree {rows.shape[1]}, but |G| = {n}")
         if not is_regular(rows):  # the rows are sorted by image tuple, so by image of 0 if regular
-            raise TheoremViolation(f"N of provenance {provenance} is not regular (G = {group!r})")
+            raise _violation(group, n_class, provenance, "is not regular")
         conj = _lambda_conjugation(group, rows)
         if conj is None:
-            raise TheoremViolation("lambda(G) does not normalize N")
-        if not catalog_names(len(rows)):
-            raise UncoveredOrder(f"catalog does not cover order {len(rows)}")
-        iso = an_isomorphism(catalog_group(n_class.name), _table_group(rows, "N"))
-        if iso is None:
-            raise TheoremViolation(
-                f"N of provenance {provenance} is not isomorphic to its class "
-                f"{n_class.name} (G = {group!r})")
-        return cls(group, rows, n_class, provenance, conj, np.array(iso, dtype=np.uint8))
+            raise _violation(group, n_class, provenance, "is not normalized by lambda(G)")
+        if m_to_n is None:
+            if not catalog_names(n):
+                raise UncoveredOrder(f"catalog does not cover order {n}")
+            m_to_n = an_isomorphism(catalog_group(n_class.name), semiregular_group(rows)) or ()
+        c = np.asarray(m_to_n, dtype=np.intp)
+        # N is regular, so row i o row j sends 0 to rows[i, j], the index of their product
+        if (not np.array_equal(np.sort(c), np.arange(n))
+                or not np.array_equal(rows[np.ix_(c, c)], c[catalog_group(n_class.name).rows])):
+            raise _violation(group, n_class, provenance,
+                             f"is not isomorphic to its class {n_class.name}")
+        return cls(group, rows, n_class, provenance, conj, c.astype(np.uint8))
 
     @property
     def key(self) -> bytes:
@@ -127,12 +140,18 @@ def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | No
     return None if conj is None else conj.astype(np.uint8)
 
 
+def _violation(group: FiniteGroup, n_class: GroupClassLabel, provenance: tuple[str, int],
+               problem: str) -> TheoremViolation:
+    return TheoremViolation(
+        f"N of class {n_class.name} and provenance {provenance} {problem} (G = {group!r})")
+
+
 # -- holomorph machinery ------------------------------------------------------
 
 
 class _HolData:
-    """Hol(M) and its regular subgroups as uint8 stacks, and those of one class,
-    with their Cayley tables, on demand."""
+    """Hol(M) and its regular subgroups as uint8 stacks, and those of one class, with
+    their Cayley tables and an isomorphism from the class's catalog group, on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -156,15 +175,16 @@ class _HolData:
             gens = groups.generating_sequence(FiniteGroup(range(len(table)), table)) or [0]
             symmetries = stabiliser[gens]
         self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
-        self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup]]] = {}
+        self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup, tuple[int, ...]]]] = {}
         self._spectra: np.ndarray | None = None
 
-    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, FiniteGroup]]:
-        """(rows, table) of each regular subgroup of class ``class_name``, in canonical
-        search order; the rows are sorted, identity first, and the table is on their indices.
+    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, FiniteGroup, tuple[int, ...]]]:
+        """(rows, table, iso) of each regular subgroup V of class ``class_name``, in
+        canonical search order: V's rows are sorted, identity first, its table is on
+        their indices, and iso maps the class's catalog group onto V, by those indices.
 
-        Only subgroups whose order spectrum is the class's get a table and an
-        ``iso_class`` call.
+        Only subgroups whose order spectrum is the class's get a table and a
+        search; one the search does not reach must be of another class.
         """
         if class_name not in self._isomorphic:
             if self._spectra is None:
@@ -172,9 +192,13 @@ class _HolData:
             spectrum = np.sort(catalog_group(class_name).element_orders())
             found = []
             for i in np.flatnonzero((self._spectra == spectrum).all(axis=1)).tolist():
-                table = _table_group(self.subgroups[i], "regular subgroup")
-                if iso_class(table).name == class_name:
-                    found.append((self.subgroups[i], table))
+                table = semiregular_group(self.subgroups[i])
+                iso = an_isomorphism(catalog_group(class_name), table)
+                if iso is not None:
+                    found.append((self.subgroups[i], table, iso))
+                elif iso_class(table).name == class_name:
+                    raise TheoremViolation(f"regular subgroup of Hol({self.m_name}) classed "
+                                           f"{class_name} is not isomorphic to {class_name}")
             self._isomorphic[class_name] = found
         return self._isomorphic[class_name]
 
@@ -200,10 +224,6 @@ def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
     return np.sort(orders, axis=1)
 
 
-def _table_group(rows: np.ndarray, spec: str) -> FiniteGroup:
-    return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows), spec=spec)
-
-
 _HOL_CACHE: dict[str, _HolData] = {}
 
 
@@ -226,11 +246,15 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {group.order}")
     g_class = iso_class(group).name
+    g_to_m = an_isomorphism(group, catalog_group(g_class))
+    if g_to_m is None:
+        raise TheoremViolation(f"G = {group!r} is not isomorphic to its class {g_class}")
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
-    return [rec for m_name in names for rec in _records_for_model(group, g_class, aut_g, m_name)]
+    return [rec for m_name in names
+            for rec in _records_for_model(group, g_class, np.array(g_to_m), aut_g, m_name)]
 
 
-def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
+def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut_g: np.ndarray,
                        m_name: str) -> list[HgsRecord]:
     """The structures of class M: one record per distinct N, sorted by element set."""
     n = group.order
@@ -241,14 +265,11 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    for v_rows, v_table in hol.isomorphic_to(g_class):
-        beta0 = an_isomorphism(group, v_table)
-        if beta0 is None:
-            raise TheoremViolation(f"regular subgroup of Hol({m_name}) classed {g_class} "
-                                   "is not isomorphic to G")
+    for v_rows, _, m_to_v in hol.isomorphic_to(g_class):
+        beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
-        isos = np.array(beta0)[aut_g]
-        b0 = v_rows[list(beta0), 0].astype(np.intp)
+        isos = beta0[aut_g]
+        b0 = v_rows[beta0, 0].astype(np.intp)
         table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
         rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
         # row x of N_alpha = alpha^-1 N0 alpha is alpha^-1 o rows0[alpha(x)] o alpha
@@ -262,33 +283,24 @@ def _records_for_model(group: FiniteGroup, g_class: str, aut_g: np.ndarray,
             emb_id += 1
 
     records = []
+    n_class = GroupClassLabel(m_name, n)
     for key in sorted(first):
         first_id, beta, rows = first[key]
+        provenance = (m_name, first_id)
         b = beta[:, 0].astype(np.intp)
         if len(set(b.tolist())) != n:
-            raise TheoremViolation("embedding image is not regular: base map not bijective")
+            raise _violation(group, n_class, provenance, "has a base map that is not bijective")
         b_inv = np.argsort(b)
         if not np.array_equal(b_inv[beta[:, b]], group.rows):
-            raise TheoremViolation("transported embedding image differs from lambda(G)")
-        # With column 0 a bijection c, row m1 (row m2 (0)) = row (m1 m2) (0) for all
-        # m1, m2 forces row m = c lambda(m) c^-1: an injective homomorphism M -> N.
-        table = b_inv[mul[:, b]]
-        col0 = table[:, 0]
-        if (len(set(col0.tolist())) != n or not np.array_equal(table[:, col0], col0[mul])
-                or not np.array_equal(rows[col0], table)):
-            raise TheoremViolation(
-                f"transported subgroup is not the injective image of {m_name}")
-        # the image of M is closed, so column 0 a bijection makes N regular
-        if not is_regular(rows):
-            raise TheoremViolation("transported subgroup is not regular")
-        conj = _lambda_conjugation(group, rows)
-        if conj is None:
-            raise TheoremViolation("transported subgroup is not normalized by lambda(G)")
+            raise _violation(group, n_class, provenance,
+                             "has a transported embedding image that differs from lambda(G)")
+        # row m of N is b^-1 lambda(m) b, which sends 0 to b^-1(m): m_to_n is b^-1
+        if not np.array_equal(rows[b_inv], b_inv[mul[:, b]]):
+            raise _violation(group, n_class, provenance, f"is not b^-1 lambda({m_name}) b")
         if multiplicity[key] != hol.aut_order:
-            raise TheoremViolation(
-                f"structure arose from {multiplicity[key]} embeddings, expected |Aut(M)| = {hol.aut_order}")
-        records.append(HgsRecord(group, rows, GroupClassLabel(m_name, n), (m_name, first_id),
-                                 conj, col0.astype(np.uint8)))
+            raise _violation(group, n_class, provenance, f"arose from {multiplicity[key]} "
+                             f"embeddings, expected |Aut(M)| = {hol.aut_order}")
+        records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv))
     return records
 
 

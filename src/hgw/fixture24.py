@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import GroupClassLabel, iso_class
+from .catalog import iso_class
 from .correspond import StableSubgroup, orbit_coset_check, psi, quotient_structure
 from .enumeration import HgsRecord
 from .errors import FixtureFailure
-from .groups import FiniteGroup, SubgroupHandle, core_of, subgroups
+from .groups import FiniteGroup, SubgroupHandle, core_of, semiregular_group, subgroups
 from .perm import PermGroup, Permutation, closure, normalizes
-from .regsearch import regular_table
 
 DEGREE = 24
 
@@ -77,6 +76,9 @@ def run_fixture() -> FixtureReport:
     g_group = closure(load_generators("g"), DEGREE)
     n_group = closure(load_generators("n"), DEGREE)
     p_group = closure(load_generators("p"), DEGREE)
+    # N and P are semiregular, so their sorted uint8 rows give their tables
+    n_rows, p_rows = (np.array([q.images for q in h.elements], dtype=np.uint8)
+                      for h in (n_group, p_group))
 
     check("G order and regularity", g_group.order == 24 and g_group.is_regular(),
           f"|G|={g_group.order}, regular={g_group.is_regular()}")
@@ -86,10 +88,10 @@ def run_fixture() -> FixtureReport:
     check("G class", g_class == "S4", f"[G]={g_class}")
     check("N order and regularity", n_group.order == 24 and n_group.is_regular(),
           f"|N|={n_group.order}, regular={n_group.is_regular()}")
-    n_class = _class_of(_rows(n_group))
+    n_class = iso_class(semiregular_group(n_rows))
     check("N class", n_class.name == "A4 x C2", f"[N]={n_class.name}")
     check("N normalized by G", normalizes(g_group, n_group), "conjugation check")
-    p_class = _class_of(_rows(p_group)).name  # P is semiregular: its rows give its table
+    p_class = iso_class(semiregular_group(p_rows)).name
     check("P order and class", p_group.order == 8 and p_class == "C2^3",
           f"|P|={p_group.order}, [P]={p_class}")
     check("P inside N", all(q in n_group for q in p_group.elements), "membership")
@@ -134,20 +136,11 @@ def run_fixture() -> FixtureReport:
           f"blocks={quotient.space.block_count}")
     # quotient_structure has asserted that Nbar is regular and Gbar transitive
     blocks = quotient.space.block_count
-    nbar_class = _class_of(quotient.nbar).name
+    nbar_class = iso_class(semiregular_group(quotient.nbar)).name
     check("quotient N image", nbar_class == "C3", f"[Nbar]={nbar_class}")
     check("quotient G image transitive, not regular", len(quotient.gbar) > blocks,
           f"|Gbar|={len(quotient.gbar)}")
     return FixtureReport(rows)
-
-
-def _rows(group: PermGroup) -> np.ndarray:
-    return np.array([p.images for p in group.elements], dtype=np.uint8)
-
-
-def _class_of(rows: np.ndarray) -> GroupClassLabel:
-    """The catalog class of the semiregular group with these sorted uint8 rows."""
-    return iso_class(FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows)))
 
 
 def _regular_identification(g_group: PermGroup) -> FiniteGroup:

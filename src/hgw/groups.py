@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationOverflow, GroupSpecError
-from .perm import PermGroup, Permutation
-from .regsearch import sorted_row_indices
+from .perm import Permutation
+from .regsearch import regular_table, sorted_row_indices
 
 
 class FiniteGroup:
@@ -156,24 +156,14 @@ def cayley_table(rows: np.ndarray) -> np.ndarray:
     return found
 
 
-# -- regular representations ----------------------------------------------
+def semiregular_group(rows: np.ndarray) -> FiniteGroup:
+    """The group on a semiregular uint8 stack, on the indices of its rows.
 
-
-def left_regular(group: FiniteGroup) -> PermGroup:
-    """lambda(G): g acts by x -> g*x on element indices."""
-    perms = [Permutation(group.table[g]) for g in range(group.order)]
-    gens = generating_subset_of(perms)
-    return PermGroup(group.order, gens, perms)
-
-
-def right_regular(group: FiniteGroup) -> PermGroup:
-    """rho(G): g acts by x -> x*g^-1 on element indices."""
-    perms = []
-    for g in range(group.order):
-        ginv = group.inverse_table[g]
-        perms.append(Permutation(tuple(group.table[x][ginv] for x in range(group.order))))
-    gens = generating_subset_of(perms)
-    return PermGroup(group.order, gens, perms)
+    The rows must be closed under composition, with the identity first, as
+    sorting leaves it; elements are labelled by index and multiplied by
+    ``regular_table``.
+    """
+    return FiniteGroup(list(map(str, range(len(rows)))), regular_table(rows))
 
 
 # -- subgroup enumeration ---------------------------------------------------

@@ -19,10 +19,9 @@ from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable
 from .enumeration import HgsRecord, enumerate_hgs
 from .errors import GroupSpecError, TheoremViolation
 from .fixture24 import FixtureReport, run_fixture
-from .groups import FiniteGroup, generating_sequence
+from .groups import FiniteGroup, generating_sequence, semiregular_group
 from .groups import subgroups as subgroups_of
 from .perm import Permutation
-from .regsearch import regular_table
 
 FORMATS = ("md", "csv", "json")
 
@@ -172,13 +171,12 @@ def emit_enum_table(group: FiniteGroup, fmt: str = "md") -> TableDocument:
     records = enumerate_hgs(group)
     rows = []
     for i, record in enumerate(records):
-        n = len(record.rows)
-        gens = generating_sequence(FiniteGroup(range(n), regular_table(record.rows))) or [0]
+        gens = generating_sequence(semiregular_group(record.rows)) or [0]
         rows.append(
             {
                 "index": i,
                 "N_class": record.n_class.name,
-                "order": n,
+                "order": len(record.rows),
                 "provenance": f"{record.provenance[0]}#{record.provenance[1]}",
                 "generator_cycles": " ".join(
                     Permutation(record.rows[g]).cycle_string() for g in gens),

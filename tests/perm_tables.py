@@ -1,9 +1,10 @@
-"""Cayley tables of PermGroups, for tests that hand the package's table-based
-functions a group built in cycle notation."""
+"""Cayley tables of PermGroups, and the regular representations as PermGroups, for
+tests that compare the package's row stacks with groups built in cycle notation."""
 
 import numpy as np
 
-from hgw.groups import FiniteGroup, cayley_table
+from hgw.groups import FiniteGroup, cayley_table, generating_subset_of
+from hgw.perm import PermGroup, Permutation
 
 
 def as_finite_group(group, spec=""):
@@ -12,3 +13,20 @@ def as_finite_group(group, spec=""):
     labels = [p.cycle_string() for p in elems]
     return FiniteGroup(labels, cayley_table(np.array([p.images for p in elems], dtype=np.uint8)),
                        spec=spec or f"perm group of order {len(elems)}")
+
+
+def left_regular(group):
+    """lambda(G): g acts by x -> g*x on element indices."""
+    perms = [Permutation(group.table[g]) for g in range(group.order)]
+    gens = generating_subset_of(perms)
+    return PermGroup(group.order, gens, perms)
+
+
+def right_regular(group):
+    """rho(G): g acts by x -> x*g^-1 on element indices."""
+    perms = []
+    for g in range(group.order):
+        ginv = group.inverse_table[g]
+        perms.append(Permutation(tuple(group.table[x][ginv] for x in range(group.order))))
+    gens = generating_subset_of(perms)
+    return PermGroup(group.order, gens, perms)

@@ -119,7 +119,7 @@ def test_criterion_6_model_suite():
 
 
 def test_criterion_7_property_suite(census42):
-    from hgw.groups import right_regular
+    from perm_tables import right_regular
 
     pairs = 0
     psi_checked = 0

@@ -11,8 +11,8 @@ from hgw.catalog import (
 )
 from hgw.dsl import build_group
 from hgw.errors import TheoremViolation, UncoveredOrder
-from hgw.groups import is_isomorphic, left_regular, right_regular
-from perm_tables import as_finite_group
+from hgw.groups import is_isomorphic
+from perm_tables import as_finite_group, left_regular, right_regular
 
 
 def test_catalog_orders_covered():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hgw.correspond as correspond
+import hgw.enumeration as enumeration
 from hgw.catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from hgw.correspond import (
     StableSubgroup,
@@ -22,7 +23,7 @@ from hgw.correspond import (
     stable_subgroups,
 )
 from hgw.dsl import build_group
-from hgw.enumeration import HgsRecord, _table_group, enumerate_hgs
+from hgw.enumeration import HgsRecord, enumerate_hgs
 from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
@@ -30,11 +31,10 @@ from hgw.groups import (
     core_masks,
     core_of,
     generating_subset_of,
-    left_regular,
-    right_regular,
+    semiregular_group,
     subgroups,
 )
-from perm_tables import as_finite_group
+from perm_tables import as_finite_group, left_regular, right_regular
 from subgroup_references import core_of as reference_core_of, is_normal
 from hgw.perm import PermGroup, Permutation, closure, normalizes
 from hgw.report import correspondence_table_doc
@@ -217,7 +217,7 @@ def test_index_views_match_permutation_products(g_name):
         n_group = record.n_group
         elems = n_group.elements
         index = {p.images: i for i, p in enumerate(elems)}
-        assert _table_group(record.rows, "N").table == as_finite_group(n_group).table
+        assert semiregular_group(record.rows).table == as_finite_group(n_group).table
         for g in range(group.order):
             lam_g = Permutation(group.table[g])
             expected = [index[(lam_g * a * lam_g.inverse()).images] for a in elems]
@@ -241,7 +241,9 @@ def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     group = build_group("D3")
     n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
     assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
-    with pytest.raises(TheoremViolation, match="lambda\\(G\\) does not normalize N"):
+    with pytest.raises(TheoremViolation, match=r"N of class C6 and provenance \('test', 0\) "
+                                               r"is not normalized by lambda\(G\) "
+                                               r"\(G = FiniteGroup\(D3\)\)"):
         HgsRecord.from_perm_group(group, n_group, iso_class(as_finite_group(n_group)), ("test", 0))
 
 
@@ -251,7 +253,8 @@ def test_given_n_that_is_not_regular_is_named_so():
     n_group = closure([Permutation.from_cycles([(0, 1)], 4), Permutation.from_cycles([(2, 3)], 4)], 4)
     assert not n_group.is_regular() and normalizes(left_regular(group), n_group)
     with pytest.raises(TheoremViolation,
-                       match=r"N of provenance \('test', 1\) is not regular \(G = FiniteGroup\(C2 x C2\)\)"):
+                       match=r"N of class C2\^2 and provenance \('test', 1\) is not regular "
+                             r"\(G = FiniteGroup\(C2 x C2\)\)"):
         HgsRecord.from_perm_group(group, n_group, iso_class(build_group("C2 x C2")), ("test", 1))
 
 
@@ -300,14 +303,14 @@ LATTICE_GROUPS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalo
 @pytest.mark.parametrize("g_name", LATTICE_GROUPS + ["D21"])
 def test_carried_lattice_matches_lattice_of_n_table(g_name):
     for record in enumerate_hgs(catalog_group(g_name)):
-        n_table, conj = _table_group(record.rows, "N"), record.lambda_conj
+        n_table, conj = semiregular_group(record.rows), record.lambda_conj
         expected = [h for h in subgroups(n_table)
                     if np.isin(conj[:, h.members], h.members).all()]
         stables = stable_subgroups(record)
         assert [s.p_handle.members for s in stables] == [h.members for h in expected]
         for stable, handle in zip(stables, expected):
             assert stable.normal_in_n == is_normal(n_table, handle)
-            assert stable.p_class == iso_class(correspond._subgroup_as_group(n_table, handle))
+            assert stable.p_class == iso_class(semiregular_group(n_table.rows[list(handle.members)]))
 
 
 CATALOG_NAMES = [name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)
@@ -355,7 +358,7 @@ def test_given_n_path_agrees_with_the_enumerated_path(g_name):
         given = HgsRecord.from_perm_group(group, record.n_group, record.n_class, record.provenance)
         assert np.array_equal(given.rows, record.rows)
         assert np.array_equal(given.lambda_conj, record.lambda_conj)
-        n_table = _table_group(given.rows, "N").table
+        n_table = semiregular_group(given.rows).table
         m_table = catalog_group(record.n_class.name).table
         m_to_n = given.m_to_n.tolist()
         assert sorted(m_to_n) == list(range(group.order))
@@ -372,7 +375,7 @@ def test_given_n_gets_its_lattice_from_an_isomorphism():
     n_group = closure(load_generators("n"), DEGREE)
     record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(as_finite_group(n_group)),
                                        ("paper24", 0))
-    n_table = _table_group(record.rows, "N")
+    n_table = semiregular_group(record.rows)
     m_table = catalog_group("A4 x C2").table
     m_to_n = record.m_to_n.tolist()
     assert all(n_table.table[m_to_n[a]][m_to_n[b]] == m_to_n[m_table[a][b]]
@@ -391,6 +394,30 @@ def test_given_n_of_the_wrong_class_is_a_theorem_violation():
                        match=r"provenance \('test', 3\) is not isomorphic to its class D3 "
                              r"\(G = FiniteGroup\(C6\)\)"):
         HgsRecord.from_perm_group(group, n_group, iso_class(build_group("D3")), ("test", 3))
+
+
+def test_given_n_with_a_bijection_that_is_no_isomorphism_is_a_theorem_violation(monkeypatch):
+    group = build_group("D3")
+    record = _record_of_class(enumerate_hgs(group), "D3")
+    real = enumeration.an_isomorphism
+
+    def swapped(g1, g2):  # D3's element 1 has order 3 and element 3 order 2
+        iso = real(g1, g2)
+        return tuple(iso[{1: 3, 3: 1}.get(x, x)] for x in range(g1.order))
+
+    monkeypatch.setattr(enumeration, "an_isomorphism", swapped)
+    with pytest.raises(TheoremViolation,
+                       match=r"provenance \('D3', \d+\) is not isomorphic to its class D3"):
+        HgsRecord.from_perm_group(group, record.n_group, record.n_class, record.provenance)
+
+
+def test_given_n_of_another_degree_is_a_theorem_violation():
+    """lambda(C6) is no N for C4: its degree is refused before any gather with lambda(C4)."""
+    with pytest.raises(TheoremViolation,
+                       match=r"N of class C6 and provenance \('test', 4\) has degree 6, "
+                             r"but \|G\| = 4 \(G = FiniteGroup\(C4\)\)"):
+        HgsRecord.from_perm_group(build_group("C4"), left_regular(build_group("C6")),
+                                  GroupClassLabel("C6", 6), ("test", 4))
 
 
 def test_given_n_of_an_uncovered_order_is_a_usage_error():

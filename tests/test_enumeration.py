@@ -21,11 +21,9 @@ from hgw.groups import (
     an_isomorphism,
     automorphisms,
     generating_subset_of,
-    left_regular,
-    right_regular,
 )
 from hgw.perm import PermGroup, Permutation, normalizes
-from perm_tables import as_finite_group
+from perm_tables import as_finite_group, left_regular, right_regular
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -151,16 +149,28 @@ def _lambda_of_c6(group, rows):
     return _REAL_LAMBDA_CONJUGATION(build_group("C6"), rows)
 
 
+_REAL_AN_ISOMORPHISM = enumeration.an_isomorphism
+
+
+def _no_search_onto_v(g1, g2):
+    # G -> M_G is found, but no search from M_G onto a regular subgroup V of a
+    # holomorph is; D3's spectrum is no other class's, so each such V is of class D3
+    return _REAL_AN_ISOMORPHISM(g1, g2) if g2 is catalog_group("D3") else None
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
-    ("all_isomorphisms", _constant_iso, "base map not bijective"),
+    ("all_isomorphisms", _constant_iso, "has a base map that is not bijective"),
     ("all_isomorphisms", _non_homomorphism, "differs from lambda(G)"),
     ("_lambda_conjugation", _lambda_of_c6, "not normalized by lambda(G)"),
-], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized"])
+    ("an_isomorphism", _no_search_onto_v,
+     "regular subgroup of Hol(C6) classed D3 is not isomorphic to D3"),
+], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
     monkeypatch.setattr(enumeration, attr, fake)
+    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})  # every V of class D3 searched anew
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         enumerate_hgs(group)
 
@@ -190,12 +200,43 @@ def test_lazy_classification_and_beta0_composition(g_name):
         hol = enumeration._hol_data(m_name)
         subs = hol.isomorphic_to(g_name)
         expected = _eager_class_tables(hol, g_name)
-        assert [([bytes(r) for r in rows], table.table) for rows, table in subs] \
+        assert [([bytes(r) for r in rows], table.table) for rows, table, _ in subs] \
             == expected, (g_name, m_name)
-        for _, table in subs:
+        for _, table, _ in subs:
             beta0 = np.array(an_isomorphism(group, table))
             assert sorted(map(tuple, beta0[aut_g].tolist())) \
                 == all_isomorphisms(group, table), (g_name, m_name)
+
+
+def _relabelled(group, seed):
+    """``group`` with its non-identity elements shuffled: new element i is old element order[i]."""
+    order = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(group.order - 1)])
+    table = np.argsort(order)[np.array(group.table)[np.ix_(order, order)]]
+    return FiniteGroup(range(group.order), table, spec=f"{group.spec} relabelled by seed {seed}")
+
+
+def test_each_v_is_searched_once_per_class(monkeypatch):
+    d4 = catalog_group("D4")
+    first, second = _relabelled(d4, 71), _relabelled(d4, 72)
+    assert first.table != d4.table and second.table != first.table
+    calls = []
+
+    def counted(g1, g2):
+        calls.append((g1, g2))
+        return an_isomorphism(g1, g2)
+
+    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})
+    monkeypatch.setattr(enumeration, "an_isomorphism", counted)
+    monkeypatch.setattr(groups, "an_isomorphism", counted)
+    counts = Counter(r.n_class.name for r in enumerate_hgs(first))
+    v_count = sum(len(enumeration._hol_data(m).isomorphic_to("D4")) for m in catalog_names(8))
+    # G -> M_G, then M_G -> V once for each V of class D4 in each Hol(M)
+    assert calls[0] == (first, d4) and len(calls) == 1 + v_count
+    assert all(g1 is d4 for g1, _ in calls[1:])
+    calls.clear()
+    # every M_G -> V is cached: the second relabelling searches only G -> M_G
+    assert Counter(r.n_class.name for r in enumerate_hgs(second)) == counts
+    assert calls == [(second, d4)]
 
 
 def _reference_records(group):
@@ -209,7 +250,7 @@ def _reference_records(group):
         mul = np.array(hol.model.table)
         first = {}
         emb_id = 0
-        for v_rows, v_table in hol.isomorphic_to(g_class):
+        for v_rows, v_table, _ in hol.isomorphic_to(g_class):
             for iso in all_isomorphisms(group, v_table):
                 b = v_rows[list(iso), 0].astype(np.intp)
                 b_inv = np.argsort(b)

@@ -18,12 +18,10 @@ from hgw.groups import (
     core_of,
     generating_subset_of,
     is_isomorphic,
-    left_regular,
-    right_regular,
     subgroups,
 )
 from hgw.perm import Permutation, closure
-from perm_tables import as_finite_group
+from perm_tables import as_finite_group, left_regular, right_regular
 
 
 @pytest.mark.parametrize("spec", ["C6", "D4", "Q8", "A4", "S4", "C7:C3", "D21", "C42"])

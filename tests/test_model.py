@@ -12,7 +12,7 @@ from hgw.catalog import catalog_names
 from hgw.correspond import stable_subgroups
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import GroupSpecError, TheoremViolation
-from hgw.groups import right_regular, subgroups
+from hgw.groups import subgroups
 from hgw.model import (
     ExtensionModel,
     FixedRing,
@@ -28,6 +28,7 @@ from hgw.model import (
 )
 from hgw.perm import Permutation
 from hgw.report import model_report
+from perm_tables import right_regular
 
 
 def _rows(perm_group):

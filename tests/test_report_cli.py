@@ -220,7 +220,9 @@ def test_cli_check_failure_exits_1(monkeypatch, capsys):
     real = enumeration.all_isomorphisms
     monkeypatch.setattr(enumeration, "all_isomorphisms", lambda g, v: real(g, v)[:1])
     assert main(["enum", "--group", "D3"]) == 1
-    assert capsys.readouterr().err.startswith("check failed: structure arose from")
+    assert capsys.readouterr().err == ("check failed: N of class C6 and provenance ('C6', 0) "
+                                       "arose from 1 embeddings, expected |Aut(M)| = 2 "
+                                       "(G = FiniteGroup(D3))\n")
 
 
 def test_cli_verify_subprocess():
