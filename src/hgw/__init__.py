@@ -13,7 +13,6 @@ from .correspond import (
     CorrespondenceRow,
     CosetSpace,
     PsiResult,
-    QuotientHGS,
     StableSubgroup,
     correspondence_rows,
     coset_space,
@@ -61,7 +60,6 @@ __all__ = [
     "PermGroup",
     "Permutation",
     "PsiResult",
-    "QuotientHGS",
     "StableSubgroup",
     "SubgroupHandle",
     "act",

@@ -17,12 +17,12 @@ One mask gather, ``groups.core_masks``, gives P's lambda(G)-stability over
 ``lambda_conj``, normality in M over M's ``conjugation`` and J's core over
 G's. The left coset xJ is the row ``G.rows[x, J]``, labelled by its least
 point, as N/P's cosets are; J's closure test, the orbit-coset check and the
-coset blocks are gathers on lambda(G)'s rows too. The block images of N and
-lambda(G) are uint8 rows, one gather each, from ``block_actions``. What
-depends on (G, J) only is computed once per pair and kept on G: lambda(G)'s
-block images, and J's closure test, core and class. Each stable P computes
-Psi(P) once, as ``StableSubgroup.psi_result``, which the onto check and the
-census share.
+coset blocks are gathers on lambda(G)'s rows too. ``psi_of_rows`` derives J
+from P's rows, for the census and the finite-field model, and keeps one
+``PsiResult`` per (G, J) on G: J's class and core at once, its cosets and
+lambda(G)'s block images on first read; ``block_actions`` adds N's. The onto
+check and the census share each ``StableSubgroup.psi_result``, and a census
+contract failure names G, N's class and provenance, and P.
 """
 
 from __future__ import annotations
@@ -74,12 +74,25 @@ class StableSubgroup:
 
 @dataclass(frozen=True)
 class PsiResult:
-    """J = Psi(P) together with its classification inside G."""
+    """J = Psi(P) with its class inside G; its cosets and lambda(G)'s block images on first read."""
 
     j_handle: SubgroupHandle  # ambient: the abstract group G
     j_class: GroupClassLabel
     normal_in_g: bool
     core_order: int
+
+    @cached_property
+    def space(self) -> CosetSpace:
+        return coset_space(self.j_handle.ambient, self.j_handle)
+
+    @cached_property
+    def gbar_of(self) -> np.ndarray:
+        space = self.space  # built before G's rows are read
+        return induced_block_perm(self.j_handle.ambient.rows, space)
+
+    @cached_property
+    def gbar(self) -> np.ndarray:
+        return np.unique(self.gbar_of, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +120,6 @@ class BlockActions:
     nbar: np.ndarray  # the distinct rows of nbar_of, sorted
     nbar_index: np.ndarray  # entry i: the index in nbar of nbar_of's row i
     gbar: np.ndarray  # the distinct rows of gbar_of, sorted
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientHGS(BlockActions):
-    """Block images of N (regular, = N/P) and lambda(G) on a coset space."""
-
-    gbar_regular: bool
 
 
 @dataclass(frozen=True)
@@ -185,31 +191,30 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
 
 def psi(stable: StableSubgroup) -> PsiResult:
     """Psi(P) = orbit of the identity point under P, as a subgroup of G."""
-    orbit = tuple(sorted(set(stable.rows[:, 0].tolist())))
-    if len(orbit) != stable.order:
-        raise TheoremViolation(
-            "identity orbit size differs from |P|; P was not lambda(G)-stable")
-    return _psi_of_orbit(stable.hgs.group, orbit)
+    return psi_of_rows(stable.hgs.group, stable.rows)
 
 
-def _psi_of_orbit(group: FiniteGroup, orbit: tuple[int, ...]) -> PsiResult:
-    """J = the orbit as a subgroup of G; its closure, core and class are found once per (G, J).
+def psi_of_rows(group: FiniteGroup, p_rows: np.ndarray) -> PsiResult:
+    """J = Psi(P), the identity orbit of P's uint8 rows, kept as one ``PsiResult`` per J on G.
 
     Closure depends on the orbit alone, so an orbit that fails it fails for
-    every P and is never kept. J's class and core order are kept on G as plain
-    values: a kept handle would refer back to G, and that cycle would hold G
-    and its caches until the next garbage collection.
+    every P and is never kept. The result refers back to G, as G's coset
+    spaces always have, so the garbage collector frees them together.
     """
+    orbit = tuple(sorted(set(p_rows[:, 0].tolist())))
+    if len(orbit) != len(p_rows):
+        raise TheoremViolation(
+            "identity orbit size differs from |P|; P was not lambda(G)-stable")
     by_orbit = vars(group).setdefault("_psi", {})
     if orbit not in by_orbit:
         if not np.isin(group.rows[np.ix_(orbit, orbit)], orbit).all():
             raise TheoremViolation("identity orbit is not closed under the group operation; "
                                    "P was not lambda(G)-stable")
-        core = core_of(group, SubgroupHandle(group, orbit))
-        by_orbit[orbit] = (iso_class(semiregular_group(group.rows[list(orbit)])), core.order)
-    j_class, core_order = by_orbit[orbit]
-    return PsiResult(j_handle=SubgroupHandle(group, orbit), j_class=j_class,
-                     normal_in_g=core_order == len(orbit), core_order=core_order)
+        j_handle = SubgroupHandle(group, orbit)
+        core_order = core_of(group, j_handle).order
+        by_orbit[orbit] = PsiResult(j_handle, iso_class(semiregular_group(group.rows[list(orbit)])),
+                                    core_order == len(orbit), core_order)
+    return by_orbit[orbit]
 
 
 def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
@@ -271,62 +276,45 @@ def induced_block_perm(rows: np.ndarray, space: CosetSpace) -> np.ndarray:
     return images
 
 
-def block_actions(n_rows: np.ndarray, j_handle: SubgroupHandle) -> BlockActions:
+def block_actions(n_rows: np.ndarray, result: PsiResult) -> BlockActions:
     """The left cosets of J in G, with the block images of N's rows and lambda(G) on them."""
-    space, gbar_of, gbar = _lambda_blocks(j_handle)
+    space = result.space
     nbar_of = induced_block_perm(n_rows, space)
     nbar, nbar_index = np.unique(nbar_of, axis=0, return_inverse=True)
-    return BlockActions(space, nbar_of, gbar_of, nbar, nbar_index.reshape(-1), gbar)
+    return BlockActions(space, nbar_of, result.gbar_of, nbar, nbar_index.reshape(-1), result.gbar)
 
 
-def _lambda_blocks(j_handle: SubgroupHandle) -> tuple[CosetSpace, np.ndarray, np.ndarray]:
-    """The cosets of J with lambda(G)'s block images and their distinct rows, once per (G, J).
-
-    They depend on G and J only, so they are kept on G itself: the coset space
-    refers back to G, which would keep G alive forever in a weak-keyed table.
-    """
-    group = j_handle.ambient
-    by_j = vars(group).setdefault("_lambda_blocks", {})
-    if j_handle.members not in by_j:
-        space = coset_space(group, j_handle)
-        gbar_of = induced_block_perm(group.rows, space)
-        by_j[j_handle.members] = (space, gbar_of, np.unique(gbar_of, axis=0))
-    return by_j[j_handle.members]
-
-
-def quotient_structure(stable: StableSubgroup, result: PsiResult) -> QuotientHGS:
+def quotient_structure(stable: StableSubgroup, result: PsiResult) -> BlockActions:
     """Quotient actions of N and lambda(G) on the left cosets of J = Psi(P).
 
     Requires P normal in N. Asserts: the block image of N is regular of order
     [N:P] with kernel exactly P, the block image of lambda(G) is transitive
     and normalizes it. When J is normal in G the lambda(J)-image must be
     trivial (pointwise on blocks and by conjugation on the cosets nP of N)
-    and the lambda(G)-image must be regular of order [G:J].
+    and the lambda(G)-image must be regular of order [G:J]; otherwise it is
+    not, since its kernel is J's core, so ``result.normal_in_g`` tells which.
     """
     if not stable.normal_in_n:
-        raise TheoremViolation("quotient structure requires P normal in N")
+        raise _violation(stable, "quotient structure requires P normal in N")
     record = stable.hgs
-    group = record.group
-    actions = block_actions(record.rows, result.j_handle)
+    actions = block_actions(record.rows, result)
     nbar, gbar = actions.nbar, actions.gbar
     m = actions.space.block_count
     kernel = tuple(np.flatnonzero((actions.nbar_of == np.arange(m)).all(axis=1)).tolist())
     if kernel != stable.p_handle.members:
-        raise TheoremViolation("kernel of the block action of N is not exactly P")
+        raise _violation(stable, "kernel of the block action of N is not exactly P")
     if not is_regular(nbar) or len(nbar) * stable.order != len(record.rows):
-        raise TheoremViolation("block image of N is not regular of order [N:P]")
+        raise _violation(stable, "block image of N is not regular of order [N:P]")
     if len(np.unique(gbar[:, 0])) != m:
-        raise TheoremViolation("block image of lambda(G) is not transitive")
+        raise _violation(stable, "block image of lambda(G) is not transitive")
     if not normalized_by(nbar[None], gbar)[0]:
-        raise TheoremViolation("block image of lambda(G) does not normalize that of N")
+        raise _violation(stable, "block image of lambda(G) does not normalize that of N")
 
-    gbar_regular = False
     if result.normal_in_g:
         _assert_lambda_j_trivial(stable, result, actions)
-        gbar_regular = bool(is_regular(gbar))
-        if not gbar_regular or len(gbar) * result.j_handle.order != group.order:
-            raise TheoremViolation("block image of lambda(G) is not regular of order [G:J]")
-    return QuotientHGS(**vars(actions), gbar_regular=gbar_regular)
+        if not is_regular(gbar) or len(gbar) * result.j_handle.order != record.group.order:
+            raise _violation(stable, "block image of lambda(G) is not regular of order [G:J]")
+    return actions
 
 
 def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
@@ -334,11 +322,18 @@ def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
     """lambda(J) must act trivially: fix every block and every coset nP of N."""
     j = list(result.j_handle.members)
     if not (actions.gbar_of[j] == np.arange(actions.space.block_count)).all():
-        raise TheoremViolation("lambda(j) moves a block although J is normal")
+        raise _violation(stable, "lambda(j) moves a block although J is normal")
     coset_of = _coset_labels(regular_table(stable.hgs.rows), stable.p_handle.members)
     if not (coset_of[stable.hgs.lambda_conj[j]] == coset_of).all():
-        raise TheoremViolation(
-            "conjugation by lambda(j) moves a coset nP although J is normal")
+        raise _violation(stable, "conjugation by lambda(j) moves a coset nP although J is normal")
+
+
+def _violation(stable: StableSubgroup, problem: str) -> TheoremViolation:
+    """A census contract failure, named by G, N's class and provenance, and P's members."""
+    record = stable.hgs
+    return TheoremViolation(
+        f"{problem} (G = {record.group!r}, N of class {record.n_class.name} and provenance "
+        f"{record.provenance}, P = {stable.p_handle.members})")
 
 
 # -- census ---------------------------------------------------------------------
@@ -372,5 +367,5 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
 
 def _verify_pair(stable: StableSubgroup, result: PsiResult) -> None:
     if not orbit_coset_check(stable, result):
-        raise TheoremViolation("a P-orbit is not the matching left coset of Psi(P)")
+        raise _violation(stable, "a P-orbit is not the matching left coset of Psi(P)")
     quotient_structure(stable, result)

@@ -157,8 +157,8 @@ class _HolData:
         self.m_name = m_name
         self.model = model
         n = model.order
-        # called through the module: this module's alias may be replaced to fake Aut(G)
-        aut_rows = np.array(groups.all_isomorphisms(model, model), dtype=np.uint8)
+        # Aut(M) from the groups layer: this module's alias may be replaced to fake Aut(G)
+        aut_rows = groups.automorphisms(model)
         self.aut_order = len(aut_rows)
         # row (m, a): x -> m * alpha(x); this product set is all of Hol(M), and row (m, a)
         # sends 0 to m, so its rows are distinct iff the automorphisms are
@@ -272,9 +272,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
         b0 = v_rows[beta0, 0].astype(np.intp)
         table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
         rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
-        # row x of N_alpha = alpha^-1 N0 alpha is alpha^-1 o rows0[alpha(x)] o alpha
-        n_rows = aut_inv[np.arange(len(aut_g))[:, None, None],
-                         rows0[aut_g[:, :, None], aut_g[:, None, :]]]
+        n_rows = _aut_conjugates(rows0, aut_g, aut_inv)
         for a in np.lexsort(isos.T[::-1]).tolist():
             key = n_rows[a].tobytes()
             multiplicity[key] += 1
@@ -302,6 +300,12 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
                              f"embeddings, expected |Aut(M)| = {hol.aut_order}")
         records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv))
     return records
+
+
+def _aut_conjugates(rows0: np.ndarray, aut_g: np.ndarray, aut_inv: np.ndarray) -> np.ndarray:
+    """Entry a is N_alpha = alpha^-1 N0 alpha: row x is alpha^-1 o rows0[alpha(x)] o alpha."""
+    return aut_inv[np.arange(len(aut_g))[:, None, None],
+                   rows0[aut_g[:, :, None], aut_g[:, None, :]]]
 
 
 _SYM_REGULAR: dict[int, np.ndarray] = {}
@@ -361,10 +365,10 @@ def count_formula_report(group: FiniteGroup) -> list[dict]:
 
     (#N of class [M]) * |Aut(M)| = (#regular subgroups of Hol(M) isomorphic
     to G) * |Aut(G)|. |Aut(G)| is read from Hol(M_G), which the enumeration
-    has already built for G's class M_G.
+    has already built for G's class M_G, whose name is lambda(G)'s class.
     """
     records = enumerate_hgs(group)
-    g_class = iso_class(group).name
+    g_class = next(r.n_class.name for r in records if r.key == group.rows.tobytes())
     aut_g = _hol_data(g_class).aut_order
     out = []
     for m_name in catalog_names(group.order):

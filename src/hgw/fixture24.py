@@ -2,8 +2,8 @@
 
 Generator files live under fixtures/paper24/ in 1-based cycle notation; the
 loader shifts to 0-based points and identifies point 0 with the identity of G
-(the regular action makes points and group elements interchangeable). G is
-classified by its Cayley table, N and P by the tables of their uint8 rows. The
+(the regular action makes points and group elements interchangeable). G, N
+and P are classified by the tables of their uint8 rows. The
 fixture exercises the non-normal branch: P is normal in N and G-stable, yet
 J = Psi(P) is one of three conjugate non-normal order-8 subgroups.
 """
@@ -22,6 +22,7 @@ from .enumeration import HgsRecord
 from .errors import FixtureFailure
 from .groups import FiniteGroup, SubgroupHandle, core_of, semiregular_group, subgroups
 from .perm import PermGroup, Permutation, closure, normalizes
+from .regsearch import is_regular
 
 DEGREE = 24
 
@@ -145,11 +146,9 @@ def run_fixture() -> FixtureReport:
 
 def _regular_identification(g_group: PermGroup) -> FiniteGroup:
     """G with its elements indexed by their image of point 0, so that lambda(G) = G."""
-    by_point = {perm(0): perm for perm in g_group.elements}
-    if len(by_point) != g_group.degree:
+    rows = np.array(sorted(perm.images for perm in g_group.elements), dtype=np.uint8)
+    if not is_regular(rows):
         raise FixtureFailure("fixture group is not regular; cannot identify points")
-    table = [by_point[i].images for i in range(g_group.degree)]
-    g_abs = FiniteGroup([str(i + 1) for i in range(g_group.degree)], table, spec="paper24 G")
-    if {row.tobytes() for row in g_abs.rows} != {bytes(p.images) for p in g_group.elements}:
-        raise FixtureFailure("identification did not reproduce G as lambda(G)")
+    g_abs = semiregular_group(rows)  # its table is the rows: lambda(G) = G
+    g_abs.spec = "paper24 G"
     return g_abs

@@ -4,7 +4,8 @@ All descent statements are checked by exact linear algebra over F_p: fixed
 rings (K[V])^{lambda(G)} by Galois descent on the lambda(G)-orbits (c_v in K^S
 for the stabiliser S of v, and c_{gvg^-1} = g(c_v)), actions as matrices,
 fixed fields as solution spaces, and the induced short exact sequence by ranks
-and spans. G is read only through its rows and frobenius_matrices; only
+and spans. J = Psi(P) and its cosets come from ``correspond.psi_of_rows``, as
+in the census. G is read only through its rows and frobenius_matrices; only
 ExtensionModel knows that G is cyclic, and it solves each K^S once.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
@@ -26,10 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import fplin
-from .correspond import block_actions
+from .correspond import block_actions, psi_of_rows
 from .dsl import build_group
 from .errors import GroupSpecError, TheoremViolation
-from .groups import SubgroupHandle
 from .regsearch import conjugate, row_indices
 
 
@@ -287,7 +287,7 @@ def fixed_field(ring: FixedRing) -> FixedFieldResult:
     products = np.einsum("aij,bj->abi", model.mult_matrix(space), space).reshape(-1, n)
     if fplin.rank(np.vstack([space, products]), p) != space.shape[0]:
         raise TheoremViolation("fixed field is not multiplicatively closed")
-    j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
+    j_points = psi_of_rows(model.group, p_rows).j_handle.members
     k_j = fixed_subfield_of_group(model, j_points)
     if not fplin.row_spaces_equal(space, k_j, p):
         raise TheoremViolation("K^{H_P} differs from K^J for J = Psi(P)")
@@ -351,8 +351,7 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
         raise TheoremViolation("H_P does not embed into H_N")
 
     # block data: left cosets of J = Psi(P), with N and lambda(G) acting
-    j_points = tuple(sorted(set(p_rows[:, 0].tolist())))
-    actions = block_actions(n_rows, SubgroupHandle(model.group, j_points))
+    actions = block_actions(n_rows, psi_of_rows(model.group, p_rows))
     nbar, nbar_index = actions.nbar, actions.nbar_index
     m = actions.space.block_count
     if len(nbar) != size_n // len(p_rows):

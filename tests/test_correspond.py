@@ -181,7 +181,7 @@ def test_quotient_structure_p_equals_n():
     quotient = quotient_structure(stable, result)
     assert quotient.space.block_count == 1
     assert len(quotient.nbar) == 1 and len(quotient.gbar) == 1
-    assert quotient.gbar_regular
+    assert result.normal_in_g
 
 
 def test_quotient_small_normal_case():
@@ -447,7 +447,7 @@ def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypat
     # start from cold caches: the census, each class lattice and G's data per J
     monkeypatch.setattr(report, "_CENSUS_CACHE", {})
     for name in catalog_names(42):
-        for key in ("_lattice", "_psi", "_lambda_blocks"):
+        for key in ("_lattice", "_psi"):
             monkeypatch.delitem(vars(catalog_group(name)), key, raising=False)
     counts, psi_calls, stables = Counter(), Counter(), []
     inside_psi = [0]
@@ -554,7 +554,7 @@ def test_block_images_match_permutation_reference(g_name):
             assert quotient.gbar_of.tolist() == _image_rows(gbar_of)
             assert quotient.nbar.tolist() == _image_rows(nbar.elements)
             assert quotient.gbar.tolist() == _image_rows(gbar.elements)
-            assert quotient.gbar_regular == (result.normal_in_g and gbar.is_regular())
+            assert gbar.is_regular() == result.normal_in_g
             pairs += 1
     assert pairs or group.order in (1, 2, 3, 7)  # prime orders have no proper P
 
@@ -691,3 +691,17 @@ def test_quotient_contract_violations_raise(monkeypatch, case, message):
     stable, result = case(monkeypatch)
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         quotient_structure(stable, result)
+
+
+def test_census_violations_name_g_n_and_p(monkeypatch):
+    """A census contract failure names G, N's class and provenance, and P's members."""
+    case = (r" \(G = FiniteGroup\(C6\), N of class C6 and provenance \('C6', 0\), "
+            r"P = \(0, 3\)\)$")
+    stable, result = _case_kernel(monkeypatch)
+    with pytest.raises(TheoremViolation,
+                       match=r"^kernel of the block action of N is not exactly P" + case):
+        quotient_structure(stable, result)
+    monkeypatch.setattr(correspond, "orbit_coset_check", lambda stable, result: False)
+    with pytest.raises(TheoremViolation,
+                       match=r"^a P-orbit is not the matching left coset of Psi\(P\)" + case):
+        correspondence_rows(_fresh("C6"))

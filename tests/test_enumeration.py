@@ -104,6 +104,22 @@ def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch):
     assert all(row["lhs"] == row["rhs"] for row in rows)
 
 
+def test_count_formula_classifies_g_once(monkeypatch):
+    """G's class is read from the enumeration's lambda(G) record, not classified again."""
+    calls = []
+    real = enumeration.iso_class
+
+    def counted(group):
+        calls.append(group)
+        return real(group)
+
+    monkeypatch.setattr(enumeration, "iso_class", counted)
+    group = build_group("D4")
+    rows = count_formula_report(group)
+    assert calls == [group]
+    assert all(row["lhs"] == row["rhs"] for row in rows)
+
+
 def test_c6_known_distribution():
     counts = Counter(r.n_class.name for r in enumerate_hgs(build_group("C6")))
     assert counts == {"C6": 1, "D3": 2}
@@ -158,6 +174,18 @@ def _no_search_onto_v(g1, g2):
     return _REAL_AN_ISOMORPHISM(g1, g2) if g2 is catalog_group("D3") else None
 
 
+_REAL_AUT_CONJUGATES = enumeration._aut_conjugates
+
+
+def _corrupt_lambda_of_d3(rows0, aut_g, aut_inv):
+    # every embedding onto lambda(D3) gets the same rows with the images of 1 and 2
+    # swapped: that N still arises |Aut(M)| times, but is no longer b^-1 lambda(M) b
+    n_rows = _REAL_AUT_CONJUGATES(rows0, aut_g, aut_inv).copy()
+    hit = (n_rows == build_group("D3").rows).all(axis=(1, 2))
+    n_rows[hit] = n_rows[hit][:, :, [0, 2, 1, 3, 4, 5]]
+    return n_rows
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
     ("all_isomorphisms", _constant_iso, "has a base map that is not bijective"),
@@ -165,7 +193,9 @@ def _no_search_onto_v(g1, g2):
     ("_lambda_conjugation", _lambda_of_c6, "not normalized by lambda(G)"),
     ("an_isomorphism", _no_search_onto_v,
      "regular subgroup of Hol(C6) classed D3 is not isomorphic to D3"),
-], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class"])
+    ("_aut_conjugates", _corrupt_lambda_of_d3, "is not b^-1 lambda(D3) b"),
+], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class",
+        "n_is_transport"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hgw import fplin
+from hgw import correspond, fplin
 from hgw import model as model_mod
 from hgw.catalog import catalog_names
 from hgw.correspond import stable_subgroups
@@ -299,6 +300,31 @@ def test_exact_sequence_all_pairs_n4(model_11_4):
             info = exact_sequence_check(h_n, fixed_ring_basis(model, stable.rows))
             assert info["dim_h_p"] == stable.order
             assert info["kernel_dim"] == 4 - info["dim_h_quot"]
+
+
+def test_model_and_census_share_one_psi_result_per_j(monkeypatch):
+    """fixed_field and exact_sequence_check read J = Psi(P) from correspond, as the census
+    does: one PsiResult per J on G, whose cosets are built once."""
+    spaces = Counter()
+    real = correspond.coset_space
+
+    def counted(group, j_handle):
+        spaces[j_handle.members] += 1
+        return real(group, j_handle)
+
+    monkeypatch.setattr(correspond, "coset_space", counted)
+    model = make_extension(11, 4)
+    for record in enumerate_hgs(model.group):
+        h_n = fixed_ring_basis(model, record.rows)
+        for stable in stable_subgroups(record):
+            result = correspond.psi(stable)
+            h_p = fixed_ring_basis(model, stable.rows)
+            assert fixed_field(h_p).j_points == result.j_handle.members
+            if stable.normal_in_n:
+                exact_sequence_check(h_n, h_p)
+                correspond.quotient_structure(stable, result)
+            assert correspond.psi_of_rows(model.group, stable.rows) is result
+    assert spaces == {(0,): 1, (0, 2): 1, (0, 1, 2, 3): 1}  # the subgroups of C4
 
 
 def test_fixed_ring_dimension_violation_detected(model_11_6):
