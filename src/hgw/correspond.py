@@ -19,10 +19,11 @@ G's. The left coset xJ is the row ``G.rows[x, J]``, labelled by its least
 point, as N/P's cosets are; J's closure test, the orbit-coset check and the
 coset blocks are gathers on lambda(G)'s rows too. ``psi_of_rows`` derives J
 from P's rows, for the census and the finite-field model, and keeps one
-``PsiResult`` per (G, J) on G: J's class and core at once, its cosets and
-lambda(G)'s block images on first read; ``block_actions`` adds N's. The onto
-check and the census share each ``StableSubgroup.psi_result``, and a census
-contract failure names G, N's class and provenance, and P.
+``PsiResult`` per (G, J) on G, where every reader finds J's class and core,
+and on first read J's cosets (``space``) and lambda(G)'s block images on them
+(``gbar_of``, ``gbar``); ``block_actions`` adds only N's. The onto check and
+the census share each ``StableSubgroup.psi_result``, and a census contract
+failure names G, N's class and provenance, and P.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class StableSubgroup:
     """A subgroup P of some N that lambda(G) normalizes."""
 
     hgs: HgsRecord
-    p_handle: SubgroupHandle  # ambient: the record; members index N's rows
+    p_handle: SubgroupHandle  # members index the record's rows
     normal_in_n: bool
 
     @property
@@ -76,19 +77,20 @@ class StableSubgroup:
 class PsiResult:
     """J = Psi(P) with its class inside G; its cosets and lambda(G)'s block images on first read."""
 
-    j_handle: SubgroupHandle  # ambient: the abstract group G
+    group: FiniteGroup
+    j_handle: SubgroupHandle  # members index G's elements
     j_class: GroupClassLabel
     normal_in_g: bool
     core_order: int
 
     @cached_property
     def space(self) -> CosetSpace:
-        return coset_space(self.j_handle.ambient, self.j_handle)
+        return coset_space(self.group, self.j_handle)
 
     @cached_property
     def gbar_of(self) -> np.ndarray:
         space = self.space  # built before G's rows are read
-        return induced_block_perm(self.j_handle.ambient.rows, space)
+        return induced_block_perm(self.group.rows, space)
 
     @cached_property
     def gbar(self) -> np.ndarray:
@@ -97,10 +99,8 @@ class PsiResult:
 
 @dataclass(frozen=True, eq=False)
 class CosetSpace:
-    """The left cosets gJ as blocks of G-indices; identity block first."""
+    """The left cosets gJ as blocks of G-indices; identity block, J itself, first."""
 
-    group: FiniteGroup
-    j_handle: SubgroupHandle
     blocks: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]  # each block's least point
     block_index: np.ndarray  # uint8 row: point -> containing block
@@ -112,14 +112,11 @@ class CosetSpace:
 
 @dataclass(frozen=True, eq=False)
 class BlockActions:
-    """The block images of N and lambda(G) on the left cosets of J, as uint8 rows."""
+    """N's block images on the left cosets of J, as uint8 rows; lambda(G)'s are J's."""
 
-    space: CosetSpace
     nbar_of: np.ndarray  # row i: image of N's row i
-    gbar_of: np.ndarray  # row g: image of lambda(g)
     nbar: np.ndarray  # the distinct rows of nbar_of, sorted
     nbar_index: np.ndarray  # entry i: the index in nbar of nbar_of's row i
-    gbar: np.ndarray  # the distinct rows of gbar_of, sorted
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,7 @@ def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
     lattice = _class_lattice(record.n_class.name)
     inside = lattice.mask[:, n_to_m]  # row k: subgroup k on N's indices
     stable = (core_masks(inside, record.lambda_conj) == inside).all(axis=1)
-    out = [StableSubgroup(record, SubgroupHandle(record, tuple(np.flatnonzero(inside[k]).tolist())),
+    out = [StableSubgroup(record, SubgroupHandle(tuple(np.flatnonzero(inside[k]).tolist())),
                           lattice.normal[k])
            for k in np.flatnonzero(stable).tolist()]
     out.sort(key=lambda s: (s.order, s.p_handle.members))
@@ -198,8 +195,8 @@ def psi_of_rows(group: FiniteGroup, p_rows: np.ndarray) -> PsiResult:
     """J = Psi(P), the identity orbit of P's uint8 rows, kept as one ``PsiResult`` per J on G.
 
     Closure depends on the orbit alone, so an orbit that fails it fails for
-    every P and is never kept. The result refers back to G, as G's coset
-    spaces always have, so the garbage collector frees them together.
+    every P and is never kept. The result holds G, which holds the result,
+    so the garbage collector frees them together.
     """
     orbit = tuple(sorted(set(p_rows[:, 0].tolist())))
     if len(orbit) != len(p_rows):
@@ -210,10 +207,10 @@ def psi_of_rows(group: FiniteGroup, p_rows: np.ndarray) -> PsiResult:
         if not np.isin(group.rows[np.ix_(orbit, orbit)], orbit).all():
             raise TheoremViolation("identity orbit is not closed under the group operation; "
                                    "P was not lambda(G)-stable")
-        j_handle = SubgroupHandle(group, orbit)
+        j_handle = SubgroupHandle(orbit)
         core_order = core_of(group, j_handle).order
-        by_orbit[orbit] = PsiResult(j_handle, iso_class(semiregular_group(group.rows[list(orbit)])),
-                                    core_order == len(orbit), core_order)
+        j_class = iso_class(semiregular_group(group.rows[list(orbit)]))
+        by_orbit[orbit] = PsiResult(group, j_handle, j_class, core_order == len(orbit), core_order)
     return by_orbit[orbit]
 
 
@@ -227,15 +224,10 @@ def orbit_coset_check(stable: StableSubgroup, result: PsiResult) -> bool:
     return np.array_equal(np.sort(stable.rows.T, axis=1), np.sort(cosets, axis=1))
 
 
-def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup] | None = None,
-             subgroup_sets: frozenset[tuple[int, ...]] | None = None) -> bool:
-    """True iff {Psi(P)} over stable P equals the full subgroup set of G."""
-    if stables is None:
-        stables = stable_subgroups(record)
-    if subgroup_sets is None:
-        subgroup_sets = frozenset(h.members for h in subgroups(record.group))
-    images = {s.psi_result.j_handle.members for s in stables}
-    return images == set(subgroup_sets)
+def psi_onto(record: HgsRecord, stables: Sequence[StableSubgroup],
+             subgroup_sets: frozenset[tuple[int, ...]]) -> bool:
+    """True iff {Psi(P)} over ``record``'s stable P, ``stables``, is G's ``subgroup_sets``."""
+    return {s.psi_result.j_handle.members for s in stables} == set(subgroup_sets)
 
 
 # -- coset spaces and quotient actions ------------------------------------------
@@ -246,7 +238,7 @@ def coset_space(group: FiniteGroup, j_handle: SubgroupHandle) -> CosetSpace:
     labels = _coset_labels(group.rows, j_handle.members)
     reps, block_index = np.unique(labels, return_inverse=True)
     blocks = np.argsort(block_index, kind="stable").reshape(len(reps), -1)  # points by block
-    return CosetSpace(group, j_handle, tuple(map(tuple, blocks.tolist())), tuple(reps.tolist()),
+    return CosetSpace(tuple(map(tuple, blocks.tolist())), tuple(reps.tolist()),
                       block_index.astype(np.uint8))
 
 
@@ -277,15 +269,14 @@ def induced_block_perm(rows: np.ndarray, space: CosetSpace) -> np.ndarray:
 
 
 def block_actions(n_rows: np.ndarray, result: PsiResult) -> BlockActions:
-    """The left cosets of J in G, with the block images of N's rows and lambda(G) on them."""
-    space = result.space
-    nbar_of = induced_block_perm(n_rows, space)
+    """The block images of N's rows on the left cosets of J, read from ``result.space``."""
+    nbar_of = induced_block_perm(n_rows, result.space)
     nbar, nbar_index = np.unique(nbar_of, axis=0, return_inverse=True)
-    return BlockActions(space, nbar_of, result.gbar_of, nbar, nbar_index.reshape(-1), result.gbar)
+    return BlockActions(nbar_of, nbar, nbar_index.reshape(-1))
 
 
 def quotient_structure(stable: StableSubgroup, result: PsiResult) -> BlockActions:
-    """Quotient actions of N and lambda(G) on the left cosets of J = Psi(P).
+    """Quotient actions of N and lambda(G) on the left cosets of J = Psi(P); returns N's.
 
     Requires P normal in N. Asserts: the block image of N is regular of order
     [N:P] with kernel exactly P, the block image of lambda(G) is transitive
@@ -298,8 +289,8 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> BlockAction
         raise _violation(stable, "quotient structure requires P normal in N")
     record = stable.hgs
     actions = block_actions(record.rows, result)
-    nbar, gbar = actions.nbar, actions.gbar
-    m = actions.space.block_count
+    nbar, gbar = actions.nbar, result.gbar
+    m = result.space.block_count
     kernel = tuple(np.flatnonzero((actions.nbar_of == np.arange(m)).all(axis=1)).tolist())
     if kernel != stable.p_handle.members:
         raise _violation(stable, "kernel of the block action of N is not exactly P")
@@ -311,17 +302,16 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> BlockAction
         raise _violation(stable, "block image of lambda(G) does not normalize that of N")
 
     if result.normal_in_g:
-        _assert_lambda_j_trivial(stable, result, actions)
+        _assert_lambda_j_trivial(stable, result)
         if not is_regular(gbar) or len(gbar) * result.j_handle.order != record.group.order:
             raise _violation(stable, "block image of lambda(G) is not regular of order [G:J]")
     return actions
 
 
-def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult,
-                             actions: BlockActions) -> None:
+def _assert_lambda_j_trivial(stable: StableSubgroup, result: PsiResult) -> None:
     """lambda(J) must act trivially: fix every block and every coset nP of N."""
     j = list(result.j_handle.members)
-    if not (actions.gbar_of[j] == np.arange(actions.space.block_count)).all():
+    if not (result.gbar_of[j] == np.arange(result.space.block_count)).all():
         raise _violation(stable, "lambda(j) moves a block although J is normal")
     coset_of = _coset_labels(regular_table(stable.hgs.rows), stable.p_handle.members)
     if not (coset_of[stable.hgs.lambda_conj[j]] == coset_of).all():

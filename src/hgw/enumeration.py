@@ -13,7 +13,7 @@ format), and come back as one uint8 stack of sorted rows in canonical order.
 Those isomorphic to G's catalog group M_G are found lazily, once per Hol(M)
 and class: the element-order spectra of the whole stack are read in one pass,
 and each V with M_G's spectrum gets a Cayley table and one isomorphism search
-M_G -> V, kept with them; a V the search misses must be of another class.
+M_G -> V, kept with V's rows; a V the search misses must be of another class.
 
 Aut(G) and one isomorphism G -> M_G are computed once per ``enumerate_hgs``
 call; beta0 = (M_G -> V) o (G -> M_G), and V's embeddings are the maps
@@ -151,7 +151,7 @@ def _violation(group: FiniteGroup, n_class: GroupClassLabel, provenance: tuple[s
 
 class _HolData:
     """Hol(M) and its regular subgroups as uint8 stacks, and those of one class, with
-    their Cayley tables and an isomorphism from the class's catalog group, on demand."""
+    an isomorphism from the class's catalog group, on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -167,7 +167,7 @@ class _HolData:
             raise TheoremViolation("holomorph row set has duplicates")
         # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root,
         # and a generating set of them gives the search the same orbits
-        symmetries = None
+        symmetries = aut_rows  # at degree 1, Aut(M) is the identity alone
         if n > 1:
             stabiliser = aut_rows[aut_rows[:, 1] == 1]  # sorted, as aut_rows are
             table = groups.cayley_table(stabiliser)
@@ -175,13 +175,13 @@ class _HolData:
             gens = groups.generating_sequence(FiniteGroup(range(len(table)), table)) or [0]
             symmetries = stabiliser[gens]
         self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
-        self._isomorphic: dict[str, list[tuple[np.ndarray, FiniteGroup, tuple[int, ...]]]] = {}
+        self._isomorphic: dict[str, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
         self._spectra: np.ndarray | None = None
 
-    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, FiniteGroup, tuple[int, ...]]]:
-        """(rows, table, iso) of each regular subgroup V of class ``class_name``, in
-        canonical search order: V's rows are sorted, identity first, its table is on
-        their indices, and iso maps the class's catalog group onto V, by those indices.
+    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """(rows, iso) of each regular subgroup V of class ``class_name``, in canonical
+        search order: V's rows are sorted, identity first, and iso maps the class's
+        catalog group onto V, by the indices of those rows.
 
         Only subgroups whose order spectrum is the class's get a table and a
         search; one the search does not reach must be of another class.
@@ -195,7 +195,7 @@ class _HolData:
                 table = semiregular_group(self.subgroups[i])
                 iso = an_isomorphism(catalog_group(class_name), table)
                 if iso is not None:
-                    found.append((self.subgroups[i], table, iso))
+                    found.append((self.subgroups[i], iso))
                 elif iso_class(table).name == class_name:
                     raise TheoremViolation(f"regular subgroup of Hol({self.m_name}) classed "
                                            f"{class_name} is not isomorphic to {class_name}")
@@ -265,7 +265,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    for v_rows, _, m_to_v in hol.isomorphic_to(g_class):
+    for v_rows, m_to_v in hol.isomorphic_to(g_class):
         beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = beta0[aut_g]

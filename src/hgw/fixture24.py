@@ -108,7 +108,7 @@ def run_fixture() -> FixtureReport:
 
     record = HgsRecord.from_perm_group(g_abs, n_group, n_class, ("paper24", 0))
     n_index = {perm.images: i for i, perm in enumerate(n_group.elements)}
-    p_handle = SubgroupHandle(record, tuple(sorted(n_index[q.images] for q in p_group.elements)))
+    p_handle = SubgroupHandle(tuple(sorted(n_index[q.images] for q in p_group.elements)))
     stable = StableSubgroup(record, p_handle, normal_in_n=True)
     result = psi(stable)
 
@@ -133,14 +133,13 @@ def run_fixture() -> FixtureReport:
 
     check("P orbits are left cosets of J", orbit_coset_check(stable, result), "orbit=coset")
     quotient = quotient_structure(stable, result)
-    check("quotient blocks", quotient.space.block_count == 3,
-          f"blocks={quotient.space.block_count}")
+    blocks = result.space.block_count
+    check("quotient blocks", blocks == 3, f"blocks={blocks}")
     # quotient_structure has asserted that Nbar is regular and Gbar transitive
-    blocks = quotient.space.block_count
     nbar_class = iso_class(semiregular_group(quotient.nbar)).name
     check("quotient N image", nbar_class == "C3", f"[Nbar]={nbar_class}")
-    check("quotient G image transitive, not regular", len(quotient.gbar) > blocks,
-          f"|Gbar|={len(quotient.gbar)}")
+    check("quotient G image transitive, not regular", len(result.gbar) > blocks,
+          f"|Gbar|={len(result.gbar)}")
     return FixtureReport(rows)
 
 

@@ -58,11 +58,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    identity = 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def rows(self) -> np.ndarray:
         """lambda(G) as read-only uint8 rows, built on first read: row g is x -> g x.
@@ -114,9 +109,8 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup as member indices into its ambient: a group's elements or a record's rows."""
+    """A subgroup as sorted member indices: into a group's elements or a record's rows."""
 
-    ambient: object
     members: tuple[int, ...]
 
     @property
@@ -210,7 +204,7 @@ def subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
             if join not in known:
                 known[join] = join_gens
                 queue.append(join)
-    handles = [SubgroupHandle(group, tuple(sorted(s))) for s in known]
+    handles = [SubgroupHandle(tuple(sorted(s))) for s in known]
     handles.sort(key=lambda h: (h.order, h.members))
     return handles
 
@@ -225,7 +219,7 @@ def core_of(group: FiniteGroup, sub: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside ``sub``: intersection of all conjugates."""
     mask = np.isin(np.arange(group.order), sub.members)[None]
     core = core_masks(mask, group.conjugation)[0]
-    return SubgroupHandle(group, tuple(np.flatnonzero(core).tolist()))
+    return SubgroupHandle(tuple(np.flatnonzero(core).tolist()))
 
 
 # -- isomorphisms and automorphisms -----------------------------------------

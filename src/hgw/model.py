@@ -4,9 +4,11 @@ All descent statements are checked by exact linear algebra over F_p: fixed
 rings (K[V])^{lambda(G)} by Galois descent on the lambda(G)-orbits (c_v in K^S
 for the stabiliser S of v, and c_{gvg^-1} = g(c_v)), actions as matrices,
 fixed fields as solution spaces, and the induced short exact sequence by ranks
-and spans. J = Psi(P) and its cosets come from ``correspond.psi_of_rows``, as
-in the census. G is read only through its rows and frobenius_matrices; only
-ExtensionModel knows that G is cyclic, and it solves each K^S once.
+and spans. J = Psi(P), its cosets and lambda(G)'s block images on them are
+read from J's ``PsiResult`` (``correspond.psi_of_rows``), as in the census. G
+is read only through its rows and frobenius_matrices; only ExtensionModel
+knows that G is cyclic. The models of one degree share one C_n, and with it
+each J's ``PsiResult``; each model solves each K^S once.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
 sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
@@ -21,6 +23,7 @@ support and every check reads the whole stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,6 +33,7 @@ from . import fplin
 from .correspond import block_actions, psi_of_rows
 from .dsl import build_group
 from .errors import GroupSpecError, TheoremViolation
+from .groups import FiniteGroup
 from .regsearch import conjugate, row_indices
 
 
@@ -72,6 +76,12 @@ def _field_matrices(p: int, modulus: Sequence[int]) -> tuple[np.ndarray, np.ndar
     return np.array(x_powers), np.array(frob_cols).T
 
 
+@functools.cache
+def _cyclic_group(n: int) -> FiniteGroup:
+    """C_n, built once per degree for every model of that degree."""
+    return build_group(f"C{n}")
+
+
 class ExtensionModel:
     """Arithmetic in F_{p^n} with G generated by the Frobenius x -> x^p."""
 
@@ -80,7 +90,7 @@ class ExtensionModel:
         self.n = n
         self.modulus = modulus  # monic, coefficient i of x^i, length n+1
         self.x_powers, frobenius = _field_matrices(p, modulus)
-        self.group = build_group(f"C{n}")  # index j acts as Frobenius^j
+        self.group = _cyclic_group(n)  # index j acts as Frobenius^j
         self.frobenius_matrices = self._frobenius_powers(frobenius)
         self._subfields: dict[tuple[int, ...], np.ndarray] = {}  # K^J by J's sorted points
 
@@ -152,14 +162,13 @@ class FixedRing:
     """(K[V])^{lambda(G)} for a support group V, as a basis of coefficient arrays.
 
     An element lies in the ring iff g(c_v) = c_{g v g^-1} for every g in G:
-    ``frobenius[g]`` is g's matrix on K, and ``conj[g, v]`` is the index of
-    g v g^-1 in the support.
+    the model's ``frobenius_matrices[g]`` is g's matrix on K, and ``conj[g, v]``
+    is the index of g v g^-1 in the support.
     """
 
     model: ExtensionModel
     rows: np.ndarray  # the support V, sorted
     basis: np.ndarray  # int64 (dimension, |V|, n): basis[a, v] is c_v of element a
-    frobenius: np.ndarray = field(repr=False, compare=False)
     conj: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -175,7 +184,8 @@ class FixedRing:
 
     def contains(self, coeffs: np.ndarray) -> bool:
         """Whether every (|V|, n) coefficient array of the stack ``coeffs`` lies in the ring."""
-        moved = np.einsum("gij,kvj->kgvi", self.frobenius, coeffs) - coeffs[:, self.conj]
+        frob = self.model.frobenius_matrices
+        moved = np.einsum("gij,kvj->kgvi", frob, coeffs) - coeffs[:, self.conj]
         return not np.any(moved % self.model.p)
 
 
@@ -206,7 +216,7 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     basis = np.concatenate(blocks)
     if len(basis) != size:
         raise TheoremViolation(f"fixed ring dimension {len(basis)} != |V| = {size}")
-    ring = FixedRing(model, support_rows, basis, frob, conj)
+    ring = FixedRing(model, support_rows, basis, conj)
     if not ring.contains(basis):
         raise TheoremViolation("fixed ring basis is not lambda(G)-invariant")
     return ring
@@ -247,7 +257,6 @@ def act_matrix(ring: FixedRing, coeffs: np.ndarray) -> np.ndarray:
 class FixedFieldResult:
     """K^{H_P} as an F_p-subspace of K, with its Galois group J = Psi(P)."""
 
-    model: ExtensionModel
     basis: np.ndarray  # RREF rows
     j_points: tuple[int, ...]
 
@@ -291,7 +300,7 @@ def fixed_field(ring: FixedRing) -> FixedFieldResult:
     k_j = fixed_subfield_of_group(model, j_points)
     if not fplin.row_spaces_equal(space, k_j, p):
         raise TheoremViolation("K^{H_P} differs from K^J for J = Psi(P)")
-    return FixedFieldResult(model, space, j_points)
+    return FixedFieldResult(space, j_points)
 
 
 def hopf_galois_rank(ring: FixedRing) -> bool:
@@ -350,13 +359,14 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     if not h_n.contains(extended):
         raise TheoremViolation("H_P does not embed into H_N")
 
-    # block data: left cosets of J = Psi(P), with N and lambda(G) acting
-    actions = block_actions(n_rows, psi_of_rows(model.group, p_rows))
+    # block data: J = Psi(P)'s result holds its cosets and lambda(G)'s images; N's are built here
+    result = psi_of_rows(model.group, p_rows)
+    actions = block_actions(n_rows, result)
     nbar, nbar_index = actions.nbar, actions.nbar_index
-    m = actions.space.block_count
+    m = result.space.block_count
     if len(nbar) != size_n // len(p_rows):
         raise TheoremViolation("block image of N does not have order [N:P]")
-    h_quot = fixed_ring_basis(model, nbar, gbar_rows=actions.gbar_of)
+    h_quot = fixed_ring_basis(model, nbar, gbar_rows=result.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
     onehot = np.eye(m, dtype=np.int64)[nbar_index]  # [v, b]: v lies over b

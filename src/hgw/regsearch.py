@@ -50,9 +50,9 @@ such an f holds exactly the regular subgroups that contain f. A permutation
 alpha that fixes 0 and 1 and normalises the element group maps root
 candidates to root candidates, and V -> alpha V alpha^-1 maps the subtree of
 f one-to-one onto the subtree of alpha f alpha^-1. The symmetries are given
-as generators of such a group: for Hol(M), all automorphisms of M that fix 1
-(a group generates itself); for Sym(n), two generators of the stabiliser of
-0 and 1. One batched conjugation of every root candidate by every generator,
+as generators of such a group: for Hol(M), a generating sequence of the
+automorphisms of M that fix 1; for Sym(n), two generators of the stabiliser
+of 0 and 1. One batched conjugation of every root candidate by every generator,
 and one binary search among the sorted candidates, give the generators'
 action on the candidates. Pulling the least index along that action until it
 is stable labels each candidate with the least candidate of its orbit, and a
@@ -60,8 +60,8 @@ breadth-first walk from those leaders reaches each member f_k from some f_j
 by a generator s: alpha_k = s o alpha_j then conjugates the orbit's least
 candidate to f_k. The search walks the subtree of the least candidate of each
 orbit only, and gets every other subtree of the orbit by conjugating the
-found stack. With no symmetries every orbit is a single candidate and the
-search is the whole tree.
+found stack. With the identity row as the only symmetry every orbit is a
+single candidate and the search is the whole tree.
 
 Normalisation. ``normalized_by`` tests a whole stack of regular subgroups
 against a few conjugators at once: a regular subgroup holds at most one
@@ -175,12 +175,13 @@ def uniform_rows(rows: np.ndarray) -> np.ndarray:
     return uniform
 
 
-def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray | None = None) -> np.ndarray:
+def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
     """All fixed-point-free subgroups of order n among the (k, n) uint8 ``rows``.
 
     ``rows`` must be the distinct elements of a permutation group; the identity
-    row may be included or not. ``symmetries``, if given, are uint8 rows that
-    generate a group of permutations that fix 0 and 1 and normalise that group.
+    row may be included or not. ``symmetries`` are uint8 rows that generate a
+    group of permutations that fix 0 and 1 and normalise that group; the
+    identity row alone walks the whole tree.
     Returns an (s, n, n) uint8 stack: each subgroup's rows sorted by image of 0,
     the subgroups in canonical search order.
     """
@@ -194,8 +195,6 @@ def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray | None = None) ->
     ident = bytes(range(degree))
     allowed = frozenset(blob[i:i + degree] for i in range(0, len(blob), degree)) | {ident}
     buckets = {t: pool[pool[:, 0] == t] for t in range(1, degree)}  # by image of 0
-    if symmetries is None:
-        symmetries = np.arange(degree, dtype=np.uint8)[None]
     roots = buckets[1]
     stacks = [np.zeros((0, degree, degree), dtype=np.uint8)]
     for i, movers in _root_orbits(roots, symmetries):

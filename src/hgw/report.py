@@ -238,7 +238,7 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
         count = 0
         for handle in subgroups_of(ext.group):
             pts = tuple(sorted(handle.members))
-            result = m.FixedFieldResult(ext, m.fixed_subfield_of_group(ext, pts), pts)
+            result = m.FixedFieldResult(m.fixed_subfield_of_group(ext, pts), pts)
             for r in range(n + 1):
                 for subset in itertools.combinations(range(n), r):
                     if not m.fixedsum_check(ext, subset, result):

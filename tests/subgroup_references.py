@@ -16,7 +16,7 @@ def core_of(group, sub):
         core &= {conj(group, g, x) for x in sub.members}
         if len(core) == 1:
             break
-    return SubgroupHandle(group, tuple(sorted(core)))
+    return SubgroupHandle(tuple(sorted(core)))
 
 
 def is_normal(group, sub):

@@ -192,7 +192,7 @@ def test_extra_quotient_example_d21(census42):
     assert result.j_class.name == "D3" and not result.normal_in_g
     assert result.core_order == 3
     quotient = quotient_structure(stable, result)
-    nbar, gbar = as_perm_group(quotient.nbar), as_perm_group(quotient.gbar)
+    nbar, gbar = as_perm_group(quotient.nbar), as_perm_group(result.gbar)
     assert iso_class(as_finite_group(nbar)).name == "C7" and nbar.is_regular()
     assert gbar.is_transitive() and not gbar.is_regular()
     _passline(7, "worked quotient example (D21, C42, C6) verified")

@@ -102,7 +102,7 @@ def test_psi_rejects_unstable_subgroup():
     for handle in subgroups(as_finite_group(n_group)):
         if normalizes(g_group, _as_perm_group(record.rows[list(handle.members)])):
             continue
-        bogus = StableSubgroup(record, SubgroupHandle(record, handle.members), normal_in_n=False)
+        bogus = StableSubgroup(record, SubgroupHandle(handle.members), normal_in_n=False)
         try:
             psi(bogus)
         except TheoremViolation:
@@ -129,7 +129,8 @@ def test_psi_onto_for_rho():
         rho = frozenset(p.images for p in right_regular(group).elements)
         record = next(r for r in records
                       if frozenset(p.images for p in r.n_group.elements) == rho)
-        assert psi_onto(record)
+        all_sets = frozenset(h.members for h in subgroups(group))
+        assert psi_onto(record, stable_subgroups(record), all_sets)
 
 
 def test_coset_space_shapes():
@@ -179,8 +180,8 @@ def test_quotient_structure_p_equals_n():
     stable = next(s for s in stable_subgroups(record) if s.order == 6)
     result = psi(stable)
     quotient = quotient_structure(stable, result)
-    assert quotient.space.block_count == 1
-    assert len(quotient.nbar) == 1 and len(quotient.gbar) == 1
+    assert result.space.block_count == 1
+    assert len(quotient.nbar) == 1 and len(result.gbar) == 1
     assert result.normal_in_g
 
 
@@ -191,8 +192,8 @@ def test_quotient_small_normal_case():
     result = psi(stable)
     assert result.normal_in_g and result.core_order == 2
     quotient = quotient_structure(stable, result)
-    assert quotient.space.block_count == 3
-    nbar, gbar = _as_perm_group(quotient.nbar), _as_perm_group(quotient.gbar)
+    assert result.space.block_count == 3
+    nbar, gbar = _as_perm_group(quotient.nbar), _as_perm_group(result.gbar)
     assert nbar.is_regular() and gbar.is_regular()
     assert iso_class(as_finite_group(nbar)).name == "C3"
 
@@ -205,7 +206,7 @@ SMALL_CLASSES = ["C1", "C2", "C3", "C4", "C2^2", "C6", "D3", "C7", "C8", "C4 x C
 
 def _reference_orbit_coset(group, p_group, j_members):
     """The parent form: every orbit of P equals (least point) * J."""
-    return all(set(orbit) == {group.mul(min(orbit), x) for x in j_members}
+    return all(set(orbit) == {group.table[min(orbit)][x] for x in j_members}
                for orbit in p_group.orbits())
 
 
@@ -272,7 +273,7 @@ def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypat
         return real_psi(stable)
 
     def counted_block_perm(rows, space):
-        block_perms[space.j_handle.members] += len(rows)
+        block_perms[space.blocks[0]] += len(rows)  # the identity block is J
         return real_block_perm(rows, space)
 
     monkeypatch.setattr(correspond, "coset_space", counted_space)
@@ -544,16 +545,16 @@ def test_block_images_match_permutation_reference(g_name):
                 continue
             result = stable.psi_result
             quotient = quotient_structure(stable, result)
-            space = quotient.space
+            space = result.space
             nbar_of = [_reference_block_perm(p, space) for p in n_group.elements]
             gbar_of = [_reference_block_perm(Permutation(group.table[g]), space)
                        for g in range(group.order)]
             nbar = _reference_image_group(nbar_of, space.block_count)
             gbar = _reference_image_group(gbar_of, space.block_count)
             assert quotient.nbar_of.tolist() == _image_rows(nbar_of)
-            assert quotient.gbar_of.tolist() == _image_rows(gbar_of)
+            assert result.gbar_of.tolist() == _image_rows(gbar_of)
             assert quotient.nbar.tolist() == _image_rows(nbar.elements)
-            assert quotient.gbar.tolist() == _image_rows(gbar.elements)
+            assert result.gbar.tolist() == _image_rows(gbar.elements)
             assert gbar.is_regular() == result.normal_in_g
             pairs += 1
     assert pairs or group.order in (1, 2, 3, 7)  # prime orders have no proper P

@@ -12,7 +12,7 @@ from hgw.groups import automorphisms, is_isomorphic
 
 def _center(group):
     n = group.order
-    return [a for a in range(n) if all(group.mul(a, b) == group.mul(b, a) for b in range(n))]
+    return [a for a in range(n) if all(group.table[a][b] == group.table[b][a] for b in range(n))]
 
 
 def _is_abelian(group):
@@ -117,7 +117,7 @@ def test_parse_failures():
 def test_identity_is_index_zero():
     for spec in ["C6", "D4", "S4", "Dic3", "sdp(C7:C3, C2, 2)"]:
         g = build_group(spec)
-        assert all(g.mul(0, x) == x == g.mul(x, 0) for x in range(g.order))
+        assert all(g.table[0][x] == x == g.table[x][0] for x in range(g.order))
 
 
 # Every catalog spec and each constructor across its range, up to the order cap and one
@@ -154,8 +154,8 @@ def test_dsl_tables_labels_and_specs_pinned():
 def test_dihedral_presentation(k):
     g = build_group(f"D{k}")
     r, s = 1 % k, k  # r^1 and r^0 s
-    assert g.mul(g.mul(s, r), g.inverse_table[s]) == g.inverse_table[r]
-    assert g.mul(s, s) == 0
+    assert g.table[g.table[s][r]][g.inverse_table[s]] == g.inverse_table[r]
+    assert g.table[s][s] == 0
     assert g.element_order(r) == k and g.element_order(s) == 2
 
 
@@ -163,8 +163,8 @@ def test_dihedral_presentation(k):
 def test_dicyclic_presentation(m):
     g = build_group(f"Dic{m}")
     a, b = 1, 2 * m  # a^1 and a^0 b
-    assert g.mul(b, b) == m  # a^m
-    assert g.mul(g.mul(b, a), g.inverse_table[b]) == g.inverse_table[a]
+    assert g.table[b][b] == m  # a^m
+    assert g.table[g.table[b][a]][g.inverse_table[b]] == g.inverse_table[a]
     assert g.element_order(a) == 2 * m
 
 
@@ -180,8 +180,8 @@ def test_sdp_presentation(base, k, aut_order, idx):
     t = nb  # 0 t^1
     assert g.element_order(t) == k
     for x in range(nb):  # the base sits at indices 0..|X|-1 with its own product
-        assert g.mul(g.mul(t, x), g.inverse_table[t]) == phi[x]
-        assert all(g.mul(x, y) == x_group.mul(x, y) for y in range(nb))
+        assert g.table[g.table[t][x]][g.inverse_table[t]] == phi[x]
+        assert all(g.table[x][y] == x_group.table[x][y] for y in range(nb))
 
 
 @pytest.mark.parametrize("p, q", [(3, 2), (7, 3), (7, 6), (5, 4), (13, 3)])

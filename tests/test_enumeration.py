@@ -21,6 +21,7 @@ from hgw.groups import (
     an_isomorphism,
     automorphisms,
     generating_subset_of,
+    semiregular_group,
 )
 from hgw.perm import PermGroup, Permutation, normalizes
 from perm_tables import as_finite_group, left_regular, right_regular
@@ -230,9 +231,10 @@ def test_lazy_classification_and_beta0_composition(g_name):
         hol = enumeration._hol_data(m_name)
         subs = hol.isomorphic_to(g_name)
         expected = _eager_class_tables(hol, g_name)
-        assert [([bytes(r) for r in rows], table.table) for rows, table, _ in subs] \
+        assert [([bytes(r) for r in rows], semiregular_group(rows).table) for rows, _ in subs] \
             == expected, (g_name, m_name)
-        for _, table, _ in subs:
+        for rows, _ in subs:
+            table = semiregular_group(rows)
             beta0 = np.array(an_isomorphism(group, table))
             assert sorted(map(tuple, beta0[aut_g].tolist())) \
                 == all_isomorphisms(group, table), (g_name, m_name)
@@ -280,8 +282,8 @@ def _reference_records(group):
         mul = np.array(hol.model.table)
         first = {}
         emb_id = 0
-        for v_rows, v_table, _ in hol.isomorphic_to(g_class):
-            for iso in all_isomorphisms(group, v_table):
+        for v_rows, _ in hol.isomorphic_to(g_class):
+            for iso in all_isomorphisms(group, semiregular_group(v_rows)):
                 b = v_rows[list(iso), 0].astype(np.intp)
                 b_inv = np.argsort(b)
                 perms = tuple(sorted(Permutation(row) for row in b_inv[mul[:, b]].tolist()))
@@ -328,7 +330,7 @@ def test_searches_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert len(regsearch.regular_subgroups(rows)) == 20
+        assert len(regsearch.regular_subgroups(rows, _whole_tree(rows))) == 20
         assert len(regsearch.regular_subgroups(rows, stabiliser)) == 20
         assert len(all_isomorphisms(group, group)) == 8
         assert gc.collect() == 0
@@ -405,6 +407,11 @@ def _reference_extend(members, f, degree, allowed):
     return new_list
 
 
+def _whole_tree(rows):
+    """The identity row alone: as ``symmetries``, it makes the search walk the whole tree."""
+    return np.arange(rows.shape[1], dtype=np.uint8)[None]
+
+
 def _sym_rows(n):
     return np.array(list(itertools.permutations(range(n))), dtype=np.uint8).reshape(-1, n)
 
@@ -419,7 +426,7 @@ def test_regular_subgroups_match_pairwise_closure_in_hol(m_name):
     hol = enumeration._hol_data(m_name)
     order = catalog_group(m_name).order
     expected = _packed(_reference_regular_subgroups(_as_bytes(hol.rows), order), order)
-    assert np.array_equal(regsearch.regular_subgroups(hol.rows), expected)
+    assert np.array_equal(regsearch.regular_subgroups(hol.rows, _whole_tree(hol.rows)), expected)
     assert np.array_equal(hol.subgroups, expected)
 
 
@@ -427,7 +434,7 @@ def test_regular_subgroups_match_pairwise_closure_in_hol(m_name):
 def test_regular_subgroups_match_pairwise_closure_in_sym(n):
     rows = _sym_rows(n)
     expected = _packed(_reference_regular_subgroups(_as_bytes(rows), n), n)
-    assert np.array_equal(regsearch.regular_subgroups(rows), expected)
+    assert np.array_equal(regsearch.regular_subgroups(rows, _whole_tree(rows)), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -436,7 +443,8 @@ def test_regular_subgroups_of_sym_n_count(n):
     conjugate to lambda(G), whose normalizer is Hol(G) of order n |Aut(G)|."""
     classes = [build_group("C5")] if n == 5 else [catalog_group(m) for m in catalog_names(n)]
     expected = sum(math.factorial(n - 1) // len(automorphisms(g)) for g in classes)
-    assert len(regsearch.regular_subgroups(_sym_rows(n))) == expected
+    rows = _sym_rows(n)
+    assert len(regsearch.regular_subgroups(rows, _whole_tree(rows))) == expected
     if n == 8:
         assert expected == 2760
 
@@ -445,7 +453,7 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
     degrees = []
     real = regsearch.regular_subgroups
 
-    def counted(rows, symmetries=None):
+    def counted(rows, symmetries):
         degrees.append(rows.shape[1])
         return real(rows, symmetries)
 
@@ -748,7 +756,7 @@ def test_normalized_by_rejects_a_stack_with_one_non_regular_subgroup():
 def test_identity_only_stack_has_no_regular_subgroup():
     for n in (2, 5, 8):
         identity = np.arange(n, dtype=np.uint8)[None]
-        for symmetries in (None, enumeration._sym_stabiliser_generators(n)):
+        for symmetries in (identity, enumeration._sym_stabiliser_generators(n)):
             found = regsearch.regular_subgroups(identity, symmetries)
             assert found.dtype == np.uint8 and found.shape == (0, n, n)
 
@@ -800,7 +808,7 @@ def test_row_primitives_on_lambda_and_its_subgroups(name):
         members = list(handle.members)
         # the parent's dict table of a subgroup, against the table of its semiregular rows
         index = {x: i for i, x in enumerate(members)}
-        expected = [[index[group.mul(a, b)] for b in members] for a in members]
+        expected = [[index[group.table[a][b]] for b in members] for a in members]
         assert regsearch.regular_table(rows[members]).tolist() == expected
     if len(rows) > 1:  # the identity row is missing from the others
         assert regsearch.row_indices(rows[1:], rows[:1]) is None

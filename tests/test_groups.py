@@ -63,7 +63,8 @@ def test_lambda_rho_intersection_is_center():
         lam = {p.images for p in left_regular(group).elements}
         rho = {p.images for p in right_regular(group).elements}
         n = group.order
-        center = [z for z in range(n) if all(group.mul(z, b) == group.mul(b, z) for b in range(n))]
+        center = [z for z in range(n)
+                  if all(group.table[z][b] == group.table[b][z] for b in range(n))]
         center_lams = {tuple(group.table[z]) for z in center}
         assert lam & rho == center_lams
 
@@ -263,7 +264,7 @@ def test_all_isomorphisms_are_isos():
     for m in maps[:4]:
         for a in range(8):
             for b in range(8):
-                assert m[q8.mul(a, b)] == q8.mul(m[a], m[b])
+                assert m[q8.table[a][b]] == q8.table[m[a]][m[b]]
 
 
 # -- the generator-image isomorphism search against a dict-copying reference ----
@@ -320,8 +321,8 @@ def _reference_extend(g1, g2, fwd, used, new_src, new_dst):
     while frontier:
         u = frontier.pop()
         for v in tuple(fwd):
-            for s, t in ((g1.mul(u, v), g2.mul(fwd[u], fwd[v])),
-                         (g1.mul(v, u), g2.mul(fwd[v], fwd[u]))):
+            for s, t in ((g1.table[u][v], g2.table[fwd[u]][fwd[v]]),
+                         (g1.table[v][u], g2.table[fwd[v]][fwd[u]])):
                 known = fwd.get(s)
                 if known is None:
                     if t in used:
@@ -338,7 +339,7 @@ def _relabelled(group, seed):
     """``group`` with its non-identity elements shuffled."""
     label = [0] + random.Random(seed).sample(range(1, group.order), group.order - 1)
     unlabel = sorted(range(group.order), key=label.__getitem__)
-    table = [[label[group.mul(unlabel[a], unlabel[b])] for b in range(group.order)]
+    table = [[label[group.table[unlabel[a]][unlabel[b]]] for b in range(group.order)]
              for a in range(group.order)]
     return FiniteGroup([str(i) for i in range(group.order)], table)
 

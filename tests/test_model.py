@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import re
@@ -257,7 +258,7 @@ def test_rank_true_for_structures_false_for_proper_subring(model_11_4):
 def test_fixedsum_hypothesis_and_conclusion(model_11_6):
     model = model_11_6
     j = (0, 3)  # the order-2 subgroup of G = C6
-    field = FixedFieldResult(model, fixed_subfield_of_group(model, j), j)
+    field = FixedFieldResult(fixed_subfield_of_group(model, j), j)
     # S inside J: hypothesis holds and conclusion holds
     assert fixedsum_check(model, (0, 3), field)
     assert fixedsum_check(model, (3,), field)
@@ -273,7 +274,7 @@ def test_fixedsum_exhaustive_n4(model_11_4):
     model = model_11_4
     for handle in subgroups(model.group):
         pts = tuple(sorted(handle.members))
-        field = FixedFieldResult(model, fixed_subfield_of_group(model, pts), pts)
+        field = FixedFieldResult(fixed_subfield_of_group(model, pts), pts)
         for r in range(5):
             for subset in itertools.combinations(range(4), r):
                 assert fixedsum_check(model, subset, field)
@@ -304,7 +305,8 @@ def test_exact_sequence_all_pairs_n4(model_11_4):
 
 def test_model_and_census_share_one_psi_result_per_j(monkeypatch):
     """fixed_field and exact_sequence_check read J = Psi(P) from correspond, as the census
-    does: one PsiResult per J on G, whose cosets are built once."""
+    does: one PsiResult per J on G, whose cosets are built once, and the models of one
+    degree share G, so a second prime builds no J again."""
     spaces = Counter()
     real = correspond.coset_space
 
@@ -313,18 +315,21 @@ def test_model_and_census_share_one_psi_result_per_j(monkeypatch):
         return real(group, j_handle)
 
     monkeypatch.setattr(correspond, "coset_space", counted)
-    model = make_extension(11, 4)
-    for record in enumerate_hgs(model.group):
-        h_n = fixed_ring_basis(model, record.rows)
-        for stable in stable_subgroups(record):
-            result = correspond.psi(stable)
-            h_p = fixed_ring_basis(model, stable.rows)
-            assert fixed_field(h_p).j_points == result.j_handle.members
-            if stable.normal_in_n:
-                exact_sequence_check(h_n, h_p)
-                correspond.quotient_structure(stable, result)
-            assert correspond.psi_of_rows(model.group, stable.rows) is result
-    assert spaces == {(0,): 1, (0, 2): 1, (0, 1, 2, 3): 1}  # the subgroups of C4
+    # start from G's cold cache: other tests share the C4 of every degree-4 model
+    monkeypatch.delitem(vars(make_extension(11, 4).group), "_psi", raising=False)
+    for p in (11, 13):
+        model = make_extension(p, 4)
+        for record in enumerate_hgs(model.group):
+            h_n = fixed_ring_basis(model, record.rows)
+            for stable in stable_subgroups(record):
+                result = correspond.psi(stable)
+                h_p = fixed_ring_basis(model, stable.rows)
+                assert fixed_field(h_p).j_points == result.j_handle.members
+                if stable.normal_in_n:
+                    exact_sequence_check(h_n, h_p)
+                    correspond.quotient_structure(stable, result)
+                assert correspond.psi_of_rows(model.group, stable.rows) is result
+        assert spaces == {(0,): 1, (0, 2): 1, (0, 1, 2, 3): 1}  # the subgroups of C4
 
 
 def test_fixed_ring_dimension_violation_detected(model_11_6):
@@ -376,9 +381,15 @@ def _tamper_ring(monkeypatch, which, **changes):
 
 
 def _bare_ring(model, rows, basis):
-    """A FixedRing with the given fields and a trivial G = {id}, built without checks."""
-    return FixedRing(model, rows, basis, np.eye(model.n, dtype=np.int64)[None],
-                     np.arange(len(rows))[None])
+    """A FixedRing with the given fields and a trivial conjugation table, built without checks."""
+    return FixedRing(model, rows, basis, np.arange(len(rows))[None])
+
+
+def _zero_frobenius(model):
+    """A copy of ``model`` whose Frobenius matrices are all zero."""
+    tampered = copy.copy(model)
+    tampered.frobenius_matrices = np.zeros_like(model.frobenius_matrices)
+    return tampered
 
 
 def _shift_products(monkeypatch, shift):
@@ -490,7 +501,7 @@ def _case_product_v_q_not_in_n(monkeypatch):
 def _case_h_p_not_in_h_n(monkeypatch):
     # with gamma's matrix zero, only elements with every coefficient zero are fixed
     exact_sequence_check(*_tamper_ring(
-        monkeypatch, "N", frobenius=lambda r: np.zeros_like(r.frobenius)))
+        monkeypatch, "N", model=lambda r: _zero_frobenius(r.model)))
 
 
 def _case_block_image_order(monkeypatch):
@@ -508,7 +519,7 @@ def _case_block_image_order(monkeypatch):
 
 def _case_projection_leaves_quotient(monkeypatch):
     exact_sequence_check(*_tamper_ring(
-        monkeypatch, "quotient", frobenius=lambda r: np.zeros_like(r.frobenius)))
+        monkeypatch, "quotient", model=lambda r: _zero_frobenius(r.model)))
 
 
 def _case_projection_rank(monkeypatch):
