@@ -24,6 +24,14 @@ and on first read J's cosets (``space``) and lambda(G)'s block images on them
 (``gbar_of``, ``gbar``); ``block_actions`` adds only N's. The onto check and
 the census share each ``StableSubgroup.psi_result``, and a census contract
 failure names G, N's class and provenance, and P.
+
+The census verifies and aggregates one representative per Aut(G)-orbit of
+structures, the first record of each orbit in the list it is given, and
+weights its rows by the orbit's record count in that list. The weights are
+exact: alpha in Aut(G) acts by N -> alpha N alpha^-1, since
+alpha lambda(g) alpha^-1 = lambda(alpha(g)), and carries each stable P to
+alpha P alpha^-1 and J = Psi(P) to alpha(J), keeping the classes of N, P and
+J, J's normality in G and the order of its core.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import GroupClassLabel, catalog_group, iso_class
-from .enumeration import HgsRecord, enumerate_hgs
+from .enumeration import HgsRecord, enumerate_hgs, orbit_representatives
 from .errors import BlockSystemViolation, TheoremViolation
 from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, semiregular_group, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
@@ -94,7 +102,8 @@ class PsiResult:
 
     @cached_property
     def gbar(self) -> np.ndarray:
-        return np.unique(self.gbar_of, axis=0)
+        # with an index returned, np.unique sorts instead of hashing, which imports numpy.ma
+        return np.unique(self.gbar_of, axis=0, return_index=True)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,14 +305,15 @@ def quotient_structure(stable: StableSubgroup, result: PsiResult) -> BlockAction
         raise _violation(stable, "kernel of the block action of N is not exactly P")
     if not is_regular(nbar) or len(nbar) * stable.order != len(record.rows):
         raise _violation(stable, "block image of N is not regular of order [N:P]")
-    if len(np.unique(gbar[:, 0])) != m:
+    if not np.bincount(gbar[:, 0], minlength=m).all():
         raise _violation(stable, "block image of lambda(G) is not transitive")
     if not normalized_by(nbar[None], gbar)[0]:
         raise _violation(stable, "block image of lambda(G) does not normalize that of N")
 
     if result.normal_in_g:
         _assert_lambda_j_trivial(stable, result)
-        if not is_regular(gbar) or len(gbar) * result.j_handle.order != record.group.order:
+        # transitive on m blocks, so regular iff of order m = [G:J]
+        if len(gbar) * result.j_handle.order != record.group.order:
             raise _violation(stable, "block image of lambda(G) is not regular of order [G:J]")
     return actions
 
@@ -333,11 +343,16 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
                         verify: bool = True,
                         stables_by_record: dict | None = None) -> list[CorrespondenceRow]:
     """Aggregated (count, [N], [P], [J], J-normality, |I|) census over all
-    structures N and all proper nontrivial stable P normal in N."""
+    structures N and all proper nontrivial stable P normal in N.
+
+    Only the first record of each Aut(G)-orbit in ``records`` is verified and
+    aggregated, its rows weighted by its orbit's record count there; the
+    module docstring says why those weights are exact.
+    """
     if records is None:
         records = enumerate_hgs(group)
     agg: dict[tuple, int] = {}
-    for record in records:
+    for record, weight in orbit_representatives(records):
         stables = (stables_by_record or {}).get(record.key) or stable_subgroups(record)
         for stable in stables:
             if not stable.normal_in_n:
@@ -349,7 +364,7 @@ def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None 
                 _verify_pair(stable, result)
             key = (record.n_class.name, stable.p_class.name, result.j_class.name,
                    result.normal_in_g, result.core_order)
-            agg[key] = agg.get(key, 0) + 1
+            agg[key] = agg.get(key, 0) + weight
     rows = [CorrespondenceRow(count, *key) for key, count in agg.items()]
     rows.sort(key=lambda r: (r.n_class, r.p_class, r.j_class, not r.j_normal, r.core_order))
     return rows

@@ -23,6 +23,11 @@ composed, they are all the isomorphisms G -> V, so that numbering, and with
 it provenance, does not depend on the search.
 Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
 so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
+They are one whole orbit of Aut(G) acting by N -> alpha N alpha^-1, and each
+arises |Aut(G)| / |orbit| times, once per member of its stabiliser, which is
+checked per V. Each record is tagged with its orbit: the canonical index of
+the V whose embeddings first gave N. ``orbit_representatives`` reads the
+orbits of a record list off those tags, for the census.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
 the rows are also the key that deduplicates embeddings. N's PermGroup is built
@@ -49,6 +54,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +76,7 @@ class HgsRecord:
     ``rows`` holds N's elements as uint8 image arrays, sorted by image tuple;
     the fields ``lambda_conj`` and ``m_to_n`` view N on the indices of those
     rows, and both are checked when the record is built. Records compare by
-    identity; ``key`` identifies N.
+    identity; ``key`` identifies N, and ``orbit`` N's Aut(G)-orbit.
     """
 
     group: FiniteGroup
@@ -79,6 +85,9 @@ class HgsRecord:
     provenance: tuple[str, int]  # (model class name, embedding id within that model)
     lambda_conj: np.ndarray  # row g maps index a to the index of lambda(g) a lambda(g)^-1 in N
     m_to_n: np.ndarray  # entry m is the index in N of m's image under an isomorphism M -> N
+    # N's Aut(G)-orbit within its class: the canonical index of the V <= Hol(M) whose
+    # embeddings first gave N; None for a given N, which is its own orbit
+    orbit: int | None = None
 
     @classmethod
     def from_perm_group(cls, group: FiniteGroup, n_group: PermGroup, n_class: GroupClassLabel,
@@ -89,7 +98,8 @@ class HgsRecord:
 
     @classmethod
     def _checked(cls, group: FiniteGroup, rows: np.ndarray, n_class: GroupClassLabel,
-                 provenance: tuple[str, int], m_to_n: np.ndarray | None = None) -> HgsRecord:
+                 provenance: tuple[str, int], m_to_n: np.ndarray | None = None,
+                 orbit: int | None = None) -> HgsRecord:
         """The record of N's sorted rows, once every check that both routes share holds.
 
         N's degree must be |G|, N regular and normalized by lambda(G), which
@@ -117,7 +127,7 @@ class HgsRecord:
                 or not np.array_equal(rows[np.ix_(c, c)], c[catalog_group(n_class.name).rows])):
             raise _violation(group, n_class, provenance,
                              f"is not isomorphic to its class {n_class.name}")
-        return cls(group, rows, n_class, provenance, conj, c.astype(np.uint8))
+        return cls(group, rows, n_class, provenance, conj, c.astype(np.uint8), orbit)
 
     @property
     def key(self) -> bytes:
@@ -132,6 +142,22 @@ class HgsRecord:
         """
         perms = [Permutation(row) for row in self.rows.tolist()]
         return PermGroup(len(perms), generating_subset_of(perms), perms)
+
+
+def orbit_representatives(records: Sequence[HgsRecord]) -> list[tuple[HgsRecord, int]]:
+    """(first record, record count) of each Aut(G)-orbit met in ``records``, in list order.
+
+    Records of one orbit are those of one G, one class and one ``orbit`` tag;
+    a record without a tag is its own orbit.
+    """
+    first: dict[object, HgsRecord] = {}
+    weights: Counter[object] = Counter()
+    for record in records:
+        key = (record if record.orbit is None
+               else (record.group, record.n_class.name, record.orbit))
+        first.setdefault(key, record)
+        weights[key] += 1
+    return [(record, weights[key]) for key, record in first.items()]
 
 
 def _lambda_conjugation(group: FiniteGroup, rows: np.ndarray) -> np.ndarray | None:
@@ -261,11 +287,12 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
     hol = _hol_data(m_name)
     mul = hol.model.rows
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
-    # key -> (embedding id, beta rows, N's rows) of N's first embedding
+    n_class = GroupClassLabel(m_name, n)
+    # key -> (embedding id, V's index, beta rows, N's rows) of N's first embedding
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     emb_id = 0
-    for v_rows, m_to_v in hol.isomorphic_to(g_class):
+    for v_index, (v_rows, m_to_v) in enumerate(hol.isomorphic_to(g_class)):
         beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = beta0[aut_g]
@@ -273,17 +300,24 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
         table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
         rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
         n_rows = _aut_conjugates(rows0, aut_g, aut_inv)
+        block: Counter[bytes] = Counter()  # V's block: the orbit of N0, with multiplicities
         for a in np.lexsort(isos.T[::-1]).tolist():
             key = n_rows[a].tobytes()
-            multiplicity[key] += 1
+            block[key] += 1
             if key not in first:
-                first[key] = (emb_id, v_rows[isos[a]], n_rows[a].copy())
+                first[key] = (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy())
             emb_id += 1
+        # orbit-stabiliser: each N of the orbit is fixed by |Aut(G)| / |orbit| automorphisms
+        for key, count in block.items():
+            if count * len(block) != len(aut_g):
+                raise _violation(group, n_class, (m_name, first[key][0]),
+                                 f"arose from {count} of the {len(aut_g)} embeddings of one V, "
+                                 f"expected |Aut(G)| / |orbit| = {len(aut_g)} / {len(block)}")
+            multiplicity[key] += count
 
     records = []
-    n_class = GroupClassLabel(m_name, n)
     for key in sorted(first):
-        first_id, beta, rows = first[key]
+        first_id, v_index, beta, rows = first[key]
         provenance = (m_name, first_id)
         b = beta[:, 0].astype(np.intp)
         if len(set(b.tolist())) != n:
@@ -298,7 +332,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
         if multiplicity[key] != hol.aut_order:
             raise _violation(group, n_class, provenance, f"arose from {multiplicity[key]} "
                              f"embeddings, expected |Aut(M)| = {hol.aut_order}")
-        records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv))
+        records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv, v_index))
     return records
 
 

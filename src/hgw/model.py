@@ -207,7 +207,7 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     if conj is None:
         raise TheoremViolation("conjugator does not normalize the support group")
     blocks = []
-    for v in np.unique(conj.min(axis=0)):
+    for v in np.flatnonzero(np.bincount(conj.min(axis=0), minlength=size)):  # least members
         sub = fixed_subfield_of_group(model, np.flatnonzero(conj[:, v] == v))
         orbit, cosets = np.unique(conj[:, v], return_index=True)
         block = np.zeros((len(sub), size, model.n), dtype=np.int64)

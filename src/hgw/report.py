@@ -16,7 +16,7 @@ import numpy as np
 from . import model as m
 from .catalog import catalog_group, catalog_names
 from .correspond import CorrespondenceRow, correspondence_rows, psi_onto, stable_subgroups
-from .enumeration import HgsRecord, enumerate_hgs
+from .enumeration import HgsRecord, enumerate_hgs, orbit_representatives
 from .errors import GroupSpecError, TheoremViolation
 from .fixture24 import FixtureReport, run_fixture
 from .groups import FiniteGroup, generating_sequence, semiregular_group
@@ -99,7 +99,13 @@ _CENSUS_CACHE: dict[str, GroupCensus] = {}
 
 
 def group_census(g_name: str) -> GroupCensus:
-    """Enumerate, classify, and aggregate for one catalog group, fully verified (cached)."""
+    """Enumerate, classify, and aggregate for one catalog group, fully verified (cached).
+
+    The stable subgroups, the onto test and the verified census run once per
+    Aut(G)-orbit of structures, on its first record, and count for the whole
+    orbit: N -> alpha N alpha^-1 carries each Psi(P) = J to alpha(J), which
+    permutes G's subgroups and keeps every class, J's normality and |core|.
+    """
     if g_name in _CENSUS_CACHE:
         return _CENSUS_CACHE[g_name]
     group = catalog_group(g_name)
@@ -108,11 +114,11 @@ def group_census(g_name: str) -> GroupCensus:
     onto = Counter()
     stables = {}
     all_subgroup_sets = frozenset(h.members for h in subgroups_of(group))
-    for record in records:
+    for record, weight in orbit_representatives(records):
         stab = stable_subgroups(record)
         stables[record.key] = stab
         if psi_onto(record, stab, all_subgroup_sets):
-            onto[record.n_class.name] += 1
+            onto[record.n_class.name] += weight
     rows = correspondence_rows(group, records, stables_by_record=stables)
     census = GroupCensus(g_name, group, records, dict(class_counts), dict(onto), rows)
     _CENSUS_CACHE[g_name] = census

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 import hgw.correspond as correspond
 import hgw.enumeration as enumeration
+import hgw.report as report
 from hgw.catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from hgw.correspond import (
     StableSubgroup,
@@ -23,7 +25,7 @@ from hgw.correspond import (
     stable_subgroups,
 )
 from hgw.dsl import build_group
-from hgw.enumeration import HgsRecord, enumerate_hgs
+from hgw.enumeration import HgsRecord, enumerate_hgs, orbit_representatives
 from hgw.errors import BlockSystemViolation, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
@@ -291,9 +293,13 @@ def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypat
     assert psi_calls and set(psi_calls.values()) == {1}
     assert len(psi_calls) == sum(map(len, stables.values()))
     assert spaces and set(spaces.values()) == {1}
-    # lambda(G)'s 42 block images once per J, then N's 42 per verified pair
-    pairs = sum(row.count for row in rows)
-    assert sum(block_perms.values()) == 42 * (len(spaces) + pairs)
+    # lambda(G)'s 42 block images once per J, then N's 42 per verified pair: one pair per
+    # proper nontrivial P normal in the first N of each Aut(G)-orbit
+    pairs = [(record.key, s.p_handle.members)
+             for record, _ in orbit_representatives(records) for s in stables[record.key]
+             if s.normal_in_n and 1 < s.order < 42]
+    assert (len(pairs), sum(row.count for row in rows)) == (34, 218)
+    assert sum(block_perms.values()) == 42 * (len(spaces) + len(pairs))
 
 
 # -- the lattice of N's class, carried into each record -------------------------
@@ -443,8 +449,6 @@ def _count_calls(monkeypatch, func, counts, key, during=None):
 
 
 def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypatch):
-    import hgw.report as report
-
     # start from cold caches: the census, each class lattice and G's data per J
     monkeypatch.setattr(report, "_CENSUS_CACHE", {})
     for name in catalog_names(42):
@@ -503,6 +507,68 @@ TABLE_SHA256_SMALL = {
 def test_small_correspondence_tables_pinned(g_name):
     text = correspondence_table_doc(correspondence_rows(catalog_group(g_name)), "md").render()
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256_SMALL[g_name]
+
+
+# -- the orbit census against the per-record census it replaced -------------------
+
+
+def _per_record_census(group, records):
+    """Reference: every (N, P) pair of every record verified and counted on its own."""
+    counts = Counter()
+    for record in records:
+        for stable in stable_subgroups(record):
+            if not stable.normal_in_n or stable.order in (1, len(record.rows)):
+                continue
+            result = stable.psi_result
+            correspond._verify_pair(stable, result)
+            counts[(record.n_class.name, stable.p_class.name, result.j_class.name,
+                    result.normal_in_g, result.core_order)] += 1
+    return counts
+
+
+def _as_counts(rows):
+    counts = Counter({row.key(): row.count for row in rows})
+    assert len(counts) == len(rows) and all(row.count > 0 for row in rows)
+    return counts
+
+
+ORBIT_CENSUS_GROUPS = ([name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 42)
+                        for name in catalog_names(order)] + ["C24", "SL(2,3)", "C3:C8"])
+
+
+@pytest.mark.parametrize("g_name", ORBIT_CENSUS_GROUPS)
+def test_orbit_census_matches_the_per_record_census(g_name):
+    group = catalog_group(g_name)
+    records = enumerate_hgs(group)
+    assert _as_counts(correspondence_rows(group, records)) == _per_record_census(group, records)
+
+
+@pytest.mark.parametrize("g_name", ["D4", "A4", "Dic3", "D6", "C7:C3"])
+def test_orbit_census_counts_shuffled_partial_and_given_lists(g_name):
+    """Each orbit is weighted by its records in the list given, whatever their order;
+    a given record is its own orbit, even next to the enumerated record of its N."""
+    group = catalog_group(g_name)
+    records = enumerate_hgs(group)
+    rng = random.Random(g_name)
+    given = [HgsRecord.from_perm_group(group, r.n_group, r.n_class, ("given", i))
+             for i, r in enumerate(rng.sample(records, 3))]
+    lists = [rng.sample(records, len(records)), rng.sample(records, len(records) // 2),
+             records[1::3], given, records + given + given[:1]]
+    for sublist in lists:
+        assert _as_counts(correspondence_rows(group, sublist)) == \
+            _per_record_census(group, sublist)
+    assert correspondence_rows(group, []) == []
+
+
+# each but D21 has an onto N whose Aut(G)-orbit holds two or more structures
+@pytest.mark.parametrize("g_name", ["C4 x C2", "Q8", "C6 x C2", "C21", "C42", "D21"])
+def test_group_census_onto_counts_match_the_per_record_test(g_name):
+    census = report.group_census(g_name)
+    all_sets = frozenset(h.members for h in subgroups(census.group))
+    onto = Counter(r.n_class.name for r in census.records
+                   if psi_onto(r, stable_subgroups(r), all_sets))
+    assert census.onto_counts == dict(onto)
+    assert _as_counts(census.rows) == _per_record_census(census.group, census.records)
 
 
 # -- the array block layer against the permutation one it replaced ---------------

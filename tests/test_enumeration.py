@@ -13,7 +13,8 @@ import hgw.groups as groups
 from hgw import regsearch
 from hgw.catalog import CATALOG, catalog_group, catalog_names, iso_class
 from hgw.dsl import build_group
-from hgw.enumeration import count_formula_report, direct_enumerate_oracle, enumerate_hgs
+from hgw.enumeration import (HgsRecord, count_formula_report, direct_enumerate_oracle,
+                             enumerate_hgs)
 from hgw.errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
 from hgw.groups import (
     FiniteGroup,
@@ -187,6 +188,13 @@ def _corrupt_lambda_of_d3(rows0, aut_g, aut_inv):
     return n_rows
 
 
+def _uneven_block(rows0, aut_g, aut_inv):
+    # in a V whose orbit has two or more N, one embedding of another N gives the first N again
+    n_rows = _REAL_AUT_CONJUGATES(rows0, aut_g, aut_inv).copy()
+    n_rows[np.flatnonzero((n_rows != n_rows[0]).any(axis=(1, 2)))[:1]] = n_rows[0]
+    return n_rows
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
     ("all_isomorphisms", _constant_iso, "has a base map that is not bijective"),
@@ -195,8 +203,11 @@ def _corrupt_lambda_of_d3(rows0, aut_g, aut_inv):
     ("an_isomorphism", _no_search_onto_v,
      "regular subgroup of Hol(C6) classed D3 is not isomorphic to D3"),
     ("_aut_conjugates", _corrupt_lambda_of_d3, "is not b^-1 lambda(D3) b"),
+    ("_aut_conjugates", _uneven_block,
+     "N of class C6 and provenance ('C6', 0) arose from 3 of the 6 embeddings of one V, "
+     "expected |Aut(G)| / |orbit| = 6 / 3 (G = FiniteGroup(D3))"),
 ], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class",
-        "n_is_transport"])
+        "n_is_transport", "orbit_stabiliser"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
@@ -204,6 +215,29 @@ def test_contract_violations_raise(monkeypatch, attr, fake, message):
     monkeypatch.setattr(enumeration, "_HOL_CACHE", {})  # every V of class D3 searched anew
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         enumerate_hgs(group)
+
+
+def _conjugate_by(rows, alpha):
+    """alpha N alpha^-1 for N's rows and alpha a permutation of G's indices, sorted like N's."""
+    conj = alpha[rows[:, np.argsort(alpha)]]
+    return conj[np.argsort(conj[:, 0])]
+
+
+ORBIT_GROUPS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14) for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("g_name", ORBIT_GROUPS)
+def test_orbit_tags_are_the_aut_g_orbits(g_name):
+    """The records of one (class, orbit) tag are exactly one orbit of N -> alpha N alpha^-1."""
+    group = catalog_group(g_name)
+    records = enumerate_hgs(group)
+    aut_g = np.array(all_isomorphisms(group, group), dtype=np.uint8)
+    tags = {r.key: (r.n_class.name, r.orbit) for r in records}
+    for record in records:
+        orbit = {_conjugate_by(record.rows, alpha).tobytes() for alpha in aut_g}
+        assert orbit == {key for key, tag in tags.items() if tag == tags[record.key]}
+    given = HgsRecord.from_perm_group(group, records[0].n_group, records[0].n_class, ("given", 0))
+    assert given.orbit is None
 
 
 def _eager_class_tables(hol, class_name):

@@ -287,6 +287,17 @@ def test_python_m_hgw_runs_the_cli():
     assert hashlib.sha256(result.stdout).hexdigest() == VERIFY_PAPER24_SHA256
 
 
+def test_census_and_model_report_leave_numpy_ma_unimported():
+    # np.unique without a return_* flag imports numpy.ma (numpy 2.4), about 15 ms cold
+    code = ("import sys; from hgw import report; report.group_census('D3'); "
+            "report.model_report(11, 4); print(sorted(m for m in sys.modules "
+            "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_census_and_model_report_build_no_perm_group(monkeypatch):
     # N, P and their block images stay uint8 rows from enumeration to the last check
     # and the enum table;
