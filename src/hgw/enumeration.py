@@ -12,8 +12,19 @@ automorphisms of M that fix the point 1 (see ``regsearch``, which owns the row
 format), and come back as one uint8 stack of sorted rows in canonical order.
 Those isomorphic to G's catalog group M_G are found lazily, once per Hol(M)
 and class: the element-order spectra of the whole stack are read in one pass,
-and each V with M_G's spectrum gets a Cayley table and one isomorphism search
-M_G -> V, kept with V's rows; a V the search misses must be of another class.
+and the V with M_G's spectrum are grouped into classes under conjugation by
+Aut(M). Each generator of Aut(M) (generators of the stabiliser of 1, and one
+automorphism per other point of 1's orbit) conjugates them in one gather, a
+binary search finds the images, and ``regsearch.orbit_leaders`` labels each V
+with the least V of its class. Only that least V gets a Cayley table and one
+isomorphism search M_G -> V, kept with its rows; a class whose least V the
+search misses must be of another class.
+
+Byott's translation matches the Aut(M)-classes of V one to one with the
+Aut(G)-orbits of structures of type M, and every V of one class gives the
+same N. So the enumeration walks the least V of each class only, in canonical
+order, and numbers its embeddings as if every V were walked: the V before it
+in G's class have |Aut(G)| embeddings each.
 
 Aut(G) and one isomorphism G -> M_G are computed once per ``enumerate_hgs``
 call; beta0 = (M_G -> V) o (G -> M_G), and V's embeddings are the maps
@@ -25,15 +36,16 @@ Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
 so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
 They are one whole orbit of Aut(G) acting by N -> alpha N alpha^-1, and each
 arises |Aut(G)| / |orbit| times, once per member of its stabiliser, which is
-checked per V. Each record is tagged with its orbit: the canonical index of
-the V whose embeddings first gave N. ``orbit_representatives`` reads the
-orbits of a record list off those tags, for the census.
+checked per walked V. Each record is tagged with its orbit: the canonical
+index of the V whose embeddings first gave N. ``orbit_representatives`` reads
+the orbits of a record list off those tags, for the census.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
 the rows are also the key that deduplicates embeddings. N's PermGroup is built
 only when read. For each distinct N the transport is checked once: b is
 bijective, the transported beta(G) equals lambda(G), N's rows are
-b^-1 lambda(M) b, and N arose from exactly |Aut(M)| embeddings. Then N gets
+b^-1 lambda(M) b, and N arose from exactly |Aut(M)| / |class| embeddings of
+its class's least V, which is |Aut(M)| over the whole class. Then N gets
 the checks that a given N (``HgsRecord.from_perm_group``) gets too, in one
 constructor: N's degree is |G|, N is regular, lambda(G) normalizes N (the
 check also builds ``lambda_conj``), and ``m_to_n`` is an isomorphism from M,
@@ -54,7 +66,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +76,7 @@ from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
 from .groups import (FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of,
                      semiregular_group)
 from .perm import PermGroup, Permutation
-from .regsearch import conjugate, is_regular, row_indices
+from .regsearch import conjugate, is_regular, orbit_leaders, row_indices, sorted_row_indices
 
 ORACLE_DEGREE_CAP = 8
 
@@ -175,9 +187,18 @@ def _violation(group: FiniteGroup, n_class: GroupClassLabel, provenance: tuple[s
 # -- holomorph machinery ------------------------------------------------------
 
 
+class _VClasses(NamedTuple):
+    """The regular subgroups V <= Hol(M) of one class, grouped into Aut(M)-classes."""
+
+    positions: np.ndarray  # canonical index in Hol(M)'s stack of every such V, ascending
+    # (position, rows, iso, class size) of each class's least V, in canonical order; iso maps
+    # the class's catalog group onto V, by the indices of V's rows
+    leaders: list[tuple[int, np.ndarray, tuple[int, ...], int]]
+
+
 class _HolData:
-    """Hol(M) and its regular subgroups as uint8 stacks, and those of one class, with
-    an isomorphism from the class's catalog group, on demand."""
+    """Hol(M) and its regular subgroups as uint8 stacks, and those of one class, grouped
+    into Aut(M)-classes with an isomorphism from the class's catalog group, on demand."""
 
     def __init__(self, m_name: str, model: FiniteGroup):
         self.m_name = m_name
@@ -192,41 +213,69 @@ class _HolData:
         if len({row.tobytes() for row in aut_rows}) != self.aut_order:  # pragma: no cover - sanity
             raise TheoremViolation("holomorph row set has duplicates")
         # Aut(M) normalises Hol(M); the automorphisms that fix 1 also fix the search's root,
-        # and a generating set of them gives the search the same orbits
-        symmetries = aut_rows  # at degree 1, Aut(M) is the identity alone
+        # and a generating set of them gives the search the same orbits. Only generators of
+        # Aut(M) are kept: keeping every automorphism raises the peak memory of a sweep
+        symmetries = self.aut_generators = aut_rows  # at degree 1, Aut(M) is the identity alone
         if n > 1:
             stabiliser = aut_rows[aut_rows[:, 1] == 1]  # sorted, as aut_rows are
             table = groups.cayley_table(stabiliser)
             # a trivial stabiliser has no generators, but _root_orbits needs one symmetry
             gens = groups.generating_sequence(FiniteGroup(range(len(table)), table)) or [0]
             symmetries = stabiliser[gens]
+            # with one automorphism sending 1 to each other point of its orbit, they generate Aut(M)
+            points, first = np.unique(aut_rows[:, 1], return_index=True)
+            self.aut_generators = np.concatenate([symmetries, aut_rows[first[points != 1]]])
         self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
-        self._isomorphic: dict[str, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
+        self._isomorphic: dict[str, _VClasses] = {}
         self._spectra: np.ndarray | None = None
 
-    def isomorphic_to(self, class_name: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-        """(rows, iso) of each regular subgroup V of class ``class_name``, in canonical
-        search order: V's rows are sorted, identity first, and iso maps the class's
-        catalog group onto V, by the indices of those rows.
+    def isomorphic_to(self, class_name: str) -> _VClasses:
+        """The regular subgroups V of class ``class_name``, by their Aut(M)-classes.
 
-        Only subgroups whose order spectrum is the class's get a table and a
-        search; one the search does not reach must be of another class.
+        V's rows are sorted, identity first. Only subgroups whose order spectrum
+        is the class's are grouped, and only the least V of each Aut(M)-class
+        gets a table and a search: conjugation by Aut(M) keeps V's class, so a
+        class whose least V the search does not reach is of another class.
         """
         if class_name not in self._isomorphic:
             if self._spectra is None:
                 self._spectra = _order_spectra(self.subgroups)
             spectrum = np.sort(catalog_group(class_name).element_orders())
-            found = []
-            for i in np.flatnonzero((self._spectra == spectrum).all(axis=1)).tolist():
-                table = semiregular_group(self.subgroups[i])
+            matched = np.flatnonzero((self._spectra == spectrum).all(axis=1))
+            leader = self._aut_classes(matched)
+            sizes = np.bincount(leader, minlength=len(matched))
+            leaders = []
+            kept = np.zeros(len(matched), dtype=bool)
+            for i in np.flatnonzero(sizes).tolist():
+                rows = self.subgroups[matched[i]]
+                table = semiregular_group(rows)
                 iso = an_isomorphism(catalog_group(class_name), table)
                 if iso is not None:
-                    found.append((self.subgroups[i], iso))
+                    kept[i] = True
+                    leaders.append((int(matched[i]), rows, iso, int(sizes[i])))
                 elif iso_class(table).name == class_name:
                     raise TheoremViolation(f"regular subgroup of Hol({self.m_name}) classed "
                                            f"{class_name} is not isomorphic to {class_name}")
-            self._isomorphic[class_name] = found
+            self._isomorphic[class_name] = _VClasses(matched[kept[leader]], leaders)
         return self._isomorphic[class_name]
+
+    def _aut_classes(self, matched: np.ndarray) -> np.ndarray:
+        """Entry i is the index in ``matched`` of the least V in the Aut(M)-class of
+        V = subgroups[matched[i]]; ``matched`` must be closed under Aut(M)."""
+        if not len(matched):
+            return matched
+        stack = self.subgroups[matched]  # sorted, as the whole stack is
+        flat = stack.reshape(len(stack), -1)
+        image = []
+        for alpha in self.aut_generators:  # one at a time: one gather of all would cost MiBs
+            moved = regsearch.conjugate_subgroups(stack, alpha[None])
+            found = sorted_row_indices(flat, moved.reshape(flat.shape))
+            if found is None:
+                raise TheoremViolation(f"an automorphism of {self.m_name} does not map the regular "
+                                       f"subgroups of Hol({self.m_name}) of one spectrum to "
+                                       "themselves")
+            image.append(found)
+        return orbit_leaders(np.stack(image))
 
 
 def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
@@ -282,17 +331,24 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
 
 def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut_g: np.ndarray,
                        m_name: str) -> list[HgsRecord]:
-    """The structures of class M: one record per distinct N, sorted by element set."""
+    """The structures of class M: one record per distinct N, sorted by element set.
+
+    Every V of one Aut(M)-class gives the same N, so only the least V of each
+    class is walked; its embeddings keep the ids they have when every V is.
+    """
     n = group.order
     hol = _hol_data(m_name)
     mul = hol.model.rows
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
     n_class = GroupClassLabel(m_name, n)
-    # key -> (embedding id, V's index, beta rows, N's rows) of N's first embedding
+    # key -> (embedding id, V's index, beta rows, N's rows, V's class size) of N's first embedding
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
-    emb_id = 0
-    for v_index, (v_rows, m_to_v) in enumerate(hol.isomorphic_to(g_class)):
+    classes = hol.isomorphic_to(g_class)
+    for position, v_rows, m_to_v, size in classes.leaders:
+        # V's index among the V of G's class; each V before it has |Aut(G)| embeddings
+        v_index = int(np.searchsorted(classes.positions, position))
+        emb_id = v_index * len(aut_g)
         beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = beta0[aut_g]
@@ -305,7 +361,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
             key = n_rows[a].tobytes()
             block[key] += 1
             if key not in first:
-                first[key] = (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy())
+                first[key] = (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy(), size)
             emb_id += 1
         # orbit-stabiliser: each N of the orbit is fixed by |Aut(G)| / |orbit| automorphisms
         for key, count in block.items():
@@ -317,7 +373,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
 
     records = []
     for key in sorted(first):
-        first_id, v_index, beta, rows = first[key]
+        first_id, v_index, beta, rows, size = first[key]
         provenance = (m_name, first_id)
         b = beta[:, 0].astype(np.intp)
         if len(set(b.tolist())) != n:
@@ -329,9 +385,11 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
         # row m of N is b^-1 lambda(m) b, which sends 0 to b^-1(m): m_to_n is b^-1
         if not np.array_equal(rows[b_inv], b_inv[mul[:, b]]):
             raise _violation(group, n_class, provenance, f"is not b^-1 lambda({m_name}) b")
-        if multiplicity[key] != hol.aut_order:
+        # the |class| V of N's class give N equally often, |Aut(M)| times in all
+        if multiplicity[key] * size != hol.aut_order:
             raise _violation(group, n_class, provenance, f"arose from {multiplicity[key]} "
-                             f"embeddings, expected |Aut(M)| = {hol.aut_order}")
+                             f"embeddings of its class's least V, expected "
+                             f"|Aut(M)| / |class| = {hol.aut_order} / {size}")
         records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv, v_index))
     return records
 
@@ -408,7 +466,7 @@ def count_formula_report(group: FiniteGroup) -> list[dict]:
     for m_name in catalog_names(group.order):
         hol = _hol_data(m_name)
         n_count = sum(1 for r in records if r.n_class.name == m_name)
-        v_count = len(hol.isomorphic_to(g_class))
+        v_count = sum(size for *_, size in hol.isomorphic_to(g_class).leaders)
         out.append(
             {
                 "model": m_name,

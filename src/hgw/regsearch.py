@@ -55,13 +55,15 @@ automorphisms of M that fix 1; for Sym(n), two generators of the stabiliser
 of 0 and 1. One batched conjugation of every root candidate by every generator,
 and one binary search among the sorted candidates, give the generators'
 action on the candidates. Pulling the least index along that action until it
-is stable labels each candidate with the least candidate of its orbit, and a
-breadth-first walk from those leaders reaches each member f_k from some f_j
-by a generator s: alpha_k = s o alpha_j then conjugates the orbit's least
-candidate to f_k. The search walks the subtree of the least candidate of each
-orbit only, and gets every other subtree of the orbit by conjugating the
-found stack. With the identity row as the only symmetry every orbit is a
-single candidate and the search is the whole tree.
+is stable (``orbit_leaders``, which the enumeration also uses for the
+Aut(M)-classes of regular subgroups) labels each candidate with the least
+candidate of its orbit, and a breadth-first walk from those leaders reaches
+each member f_k from some f_j by a generator s: alpha_k = s o alpha_j then
+conjugates the orbit's least candidate to f_k. The search walks the subtree
+of the least candidate of each orbit only, and gets every other subtree of the
+orbit by conjugating the found stack (``conjugate_subgroups``). With the
+identity row as the only symmetry every orbit is a single candidate and the
+search is the whole tree.
 
 Normalisation. ``normalized_by`` tests a whole stack of regular subgroups
 against a few conjugators at once: a regular subgroup holds at most one
@@ -204,14 +206,35 @@ def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
         stack = np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
         stacks.append(stack)
         if len(movers):
-            moved = conjugate(stack, movers)  # [a, v, x] = alpha_a o (row x of V_v) o alpha_a^-1
-            # alpha_a fixes 0, so that row sends 0 to alpha_a(x): row y is moved[a, v, alpha_a^-1(y)]
-            a, v = np.ogrid[:len(movers), :len(stack)]
-            inv = np.argsort(movers, axis=1)[:, None, :]
-            stacks.append(moved[a[..., None], v[..., None], inv].reshape(-1, degree, degree))
+            stacks.append(conjugate_subgroups(stack, movers).reshape(-1, degree, degree))
     out = np.concatenate(stacks)
     keys = out.reshape(len(out), degree * degree).view(np.dtype((np.void, degree * degree)))
     return out[np.argsort(keys[:, 0], kind="stable")]
+
+
+def conjugate_subgroups(stack: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """alpha V alpha^-1 for each (a, n) alpha that fixes 0 and each regular V of the
+    (v, n, n) ``stack``, as an (a, v, n, n) stack, each subgroup's rows sorted by image of 0."""
+    moved = conjugate(stack, alphas)  # [a, v, x] = alpha_a o (row x of V_v) o alpha_a^-1
+    # alpha_a fixes 0, so that row sends 0 to alpha_a(x): row y is moved[a, v, alpha_a^-1(y)]
+    a, v = np.ogrid[:len(alphas), :len(stack)]
+    inv = np.argsort(alphas, axis=1)[:, None, :]
+    return moved[a[..., None], v[..., None], inv]
+
+
+def orbit_leaders(image: np.ndarray) -> np.ndarray:
+    """Entry i is the least item of i's orbit under a group given by generators.
+
+    ``image[a, i]`` is the index of generator a's image of item i. The least
+    label is pulled along the generators' edges until it is stable; in a
+    finite group every edge lies on a cycle, so it reaches the whole orbit.
+    """
+    leader = np.arange(image.shape[1])
+    while True:
+        pulled = np.minimum(leader, leader[image].min(axis=0))
+        if np.array_equal(pulled, leader):
+            return leader
+        leader = pulled
 
 
 def _root_orbits(roots: np.ndarray, symmetries: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -227,13 +250,7 @@ def _root_orbits(roots: np.ndarray, symmetries: np.ndarray) -> list[tuple[int, n
     image = sorted_row_indices(roots, conjugate(roots, symmetries))  # [a, i]: s_a o f_i o s_a^-1
     if image is None:
         raise TheoremViolation("a symmetry does not map the root candidates to themselves")
-    # the least candidate of each orbit: pull the least label along the generators' edges
-    leader = np.arange(count)
-    while True:
-        pulled = np.minimum(leader, leader[image].min(axis=0))
-        if np.array_equal(pulled, leader):
-            break
-        leader = pulled
+    leader = orbit_leaders(image)
     # breadth-first from every leader at once, one level per pass: an edge from f_j
     # to f_k by the generator s gives alpha_k = s o alpha_j
     alpha = np.empty_like(roots)

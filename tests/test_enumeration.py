@@ -195,6 +195,11 @@ def _uneven_block(rows0, aut_g, aut_inv):
     return n_rows
 
 
+def _one_class(image):
+    # every V of one spectrum put into a single Aut(M)-class, led by the least
+    return np.zeros(image.shape[1], dtype=np.intp)
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("all_isomorphisms", _first_iso_only, "expected |Aut(M)|"),
     ("all_isomorphisms", _constant_iso, "has a base map that is not bijective"),
@@ -206,8 +211,11 @@ def _uneven_block(rows0, aut_g, aut_inv):
     ("_aut_conjugates", _uneven_block,
      "N of class C6 and provenance ('C6', 0) arose from 3 of the 6 embeddings of one V, "
      "expected |Aut(G)| / |orbit| = 6 / 3 (G = FiniteGroup(D3))"),
+    ("orbit_leaders", _one_class,
+     "N of class D3 and provenance ('D3', 0) arose from 6 embeddings of its class's least V, "
+     "expected |Aut(M)| / |class| = 6 / 2 (G = FiniteGroup(D3))"),
 ], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class",
-        "n_is_transport", "orbit_stabiliser"])
+        "n_is_transport", "orbit_stabiliser", "class_multiplicity"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
@@ -263,11 +271,15 @@ def test_lazy_classification_and_beta0_composition(g_name):
     aut_g = np.array(all_isomorphisms(group, group))
     for m_name in catalog_names(group.order):
         hol = enumeration._hol_data(m_name)
-        subs = hol.isomorphic_to(g_name)
+        classes = hol.isomorphic_to(g_name)
+        every_v = hol.subgroups[classes.positions]
         expected = _eager_class_tables(hol, g_name)
-        assert [([bytes(r) for r in rows], semiregular_group(rows).table) for rows, _ in subs] \
+        assert [([bytes(r) for r in rows], semiregular_group(rows).table) for rows in every_v] \
             == expected, (g_name, m_name)
-        for rows, _ in subs:
+        for position, rows, iso, _ in classes.leaders:  # only leaders are searched
+            assert np.array_equal(rows, hol.subgroups[position])
+            assert iso in all_isomorphisms(group, semiregular_group(rows)), (g_name, m_name)
+        for rows in every_v:
             table = semiregular_group(rows)
             beta0 = np.array(an_isomorphism(group, table))
             assert sorted(map(tuple, beta0[aut_g].tolist())) \
@@ -282,6 +294,7 @@ def _relabelled(group, seed):
 
 
 def test_each_v_is_searched_once_per_class(monkeypatch):
+    """One search M_G -> V per Aut(M)-class of V: only each class's least V is searched."""
     d4 = catalog_group("D4")
     first, second = _relabelled(d4, 71), _relabelled(d4, 72)
     assert first.table != d4.table and second.table != first.table
@@ -295,14 +308,109 @@ def test_each_v_is_searched_once_per_class(monkeypatch):
     monkeypatch.setattr(enumeration, "an_isomorphism", counted)
     monkeypatch.setattr(groups, "an_isomorphism", counted)
     counts = Counter(r.n_class.name for r in enumerate_hgs(first))
-    v_count = sum(len(enumeration._hol_data(m).isomorphic_to("D4")) for m in catalog_names(8))
-    # G -> M_G, then M_G -> V once for each V of class D4 in each Hol(M)
-    assert calls[0] == (first, d4) and len(calls) == 1 + v_count
+    classes = [enumeration._hol_data(m).isomorphic_to("D4") for m in catalog_names(8)]
+    leader_count = sum(len(c.leaders) for c in classes)
+    v_count = sum(len(c.positions) for c in classes)
+    assert (leader_count, v_count) == (14, 153)  # Hol(C2^3) alone has 126 V in 2 classes
+    # G -> M_G, then M_G -> V once for the least V of each Aut(M)-class of class D4
+    assert calls[0] == (first, d4) and len(calls) == 1 + leader_count
     assert all(g1 is d4 for g1, _ in calls[1:])
     calls.clear()
     # every M_G -> V is cached: the second relabelling searches only G -> M_G
     assert Counter(r.n_class.name for r in enumerate_hgs(second)) == counts
     assert calls == [(second, d4)]
+
+
+def _per_v_records(group):
+    """Reference for the class-leader walk: every V with G's spectrum searched for an
+    isomorphism M_G -> V, every V found walked, and each N checked to arise |Aut(M)|
+    times in all."""
+    g_class = iso_class(group).name
+    g_to_m = np.array(an_isomorphism(group, catalog_group(g_class)))
+    aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
+    aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)
+    spectrum = np.sort(group.element_orders())
+    out = []
+    for m_name in catalog_names(group.order):
+        hol = enumeration._hol_data(m_name)
+        mul = hol.model.rows
+        n_class = enumeration.GroupClassLabel(m_name, group.order)
+        first, multiplicity, emb_id, v_index = {}, Counter(), 0, -1
+        for v_rows in hol.subgroups[(enumeration._order_spectra(hol.subgroups) == spectrum)
+                                    .all(axis=1)]:
+            m_to_v = an_isomorphism(catalog_group(g_class), semiregular_group(v_rows))
+            if m_to_v is None:
+                continue
+            v_index += 1
+            beta0 = np.array(m_to_v)[g_to_m]
+            isos = beta0[aut_g]
+            b0 = v_rows[beta0, 0].astype(np.intp)
+            table0 = np.argsort(b0)[mul[:, b0]]
+            rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)
+            n_rows = enumeration._aut_conjugates(rows0, aut_g, aut_inv)
+            for a in np.lexsort(isos.T[::-1]).tolist():
+                key = n_rows[a].tobytes()
+                multiplicity[key] += 1
+                first.setdefault(key, (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy()))
+                emb_id += 1
+        for key in sorted(first):
+            first_id, v_index, beta, rows = first[key]
+            assert multiplicity[key] == hol.aut_order, (group, m_name, first_id)
+            b_inv = np.argsort(beta[:, 0].astype(np.intp))
+            out.append(HgsRecord._checked(group, rows, n_class, (m_name, first_id), b_inv, v_index))
+    return out
+
+
+WALK_GROUPS = ([name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 42)
+                for name in catalog_names(order)] + ["C24", "SL(2,3)", "C3:C8"])
+
+
+@pytest.mark.parametrize("g_name", WALK_GROUPS)
+def test_class_leader_walk_matches_the_per_v_walk(g_name):
+    group = catalog_group(g_name)
+    records, reference = enumerate_hgs(group), _per_v_records(group)
+    assert len(records) == len(reference)
+    for record, expected in zip(records, reference):
+        assert record.key == expected.key
+        assert (record.n_class, record.provenance, record.orbit) \
+            == (expected.n_class, expected.provenance, expected.orbit)
+        for field in ("m_to_n", "lambda_conj"):
+            mine, theirs = getattr(record, field), getattr(expected, field)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+CLASS_MODELS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)]
+
+
+@pytest.mark.parametrize("m_name", CLASS_MODELS)
+def test_v_classes_are_the_aut_m_conjugacy_classes(m_name):
+    """Conjugating each V by all of Aut(M) gives exactly its class, led by its least V."""
+    hol = enumeration._hol_data(m_name)
+    position = {v.tobytes(): i for i, v in enumerate(hol.subgroups)}
+    aut_m = automorphisms(hol.model)
+    kinds = Counter(iso_class(semiregular_group(v)).name for v in hol.subgroups)
+    for class_name in catalog_names(hol.model.order):
+        classes = hol.isomorphic_to(class_name)
+        found = {}
+        for p in classes.positions.tolist():
+            conjugates = {position[_conjugate_by(hol.subgroups[p], alpha).tobytes()]
+                          for alpha in aut_m}
+            found.setdefault(min(conjugates), conjugates)
+            assert found[min(conjugates)] == conjugates
+        assert [(p, len(c)) for p, c in sorted(found.items())] \
+            == [(p, size) for p, _, _, size in classes.leaders], (m_name, class_name)
+        assert sorted(set().union(*found.values())) == classes.positions.tolist()
+        assert sum(size for *_, size in classes.leaders) == kinds[class_name]
+
+
+def test_generator_that_moves_a_v_out_of_hol_m_is_a_theorem_violation():
+    hol = enumeration._HolData("C4", catalog_group("C4"))
+    # (2 3) is no automorphism of C4: it conjugates lambda(C4) out of Hol(C4)
+    hol.aut_generators = np.array([[0, 1, 3, 2]], dtype=np.uint8)
+    with pytest.raises(TheoremViolation, match=re.escape(
+            "an automorphism of C4 does not map the regular subgroups of Hol(C4) of one "
+            "spectrum to themselves")):
+        hol.isomorphic_to("C4")
 
 
 def _reference_records(group):
@@ -316,7 +424,7 @@ def _reference_records(group):
         mul = np.array(hol.model.table)
         first = {}
         emb_id = 0
-        for v_rows, _ in hol.isomorphic_to(g_class):
+        for v_rows in hol.subgroups[hol.isomorphic_to(g_class).positions]:
             for iso in all_isomorphisms(group, semiregular_group(v_rows)):
                 b = v_rows[list(iso), 0].astype(np.intp)
                 b_inv = np.argsort(b)

@@ -221,7 +221,8 @@ def test_cli_check_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(enumeration, "all_isomorphisms", lambda g, v: real(g, v)[:1])
     assert main(["enum", "--group", "D3"]) == 1
     assert capsys.readouterr().err == ("check failed: N of class C6 and provenance ('C6', 0) "
-                                       "arose from 1 embeddings, expected |Aut(M)| = 2 "
+                                       "arose from 1 embeddings of its class's least V, "
+                                       "expected |Aut(M)| / |class| = 2 / 1 "
                                        "(G = FiniteGroup(D3))\n")
 
 
