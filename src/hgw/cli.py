@@ -14,7 +14,6 @@ from pathlib import Path
 from .catalog import CATALOG, catalog_group
 from .correspond import correspondence_rows
 from .dsl import build_group
-from .enumeration import enumerate_hgs
 from .errors import EnumerationOverflow, GroupSpecError, HgwError, UncoveredOrder
 from .report import (
     FORMATS,
@@ -26,9 +25,9 @@ from .report import (
 )
 
 
-def _add_format(parser: argparse.ArgumentParser, default: str = "md") -> None:
-    parser.add_argument("--format", choices=FORMATS, default=default,
-                        help=f"output format (default {default})")
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=FORMATS, default="md",
+                        help="output format (default md)")
     parser.add_argument("--json", action="store_const", const="json", dest="format",
                         help="shorthand for --format json")
     parser.add_argument("--csv", action="store_const", const="csv", dest="format",
@@ -100,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc.render(), args.out)
         elif args.command == "correspond":
             group = _parse_group(parser, args.group)
-            records = enumerate_hgs(group)
-            rows = correspondence_rows(group, records)
+            rows = correspondence_rows(group)
             doc = correspondence_table_doc(rows, args.format)
             _emit(doc.render(), args.out)
         elif args.command == "table42":

@@ -7,7 +7,7 @@ import io
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,24 +25,12 @@ from .perm import Permutation
 
 FORMATS = ("md", "csv", "json")
 
-# canonical class name -> display spelling for the degree-42 tables
-DISPLAY_42 = {
-    "C42": "C42",
-    "C7 x D3": "C7 x D3",
-    "C7:C3 x C2": "C2 x (C7:C3)",
-    "C3 x D7": "C3 x D7",
-    "D21": "D21",
-    "(C7:C3):C2": "(C7:C3) : C2",
-}
+# the degree-42 classes whose display spelling differs from their canonical name
+DISPLAY_42 = {"C7:C3 x C2": "C2 x (C7:C3)", "(C7:C3):C2": "(C7:C3) : C2"}
 
-FILE_SLUGS = {
-    "C42": "C42",
-    "C7 x D3": "C7xD3",
-    "C7:C3 x C2": "C2xC7sC3",
-    "C3 x D7": "C3xD7",
-    "D21": "D21",
-    "(C7:C3):C2": "C7sC3sC2",
-}
+
+def _display(name: str) -> str:
+    return DISPLAY_42.get(name, name)
 
 
 @dataclass
@@ -51,14 +39,14 @@ class TableDocument:
 
     rows: list[dict]
     format: str
-    header: list[str] = field(default_factory=list)
+    header: list[str]
 
     def render(self) -> str:
         if self.format == "json":
             return json.dumps(self.rows, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
         if self.format == "csv":
             buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=self.header or sorted(self.rows[0]))
+            writer = csv.DictWriter(buf, fieldnames=self.header)
             writer.writeheader()
             writer.writerows(self.rows)
             return buf.getvalue()
@@ -67,7 +55,7 @@ class TableDocument:
         raise GroupSpecError(f"unknown format {self.format!r}")
 
     def _render_md(self) -> str:
-        cols = self.header or sorted(self.rows[0])
+        cols = self.header
         cells = [[str(row.get(c, "")).replace("|", "\\|") for c in cols] for row in self.rows]
         widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
                   for i, c in enumerate(cols)]
@@ -95,19 +83,14 @@ class GroupCensus:
     rows: list[CorrespondenceRow]
 
 
-_CENSUS_CACHE: dict[str, GroupCensus] = {}
-
-
 def group_census(g_name: str) -> GroupCensus:
-    """Enumerate, classify, and aggregate for one catalog group, fully verified (cached).
+    """Enumerate, classify, and aggregate for one catalog group, fully verified.
 
     The stable subgroups, the onto test and the verified census run once per
     Aut(G)-orbit of structures, on its first record, and count for the whole
     orbit: N -> alpha N alpha^-1 carries each Psi(P) = J to alpha(J), which
     permutes G's subgroups and keeps every class, J's normality and |core|.
     """
-    if g_name in _CENSUS_CACHE:
-        return _CENSUS_CACHE[g_name]
     group = catalog_group(g_name)
     records = enumerate_hgs(group)
     class_counts = Counter(r.n_class.name for r in records)
@@ -120,24 +103,21 @@ def group_census(g_name: str) -> GroupCensus:
         if psi_onto(record, stab, all_subgroup_sets):
             onto[record.n_class.name] += weight
     rows = correspondence_rows(group, records, stables_by_record=stables)
-    census = GroupCensus(g_name, group, records, dict(class_counts), dict(onto), rows)
-    _CENSUS_CACHE[g_name] = census
-    return census
+    return GroupCensus(g_name, group, records, dict(class_counts), dict(onto), rows)
 
 
-def emit_count_matrix_42(fmt: str = "md") -> TableDocument:
-    """The 6x6 degree-42 matrix of structure counts with onto-braces."""
-    names = catalog_names(42)
+def emit_count_matrix_42(censuses: list[GroupCensus], fmt: str) -> TableDocument:
+    """The degree-42 matrix of structure counts with onto-braces, one row per census."""
+    names = [census.g_name for census in censuses]
     rows = []
-    for g_name in names:
-        census = group_census(g_name)
-        row: dict = {"G": DISPLAY_42[g_name]}
+    for census in censuses:
+        row: dict = {"G": _display(census.g_name)}
         for m_name in names:
             count = census.class_counts.get(m_name, 0)
             braces = census.onto_counts.get(m_name, 0)
-            row[DISPLAY_42[m_name]] = f"{count} {{{braces}}}" if count else "0"
+            row[_display(m_name)] = f"{count} {{{braces}}}" if count else "0"
         rows.append(row)
-    header = ["G"] + [DISPLAY_42[m_name] for m_name in names]
+    header = ["G"] + [_display(m_name) for m_name in names]
     return TableDocument(rows, fmt, header)
 
 
@@ -160,12 +140,6 @@ def correspondence_table_doc(rows, fmt: str) -> TableDocument:
     if fmt != "json":
         header.append("status")
     return TableDocument(out, fmt, header)
-
-
-def emit_per_g_table(g_name: str, fmt: str = "md") -> TableDocument:
-    """The correspondence census table for one order-42 group."""
-    census = group_census(g_name)
-    return correspondence_table_doc(census.rows, fmt)
 
 
 def emit_enum_table(group: FiniteGroup, fmt: str = "md") -> TableDocument:
@@ -255,17 +229,23 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
 
 
 def write_table42(out_dir, fmt: str = "md") -> list[str]:
-    """Write the count matrix plus all six per-group tables; returns paths."""
+    """Write the count matrix plus all six per-group tables; returns paths.
+
+    Each census is built once and read by the matrix and by its own table. A
+    table's file is named by its group's display spelling with spaces and
+    parentheses dropped and ':' written as 's'.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    censuses = [group_census(g_name) for g_name in catalog_names(42)]
+    slug = str.maketrans(":", "s", " ()")
+    docs = {"count_matrix_42": emit_count_matrix_42(censuses, fmt)}
+    for census in censuses:
+        stem = "table_" + _display(census.g_name).translate(slug)
+        docs[stem] = correspondence_table_doc(census.rows, fmt)
     written = []
-    doc = emit_count_matrix_42(fmt)
-    path = out / f"count_matrix_42.{fmt}"
-    path.write_text(doc.render(), encoding="utf-8")
-    written.append(str(path))
-    for g_name in catalog_names(42):
-        doc = emit_per_g_table(g_name, fmt)
-        path = out / f"table_{FILE_SLUGS[g_name]}.{fmt}"
+    for stem, doc in docs.items():
+        path = out / f"{stem}.{fmt}"
         path.write_text(doc.render(), encoding="utf-8")
         written.append(str(path))
     return written

@@ -3,8 +3,11 @@
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import json
 import time
 from collections import Counter
+
+import pytest
 
 from reference_data import BRACES_42, COUNTS_42, GROUPS_42, NORMAL, TABLE_ROW_COUNTS, TABLES_42
 
@@ -198,21 +201,61 @@ def test_extra_quotient_example_d21(census42):
     _passline(7, "worked quotient example (D21, C42, C6) verified")
 
 
-def test_extra_cli_table42_and_enum(census42, tmp_path):
-    # the census cache is warm, so the CLI paths are cheap to exercise in-process
-    import json
+# hgw table42's files in printed order, with the sha256 of each per format
+TABLE42_FILES = ["count_matrix_42", "table_C42", "table_C7xD3", "table_C2xC7sC3",
+                 "table_C3xD7", "table_D21", "table_C7sC3sC2"]
+TABLE42_SHA256 = {
+    "md": {
+        "count_matrix_42": "40b040342afc11baf8446ec74806ab7b9231d350434bccb1c83cbbdd9e55eafb",
+        "table_C42": TABLE_SHA256_42["C42"],
+        "table_C7xD3": TABLE_SHA256_42["C7 x D3"],
+        "table_C2xC7sC3": TABLE_SHA256_42["C7:C3 x C2"],
+        "table_C3xD7": TABLE_SHA256_42["C3 x D7"],
+        "table_D21": TABLE_SHA256_42["D21"],
+        "table_C7sC3sC2": TABLE_SHA256_42["(C7:C3):C2"],
+    },
+    "csv": {
+        "count_matrix_42": "2f404bdaa444127229416d31f8dc4136efa5e5cb249015a393f25815dc80d35a",
+        "table_C42": "32dfff19a64b105bf80ee28e9d0bc2cdc2a29e0620ac1f27d5d2b11c6c73cde0",
+        "table_C7xD3": "450c2bd854140671b22d41e2073869e78ee941ad763fd41b9aa6f9bea14b911d",
+        "table_C2xC7sC3": "28bc32fd07f03e149a77f6105f3f3bc51f1174b7fca555a021c321bc4140fe80",
+        "table_C3xD7": "776bbef7245e4325f293b10360b473d14c5536aae79425a26aa0790eaa7bc4cb",
+        "table_D21": "360030b3474a8de0c6b001997126ba3fde8f433e47be4cd049ed9e69384cf925",
+        "table_C7sC3sC2": "8bb6d3f2c90879fa45fa6a7f77897d6f45a4967f7e0a08f723d6416c5f30c992",
+    },
+    "json": {
+        "count_matrix_42": "093fd862b268793faac4c706e49af37c1fb442cb1425f7f71cc97c7cc5b2b382",
+        "table_C42": "2a34cb4cda414f6a8534d0d5673784678012efab0fd164f83092f10e0e7f48fd",
+        "table_C7xD3": "0a7493e39ac9693be2965f4589757e646b328978e498beeb93610488fa4f653e",
+        "table_C2xC7sC3": "26d8ff4041489c960287094723076e2ed24cc84eacf221d7e2c372372d603aba",
+        "table_C3xD7": "dc0c4716df4b90050de0073075691f7d290e8c5e559f2523449c377173a06c4e",
+        "table_D21": "7213edd1f6053329b160292244be812b69f0d64da36dba4b79b9d335119c764a",
+        "table_C7sC3sC2": "1fa5dd233e02d9d9d277ecb2023b94c03c4253f9685624e1b5edac8f87c492ec",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_extra_cli_table42_and_enum(fmt, tmp_path, capsys):
+    # table42 builds its six censuses in-process, once per format
+    import hashlib
+    from pathlib import Path
 
     from hgw.cli import main
 
     out_dir = tmp_path / "tables"
-    assert main(["table42", "--format", "md", "--out", str(out_dir)]) == 0
-    files = sorted(f.name for f in out_dir.iterdir())
-    assert len(files) == 7 and "count_matrix_42.md" in files
-    matrix = (out_dir / "count_matrix_42.md").read_text()
-    assert "1 {1}" in matrix and "16 {1}" in matrix
+    assert main(["table42", "--format", fmt, "--out", str(out_dir)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [str(out_dir / f"{stem}.{fmt}") for stem in TABLE42_FILES]
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(Path(p).name for p in printed)
+    digests = {stem: hashlib.sha256((out_dir / f"{stem}.{fmt}").read_bytes()).hexdigest()
+               for stem in TABLE42_FILES}
+    assert digests == TABLE42_SHA256[fmt]
 
-    out = tmp_path / "d21.json"
-    assert main(["enum", "--group", "D21", "--json", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())
-    assert len(rows) == sum(COUNTS_42["D21"]) == 45
-    _passline(7, "CLI table42 wrote 7 files; enum D21 emitted 45 records")
+    out = tmp_path / f"d21.{fmt}"
+    assert main(["enum", "--group", "D21", "--format", fmt, "--out", str(out)]) == 0
+    header_lines = {"md": 2, "csv": 1, "json": 0}[fmt]
+    records = (len(json.loads(out.read_text())) if fmt == "json"
+               else len(out.read_text().splitlines()) - header_lines)
+    assert records == sum(COUNTS_42["D21"]) == 45
+    _passline(7, f"CLI table42 wrote 7 files in {fmt}; enum D21 emitted 45 records")

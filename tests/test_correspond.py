@@ -449,8 +449,7 @@ def _count_calls(monkeypatch, func, counts, key, during=None):
 
 
 def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypatch):
-    # start from cold caches: the census, each class lattice and G's data per J
-    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
+    # start from cold caches: each class lattice and G's data per J
     for name in catalog_names(42):
         for key in ("_lattice", "_psi"):
             monkeypatch.delitem(vars(catalog_group(name)), key, raising=False)

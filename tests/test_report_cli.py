@@ -306,7 +306,6 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
     import hgw.report as report
     from hgw.perm import PermGroup
 
-    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
     report.group_census("D21")
     model_report(11, 4)
     built = []
@@ -317,7 +316,6 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counted_init)
-    monkeypatch.setattr(report, "_CENSUS_CACHE", {})
     census = report.group_census("D21")
     doc = model_report(11, 4)
     enum_doc = emit_enum_table(build_group("D21"))
