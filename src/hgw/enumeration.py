@@ -14,11 +14,12 @@ Those isomorphic to G's catalog group M_G are found lazily, once per Hol(M)
 and class: the element-order spectra of the whole stack are read in one pass,
 and the V with M_G's spectrum are grouped into classes under conjugation by
 Aut(M). Each generator of Aut(M) (generators of the stabiliser of 1, and one
-automorphism per other point of 1's orbit) conjugates them in one gather, a
-binary search finds the images, and ``regsearch.orbit_leaders`` labels each V
-with the least V of its class. Only that least V gets a Cayley table and one
-isomorphism search M_G -> V, kept with its rows; a class whose least V the
-search misses must be of another class.
+automorphism for each point of 1's orbit that the generators before it do not
+reach) conjugates them in one gather, a binary search finds the images, and
+``regsearch.orbit_leaders`` labels each V with the least V of its class. Only
+that least V gets a Cayley table and one isomorphism search M_G -> V, kept
+with its rows; a class whose least V the search misses must be of another
+class.
 
 Byott's translation matches the Aut(M)-classes of V one to one with the
 Aut(G)-orbits of structures of type M, and every V of one class gives the
@@ -222,9 +223,14 @@ class _HolData:
             # a trivial stabiliser has no generators, but _root_orbits needs one symmetry
             gens = groups.generating_sequence(FiniteGroup(range(len(table)), table)) or [0]
             symmetries = stabiliser[gens]
-            # with one automorphism sending 1 to each other point of its orbit, they generate Aut(M)
-            points, first = np.unique(aut_rows[:, 1], return_index=True)
-            self.aut_generators = np.concatenate([symmetries, aut_rows[first[points != 1]]])
+            # an automorphism sending 1 to each point that the generators chosen so far do not
+            # reach: they reach all of 1's orbit, so with Stab(1) they generate Aut(M)
+            gens, leader = symmetries, orbit_leaders(symmetries)
+            for alpha in aut_rows[np.unique(aut_rows[:, 1], return_index=True)[1]]:
+                if leader[alpha[1]] != leader[1]:
+                    gens = np.concatenate([gens, alpha[None]])
+                    leader = orbit_leaders(gens)
+            self.aut_generators = gens
         self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
         self._isomorphic: dict[str, _VClasses] = {}
         self._spectra: np.ndarray | None = None

@@ -6,29 +6,39 @@ import numpy as np
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns).
+
+    Row operations keep a zero column zero, so only the columns that start
+    non-zero are visited. Each pivot is taken from a row that has none yet,
+    where that row lies, and eliminated in place from the pivot column on,
+    since such a row is zero left of it; the pivot rows are put in order at
+    the end. The reduced form is unique, so which rows hold the pivots does
+    not change the result.
+    """
+    a = np.array(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rref expects a 2-D array")
-    rows, cols = a.shape
-    r = 0
+    a %= p
+    free = np.ones(len(a), dtype=bool)  # the rows without a pivot
+    order: list[int] = []  # the pivot rows, by pivot column
     pivots: list[int] = []
-    for c in range(cols):
-        nonzero = np.flatnonzero(a[r:, c])
-        if not nonzero.size:
-            continue
-        pivot_row = r + int(nonzero[0])
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
+        if len(order) == len(a):
             break
-    return a[:r], pivots
+        candidates = a[:, c] * free
+        k = int(candidates.argmax())
+        lead = int(candidates[k])
+        if not lead:
+            continue
+        row = a[k, c:] * pow(lead, p - 2, p) % p
+        rest = a[:, c:]
+        rest -= a[:, c, None] * row
+        rest %= p
+        rest[k] = row
+        free[k] = False
+        order.append(k)
+        pivots.append(c)
+    return a[order], pivots
 
 
 def rank(mat: np.ndarray, p: int) -> int:

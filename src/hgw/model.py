@@ -7,8 +7,15 @@ fixed fields as solution spaces, and the induced short exact sequence by ranks
 and spans. J = Psi(P), its cosets and lambda(G)'s block images on them are
 read from J's ``PsiResult`` (``correspond.psi_of_rows``), as in the census. G
 is read only through its rows and frobenius_matrices; only ExtensionModel
-knows that G is cyclic. The models of one degree share one C_n, and with it
-each J's ``PsiResult``; each model solves each K^S once.
+knows that G is cyclic, and it checks that j -> frobenius_matrices[j] is a
+homomorphism on G's rows, so that ring membership is tested on G's
+generator, the Frobenius, alone. The models of one degree share one C_n, and
+with it each J's ``PsiResult``; each model solves each K^S once, builds and
+verifies each ring once (``ExtensionModel.ring_of``, by support and action
+rows) and solves each K^{H_P} once (``ExtensionModel.field_of``, by P's
+rows), so a stable P that several N share, or a quotient equal to a ring
+already built, is read back. The power-sum implication is decided per
+subfield for a whole stack of subsets of G.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
 sum_i c_i x_powers[i], where x_powers[i] multiplies by x^i, and Frobenius^j
@@ -17,8 +24,8 @@ and every int64 sum of products stays below (n + 1)(p - 1)^2.
 A support group V (N, P or the block image of N) is its sorted uint8 image
 rows, as the enumeration and the correspondence hold them. An element
 sum_v c_v . v of K[V] is its (|V|, n) coefficient array, and a fixed ring is
-one (dimension, |V|, n) array of basis coefficients: it is built once per
-support and every check reads the whole stack.
+one (dimension, |V|, n) array of basis coefficients; every check reads
+the whole stack.
 """
 
 from __future__ import annotations
@@ -92,7 +99,30 @@ class ExtensionModel:
         self.x_powers, frobenius = _field_matrices(p, modulus)
         self.group = _cyclic_group(n)  # index j acts as Frobenius^j
         self.frobenius_matrices = self._frobenius_powers(frobenius)
+        # with j -> Frobenius^j a homomorphism on G, the Frobenius generates G, and a
+        # coefficient array fixed by the Frobenius is fixed by all of G
+        products = np.einsum("aij,bjk->abik", self.frobenius_matrices, self.frobenius_matrices)
+        if not np.array_equal(products % p, self.frobenius_matrices[self.group.rows]):
+            raise TheoremViolation("j -> Frobenius^j is not a homomorphism on G")
+        self.generators = np.array([1 % n])  # the Frobenius (the identity when n = 1)
         self._subfields: dict[tuple[int, ...], np.ndarray] = {}  # K^J by J's sorted points
+        self._rings: dict[tuple[bytes, bytes], FixedRing] = {}  # by support and action rows
+        self._fields: dict[bytes, FixedFieldResult] = {}  # K^{H_P} by P's rows
+
+    def ring_of(self, support_rows: np.ndarray, gbar_rows: np.ndarray | None = None) -> FixedRing:
+        """``fixed_ring_basis(self, support_rows, gbar_rows)``, built once per model."""
+        action = self.group.rows if gbar_rows is None else gbar_rows
+        key = (support_rows.tobytes(), action.tobytes())  # |G| action rows fix the row width
+        if key not in self._rings:
+            self._rings[key] = fixed_ring_basis(self, support_rows, gbar_rows)
+        return self._rings[key]
+
+    def field_of(self, p_rows: np.ndarray) -> FixedFieldResult:
+        """``fixed_field`` of H_P = ``ring_of(p_rows)``, solved and verified once per model."""
+        key = p_rows.tobytes()
+        if key not in self._fields:
+            self._fields[key] = fixed_field(self.ring_of(p_rows))
+        return self._fields[key]
 
     def mult_matrix(self, c) -> np.ndarray:
         """Matrix of y -> c*y (columns are c * x^i); a stack of elements gives a stack."""
@@ -163,7 +193,9 @@ class FixedRing:
 
     An element lies in the ring iff g(c_v) = c_{g v g^-1} for every g in G:
     the model's ``frobenius_matrices[g]`` is g's matrix on K, and ``conj[g, v]``
-    is the index of g v g^-1 in the support.
+    is the index of g v g^-1 in the support. Both are homomorphisms in g (the
+    model checks the first; the second is conjugation by an action of G), so
+    the condition is tested on the model's generators of G alone.
     """
 
     model: ExtensionModel
@@ -184,8 +216,10 @@ class FixedRing:
 
     def contains(self, coeffs: np.ndarray) -> bool:
         """Whether every (|V|, n) coefficient array of the stack ``coeffs`` lies in the ring."""
-        frob = self.model.frobenius_matrices
-        moved = np.einsum("gij,kvj->kgvi", frob, coeffs) - coeffs[:, self.conj]
+        gens = self.model.generators
+        frob_t = self.model.frobenius_matrices[gens].transpose(0, 2, 1)
+        # [k, g, v]: g(c_v) - c_{g v g^-1} for element k and generator g
+        moved = coeffs[:, None] @ frob_t - coeffs[:, self.conj[gens]]
         return not np.any(moved % self.model.p)
 
 
@@ -312,21 +346,25 @@ def hopf_galois_rank(ring: FixedRing) -> bool:
     return fplin.rank(flat, p) == n * n
 
 
-def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
-                   field_result: FixedFieldResult) -> bool:
-    """One instance of the power-sum implication (needs p > |G|).
+def fixedsum_check(model: ExtensionModel, subsets: np.ndarray,
+                   field_result: FixedFieldResult) -> np.ndarray:
+    """The power-sum implication for a stack of subsets S of G (needs p > |G|).
 
-    If sum over S of sigma(x) = |S| x for all x in the subfield, then S must
-    lie inside its Galois group J; returns whether that implication holds.
+    ``subsets`` is a (count, |G|) 0/1 mask, one row per S. If sum over S of
+    sigma(x) = |S| x for all x in the subfield, then S must lie inside its
+    Galois group J; entry i says whether that implication holds for row i.
+    Every S is decided by one tensordot over the subfield's images g(x).
     """
     if model.p <= model.group.order:
         raise GroupSpecError("fixedsum check requires p > |G|")
-    p = model.p
-    total = model.frobenius_matrices[list(sigma_points)].sum(axis=0) % p
-    basis = field_result.basis
-    hypothesis = np.array_equal(basis @ total.T % p, len(sigma_points) * basis % p)
-    conclusion = set(sigma_points) <= set(field_result.j_points)
-    return (not hypothesis) or conclusion
+    p, basis = model.p, field_result.basis
+    images = np.einsum("gij,dj->gdi", model.frobenius_matrices, basis) % p  # [g, d]: g(x_d)
+    sums = np.tensordot(subsets, images, 1) - subsets.sum(axis=1)[:, None, None] * basis
+    hypothesis = ~np.any(sums % p, axis=(1, 2))
+    outside = np.ones(model.group.order, dtype=bool)
+    outside[list(field_result.j_points)] = False
+    conclusion = ~np.any(subsets[:, outside], axis=1)
+    return ~hypothesis | conclusion
 
 
 # -- short exact sequence -------------------------------------------------------
@@ -335,7 +373,7 @@ def fixedsum_check(model: ExtensionModel, sigma_points: Sequence[int],
 def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     """Verify 1 -> H_P -> H_N -> H_{N/P} -> 1 by exact linear algebra.
 
-    Reads the rings H_N and H_P as given and builds only H_{N/P}.
+    Reads the rings H_N and H_P as given, and H_{N/P} from the model's rings.
     Checks: (i) H_P embeds in H_N; (ii) the coset projection maps H_N onto
     H_{N/P}; (iii) its kernel has dimension |N| - [N:P]; (iv) the kernel
     equals H_N . H_P^+; (v) dim H_P = |P| and dim H_{N/P} = [N:P].
@@ -366,7 +404,7 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     m = result.space.block_count
     if len(nbar) != size_n // len(p_rows):
         raise TheoremViolation("block image of N does not have order [N:P]")
-    h_quot = fixed_ring_basis(model, nbar, gbar_rows=result.gbar_of)
+    h_quot = model.ring_of(nbar, result.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
     onehot = np.eye(m, dtype=np.int64)[nbar_index]  # [v, b]: v lies over b

@@ -403,6 +403,29 @@ def test_v_classes_are_the_aut_m_conjugacy_classes(m_name):
         assert sum(size for *_, size in classes.leaders) == kinds[class_name]
 
 
+@pytest.mark.parametrize("m_name", [name for order in range(1, 25) for name in catalog_names(order)])
+def test_aut_generators_generate_aut_m(m_name):
+    # the stabiliser of 1's generators and one automorphism per point of 1's orbit that
+    # the earlier generators miss: their closure is all of Aut(M)
+    hol = enumeration._hol_data(m_name)
+    gens = hol.aut_generators
+    identity = np.arange(hol.model.order, dtype=np.uint8)
+    seen, frontier = {}, {identity.tobytes(): identity}
+    while frontier:
+        seen.update(frontier)
+        products = np.concatenate([gens[:, f] for f in frontier.values()])  # alpha o f
+        frontier = {row.tobytes(): row for row in products if row.tobytes() not in seen}
+    assert len(seen) == hol.aut_order
+
+
+def test_aut_generators_of_c2_cubed_reach_1s_orbit_with_one_more_automorphism():
+    # GL(3, 2) is transitive on the 7 non-identity points; the parent kept one
+    # automorphism for each of the 6 other points of 1's orbit
+    hol = enumeration._hol_data("C2^3")
+    moved = hol.aut_generators[hol.aut_generators[:, 1] != 1]
+    assert hol.aut_order == 168 and len(moved) == 1
+
+
 def test_generator_that_moves_a_v_out_of_hol_m_is_a_theorem_violation():
     hol = enumeration._HolData("C4", catalog_group("C4"))
     # (2 3) is no automorphism of C4: it conjugates lambda(C4) out of Hol(C4)

@@ -12,6 +12,7 @@ from hgw import correspond, fplin
 from hgw import model as model_mod
 from hgw.catalog import catalog_names
 from hgw.correspond import stable_subgroups
+from hgw.dsl import build_group
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import GroupSpecError, TheoremViolation
 from hgw.groups import subgroups
@@ -255,15 +256,36 @@ def test_rank_true_for_structures_false_for_proper_subring(model_11_4):
                 assert not hopf_galois_rank(sub_ring)
 
 
+def _subset_masks(order, subsets):
+    """The (len(subsets), order) 0/1 mask of the given point sets."""
+    masks = np.zeros((len(subsets), order), dtype=np.int64)
+    for row, subset in enumerate(subsets):
+        masks[row, list(subset)] = 1
+    return masks
+
+
+def _all_subsets(order):
+    return [subset for r in range(order + 1) for subset in itertools.combinations(range(order), r)]
+
+
+def _ref_fixedsum(model, sigma_points, field_result):
+    """The power-sum implication for one subset S, as decided one S at a time."""
+    p = model.p
+    total = model.frobenius_matrices[list(sigma_points)].sum(axis=0) % p
+    basis = field_result.basis
+    hypothesis = np.array_equal(basis @ total.T % p, len(sigma_points) * basis % p)
+    conclusion = set(sigma_points) <= set(field_result.j_points)
+    return (not hypothesis) or conclusion
+
+
 def test_fixedsum_hypothesis_and_conclusion(model_11_6):
     model = model_11_6
     j = (0, 3)  # the order-2 subgroup of G = C6
     field = FixedFieldResult(fixed_subfield_of_group(model, j), j)
-    # S inside J: hypothesis holds and conclusion holds
-    assert fixedsum_check(model, (0, 3), field)
-    assert fixedsum_check(model, (3,), field)
+    # S inside J: hypothesis holds and conclusion holds;
     # S outside J: hypothesis must fail (sum is not |S| . id on F), implication true
-    assert fixedsum_check(model, (1,), field)
+    assert fixedsum_check(model, _subset_masks(6, [(0, 3), (3,), (1,)]), field).tolist() \
+        == [True, True, True]
     total = model.frobenius_matrices[1]
     violated = any(
         not np.array_equal((total @ vec) % model.p, vec % model.p) for vec in field.basis)
@@ -272,12 +294,40 @@ def test_fixedsum_hypothesis_and_conclusion(model_11_6):
 
 def test_fixedsum_exhaustive_n4(model_11_4):
     model = model_11_4
+    masks = _subset_masks(4, _all_subsets(4))
+    assert len(masks) == 16
     for handle in subgroups(model.group):
         pts = tuple(sorted(handle.members))
         field = FixedFieldResult(fixed_subfield_of_group(model, pts), pts)
-        for r in range(5):
-            for subset in itertools.combinations(range(4), r):
-                assert fixedsum_check(model, subset, field)
+        assert fixedsum_check(model, masks, field).all()
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_fixedsum_stack_matches_the_per_subset_formula(p):
+    # every subfield K^J with its true J and with each proper subset of J's points, which
+    # names too small a Galois group: the implication then fails for some S
+    for n in range(1, 7):
+        model = make_extension(p, n)
+        subsets = _all_subsets(n)
+        masks = _subset_masks(n, subsets)
+        for handle in subgroups(model.group):
+            pts = tuple(sorted(handle.members))
+            basis = fixed_subfield_of_group(model, pts)
+            for points in _all_subsets(len(pts)):
+                field = FixedFieldResult(basis, tuple(pts[i] for i in points))
+                stacked = fixedsum_check(model, masks, field)
+                assert stacked.dtype == bool and stacked.shape == (len(subsets),)
+                assert stacked.tolist() == [_ref_fixedsum(model, s, field) for s in subsets]
+                assert stacked.all() == (len(points) == len(pts)), (p, n, pts, points)
+
+
+def test_fixedsum_fails_for_a_galois_group_with_too_few_points(model_11_6):
+    model = model_11_6
+    j = (0, 2, 4)  # the order-3 subgroup of C6; the faked result names only (0, 2)
+    field = FixedFieldResult(fixed_subfield_of_group(model, j), (0, 2))
+    decided = fixedsum_check(model, _subset_masks(6, [(0, 2), (0, 2, 4), (4,)]), field)
+    assert decided.tolist() == [True, False, False]
+    assert not fixedsum_check(model, _subset_masks(6, _all_subsets(6)), field).all()
 
 
 def test_exact_sequence_degenerate_cases(model_11_6):
@@ -330,6 +380,61 @@ def test_model_and_census_share_one_psi_result_per_j(monkeypatch):
                     correspond.quotient_structure(stable, result)
                 assert correspond.psi_of_rows(model.group, stable.rows) is result
         assert spaces == {(0,): 1, (0, 2): 1, (0, 1, 2, 3): 1}  # the subgroups of C4
+
+
+def _ref_contains(ring, coeffs):
+    """Membership tested on every g in G, not only on the model's generators."""
+    frob = ring.model.frobenius_matrices
+    moved = np.einsum("gij,kvj->kgvi", frob, coeffs) - coeffs[:, ring.conj]
+    return not np.any(moved % ring.model.p)
+
+
+@pytest.mark.parametrize("n", [n for n in range(1, 9) if catalog_names(n)])
+def test_contains_on_generators_agrees_with_every_g(monkeypatch, n):
+    # every ring model_report builds, quotient rings under gbar_of included; a member plus
+    # a non-zero multiple of x^i at one v is a non-member unless x^i . v is in the ring
+    built = []
+    original = model_mod.fixed_ring_basis
+
+    def recorded(model, support_rows, gbar_rows=None):
+        built.append(original(model, support_rows, gbar_rows))
+        return built[-1]
+
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", recorded)
+    model_report(11, n)
+    assert list(built[0].model.generators) == [1 % n]
+    rng = np.random.default_rng(n)
+    outcomes = Counter()
+    for ring in built:
+        size, p = len(ring.rows), ring.model.p
+        member = np.tensordot(rng.integers(0, p, ring.dimension), ring.basis, 1) % p
+        assert ring.contains(ring.basis) and _ref_contains(ring, ring.basis)
+        for v, i in itertools.product(range(size), range(n)):
+            perturbed = member.copy()
+            perturbed[v, i] += int(rng.integers(1, p))
+            verdict = ring.contains(perturbed[None])
+            assert verdict == _ref_contains(ring, perturbed[None]), (n, ring.rows, v, i)
+            outcomes[verdict] += 1
+    # 1 . id is fixed, so a unit at the identity keeps a member; at n = 1 every element is
+    assert outcomes[True] > 0 and (outcomes[False] > 0) == (n > 1)
+
+
+def test_rings_are_kept_by_support_and_action():
+    # one support under two actions of G: lambda(G) by conjugation, and the trivial
+    # action, whose fixed ring is F_p[N]; each pair is built once and read back after
+    model = make_extension(11, 8)
+    record = next(r for r in enumerate_hgs(model.group)
+                  if any(len(np.unique(orbit)) > 1 for orbit in fixed_ring_basis(
+                      model, r.rows).conj.T))
+    trivial = np.tile(np.arange(8, dtype=np.uint8), (8, 1))
+    h_n = model.ring_of(record.rows)
+    group_ring = model.ring_of(record.rows, trivial)
+    assert group_ring is not h_n and not np.any(group_ring.basis[..., 1:])
+    assert np.any(h_n.basis[..., 1:])
+    assert model.ring_of(record.rows) is h_n
+    assert model.ring_of(record.rows, model.group.rows) is h_n
+    assert model.ring_of(record.rows, trivial) is group_ring
+    assert len(model._rings) == 2
 
 
 def test_fixed_ring_dimension_violation_detected(model_11_6):
@@ -416,6 +521,12 @@ def _case_support_not_normalized(monkeypatch):
     model = make_extension(11, 2)
     bad = np.array([[0, 1, 2], [1, 0, 2]], dtype=np.uint8)
     fixed_ring_basis(model, bad, gbar_rows=np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8))
+
+
+def _case_frobenius_not_a_homomorphism(monkeypatch):
+    # in C2 x C2 index 1 has order 2, while Frobenius^1 has order 4 on F_{11^4}
+    monkeypatch.setattr(model_mod, "_cyclic_group", lambda n: build_group("C2 x C2"))
+    make_extension(11, 4)
 
 
 def _case_fixed_ring_dimension(monkeypatch):
@@ -558,6 +669,7 @@ def _case_product_span(monkeypatch):
 CONTRACT_CASES = {
     "Frobenius does not have order n on K": _case_frobenius_order,
     "Frobenius has order < n; modulus not irreducible?": _case_frobenius_order_below_n,
+    "j -> Frobenius^j is not a homomorphism on G": _case_frobenius_not_a_homomorphism,
     "augmentation of a fixed-ring element is not in F_p": _case_augmentation_not_in_k,
     "conjugator does not normalize the support group": _case_support_not_normalized,
     "fixed ring dimension 4 != |V| = 3": _case_fixed_ring_dimension,
@@ -732,7 +844,8 @@ def test_fixed_ring_basis_matches_nullspace_reference(monkeypatch, p, n):
 
     monkeypatch.setattr(model_mod, "fixed_ring_basis", recorded)
     model_report(p, n)
-    assert any(gbar is not None for _, gbar in built)
+    # at n = 1, H_{N/P} for the trivial P is H_N itself, read back from the model
+    assert any(gbar is not None for _, gbar in built) or n == 1
     for ring, gbar in built:
         reference = _ref_fixed_ring(ring.model, ring.rows, gbar)
         assert fplin.row_spaces_equal(ring.basis.reshape(len(ring.basis), -1), reference, p)
@@ -796,3 +909,56 @@ def test_rref_and_nullspace_match_loop_reference(p):
         assert pivots == ref_pivots and np.array_equal(red, ref_red), (p, mat)
         ns = fplin.nullspace(mat, p)
         assert ns.dtype == np.int64 and np.array_equal(ns, _ref_nullspace(mat, p)), (p, mat)
+
+
+def _py_rref(mat, p):
+    """Gauss-Jordan elimination mod p on lists of Python ints."""
+    a = [[int(x) % p for x in row] for row in mat]
+    pivots, r = [], 0
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _rref_cases(p, rng):
+    """Random, tall, wide, rank-deficient and zero-column matrices mod p."""
+    for rows, cols in [(5, 5), (12, 3), (3, 12), (64, 8), (8, 64), (1, 1), (1, 7), (7, 1)]:
+        yield rng.integers(0, p, (rows, cols))
+    for rows, cols, rank in [(9, 9, 4), (12, 5, 2), (4, 15, 3), (6, 6, 0), (10, 10, 9)]:
+        yield rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))
+    for rows, cols in [(6, 10), (10, 6), (3, 3)]:
+        mat = rng.integers(-3 * p, 3 * p, (rows, cols))  # entries outside [0, p) too
+        mat[:, rng.random(cols) < 0.4] = 0
+        mat[:, 0] = 0
+        yield mat
+    yield np.zeros((4, 5), dtype=np.int64)
+    for cols in (0, 1, 6):
+        yield np.zeros((0, cols), dtype=np.int64)
+    yield np.zeros((3, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", (2, 3, 11, 59))
+def test_rref_matches_python_gauss_jordan(p):
+    rng = np.random.default_rng(1000 + p)
+    for _ in range(20):
+        for mat in _rref_cases(p, rng):
+            before = mat.copy()
+            red, pivots = fplin.rref(mat, p)
+            ref_red, ref_pivots = _py_rref(mat.tolist(), p)
+            assert pivots == ref_pivots, (p, mat)
+            assert red.dtype == np.int64 and red.shape == (len(ref_pivots), mat.shape[1])
+            assert red.tolist() == ref_red, (p, mat)
+            assert np.array_equal(mat, before)  # the input is not reduced in place
+    with pytest.raises(ValueError, match="2-D"):
+        fplin.rref(np.arange(4), p)

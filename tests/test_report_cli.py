@@ -324,24 +324,36 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
 
 
 def test_model_report_builds_each_ring_once(monkeypatch):
-    # H_N once per record, H_P once per stable P, H_{N/P} once per normal pair
+    # each (support, action) ring once per model and K^(H_P) once per distinct P: the 6
+    # records of C8 have 24 stable P, all normal in N, but only 10 distinct P (each N is
+    # one of them); of the 24 quotients, the 6 by P = 1 are H_N and 4 others are distinct
     import hgw.model as model_mod
     from hgw.correspond import stable_subgroups
     from hgw.enumeration import enumerate_hgs
 
-    calls = []
-    original = model_mod.fixed_ring_basis
+    rings, fields = [], []
+    original_ring, original_field = model_mod.fixed_ring_basis, model_mod.fixed_field
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_ring(model, support_rows, gbar_rows=None):
+        action = model.group.rows if gbar_rows is None else gbar_rows
+        rings.append((support_rows.tobytes(), action.tobytes()))
+        return original_ring(model, support_rows, gbar_rows)
 
-    monkeypatch.setattr(model_mod, "fixed_ring_basis", counted)
+    def counted_field(ring):
+        fields.append(ring.rows.tobytes())
+        return original_field(ring)
+
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", counted_ring)
+    monkeypatch.setattr(model_mod, "fixed_field", counted_field)
     model_report(11, 8)
     records = enumerate_hgs(model_mod.make_extension(11, 8).group)
     stables = [s for record in records for s in stable_subgroups(record)]
-    normal_pairs = sum(s.normal_in_n for s in stables)
-    assert len(calls) == len(records) + len(stables) + normal_pairs == 54
+    distinct_p = {s.rows.tobytes() for s in stables}
+    assert (len(records), len(stables), sum(s.normal_in_n for s in stables)) == (6, 24, 24)
+    assert {r.rows.tobytes() for r in records} <= distinct_p and len(distinct_p) == 10
+    assert len(rings) == len(set(rings)) == 14
+    assert sum(action != records[0].group.rows.tobytes() for _, action in rings) == 4
+    assert sorted(fields) == sorted(distinct_p)
 
 
 @pytest.mark.parametrize("check", ["fix", "rank", "exact", "fixedsum"])
