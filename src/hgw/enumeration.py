@@ -43,11 +43,12 @@ the orbits of a record list off those tags, for the census.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
 the rows are also the key that deduplicates embeddings. N's PermGroup is built
-only when read. For each distinct N the transport is checked once: b is
-bijective, the transported beta(G) equals lambda(G), N's rows are
-b^-1 lambda(M) b, and N arose from exactly |Aut(M)| / |class| embeddings of
-its class's least V, which is |Aut(M)| over the whole class. Then N gets
-the checks that a given N (``HgsRecord.from_perm_group``) gets too, in one
+only when read, and no function of the package takes one. For each distinct N
+the transport is checked once: b is bijective, the transported beta(G) equals
+lambda(G), N's rows are b^-1 lambda(M) b, and N arose from exactly
+|Aut(M)| / |class| embeddings of its class's least V, which is |Aut(M)| over
+the whole class. Then N gets the checks that a given N
+(``HgsRecord.from_rows``, from its rows in any order) gets too, in one
 constructor: N's degree is |G|, N is regular, lambda(G) normalizes N (the
 check also builds ``lambda_conj``), and ``m_to_n`` is an isomorphism from M,
 the catalog group of N's class, onto N's rows. The transport gives ``m_to_n``
@@ -103,11 +104,10 @@ class HgsRecord:
     orbit: int | None = None
 
     @classmethod
-    def from_perm_group(cls, group: FiniteGroup, n_group: PermGroup, n_class: GroupClassLabel,
-                        provenance: tuple[str, int]) -> HgsRecord:
-        """The record of a given N, its views computed and checked by ``_checked``."""
-        rows = np.array([p.images for p in n_group.elements], dtype=np.uint8)
-        return cls._checked(group, rows, n_class, provenance)
+    def from_rows(cls, group: FiniteGroup, rows: np.ndarray, n_class: GroupClassLabel,
+                  provenance: tuple[str, int]) -> HgsRecord:
+        """The record of a given N, its uint8 rows in any order, checked by ``_checked``."""
+        return cls._checked(group, rows[np.lexsort(rows.T[::-1])], n_class, provenance)
 
     @classmethod
     def _checked(cls, group: FiniteGroup, rows: np.ndarray, n_class: GroupClassLabel,

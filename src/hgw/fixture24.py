@@ -2,10 +2,15 @@
 
 Generator files live under fixtures/paper24/ in 1-based cycle notation; the
 loader shifts to 0-based points and identifies point 0 with the identity of G
-(the regular action makes points and group elements interchangeable). G, N
-and P are classified by the tables of their uint8 rows. The
-fixture exercises the non-normal branch: P is normal in N and G-stable, yet
-J = Psi(P) is one of three conjugate non-normal order-8 subgroups.
+(the regular action makes points and group elements interchangeable).
+``perm.closure`` builds G, N and P, and ``perm.normalizes`` checks the three
+conjugations; every other check reads their uint8 rows, sorted by image
+tuple. Regularity is ``regsearch.is_regular``, "P inside N" is
+``regsearch.row_indices``, which also gives P's indices in N, and P's orbits
+are the point sets of the columns of its rows. G, N and P are classified by
+the tables of their rows. The fixture exercises the non-normal branch: P is
+normal in N and G-stable, yet J = Psi(P) is one of three conjugate non-normal
+order-8 subgroups.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .correspond import StableSubgroup, orbit_coset_check, psi, quotient_structu
 from .enumeration import HgsRecord
 from .errors import FixtureFailure
 from .groups import FiniteGroup, SubgroupHandle, core_of, semiregular_group, subgroups
-from .perm import PermGroup, Permutation, closure, normalizes
-from .regsearch import is_regular
+from .perm import Permutation, closure, normalizes
+from .regsearch import is_regular, row_indices
 
 DEGREE = 24
 
@@ -74,41 +79,44 @@ def run_fixture() -> FixtureReport:
         if not ok:
             raise FixtureFailure(f"{name}: {detail}")
 
-    g_group = closure(load_generators("g"), DEGREE)
-    n_group = closure(load_generators("n"), DEGREE)
-    p_group = closure(load_generators("p"), DEGREE)
-    # N and P are semiregular, so their sorted uint8 rows give their tables
-    n_rows, p_rows = (np.array([q.images for q in h.elements], dtype=np.uint8)
-                      for h in (n_group, p_group))
+    g_group, n_group, p_group = (closure(load_generators(name), DEGREE)
+                                 for name in ("g", "n", "p"))
+    # closure sorts each element set by image tuple: a regular group's by image of 0
+    g_rows, n_rows, p_rows = (np.array([q.images for q in h.elements], dtype=np.uint8)
+                              for h in (g_group, n_group, p_group))
 
-    check("G order and regularity", g_group.order == 24 and g_group.is_regular(),
-          f"|G|={g_group.order}, regular={g_group.is_regular()}")
+    g_regular = bool(is_regular(g_rows))
+    check("G order and regularity", len(g_rows) == 24 and g_regular,
+          f"|G|={len(g_rows)}, regular={g_regular}")
     # identify points with elements of G: point i <-> the element sending 0 to i
-    g_abs = _regular_identification(g_group)
+    g_abs = _regular_identification(g_rows)
     g_class = iso_class(g_abs).name
     check("G class", g_class == "S4", f"[G]={g_class}")
-    check("N order and regularity", n_group.order == 24 and n_group.is_regular(),
-          f"|N|={n_group.order}, regular={n_group.is_regular()}")
+    n_regular = bool(is_regular(n_rows))
+    check("N order and regularity", len(n_rows) == 24 and n_regular,
+          f"|N|={len(n_rows)}, regular={n_regular}")
     n_class = iso_class(semiregular_group(n_rows))
     check("N class", n_class.name == "A4 x C2", f"[N]={n_class.name}")
     check("N normalized by G", normalizes(g_group, n_group), "conjugation check")
     p_class = iso_class(semiregular_group(p_rows)).name
-    check("P order and class", p_group.order == 8 and p_class == "C2^3",
-          f"|P|={p_group.order}, [P]={p_class}")
-    check("P inside N", all(q in n_group for q in p_group.elements), "membership")
+    check("P order and class", len(p_rows) == 8 and p_class == "C2^3",
+          f"|P|={len(p_rows)}, [P]={p_class}")
+    p_in_n = row_indices(n_rows, p_rows)  # N is regular, so its rows are semiregular
+    check("P inside N", p_in_n is not None, "membership")
     check("P normal in N", normalizes(n_group, p_group), "conjugation check")
     check("P normalized by G", normalizes(g_group, p_group), "conjugation check")
+    # column x of P's rows holds the orbit of x: P is semiregular iff every column
+    # holds |P| distinct points, and transitive iff there is one orbit
+    p_columns = [_one_based(col) for col in p_rows.T.tolist()]
+    p_orbits = set(p_columns)
     check("P semiregular, not transitive",
-          p_group.is_semiregular() and not p_group.is_transitive(),
-          f"orbits={len(p_group.orbits())}")
-
-    p_orbits = tuple(_one_based(o) for o in p_group.orbits())
-    check("P orbits", set(p_orbits) == set(EXPECTED_P_ORBITS),
+          all(len(col) == len(p_rows) for col in p_columns) and len(p_orbits) > 1,
+          f"orbits={len(p_orbits)}")
+    check("P orbits", p_orbits == set(EXPECTED_P_ORBITS),
           f"got {sorted(sorted(o) for o in p_orbits)}")
 
-    record = HgsRecord.from_perm_group(g_abs, n_group, n_class, ("paper24", 0))
-    n_index = {perm.images: i for i, perm in enumerate(n_group.elements)}
-    p_handle = SubgroupHandle(tuple(sorted(n_index[q.images] for q in p_group.elements)))
+    record = HgsRecord.from_rows(g_abs, n_rows, n_class, ("paper24", 0))
+    p_handle = SubgroupHandle(tuple(sorted(p_in_n.tolist())))
     stable = StableSubgroup(record, p_handle, normal_in_n=True)
     result = psi(stable)
 
@@ -126,7 +134,7 @@ def run_fixture() -> FixtureReport:
     j_orbits = {_one_based(col) for col in g_abs.rows[list(result.j_handle.members)].T.tolist()}
     check("J orbits (right cosets)", j_orbits == set(EXPECTED_J_ORBITS),
           f"got {sorted(sorted(o) for o in j_orbits)}")
-    shared = j_orbits & set(p_orbits)
+    shared = j_orbits & p_orbits
     check("left/right coset mismatch",
           shared == {EXPECTED_P_ORBITS[0]},
           f"J and P share only the identity block; shared={sorted(sorted(o) for o in shared)}")
@@ -143,9 +151,8 @@ def run_fixture() -> FixtureReport:
     return FixtureReport(rows)
 
 
-def _regular_identification(g_group: PermGroup) -> FiniteGroup:
-    """G with its elements indexed by their image of point 0, so that lambda(G) = G."""
-    rows = np.array(sorted(perm.images for perm in g_group.elements), dtype=np.uint8)
+def _regular_identification(rows: np.ndarray) -> FiniteGroup:
+    """G on its rows sorted by image tuple, so that element i sends 0 to i and lambda(G) = G."""
     if not is_regular(rows):
         raise FixtureFailure("fixture group is not regular; cannot identify points")
     g_abs = semiregular_group(rows)  # its table is the rows: lambda(G) = G

@@ -1,4 +1,12 @@
-"""Permutations on {0..n-1} and materialized permutation groups."""
+"""Permutations on {0..n-1} and materialized permutation groups.
+
+``Permutation`` is the package's cycle-notation input and output. Below it
+every module passes permutations as uint8 rows, and ``regsearch`` owns the
+group predicates on them: regularity, membership, orbits. ``PermGroup`` is a
+sorted element set with its generators. ``closure`` builds the paper24
+fixture's G, N and P this way, and ``normalizes`` checks their conjugations;
+the Sym(n) oracle and ``HgsRecord.n_group`` hand N's elements out in it.
+"""
 
 from __future__ import annotations
 
@@ -67,9 +75,6 @@ class Permutation:
             cycles.append([int(tok) for tok in body.split(",")])
         return Permutation.from_cycles(cycles, degree, one_based=one_based)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(x) = p(q(x))."""
         if self.degree != other.degree:
@@ -117,17 +122,11 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
 
-    def is_fixed_point_free(self) -> bool:
-        return all(x != i for i, x in enumerate(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
-
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
@@ -153,64 +152,12 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
-        self._member_set = frozenset(p.images for p in self.elements)
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element set must contain the identity")
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._member_set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self._member_set == other._member_set
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self._member_set))
-
-    def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, order={self.order})"
-
-    def orbit(self, point: int) -> frozenset[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
-
-    def orbits(self) -> list[frozenset[int]]:
-        """All point orbits, ordered by least point."""
-        out = []
-        covered: set[int] = set()
-        for p in range(self.degree):
-            if p not in covered:
-                orb = self.orbit(p)
-                covered |= orb
-                out.append(orb)
-        return out
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
-
-    def is_semiregular(self) -> bool:
-        return all(p.is_identity() or p.is_fixed_point_free() for p in self.elements)
-
-    def is_regular(self) -> bool:
-        return self.is_semiregular() and self.order == self.degree
 
 
 def closure(gens: Sequence[Permutation], degree: int) -> PermGroup:
@@ -234,19 +181,16 @@ def closure(gens: Sequence[Permutation], degree: int) -> PermGroup:
     return PermGroup(degree, gens, list(elems.values()))
 
 
-def normalizes(a_group, b_group) -> bool:
+def normalizes(a_group: PermGroup, b_group: PermGroup) -> bool:
     """True iff every generator of A conjugates B into itself.
 
-    Both arguments may be PermGroup or anything exposing ``generators`` /
-    ``elements`` of Permutation; conjugating generators of B suffices because
-    conjugation is an automorphism of the ambient symmetric group.
+    Conjugating generators of B suffices because conjugation is an
+    automorphism of the ambient symmetric group.
     """
     b_members = frozenset(p.images for p in b_group.elements)
-    b_gens = getattr(b_group, "generators", None) or b_group.elements
-    a_gens = getattr(a_group, "generators", None) or a_group.elements
-    for a in a_gens:
+    for a in a_group.generators:
         a_inv = a.inverse()
-        for b in b_gens:
+        for b in b_group.generators:
             if (a * b * a_inv).images not in b_members:
                 return False
     return True

@@ -1,5 +1,6 @@
-"""Cayley tables of PermGroups, and the regular representations as PermGroups, for
-tests that compare the package's row stacks with groups built in cycle notation."""
+"""Cayley tables and row stacks of PermGroups, and the regular representations as
+PermGroups, for tests that compare the package's row stacks with groups built in
+cycle notation."""
 
 import numpy as np
 
@@ -13,6 +14,11 @@ def as_finite_group(group, spec=""):
     labels = [p.cycle_string() for p in elems]
     return FiniteGroup(labels, cayley_table(np.array([p.images for p in elems], dtype=np.uint8)),
                        spec=spec or f"perm group of order {len(elems)}")
+
+
+def rows_of(group):
+    """A PermGroup's elements as one uint8 row stack, sorted by image tuple."""
+    return np.array([p.images for p in group.elements], dtype=np.uint8)
 
 
 def left_regular(group):

@@ -20,6 +20,7 @@ from hgw.correspond import (
     induced_block_perm,
     orbit_coset_check,
     psi,
+    psi_of_rows,
     psi_onto,
     quotient_structure,
     stable_subgroups,
@@ -36,9 +37,10 @@ from hgw.groups import (
     semiregular_group,
     subgroups,
 )
-from perm_tables import as_finite_group, left_regular, right_regular
+from perm_tables import as_finite_group, left_regular, right_regular, rows_of
 from subgroup_references import core_of as reference_core_of, is_normal
 from hgw.perm import PermGroup, Permutation, closure, normalizes
+from hgw.regsearch import is_regular
 from hgw.report import correspondence_table_doc
 
 
@@ -81,8 +83,8 @@ def test_psi_of_rho_j_is_j():
     for stable in stable_subgroups(record):
         result = psi(stable)
         # rho(J) has identity orbit exactly J (as a set of element indices)
-        assert set(result.j_handle.members) == {p.inverse()(0) for p in
-                                                _as_perm_group(stable.rows)}
+        assert set(result.j_handle.members) == {p.inverse().images[0] for p in
+                                                _as_perm_group(stable.rows).elements}
         assert orbit_coset_check(stable, result)
 
 
@@ -97,9 +99,9 @@ def test_psi_rejects_unstable_subgroup():
 
     g_group = closure(load_generators("g"), DEGREE)
     n_group = closure(load_generators("n"), DEGREE)
-    g_abs = _regular_identification(g_group)  # lambda(G) is G itself
-    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(as_finite_group(n_group)),
-                                       ("fixture", 0))
+    g_abs = _regular_identification(rows_of(g_group))  # lambda(G) is G itself
+    record = HgsRecord.from_rows(g_abs, rows_of(n_group), iso_class(as_finite_group(n_group)),
+                                 ("fixture", 0))
     tripped = 0
     for handle in subgroups(as_finite_group(n_group)):
         if normalizes(g_group, _as_perm_group(record.rows[list(handle.members)])):
@@ -110,6 +112,15 @@ def test_psi_rejects_unstable_subgroup():
         except TheoremViolation:
             tripped += 1
     assert tripped >= 8
+
+
+def test_psi_of_rows_rejects_an_identity_orbit_smaller_than_p():
+    """<(2 3)> fixes 0, so its identity orbit {0} has 1 point for |P| = 2."""
+    p_rows = np.array([[0, 1, 2, 3], [0, 1, 3, 2]], dtype=np.uint8)
+    with pytest.raises(TheoremViolation,
+                       match=r"^identity orbit size differs from \|P\|; "
+                             r"P was not lambda\(G\)-stable"):
+        psi_of_rows(build_group("C2 x C2"), p_rows)
 
 
 def test_quotient_structure_requires_normal_p_flag():
@@ -174,6 +185,10 @@ def test_induced_block_perm_rejects_block_breaker():
     # a transposition inside one block leaves the partition intact
     inside = Permutation.from_cycles([(0, 2)], 6)
     assert induced_block_perm(_rows(inside), space).tolist() == [[0, 1]]
+    # a constant map respects every partition, but sends all blocks to one
+    pairs = coset_space(group, SubgroupHandle((0, 3)))  # {0,3}, {1,4}, {2,5}
+    with pytest.raises(BlockSystemViolation, match=r"^induced block map is not a bijection$"):
+        induced_block_perm(np.zeros((1, 6), dtype=np.uint8), pairs)
 
 
 def test_quotient_structure_p_equals_n():
@@ -195,9 +210,8 @@ def test_quotient_small_normal_case():
     assert result.normal_in_g and result.core_order == 2
     quotient = quotient_structure(stable, result)
     assert result.space.block_count == 3
-    nbar, gbar = _as_perm_group(quotient.nbar), _as_perm_group(result.gbar)
-    assert nbar.is_regular() and gbar.is_regular()
-    assert iso_class(as_finite_group(nbar)).name == "C3"
+    assert is_regular(quotient.nbar) and is_regular(result.gbar)
+    assert iso_class(as_finite_group(_as_perm_group(quotient.nbar))).name == "C3"
 
 
 # -- the index views against permutation products -------------------------------
@@ -206,10 +220,23 @@ SMALL_CLASSES = ["C1", "C2", "C3", "C4", "C2^2", "C6", "D3", "C7", "C8", "C4 x C
                  "D4", "Q8", "C12", "C6 x C2", "D6", "A4", "Dic3"]
 
 
+def _orbit(perm_group, point):
+    """The orbit of ``point``, walked along the generators of a PermGroup."""
+    seen, frontier = {point}, [point]
+    while frontier:
+        x = frontier.pop()
+        for y in (g.images[x] for g in perm_group.generators):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def _reference_orbit_coset(group, p_group, j_members):
     """The parent form: every orbit of P equals (least point) * J."""
+    orbits = {frozenset(_orbit(p_group, x)) for x in range(group.order)}
     return all(set(orbit) == {group.table[min(orbit)][x] for x in j_members}
-               for orbit in p_group.orbits())
+               for orbit in orbits)
 
 
 @pytest.mark.parametrize("g_name", SMALL_CLASSES)
@@ -235,7 +262,7 @@ def test_index_views_match_permutation_products(g_name):
         for stable in stables:
             p_group = _as_perm_group(stable.rows)
             result = psi(stable)
-            assert result.j_handle.members == tuple(sorted(p_group.orbit(0)))
+            assert result.j_handle.members == tuple(sorted(_orbit(p_group, 0)))
             assert orbit_coset_check(stable, result) == _reference_orbit_coset(
                 group, p_group, result.j_handle.members)
 
@@ -243,22 +270,24 @@ def test_index_views_match_permutation_products(g_name):
 def test_stable_subgroups_rejects_n_not_normalized_by_lambda():
     group = build_group("D3")
     n_group = closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)], 6)
-    assert n_group.is_regular() and not normalizes(left_regular(group), n_group)
+    assert is_regular(rows_of(n_group)) and not normalizes(left_regular(group), n_group)
     with pytest.raises(TheoremViolation, match=r"N of class C6 and provenance \('test', 0\) "
                                                r"is not normalized by lambda\(G\) "
                                                r"\(G = FiniteGroup\(D3\)\)"):
-        HgsRecord.from_perm_group(group, n_group, iso_class(as_finite_group(n_group)), ("test", 0))
+        HgsRecord.from_rows(group, rows_of(n_group), iso_class(as_finite_group(n_group)),
+                            ("test", 0))
 
 
 def test_given_n_that_is_not_regular_is_named_so():
     """lambda(C2 x C2) normalizes <(0 1), (2 3)>, which fixes points: the rows are not regular."""
     group = build_group("C2 x C2")
     n_group = closure([Permutation.from_cycles([(0, 1)], 4), Permutation.from_cycles([(2, 3)], 4)], 4)
-    assert not n_group.is_regular() and normalizes(left_regular(group), n_group)
+    assert not is_regular(rows_of(n_group)) and normalizes(left_regular(group), n_group)
     with pytest.raises(TheoremViolation,
                        match=r"N of class C2\^2 and provenance \('test', 1\) is not regular "
                              r"\(G = FiniteGroup\(C2 x C2\)\)"):
-        HgsRecord.from_perm_group(group, n_group, iso_class(build_group("C2 x C2")), ("test", 1))
+        HgsRecord.from_rows(group, rows_of(n_group), iso_class(build_group("C2 x C2")),
+                            ("test", 1))
 
 
 def test_census_builds_block_images_once_per_j_and_psi_once_per_stable(monkeypatch):
@@ -362,7 +391,8 @@ def test_lattice_normality_cores_and_cosets_match_the_pinned_digest():
 def test_given_n_path_agrees_with_the_enumerated_path(g_name):
     group = catalog_group(g_name)
     for record in enumerate_hgs(group):
-        given = HgsRecord.from_perm_group(group, record.n_group, record.n_class, record.provenance)
+        # given in reverse order: from_rows sorts them
+        given = HgsRecord.from_rows(group, record.rows[::-1], record.n_class, record.provenance)
         assert np.array_equal(given.rows, record.rows)
         assert np.array_equal(given.lambda_conj, record.lambda_conj)
         n_table = semiregular_group(given.rows).table
@@ -378,10 +408,10 @@ def test_given_n_path_agrees_with_the_enumerated_path(g_name):
 def test_given_n_gets_its_lattice_from_an_isomorphism():
     from hgw.fixture24 import DEGREE, _regular_identification, load_generators
 
-    g_abs = _regular_identification(closure(load_generators("g"), DEGREE))
+    g_abs = _regular_identification(rows_of(closure(load_generators("g"), DEGREE)))
     n_group = closure(load_generators("n"), DEGREE)
-    record = HgsRecord.from_perm_group(g_abs, n_group, iso_class(as_finite_group(n_group)),
-                                       ("paper24", 0))
+    record = HgsRecord.from_rows(g_abs, rows_of(n_group), iso_class(as_finite_group(n_group)),
+                                 ("paper24", 0))
     n_table = semiregular_group(record.rows)
     m_table = catalog_group("A4 x C2").table
     m_to_n = record.m_to_n.tolist()
@@ -400,7 +430,7 @@ def test_given_n_of_the_wrong_class_is_a_theorem_violation():
     with pytest.raises(TheoremViolation,
                        match=r"provenance \('test', 3\) is not isomorphic to its class D3 "
                              r"\(G = FiniteGroup\(C6\)\)"):
-        HgsRecord.from_perm_group(group, n_group, iso_class(build_group("D3")), ("test", 3))
+        HgsRecord.from_rows(group, rows_of(n_group), iso_class(build_group("D3")), ("test", 3))
 
 
 def test_given_n_with_a_bijection_that_is_no_isomorphism_is_a_theorem_violation(monkeypatch):
@@ -415,7 +445,7 @@ def test_given_n_with_a_bijection_that_is_no_isomorphism_is_a_theorem_violation(
     monkeypatch.setattr(enumeration, "an_isomorphism", swapped)
     with pytest.raises(TheoremViolation,
                        match=r"provenance \('D3', \d+\) is not isomorphic to its class D3"):
-        HgsRecord.from_perm_group(group, record.n_group, record.n_class, record.provenance)
+        HgsRecord.from_rows(group, record.rows, record.n_class, record.provenance)
 
 
 def test_given_n_of_another_degree_is_a_theorem_violation():
@@ -423,15 +453,15 @@ def test_given_n_of_another_degree_is_a_theorem_violation():
     with pytest.raises(TheoremViolation,
                        match=r"N of class C6 and provenance \('test', 4\) has degree 6, "
                              r"but \|G\| = 4 \(G = FiniteGroup\(C4\)\)"):
-        HgsRecord.from_perm_group(build_group("C4"), left_regular(build_group("C6")),
-                                  GroupClassLabel("C6", 6), ("test", 4))
+        HgsRecord.from_rows(build_group("C4"), rows_of(left_regular(build_group("C6"))),
+                            GroupClassLabel("C6", 6), ("test", 4))
 
 
 def test_given_n_of_an_uncovered_order_is_a_usage_error():
     n_group = left_regular(build_group("C5"))
     with pytest.raises(UncoveredOrder, match="catalog does not cover order 5"):
-        HgsRecord.from_perm_group(build_group("C5"), n_group, GroupClassLabel("C5", 5),
-                                  ("test", 0))
+        HgsRecord.from_rows(build_group("C5"), rows_of(n_group), GroupClassLabel("C5", 5),
+                            ("test", 0))
 
 
 def _count_calls(monkeypatch, func, counts, key, during=None):
@@ -549,7 +579,7 @@ def test_orbit_census_counts_shuffled_partial_and_given_lists(g_name):
     group = catalog_group(g_name)
     records = enumerate_hgs(group)
     rng = random.Random(g_name)
-    given = [HgsRecord.from_perm_group(group, r.n_group, r.n_class, ("given", i))
+    given = [HgsRecord.from_rows(group, r.rows, r.n_class, ("given", i))
              for i, r in enumerate(rng.sample(records, 3))]
     lists = [rng.sample(records, len(records)), rng.sample(records, len(records) // 2),
              records[1::3], given, records + given + given[:1]]
@@ -577,8 +607,8 @@ def _reference_block_perm(perm, space):
     """The permutation of block indices induced by a block-respecting map."""
     images = []
     for i, block in enumerate(space.blocks):
-        j = space.block_index[perm(block[0])]
-        if {perm(x) for x in block} != set(space.blocks[j]):
+        j = space.block_index[perm.images[block[0]]]
+        if {perm.images[x] for x in block} != set(space.blocks[j]):
             raise BlockSystemViolation(
                 f"permutation does not map block {i} onto a block", block=block)
         images.append(j)
@@ -620,7 +650,7 @@ def test_block_images_match_permutation_reference(g_name):
             assert result.gbar_of.tolist() == _image_rows(gbar_of)
             assert quotient.nbar.tolist() == _image_rows(nbar.elements)
             assert result.gbar.tolist() == _image_rows(gbar.elements)
-            assert gbar.is_regular() == result.normal_in_g
+            assert is_regular(rows_of(gbar)) == result.normal_in_g
             pairs += 1
     assert pairs or group.order in (1, 2, 3, 7)  # prime orders have no proper P
 

@@ -112,6 +112,20 @@ def test_parse_failures():
     for bad in ["", "C", "X7", "C6 y C2", "sdp(C6)", "(C6", "C6)", "C6 x", "Q16"]:
         with pytest.raises(GroupSpecError):
             build_group(bad)
+    # each constructor's range and argument errors carry their own message
+    for bad, message in [
+        ("C0", "cyclic order must be >= 1"),
+        ("D0", "dihedral parameter must be >= 1"),
+        ("Dic0", "dicyclic parameter must be >= 1"),
+        ("S6", "symmetric groups supported for 1 <= k <= 5"),
+        ("A6", "alternating groups supported for 1 <= k <= 5"),
+        ("sdp(C3, C2, 0)", "sdp parameters must be positive"),
+        ("7", "unknown atom '7'"),
+        ("sdp(C3, D2, 2)", "second sdp argument must be C<k>"),
+    ]:
+        with pytest.raises(GroupSpecError) as err:
+            build_group(bad)
+        assert str(err.value) == message, bad
 
 
 def test_identity_is_index_zero():

@@ -25,7 +25,7 @@ from hgw.groups import (
     semiregular_group,
 )
 from hgw.perm import PermGroup, Permutation, normalizes
-from perm_tables import as_finite_group, left_regular, right_regular
+from perm_tables import as_finite_group, left_regular, right_regular, rows_of
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -72,7 +72,7 @@ def test_every_record_sound():
     group = build_group("D3")
     lam = left_regular(group)
     for record in enumerate_hgs(group):
-        assert record.n_group.is_regular()
+        assert regsearch.is_regular(rows_of(record.n_group))
         assert normalizes(lam, record.n_group)
         assert iso_class(as_finite_group(record.n_group)).name == record.n_class.name
 
@@ -244,7 +244,7 @@ def test_orbit_tags_are_the_aut_g_orbits(g_name):
     for record in records:
         orbit = {_conjugate_by(record.rows, alpha).tobytes() for alpha in aut_g}
         assert orbit == {key for key, tag in tags.items() if tag == tags[record.key]}
-    given = HgsRecord.from_perm_group(group, records[0].n_group, records[0].n_class, ("given", 0))
+    given = HgsRecord.from_rows(group, records[0].rows, records[0].n_class, ("given", 0))
     assert given.orbit is None
 
 

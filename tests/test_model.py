@@ -292,6 +292,17 @@ def test_fixedsum_hypothesis_and_conclusion(model_11_6):
     assert violated
 
 
+def test_fixedsum_refuses_p_at_most_the_group_order():
+    """make_extension refuses p <= n, but a model built directly can have p <= |G|:
+    x^6 + x + 2 is the least irreducible sextic over F_5, and 5 <= |C6|."""
+    assert model_mod._irreducible(5, (2, 1, 0, 0, 0, 0, 1), 6)
+    model = ExtensionModel(5, 6, (2, 1, 0, 0, 0, 0, 1))
+    j = (0, 3)
+    field = FixedFieldResult(fixed_subfield_of_group(model, j), j)
+    with pytest.raises(GroupSpecError, match=r"^fixedsum check requires p > \|G\|$"):
+        fixedsum_check(model, _subset_masks(6, [(0, 3)]), field)
+
+
 def test_fixedsum_exhaustive_n4(model_11_4):
     model = model_11_4
     masks = _subset_masks(4, _all_subsets(4))

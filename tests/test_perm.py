@@ -58,24 +58,6 @@ def test_closure_deterministic_and_capped(monkeypatch):
                  Permutation.from_cycles([(0, 1)], 5)], 5)
 
 
-def test_regularity_flags():
-    cyc = closure([Permutation.from_cycles([(0, 1, 2, 3)], 4)], 4)
-    assert cyc.is_regular() and cyc.is_semiregular() and cyc.is_transitive()
-    # trivial group on 2 points: semiregular, not regular
-    triv = closure([Permutation.identity(2)], 2)
-    assert triv.is_semiregular() and not triv.is_regular()
-    # a point stabilizer is not semiregular
-    stab = closure([Permutation.from_cycles([(1, 2)], 3)], 3)
-    assert not stab.is_semiregular()
-
-
-def test_regular_iff_semiregular_of_full_order():
-    grp = closure([Permutation.from_cycles([(0, 1), (2, 3)], 4),
-                   Permutation.from_cycles([(0, 2), (1, 3)], 4)], 4)
-    assert grp.order == 4
-    assert grp.is_regular() == (grp.is_semiregular() and grp.order == grp.degree)
-
-
 def test_normalizes_self_and_transposition():
     v4 = closure([Permutation.from_cycles([(0, 1), (2, 3)], 4),
                   Permutation.from_cycles([(0, 2), (1, 3)], 4)], 4)

@@ -124,7 +124,7 @@ def test_cli_correspond_json_schema(tmp_path):
                             "J_normal", "core_order"}
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enum"])  # missing --group
     assert err.value.code == 2
@@ -134,6 +134,12 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+    capsys.readouterr()
+    # a constructor's range is checked before any table is built
+    with pytest.raises(SystemExit) as err:
+        main(["enum", "--group", "S6"])
+    assert err.value.code == 2
+    assert "--group: symmetric groups supported for 1 <= k <= 5" in capsys.readouterr().err
 
 
 def test_cli_group_above_the_expression_cap_is_usage_error(capsys):
