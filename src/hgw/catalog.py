@@ -4,17 +4,12 @@ The catalog covers, by name, every isomorphism type of each order the census
 and fixtures touch: {1,2,3,4,6,7,8,12,14,21,24,42}. Classifying a group of any
 other order raises UncoveredOrder.
 
-A group is classified by its sorted order spectrum: the catalog classes of its
-order with the same spectrum are kept, and the isomorphism search decides
-between them on a tie. A single match is returned without a search, which
-relies on the catalog listing every class of each order it covers. No two
-classes of a covered order share a spectrum today.
-
-``iso_class`` classifies G, its subgroups and given groups, but no longer the
-regular subgroups V of a holomorph: the enumeration searches for an
-isomorphism from G's catalog group onto each V whose spectrum is G's, and
-asks ``iso_class`` only to confirm that a V the search does not reach is of
-another class.
+A group is classified by looking its ``class_invariants``, gathered off uint8
+rows, up among those of its order's catalog classes, each kept on its catalog
+group. No isomorphism search runs: the catalog lists every class of each order
+it covers, with pairwise distinct invariants, as the catalog tests check. The
+enumeration reads the invariants of a holomorph's regular subgroups in one
+call, and certifies each V it walks by the search that gives its isomorphism.
 """
 
 from __future__ import annotations
@@ -22,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .dsl import build_group
 from .errors import TheoremViolation, UncoveredOrder
-from .groups import FiniteGroup, is_isomorphic
+from .groups import FiniteGroup
 
 # Order 42 entries are listed in the column order of the degree-42 census.
 CATALOG: dict[int, tuple[tuple[str, str], ...]] = {
@@ -104,24 +101,54 @@ def catalog_group(name: str) -> FiniteGroup:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def catalog_groups(order: int) -> list[tuple[str, FiniteGroup]]:
-    return [(name, catalog_group(name)) for name in catalog_names(order)]
+def class_invariants(stack: np.ndarray) -> np.ndarray:
+    """Row i is an isomorphism invariant of the regular group ``stack[i]``.
+
+    ``stack`` is (k, n, n) uint8, each group's rows sorted by image of 0, so
+    ``stack[i, x, y]`` is the index of x y. A row is n sorted keys, one per
+    element x: its order (the least d | n with x^d = 1), then #{y : y^p = x}
+    for each prime p | n, ascending, as digits in base n + 1; and last |Z|,
+    the number of a whose row equals its column. Products are flat gathers.
+    """
+    count, n = stack.shape[:2]
+    centre = (stack == stack.transpose(0, 2, 1)).all(axis=2).sum(axis=1)
+    flat = np.ascontiguousarray(stack).ravel()
+    bins = np.arange(count)[:, None] * n  # group i's elements are bins i n to i n + n - 1
+    starts = np.arange(0, count * n * n, n)  # entry i n + x: where row x of group i starts
+    powers = {1: stack[:, :, 0]}  # x^d for each divisor d of n, ascending
+    for d in [d for d in range(2, n + 1) if n % d == 0]:
+        p = next(q for q in range(2, d + 1) if d % q == 0)  # x^d = (x^(d/p))^p
+        power = powers[d // p]
+        start = starts[bins + power]  # the row of y = x^(d/p)
+        for _ in range(p - 1):
+            power = flat[start + power]  # y^(k+1) = y y^k
+        powers[d] = power
+    keys = np.empty((count, n), dtype=np.int64)
+    for d in reversed(powers):  # the least d with x^d = 1 is written last
+        keys[powers[d] == 0] = d
+    for p in [p for p in powers if p > 1 and all(p % q for q in range(2, p))]:
+        keys *= n + 1
+        keys += np.bincount((bins + powers[p]).ravel(), minlength=count * n).reshape(count, n)
+    return np.column_stack([np.sort(keys, axis=1), centre])
+
+
+def catalog_invariant(name: str) -> np.ndarray:
+    """``class_invariants`` of the catalog class ``name``, kept on its catalog group."""
+    model = catalog_group(name)
+    if "_invariant" not in vars(model):
+        vars(model)["_invariant"] = class_invariants(model.rows[None])[0]
+    return vars(model)["_invariant"]
 
 
 def iso_class(group: FiniteGroup) -> GroupClassLabel:
-    """Classify a group by its order spectrum, searching only on ties.
-
-    No match means the catalog misses a class: a TheoremViolation.
-    """
+    """The one catalog class of the group's order with its invariant, found without a
+    search; no match, or two, means the catalog misses a class: a TheoremViolation."""
     names = catalog_names(group.order)
     if not names:
         raise UncoveredOrder(f"catalog does not cover order {group.order}")
-    spectrum = sorted(group.element_orders())
-    candidates = [name for name in names
-                  if sorted(catalog_group(name).element_orders()) == spectrum]
-    if len(candidates) == 1:
-        return GroupClassLabel(candidates[0], group.order)
-    for name in candidates:
-        if is_isomorphic(group, catalog_group(name)):
-            return GroupClassLabel(name, group.order)
-    raise TheoremViolation(f"no catalog class of order {group.order} matches {group!r}")
+    invariant = class_invariants(group.rows[None])[0]
+    matches = [name for name in names if np.array_equal(catalog_invariant(name), invariant)]
+    if len(matches) != 1:
+        tie = f"; {' and '.join(matches)} share its invariant" if matches else ""
+        raise TheoremViolation(f"no catalog class of order {group.order} matches {group!r}{tie}")
+    return GroupClassLabel(matches[0], group.order)

@@ -11,15 +11,14 @@ Its regular subgroups are searched once, up to conjugation by the
 automorphisms of M that fix the point 1 (see ``regsearch``, which owns the row
 format), and come back as one uint8 stack of sorted rows in canonical order.
 Those isomorphic to G's catalog group M_G are found lazily, once per Hol(M)
-and class: the element-order spectra of the whole stack are read in one pass,
-and the V with M_G's spectrum are grouped into classes under conjugation by
+and class: ``catalog.class_invariants`` of the whole stack are read once, and
+the V with M_G's invariant are grouped into classes under conjugation by
 Aut(M). Each generator of Aut(M) (generators of the stabiliser of 1, and one
 automorphism for each point of 1's orbit that the generators before it do not
 reach) conjugates them in one gather, a binary search finds the images, and
 ``regsearch.orbit_leaders`` labels each V with the least V of its class. Only
 that least V gets a Cayley table and one isomorphism search M_G -> V, kept
-with its rows; a class whose least V the search misses must be of another
-class.
+with its rows, which certifies its class: a miss is a TheoremViolation.
 
 Byott's translation matches the Aut(M)-classes of V one to one with the
 Aut(G)-orbits of structures of type M, and every V of one class gives the
@@ -72,7 +71,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import groups, regsearch
+from . import catalog, groups, regsearch
 from .catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
 from .errors import EnumerationOverflow, TheoremViolation, UncoveredOrder
 from .groups import (FiniteGroup, all_isomorphisms, an_isomorphism, generating_subset_of,
@@ -232,37 +231,30 @@ class _HolData:
                     leader = orbit_leaders(gens)
             self.aut_generators = gens
         self.subgroups = regsearch.regular_subgroups(self.rows, symmetries)
+        self._invariants = catalog.class_invariants(self.subgroups)
         self._isomorphic: dict[str, _VClasses] = {}
-        self._spectra: np.ndarray | None = None
 
     def isomorphic_to(self, class_name: str) -> _VClasses:
         """The regular subgroups V of class ``class_name``, by their Aut(M)-classes.
 
-        V's rows are sorted, identity first. Only subgroups whose order spectrum
-        is the class's are grouped, and only the least V of each Aut(M)-class
-        gets a table and a search: conjugation by Aut(M) keeps V's class, so a
-        class whose least V the search does not reach is of another class.
+        V's rows are sorted, identity first. Only the least V of each Aut(M)-class
+        of the V with the class's invariant gets a table and a search; no other
+        class shares the invariant, so a V the search misses is a TheoremViolation.
         """
         if class_name not in self._isomorphic:
-            if self._spectra is None:
-                self._spectra = _order_spectra(self.subgroups)
-            spectrum = np.sort(catalog_group(class_name).element_orders())
-            matched = np.flatnonzero((self._spectra == spectrum).all(axis=1))
+            invariant = catalog.catalog_invariant(class_name)
+            matched = np.flatnonzero((self._invariants == invariant).all(axis=1))
             leader = self._aut_classes(matched)
             sizes = np.bincount(leader, minlength=len(matched))
             leaders = []
-            kept = np.zeros(len(matched), dtype=bool)
             for i in np.flatnonzero(sizes).tolist():
                 rows = self.subgroups[matched[i]]
-                table = semiregular_group(rows)
-                iso = an_isomorphism(catalog_group(class_name), table)
-                if iso is not None:
-                    kept[i] = True
-                    leaders.append((int(matched[i]), rows, iso, int(sizes[i])))
-                elif iso_class(table).name == class_name:
+                iso = an_isomorphism(catalog_group(class_name), semiregular_group(rows))
+                if iso is None:
                     raise TheoremViolation(f"regular subgroup of Hol({self.m_name}) classed "
                                            f"{class_name} is not isomorphic to {class_name}")
-            self._isomorphic[class_name] = _VClasses(matched[kept[leader]], leaders)
+                leaders.append((int(matched[i]), rows, iso, int(sizes[i])))
+            self._isomorphic[class_name] = _VClasses(matched, leaders)
         return self._isomorphic[class_name]
 
     def _aut_classes(self, matched: np.ndarray) -> np.ndarray:
@@ -278,31 +270,10 @@ class _HolData:
             found = sorted_row_indices(flat, moved.reshape(flat.shape))
             if found is None:
                 raise TheoremViolation(f"an automorphism of {self.m_name} does not map the regular "
-                                       f"subgroups of Hol({self.m_name}) of one spectrum to "
-                                       "themselves")
+                                       f"subgroups of Hol({self.m_name}) of one class invariant "
+                                       "to themselves")
             image.append(found)
         return orbit_leaders(np.stack(image))
-
-
-def _order_spectra(subgroups: np.ndarray) -> np.ndarray:
-    """Row i is the sorted element orders of the regular subgroup ``subgroups[i]``.
-
-    Every element of a regular group has all its cycles of the element's
-    order, so its cycle through 0 gives that order; the points of those
-    cycles advance together, one gather per step from the flat stack, at the
-    offset of each element's row.
-    """
-    count, degree = subgroups.shape[:2]
-    flat = np.ascontiguousarray(subgroups).ravel()
-    offsets = np.arange(0, count * degree * degree, degree).reshape(count, degree)
-    point = subgroups[:, :, 0]
-    orders = np.ones(point.shape, dtype=np.intp)
-    moving = point != 0
-    while moving.any():
-        orders += moving
-        point = np.where(moving, flat[offsets + point], 0)
-        moving = point != 0
-    return np.sort(orders, axis=1)
 
 
 _HOL_CACHE: dict[str, _HolData] = {}

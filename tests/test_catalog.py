@@ -1,23 +1,25 @@
 import itertools
+import re
+from collections import Counter
 
 import pytest
 
-from hgw import catalog
-from hgw.catalog import (
-    CATALOG,
-    catalog_groups,
-    catalog_names,
-    iso_class,
-)
+from hgw import catalog, groups
+from hgw.catalog import CATALOG, catalog_group, catalog_invariant, catalog_names, iso_class
 from hgw.dsl import build_group
 from hgw.errors import TheoremViolation, UncoveredOrder
 from hgw.groups import is_isomorphic
 from perm_tables import as_finite_group, left_regular, right_regular
+from reference_data import ORDER_16_ENTRIES, ORDER_27_ENTRIES
+
+
+def catalog_groups(order):
+    return [(name, catalog_group(name)) for name in catalog_names(order)]
 
 
 def test_catalog_orders_covered():
-    # iso_class takes a lone spectrum match without a search, so every covered
-    # order must list all of its classes: the counts are OEIS A000001
+    # iso_class names the one class with a group's invariant, without a search, so
+    # every covered order must list all of its classes: the counts are OEIS A000001
     assert {order: len(catalog_names(order)) for order in CATALOG} == {
         1: 1, 2: 1, 3: 1, 4: 2, 6: 2, 7: 1, 8: 5, 12: 5, 14: 2, 21: 2, 24: 15, 42: 6}
 
@@ -56,26 +58,36 @@ def test_iso_class_names_relabelled_catalog_groups():
             assert iso_class(as_finite_group(right_regular(group))).name == name
 
 
-def test_order_spectra_distinct_at_each_order():
-    # so at every covered order iso_class names a group without an isomorphism search
+def test_class_invariants_distinct_at_each_order():
+    # with the A000001 counts above, this makes iso_class's lookup name every group
+    # of a covered order
     for order in CATALOG:
-        spectra = [tuple(sorted(group.element_orders())) for _, group in catalog_groups(order)]
-        assert len(set(spectra)) == len(spectra), order
+        invariants = [catalog_invariant(name).tobytes() for name in catalog_names(order)]
+        assert len(set(invariants)) == len(invariants), order
 
 
-def test_iso_class_ties_go_to_the_isomorphism_search(monkeypatch):
-    # two pairs of order-16 classes, each pair with one order spectrum
-    entries = (("C4 x C4", "C4 x C4"), ("C4:C4", "sdp(C4, C4, 2)"),
-               ("C8 x C2", "C8 x C2"), ("M16", "sdp(C8, C2, 2, 1)"))
-    monkeypatch.setitem(catalog.CATALOG, 16, entries)
-    groups = catalog_groups(16)
-    spectra = [sorted(group.element_orders()) for _, group in groups]
-    assert spectra[0] == spectra[1] and spectra[2] == spectra[3] and spectra[0] != spectra[2]
-    for (n1, g1), (n2, g2) in itertools.combinations(groups, 2):
+def _no_search(*args):
+    raise AssertionError("iso_class ran an isomorphism search")
+
+
+@pytest.mark.parametrize("order, entries, spectra", [
+    (16, ORDER_16_ENTRIES, 9), (27, ORDER_27_ENTRIES, 3)], ids=["16", "27"])
+def test_iso_class_splits_order_spectrum_ties_without_a_search(monkeypatch, order, entries,
+                                                                spectra):
+    # every class of the order: the spectrum ties {C4 x C4, C4:C4, Q8 x C2},
+    # {C4 x C2^2, C2^2:C4, C4oD4}, {C8 x C2, M16}, {C3^3, He3} and {C9 x C3, C9:C3}
+    # have pairwise distinct invariants
+    monkeypatch.setitem(catalog.CATALOG, order, entries)
+    classes = catalog_groups(order)
+    assert len(Counter(tuple(sorted(g.element_orders())) for _, g in classes)) == spectra
+    for (n1, g1), (n2, g2) in itertools.combinations(classes, 2):
         assert not is_isomorphic(g1, g2), (n1, n2)
-    for name, group in groups:
+    invariants = {catalog_invariant(name).tobytes() for name, _ in classes}
+    assert len(invariants) == len(classes) == len(entries)
+    relabelled = [(name, as_finite_group(right_regular(group))) for name, group in classes]
+    monkeypatch.setattr(groups, "_iso_backtrack", _no_search)
+    for name, group in classes + relabelled:
         assert iso_class(group).name == name
-        assert iso_class(as_finite_group(right_regular(group))).name == name
 
 
 def test_iso_class_outside_the_catalog_raises(monkeypatch):
@@ -88,3 +100,12 @@ def test_iso_class_outside_the_catalog_raises(monkeypatch):
     monkeypatch.setitem(catalog.CATALOG, 6, (("C6", "C6"),))
     with pytest.raises(TheoremViolation, match="no catalog class of order 6 matches"):
         iso_class(build_group("D3"))
+
+
+def test_iso_class_refuses_two_classes_with_one_invariant(monkeypatch):
+    # a lookup that took the first match would name C6 here without noticing the tie
+    monkeypatch.setitem(catalog.CATALOG, 6, (("C6", "C6"), ("Z6", "C6"), ("D3", "D3")))
+    with pytest.raises(TheoremViolation, match=re.escape(
+            "no catalog class of order 6 matches FiniteGroup(C6); C6 and Z6 share its invariant")):
+        iso_class(build_group("C6"))
+    assert iso_class(build_group("D3")).name == "D3"

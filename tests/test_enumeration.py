@@ -11,7 +11,8 @@ import pytest
 import hgw.enumeration as enumeration
 import hgw.groups as groups
 from hgw import regsearch
-from hgw.catalog import CATALOG, catalog_group, catalog_names, iso_class
+from hgw import catalog
+from hgw.catalog import CATALOG, catalog_group, catalog_invariant, catalog_names, iso_class
 from hgw.dsl import build_group
 from hgw.enumeration import (HgsRecord, count_formula_report, direct_enumerate_oracle,
                              enumerate_hgs)
@@ -26,6 +27,7 @@ from hgw.groups import (
 )
 from hgw.perm import PermGroup, Permutation, normalizes
 from perm_tables import as_finite_group, left_regular, right_regular, rows_of
+from reference_data import ORDER_27_ENTRIES
 
 SMALL_SPECS = ["C1", "C2", "C3", "C4", "C2 x C2", "C6", "D3", "C7",
                "C8", "C4 x C2", "C2 x C2 x C2", "D4", "Q8"]
@@ -172,7 +174,7 @@ _REAL_AN_ISOMORPHISM = enumeration.an_isomorphism
 
 def _no_search_onto_v(g1, g2):
     # G -> M_G is found, but no search from M_G onto a regular subgroup V of a
-    # holomorph is; D3's spectrum is no other class's, so each such V is of class D3
+    # holomorph is; D3's invariant is no other class's, so each such V is of class D3
     return _REAL_AN_ISOMORPHISM(g1, g2) if g2 is catalog_group("D3") else None
 
 
@@ -196,7 +198,7 @@ def _uneven_block(rows0, aut_g, aut_inv):
 
 
 def _one_class(image):
-    # every V of one spectrum put into a single Aut(M)-class, led by the least
+    # every V of one invariant put into a single Aut(M)-class, led by the least
     return np.zeros(image.shape[1], dtype=np.intp)
 
 
@@ -321,26 +323,39 @@ def test_each_v_is_searched_once_per_class(monkeypatch):
     assert calls == [(second, d4)]
 
 
+def test_hol_he3_searches_each_c3_cubed_leader_once(monkeypatch):
+    """He3 shares C3^3's order spectrum {1, 3^26}, but not its invariant: Hol(He3) searches
+    once per class leader of its C3^3-type V and never misses."""
+    monkeypatch.setitem(CATALOG, 27, ORDER_27_ENTRIES)
+    results = []
+
+    def counted(g1, g2):
+        results.append(an_isomorphism(g1, g2))
+        return results[-1]
+
+    monkeypatch.setattr(enumeration, "an_isomorphism", counted)
+    classes = enumeration._HolData("He3", catalog_group("He3")).isomorphic_to("C3^3")
+    assert len(classes.leaders) == len(results) == 5
+    assert None not in results
+
+
 def _per_v_records(group):
-    """Reference for the class-leader walk: every V with G's spectrum searched for an
-    isomorphism M_G -> V, every V found walked, and each N checked to arise |Aut(M)|
-    times in all."""
+    """Reference for the class-leader walk: every V with G's invariant searched for an
+    isomorphism M_G -> V and walked, and each N checked to arise |Aut(M)| times in all."""
     g_class = iso_class(group).name
     g_to_m = np.array(an_isomorphism(group, catalog_group(g_class)))
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)
-    spectrum = np.sort(group.element_orders())
     out = []
     for m_name in catalog_names(group.order):
         hol = enumeration._hol_data(m_name)
         mul = hol.model.rows
         n_class = enumeration.GroupClassLabel(m_name, group.order)
         first, multiplicity, emb_id, v_index = {}, Counter(), 0, -1
-        for v_rows in hol.subgroups[(enumeration._order_spectra(hol.subgroups) == spectrum)
-                                    .all(axis=1)]:
+        invariants = catalog.class_invariants(hol.subgroups)
+        for v_rows in hol.subgroups[(invariants == catalog_invariant(g_class)).all(axis=1)]:
             m_to_v = an_isomorphism(catalog_group(g_class), semiregular_group(v_rows))
-            if m_to_v is None:
-                continue
+            assert m_to_v is not None, (group, m_name)
             v_index += 1
             beta0 = np.array(m_to_v)[g_to_m]
             isos = beta0[aut_g]
@@ -432,7 +447,7 @@ def test_generator_that_moves_a_v_out_of_hol_m_is_a_theorem_violation():
     hol.aut_generators = np.array([[0, 1, 3, 2]], dtype=np.uint8)
     with pytest.raises(TheoremViolation, match=re.escape(
             "an automorphism of C4 does not map the regular subgroups of Hol(C4) of one "
-            "spectrum to themselves")):
+            "class invariant to themselves")):
         hol.isomorphic_to("C4")
 
 
@@ -789,14 +804,45 @@ def test_generator_test_spares_most_schreier_checks(monkeypatch):
     assert len(calls) == 936  # 7,096 without the generator test
 
 
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
 @pytest.mark.parametrize("m_name", CATALOG_NAMES)
 def test_order_spectra_match_element_orders(m_name):
+    # the leading base-(n + 1) digit of each class_invariants key is the element's order
     stack = enumeration._hol_data(m_name).subgroups
+    n = stack.shape[1]
     orders = {}  # the order of each distinct element, as the lcm of its cycle lengths
-    for row in set(map(tuple, stack.reshape(-1, stack.shape[2]).tolist())):
+    for row in set(map(tuple, stack.reshape(-1, n).tolist())):
         orders[row] = Permutation(row).order()
     expected = [sorted(orders[tuple(row)] for row in subgroup) for subgroup in stack.tolist()]
-    assert enumeration._order_spectra(stack).tolist() == expected
+    keys = catalog.class_invariants(stack)[:, :-1]
+    assert (keys // (n + 1) ** len(_primes(n))).tolist() == expected
+
+
+def _reference_invariant(rows):
+    """class_invariants of one regular V, element by element: orders from its
+    Permutations, p-th powers and the centre from V's table."""
+    table = semiregular_group(rows).table
+    n = len(table)
+    keys = [Permutation(row).order() for row in rows.tolist()]
+    for p in _primes(n):
+        powers = []
+        for y in range(n):
+            power = y
+            for _ in range(p - 1):
+                power = table[y][power]
+            powers.append(power)
+        keys = [key * (n + 1) + powers.count(x) for x, key in enumerate(keys)]
+    centre = sum(all(table[a][b] == table[b][a] for b in range(n)) for a in range(n))
+    return sorted(keys) + [centre]
+
+
+@pytest.mark.parametrize("m_name", CATALOG_NAMES)
+def test_class_invariants_match_a_per_subgroup_reference(m_name):
+    stack = enumeration._hol_data(m_name).subgroups
+    assert catalog.class_invariants(stack).tolist() == [_reference_invariant(v) for v in stack]
 
 
 # -- the oracle's Sym(n) search reduced by the stabiliser of 0 and 1 -----------
