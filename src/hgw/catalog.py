@@ -10,6 +10,8 @@ group. No isomorphism search runs: the catalog lists every class of each order
 it covers, with pairwise distinct invariants, as the catalog tests check. The
 enumeration reads the invariants of a holomorph's regular subgroups in one
 call, and certifies each V it walks by the search that gives its isomorphism.
+A semiregular row stack is classified by the invariant of its regular table
+(``iso_class_of_rows``), without the FiniteGroup that ``iso_class`` takes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .dsl import build_group
 from .errors import TheoremViolation, UncoveredOrder
 from .groups import FiniteGroup
+from .regsearch import regular_table
 
 # Order 42 entries are listed in the column order of the degree-42 census.
 CATALOG: dict[int, tuple[tuple[str, str], ...]] = {
@@ -143,12 +146,22 @@ def catalog_invariant(name: str) -> np.ndarray:
 def iso_class(group: FiniteGroup) -> GroupClassLabel:
     """The one catalog class of the group's order with its invariant, found without a
     search; no match, or two, means the catalog misses a class: a TheoremViolation."""
-    names = catalog_names(group.order)
+    return _class_with(group.order, class_invariants(group.rows[None])[0], repr(group))
+
+
+def iso_class_of_rows(rows: np.ndarray) -> GroupClassLabel:
+    """``iso_class`` of the group on a semiregular uint8 stack, its rows sorted by image
+    of 0, read off the stack's regular table with no FiniteGroup built."""
+    return _class_with(len(rows), class_invariants(regular_table(rows)[None])[0],
+                       f"the group on {len(rows)} semiregular rows of degree {rows.shape[1]}")
+
+
+def _class_with(order: int, invariant: np.ndarray, what: str) -> GroupClassLabel:
+    names = catalog_names(order)
     if not names:
-        raise UncoveredOrder(f"catalog does not cover order {group.order}")
-    invariant = class_invariants(group.rows[None])[0]
+        raise UncoveredOrder(f"catalog does not cover order {order}")
     matches = [name for name in names if np.array_equal(catalog_invariant(name), invariant)]
     if len(matches) != 1:
         tie = f"; {' and '.join(matches)} share its invariant" if matches else ""
-        raise TheoremViolation(f"no catalog class of order {group.order} matches {group!r}{tie}")
-    return GroupClassLabel(matches[0], group.order)
+        raise TheoremViolation(f"no catalog class of order {order} matches {what}{tie}")
+    return GroupClassLabel(matches[0], order)

@@ -42,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import GroupClassLabel, catalog_group, iso_class
+from .catalog import GroupClassLabel, catalog_group, iso_class_of_rows
 from .enumeration import HgsRecord, enumerate_hgs, orbit_representatives
 from .errors import BlockSystemViolation, TheoremViolation
-from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, semiregular_group, subgroups
+from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
 from .regsearch import is_regular, normalized_by, regular_table
 
@@ -165,7 +165,7 @@ class _ClassLattice:
     def class_of(self, k: int) -> GroupClassLabel:
         if k not in self._classes:
             members = list(self.subgroups[k].members)
-            self._classes[k] = iso_class(semiregular_group(self.model.rows[members]))
+            self._classes[k] = iso_class_of_rows(self.model.rows[members])
         return self._classes[k]
 
 
@@ -218,7 +218,7 @@ def psi_of_rows(group: FiniteGroup, p_rows: np.ndarray) -> PsiResult:
                                    "P was not lambda(G)-stable")
         j_handle = SubgroupHandle(orbit)
         core_order = core_of(group, j_handle).order
-        j_class = iso_class(semiregular_group(group.rows[list(orbit)]))
+        j_class = iso_class_of_rows(group.rows[list(orbit)])
         by_orbit[orbit] = PsiResult(group, j_handle, j_class, core_order == len(orbit), core_order)
     return by_orbit[orbit]
 

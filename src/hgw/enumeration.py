@@ -32,21 +32,27 @@ beta0 o alpha for alpha in Aut(G), numbered in sorted order, which is the
 order ``all_isomorphisms(G, V)`` would list them in. Whichever beta0 is
 composed, they are all the isomorphisms G -> V, so that numbering, and with
 it provenance, does not depend on the search.
-Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha,
-so the N of all |Aut(G)| embeddings of V come from one gather on N0's rows.
-They are one whole orbit of Aut(G) acting by N -> alpha N alpha^-1, and each
-arises |Aut(G)| / |orbit| times, once per member of its stabiliser, which is
-checked per walked V. Each record is tagged with its orbit: the canonical
-index of the V whose embeddings first gave N. ``orbit_representatives`` reads
-the orbits of a record list off those tags, for the census.
+Since b0 o alpha is the base map of beta0 o alpha, its N is alpha^-1 N0 alpha:
+the N of V's embeddings are one whole orbit of Aut(G) acting by
+N -> alpha N alpha^-1, and two embeddings give the same N iff their alpha lie
+in one coset St o alpha of N0's stabiliser St in Aut(G). St is read off one
+gather of N0's generators, conjugated by every alpha. The walk takes the
+embeddings in id order and builds N only for the first alpha of each coset,
+by one gather on N0's rows, and marks the coset, found by a binary search
+among Aut(G)'s sorted rows, as reached. The cosets must partition Aut(G)
+and give distinct N, or St is not N0's stabiliser: either failure is a
+TheoremViolation. Each record is tagged with its orbit: the canonical index
+of the V whose embeddings first gave N. ``orbit_representatives`` reads the
+orbits of a record list off those tags, for the census.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
 the rows are also the key that deduplicates embeddings. N's PermGroup is built
-only when read, and no function of the package takes one. For each distinct N
-the transport is checked once: b is bijective, the transported beta(G) equals
-lambda(G), N's rows are b^-1 lambda(M) b, and N arose from exactly
-|Aut(M)| / |class| embeddings of its class's least V, which is |Aut(M)| over
-the whole class. Then N gets the checks that a given N
+only when read, and no function of the package takes one. For the first
+embedding of each coset the transport is checked: b is bijective, the
+transported beta(G) equals lambda(G), and N's rows are b^-1 lambda(M) b.
+Each N must arise from |St| |class| = |Aut(M)| embeddings of its class's
+least V; with |orbit| = |Aut(G)| / |St| that is Byott's count
+|orbit| |Aut(M)| = |class| |Aut(G)|. Then N gets the checks that a given N
 (``HgsRecord.from_rows``, from its rows in any order) gets too, in one
 constructor: N's degree is |G|, N is regular, lambda(G) normalizes N (the
 check also builds ``lambda_conj``), and ``m_to_n`` is an isomorphism from M,
@@ -207,6 +213,7 @@ class _HolData:
         # Aut(M) from the groups layer: this module's alias may be replaced to fake Aut(G)
         aut_rows = groups.automorphisms(model)
         self.aut_order = len(aut_rows)
+        self.generators = groups.generating_sequence(model)  # their images generate each N
         # row (m, a): x -> m * alpha(x); this product set is all of Hol(M), and row (m, a)
         # sends 0 to m, so its rows are distinct iff the automorphisms are
         self.rows = model.rows[:, aut_rows].reshape(n * self.aut_order, n)
@@ -301,7 +308,8 @@ def enumerate_hgs(group: FiniteGroup) -> list[HgsRecord]:
     g_to_m = an_isomorphism(group, catalog_group(g_class))
     if g_to_m is None:
         raise TheoremViolation(f"G = {group!r} is not isomorphic to its class {g_class}")
-    aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
+    # sorted by image tuple, as all_isomorphisms lists them: the coset lookups search it
+    aut_g = np.array(all_isomorphisms(group, group), dtype=np.uint8)
     return [rec for m_name in names
             for rec in _records_for_model(group, g_class, np.array(g_to_m), aut_g, m_name)]
 
@@ -312,57 +320,66 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
 
     Every V of one Aut(M)-class gives the same N, so only the least V of each
     class is walked; its embeddings keep the ids they have when every V is.
+    Of V's embeddings, one per coset of N0's stabiliser in Aut(G) is built.
     """
     n = group.order
     hol = _hol_data(m_name)
     mul = hol.model.rows
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
     n_class = GroupClassLabel(m_name, n)
-    # key -> (embedding id, V's index, beta rows, N's rows, V's class size) of N's first embedding
+    # key -> (provenance, V's index, b^-1, N's rows, V's class size) of N's first embedding
     first: dict[bytes, tuple] = {}
     multiplicity: Counter[bytes] = Counter()
     classes = hol.isomorphic_to(g_class)
     for position, v_rows, m_to_v, size in classes.leaders:
         # V's index among the V of G's class; each V before it has |Aut(G)| embeddings
         v_index = int(np.searchsorted(classes.positions, position))
-        emb_id = v_index * len(aut_g)
         beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = beta0[aut_g]
         b0 = v_rows[beta0, 0].astype(np.intp)
         table0 = np.argsort(b0)[mul[:, b0]]  # row m: lambda(m) conjugated by b0
         rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)  # N0, sorted by image of 0
-        n_rows = _aut_conjugates(rows0, aut_g, aut_inv)
-        block: Counter[bytes] = Counter()  # V's block: the orbit of N0, with multiplicities
-        for a in np.lexsort(isos.T[::-1]).tolist():
-            key = n_rows[a].tobytes()
-            block[key] += 1
+        stabiliser = _stabiliser(rows0, table0[hol.generators], aut_g, aut_inv)
+        reached, walked = np.zeros(len(aut_g), dtype=bool), 0
+        # the embeddings in id order; the first of each coset St o alpha is built, and its
+        # N_alpha = alpha^-1 N0 alpha is the N of every embedding in the coset
+        for rank, a in enumerate(np.lexsort(isos.T[::-1]).tolist()):
+            if reached[a]:
+                continue
+            provenance = (m_name, v_index * len(aut_g) + rank)
+            rows = _conjugate_by(rows0, aut_g[a], aut_inv[a])
+            b_inv = _transported(group, n_class, provenance, v_rows[isos[a]], rows, mul)
+            # the cosets of a subgroup partition Aut(G): each holds its alpha, and none
+            # reaches an alpha twice
+            coset = sorted_row_indices(aut_g, stabiliser[:, aut_g[a]])  # St o alpha
+            problem = ("leaves Aut(G)" if coset is None
+                       else "misses this embedding" if a not in coset else None)
+            if problem is None:
+                reached[coset] = True
+                walked += len(coset)
+                if np.count_nonzero(reached) != walked:
+                    problem = "reaches an embedding twice"
+            if problem:
+                raise _violation(group, n_class, provenance,
+                                 f"has a stabiliser in Aut(G) of {len(stabiliser)} automorphisms "
+                                 f"that is not a subgroup: its coset through this embedding "
+                                 f"{problem}")
+            key = rows.tobytes()
             if key not in first:
-                first[key] = (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy(), size)
-            emb_id += 1
-        # orbit-stabiliser: each N of the orbit is fixed by |Aut(G)| / |orbit| automorphisms
-        for key, count in block.items():
-            if count * len(block) != len(aut_g):
-                raise _violation(group, n_class, (m_name, first[key][0]),
-                                 f"arose from {count} of the {len(aut_g)} embeddings of one V, "
-                                 f"expected |Aut(G)| / |orbit| = {len(aut_g)} / {len(block)}")
-            multiplicity[key] += count
+                first[key] = (provenance, v_index, b_inv, rows, size)
+            elif first[key][1] == v_index:
+                raise _violation(group, n_class, first[key][0],
+                                 f"arose again from embedding {provenance[1]}, in another coset "
+                                 "of its stabiliser in Aut(G): the stabiliser misses an "
+                                 "automorphism")
+            multiplicity[key] += len(stabiliser)
 
     records = []
     for key in sorted(first):
-        first_id, v_index, beta, rows, size = first[key]
-        provenance = (m_name, first_id)
-        b = beta[:, 0].astype(np.intp)
-        if len(set(b.tolist())) != n:
-            raise _violation(group, n_class, provenance, "has a base map that is not bijective")
-        b_inv = np.argsort(b)
-        if not np.array_equal(b_inv[beta[:, b]], group.rows):
-            raise _violation(group, n_class, provenance,
-                             "has a transported embedding image that differs from lambda(G)")
-        # row m of N is b^-1 lambda(m) b, which sends 0 to b^-1(m): m_to_n is b^-1
-        if not np.array_equal(rows[b_inv], b_inv[mul[:, b]]):
-            raise _violation(group, n_class, provenance, f"is not b^-1 lambda({m_name}) b")
-        # the |class| V of N's class give N equally often, |Aut(M)| times in all
+        provenance, v_index, b_inv, rows, size = first[key]
+        # orbit-stabiliser: the |class| V of N's class give N equally often, |Aut(M)| times
+        # in all, so |St| |class| = |Aut(M)|, which is |orbit| |Aut(M)| = |class| |Aut(G)|
         if multiplicity[key] * size != hol.aut_order:
             raise _violation(group, n_class, provenance, f"arose from {multiplicity[key]} "
                              f"embeddings of its class's least V, expected "
@@ -371,10 +388,43 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
     return records
 
 
-def _aut_conjugates(rows0: np.ndarray, aut_g: np.ndarray, aut_inv: np.ndarray) -> np.ndarray:
-    """Entry a is N_alpha = alpha^-1 N0 alpha: row x is alpha^-1 o rows0[alpha(x)] o alpha."""
-    return aut_inv[np.arange(len(aut_g))[:, None, None],
-                   rows0[aut_g[:, :, None], aut_g[:, None, :]]]
+def _stabiliser(rows0: np.ndarray, gens: np.ndarray, aut_g: np.ndarray,
+                aut_inv: np.ndarray) -> np.ndarray:
+    """The rows of St = {alpha in Aut(G) : alpha^-1 N0 alpha = N0}, in Aut(G)'s order.
+
+    ``gens`` are rows that generate N0, and alpha is in St iff alpha^-1 r alpha
+    lies in N0 for each of them. N0 is regular, so it holds at most one
+    element with a given image of 0, the test ``regsearch.normalized_by`` uses.
+    """
+    # [a, k, x]: alpha_a^-1(r_k(alpha_a(x)))
+    conj = aut_inv[np.arange(len(aut_g))[:, None, None], gens[:, aut_g].swapaxes(0, 1)]
+    return aut_g[(rows0[conj[..., 0]] == conj).all(axis=(1, 2))]
+
+
+def _conjugate_by(rows0: np.ndarray, alpha: np.ndarray, alpha_inv: np.ndarray) -> np.ndarray:
+    """N_alpha = alpha^-1 N0 alpha, sorted by image of 0 as N0 is: row x is
+    alpha^-1 o rows0[alpha(x)] o alpha, since alpha fixes 0."""
+    return alpha_inv[rows0[alpha[:, None], alpha]]
+
+
+def _transported(group: FiniteGroup, n_class: GroupClassLabel, provenance: tuple[str, int],
+                 beta: np.ndarray, rows: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """b^-1 for the embedding beta's base map b, once the transport of beta onto N holds.
+
+    b must be bijective, b^-1 beta(G) b must be lambda(G), and N's rows must be
+    b^-1 lambda(M) b, whose row m sends 0 to b^-1(m): so b^-1 is ``m_to_n``.
+    """
+    b = beta[:, 0].astype(np.intp)
+    if len(set(b.tolist())) != len(b):
+        raise _violation(group, n_class, provenance, "has a base map that is not bijective")
+    b_inv = np.argsort(b)
+    if not np.array_equal(b_inv[beta[:, b]], group.rows):
+        raise _violation(group, n_class, provenance,
+                         "has a transported embedding image that differs from lambda(G)")
+    if not np.array_equal(rows[b_inv], b_inv[mul[:, b]]):
+        raise _violation(group, n_class, provenance,
+                         f"is not b^-1 lambda({n_class.name}) b")
+    return b_inv
 
 
 _SYM_REGULAR: dict[int, np.ndarray] = {}

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import iso_class
+from .catalog import iso_class, iso_class_of_rows
 from .correspond import StableSubgroup, orbit_coset_check, psi, quotient_structure
 from .enumeration import HgsRecord
 from .errors import FixtureFailure
@@ -95,10 +95,10 @@ def run_fixture() -> FixtureReport:
     n_regular = bool(is_regular(n_rows))
     check("N order and regularity", len(n_rows) == 24 and n_regular,
           f"|N|={len(n_rows)}, regular={n_regular}")
-    n_class = iso_class(semiregular_group(n_rows))
+    n_class = iso_class_of_rows(n_rows)
     check("N class", n_class.name == "A4 x C2", f"[N]={n_class.name}")
     check("N normalized by G", normalizes(g_group, n_group), "conjugation check")
-    p_class = iso_class(semiregular_group(p_rows)).name
+    p_class = iso_class_of_rows(p_rows).name
     check("P order and class", len(p_rows) == 8 and p_class == "C2^3",
           f"|P|={len(p_rows)}, [P]={p_class}")
     p_in_n = row_indices(n_rows, p_rows)  # N is regular, so its rows are semiregular
@@ -144,7 +144,7 @@ def run_fixture() -> FixtureReport:
     blocks = result.space.block_count
     check("quotient blocks", blocks == 3, f"blocks={blocks}")
     # quotient_structure has asserted that Nbar is regular and Gbar transitive
-    nbar_class = iso_class(semiregular_group(quotient.nbar)).name
+    nbar_class = iso_class_of_rows(quotient.nbar).name
     check("quotient N image", nbar_class == "C3", f"[Nbar]={nbar_class}")
     check("quotient G image transitive, not regular", len(result.gbar) > blocks,
           f"|Gbar|={len(result.gbar)}")

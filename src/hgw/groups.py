@@ -340,10 +340,6 @@ def an_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
     return maps[0] if maps else None
 
 
-def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    return an_isomorphism(g1, g2) is not None
-
-
 def all_isomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> list[tuple[int, ...]]:
     """All isomorphisms g1 -> g2 as image tuples, sorted."""
     return sorted(_iso_backtrack(g1, g2, find_all=True))

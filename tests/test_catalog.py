@@ -5,12 +5,17 @@ from collections import Counter
 import pytest
 
 from hgw import catalog, groups
-from hgw.catalog import CATALOG, catalog_group, catalog_invariant, catalog_names, iso_class
+from hgw.catalog import (CATALOG, catalog_group, catalog_invariant, catalog_names, iso_class,
+                         iso_class_of_rows)
 from hgw.dsl import build_group
 from hgw.errors import TheoremViolation, UncoveredOrder
-from hgw.groups import is_isomorphic
+from hgw.groups import an_isomorphism
 from perm_tables import as_finite_group, left_regular, right_regular
 from reference_data import ORDER_16_ENTRIES, ORDER_27_ENTRIES
+
+
+def _isomorphic(g1, g2):
+    return an_isomorphism(g1, g2) is not None
 
 
 def catalog_groups(order):
@@ -31,7 +36,7 @@ def test_catalog_entries_distinct_and_consistent():
             assert group.order == order
             assert iso_class(group).name == name
         for (n1, g1), (n2, g2) in itertools.combinations(groups, 2):
-            assert not is_isomorphic(g1, g2), (n1, n2)
+            assert not _isomorphic(g1, g2), (n1, n2)
 
 
 def test_degree42_column_order():
@@ -46,7 +51,7 @@ def test_iso_class_on_perm_groups():
 
 
 def test_is_isomorphic_distinguishes_c6_d3():
-    assert not is_isomorphic(build_group("C6"), build_group("D3"))
+    assert not _isomorphic(build_group("C6"), build_group("D3"))
     assert iso_class(build_group("C6")).name == "C6"
     assert iso_class(build_group("D3")).name == "D3"
 
@@ -81,7 +86,7 @@ def test_iso_class_splits_order_spectrum_ties_without_a_search(monkeypatch, orde
     classes = catalog_groups(order)
     assert len(Counter(tuple(sorted(g.element_orders())) for _, g in classes)) == spectra
     for (n1, g1), (n2, g2) in itertools.combinations(classes, 2):
-        assert not is_isomorphic(g1, g2), (n1, n2)
+        assert not _isomorphic(g1, g2), (n1, n2)
     invariants = {catalog_invariant(name).tobytes() for name, _ in classes}
     assert len(invariants) == len(classes) == len(entries)
     relabelled = [(name, as_finite_group(right_regular(group))) for name, group in classes]
@@ -109,3 +114,26 @@ def test_iso_class_refuses_two_classes_with_one_invariant(monkeypatch):
             "no catalog class of order 6 matches FiniteGroup(C6); C6 and Z6 share its invariant")):
         iso_class(build_group("C6"))
     assert iso_class(build_group("D3")).name == "D3"
+
+
+def test_iso_class_of_rows_matches_iso_class_on_every_subgroup():
+    # the regular table of a semiregular stack is the table semiregular_group builds
+    for order in (24, 42):
+        for name, group in catalog_groups(order):
+            for handle in groups.subgroups(group):
+                rows = group.rows[list(handle.members)]
+                assert iso_class_of_rows(rows) == iso_class(groups.semiregular_group(rows)), \
+                    (name, handle.members)
+
+
+def test_iso_class_of_rows_names_the_stack_it_cannot_classify(monkeypatch):
+    rows = build_group("C6").rows
+    with pytest.raises(UncoveredOrder, match="^catalog does not cover order 5$"):
+        iso_class_of_rows(build_group("C5").rows)
+    monkeypatch.setitem(catalog.CATALOG, 6, (("C6", "C6"), ("Z6", "C6"), ("D3", "D3")))
+    with pytest.raises(TheoremViolation, match=re.escape(
+            "no catalog class of order 6 matches the group on 6 semiregular rows of degree 6; "
+            "C6 and Z6 share its invariant")):
+        iso_class_of_rows(rows)
+    # the rows of C2 inside C6, acting on all six points: a semiregular stack of degree 6
+    assert iso_class_of_rows(rows[[0, 3]]).name == "C2"

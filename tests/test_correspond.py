@@ -12,7 +12,7 @@ import pytest
 import hgw.correspond as correspond
 import hgw.enumeration as enumeration
 import hgw.report as report
-from hgw.catalog import GroupClassLabel, catalog_group, catalog_names, iso_class
+from hgw.catalog import GroupClassLabel, catalog_group, catalog_names, iso_class, iso_class_of_rows
 from hgw.correspond import (
     StableSubgroup,
     correspondence_rows,
@@ -501,7 +501,7 @@ def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypat
 
     _count_calls(monkeypatch, subgroups, counts, "subgroups")
     _count_calls(monkeypatch, correspond.core_of, counts, "core_of")
-    _count_calls(monkeypatch, iso_class, counts, "j iso_class", during=inside_psi)
+    _count_calls(monkeypatch, iso_class_of_rows, counts, "j class", during=inside_psi)
     monkeypatch.setattr(correspond, "psi", counted_psi)
     monkeypatch.setattr(report, "stable_subgroups", kept_stable)
     census = report.group_census("D21")
@@ -510,7 +510,7 @@ def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypat
     j_count = len(subgroups(catalog_group("D21")))
     assert (len(census.records), len(classes), j_count) == (45, 4, 36)
     assert counts["subgroups"] == len(classes) + 1  # one lattice per class M, plus G's
-    assert counts["core_of"] == counts["j iso_class"] == j_count
+    assert counts["core_of"] == counts["j class"] == j_count
     assert set(psi_calls.values()) == {1} and len(psi_calls) == sum(map(len, stables))
 
 

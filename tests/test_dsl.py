@@ -7,7 +7,11 @@ import hgw.groups as groups
 from hgw.catalog import CATALOG
 from hgw.dsl import _of_order, _Parser, build_group
 from hgw.errors import EnumerationOverflow, GroupSpecError
-from hgw.groups import automorphisms, is_isomorphic
+from hgw.groups import an_isomorphism, automorphisms
+
+
+def _isomorphic(g1, g2):
+    return an_isomorphism(g1, g2) is not None
 
 
 def _center(group):
@@ -44,7 +48,7 @@ def test_nonabelian_order21_and_center():
 def test_product_grouping_and_parens():
     g1 = build_group("(C7:C3) x C2")
     g2 = build_group("C7:C3 x C2")
-    assert is_isomorphic(g1, g2)
+    assert _isomorphic(g1, g2)
 
 
 def test_symmetric_alternating():
@@ -57,7 +61,7 @@ def test_dicyclic_and_q8():
     q8 = build_group("Q8")
     assert q8.order == 8
     assert sorted(q8.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert is_isomorphic(q8, build_group("Dic2"))
+    assert _isomorphic(q8, build_group("Dic2"))
     dic6 = build_group("Dic6")
     assert dic6.order == 24
     # dicyclic groups have a unique involution
@@ -68,7 +72,7 @@ def test_sdp_f42():
     g = build_group("sdp(C7:C3, C2, 2)")
     assert g.order == 42
     assert len(_center(g)) == 1
-    assert is_isomorphic(g, build_group("C7:C6"))
+    assert _isomorphic(g, build_group("C7:C6"))
 
 
 def test_sdp_rejects_bad_action():

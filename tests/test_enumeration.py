@@ -178,23 +178,40 @@ def _no_search_onto_v(g1, g2):
     return _REAL_AN_ISOMORPHISM(g1, g2) if g2 is catalog_group("D3") else None
 
 
-_REAL_AUT_CONJUGATES = enumeration._aut_conjugates
+_REAL_CONJUGATE_BY = enumeration._conjugate_by
 
 
-def _corrupt_lambda_of_d3(rows0, aut_g, aut_inv):
-    # every embedding onto lambda(D3) gets the same rows with the images of 1 and 2
-    # swapped: that N still arises |Aut(M)| times, but is no longer b^-1 lambda(M) b
-    n_rows = _REAL_AUT_CONJUGATES(rows0, aut_g, aut_inv).copy()
-    hit = (n_rows == build_group("D3").rows).all(axis=(1, 2))
-    n_rows[hit] = n_rows[hit][:, :, [0, 2, 1, 3, 4, 5]]
-    return n_rows
+def _corrupt_lambda_of_d3(rows0, alpha, alpha_inv):
+    # the N built for lambda(D3) gets the images of 1 and 2 swapped: it is still
+    # regular, but no longer b^-1 lambda(M) b
+    rows = _REAL_CONJUGATE_BY(rows0, alpha, alpha_inv)
+    return rows[:, [0, 2, 1, 3, 4, 5]] if np.array_equal(rows, build_group("D3").rows) else rows
 
 
-def _uneven_block(rows0, aut_g, aut_inv):
-    # in a V whose orbit has two or more N, one embedding of another N gives the first N again
-    n_rows = _REAL_AUT_CONJUGATES(rows0, aut_g, aut_inv).copy()
-    n_rows[np.flatnonzero((n_rows != n_rows[0]).any(axis=(1, 2)))[:1]] = n_rows[0]
-    return n_rows
+_REAL_STABILISER = enumeration._stabiliser
+
+
+def _dropped_stabiliser(rows0, gens, aut_g, aut_inv):
+    # St without its last row, never the identity when |St| > 1: a subgroup still,
+    # but two of its cosets give one N
+    return _REAL_STABILISER(rows0, gens, aut_g, aut_inv)[:-1]
+
+
+def _stabiliser_outside_aut_g(rows0, gens, aut_g, aut_inv):
+    # St and the swap of elements 1 and 3, of orders 3 and 2: no automorphism of D3
+    foreign = np.array([[0, 3, 2, 1, 4, 5]], dtype=np.uint8)
+    return np.concatenate([_REAL_STABILISER(rows0, gens, aut_g, aut_inv), foreign])
+
+
+def _stabiliser_without_identity(rows0, gens, aut_g, aut_inv):
+    return _REAL_STABILISER(rows0, gens, aut_g, aut_inv)[1:]
+
+
+def _stabiliser_and_one_more(rows0, gens, aut_g, aut_inv):
+    # St and the least automorphism outside it, if any: no longer closed
+    st = _REAL_STABILISER(rows0, gens, aut_g, aut_inv)
+    outside = aut_g[~(aut_g[:, None] == st[None]).all(axis=2).any(axis=1)]
+    return np.concatenate([st, outside[:1]])
 
 
 def _one_class(image):
@@ -209,15 +226,25 @@ def _one_class(image):
     ("_lambda_conjugation", _lambda_of_c6, "not normalized by lambda(G)"),
     ("an_isomorphism", _no_search_onto_v,
      "regular subgroup of Hol(C6) classed D3 is not isomorphic to D3"),
-    ("_aut_conjugates", _corrupt_lambda_of_d3, "is not b^-1 lambda(D3) b"),
-    ("_aut_conjugates", _uneven_block,
-     "N of class C6 and provenance ('C6', 0) arose from 3 of the 6 embeddings of one V, "
-     "expected |Aut(G)| / |orbit| = 6 / 3 (G = FiniteGroup(D3))"),
+    ("_conjugate_by", _corrupt_lambda_of_d3, "is not b^-1 lambda(D3) b"),
+    ("_stabiliser", _dropped_stabiliser,
+     "N of class C6 and provenance ('C6', 2) arose again from embedding 3, in another coset of "
+     "its stabiliser in Aut(G): the stabiliser misses an automorphism (G = FiniteGroup(D3))"),
     ("orbit_leaders", _one_class,
      "N of class D3 and provenance ('D3', 0) arose from 6 embeddings of its class's least V, "
      "expected |Aut(M)| / |class| = 6 / 2 (G = FiniteGroup(D3))"),
+    ("_stabiliser", _stabiliser_outside_aut_g,
+     "N of class C6 and provenance ('C6', 0) has a stabiliser in Aut(G) of 3 automorphisms "
+     "that is not a subgroup: its coset through this embedding leaves Aut(G)"),
+    ("_stabiliser", _stabiliser_without_identity,
+     "N of class C6 and provenance ('C6', 0) has a stabiliser in Aut(G) of 1 automorphisms "
+     "that is not a subgroup: its coset through this embedding misses this embedding"),
+    ("_stabiliser", _stabiliser_and_one_more,
+     "N of class C6 and provenance ('C6', 2) has a stabiliser in Aut(G) of 3 automorphisms "
+     "that is not a subgroup: its coset through this embedding reaches an embedding twice"),
 ], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class",
-        "n_is_transport", "orbit_stabiliser", "class_multiplicity"])
+        "n_is_transport", "orbit_stabiliser", "class_multiplicity", "stabiliser_leaves_aut_g",
+        "stabiliser_without_identity", "stabiliser_not_closed"])
 def test_contract_violations_raise(monkeypatch, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
@@ -339,9 +366,21 @@ def test_hol_he3_searches_each_c3_cubed_leader_once(monkeypatch):
     assert None not in results
 
 
-def _per_v_records(group):
+def _aut_conjugates(rows0, aut_g, aut_inv):
+    """Entry a is N_alpha = alpha^-1 N0 alpha: row x is alpha^-1 o rows0[alpha(x)] o alpha."""
+    return aut_inv[np.arange(len(aut_g))[:, None, None],
+                   rows0[aut_g[:, :, None], aut_g[:, None, :]]]
+
+
+def _per_v_records(group, leaders_only=False):
     """Reference for the class-leader walk: every V with G's invariant searched for an
-    isomorphism M_G -> V and walked, and each N checked to arise |Aut(M)| times in all."""
+    isomorphism M_G -> V and walked, the N of all its |Aut(G)| embeddings built by one
+    gather, and each N checked to arise |Aut(M)| times in all.
+
+    With ``leaders_only``, the walk takes each Aut(M)-class's least V and its isomorphism
+    from ``isomorphic_to``, and each N must arise |Aut(M)| / |class| times: the reference
+    for the coset walk alone, without a search per V.
+    """
     g_class = iso_class(group).name
     g_to_m = np.array(an_isomorphism(group, catalog_group(g_class)))
     aut_g = np.array(all_isomorphisms(group, group), dtype=np.intp)
@@ -351,21 +390,29 @@ def _per_v_records(group):
         hol = enumeration._hol_data(m_name)
         mul = hol.model.rows
         n_class = enumeration.GroupClassLabel(m_name, group.order)
-        first, multiplicity, emb_id, v_index = {}, Counter(), 0, -1
-        invariants = catalog.class_invariants(hol.subgroups)
-        for v_rows in hol.subgroups[(invariants == catalog_invariant(g_class)).all(axis=1)]:
-            m_to_v = an_isomorphism(catalog_group(g_class), semiregular_group(v_rows))
+        first, multiplicity = {}, Counter()
+        if leaders_only:
+            classes = hol.isomorphic_to(g_class)
+            walk = [(int(np.searchsorted(classes.positions, position)), v_rows, m_to_v, size)
+                    for position, v_rows, m_to_v, size in classes.leaders]
+        else:
+            invariants = catalog.class_invariants(hol.subgroups)
+            matched = hol.subgroups[(invariants == catalog_invariant(g_class)).all(axis=1)]
+            walk = [(v_index, v_rows, an_isomorphism(catalog_group(g_class),
+                                                     semiregular_group(v_rows)), 1)
+                    for v_index, v_rows in enumerate(matched)]
+        for v_index, v_rows, m_to_v, size in walk:
             assert m_to_v is not None, (group, m_name)
-            v_index += 1
+            emb_id = v_index * len(aut_g)
             beta0 = np.array(m_to_v)[g_to_m]
             isos = beta0[aut_g]
             b0 = v_rows[beta0, 0].astype(np.intp)
             table0 = np.argsort(b0)[mul[:, b0]]
             rows0 = table0[np.argsort(table0[:, 0])].astype(np.uint8)
-            n_rows = enumeration._aut_conjugates(rows0, aut_g, aut_inv)
+            n_rows = _aut_conjugates(rows0, aut_g, aut_inv)
             for a in np.lexsort(isos.T[::-1]).tolist():
                 key = n_rows[a].tobytes()
-                multiplicity[key] += 1
+                multiplicity[key] += size
                 first.setdefault(key, (emb_id, v_index, v_rows[isos[a]], n_rows[a].copy()))
                 emb_id += 1
         for key in sorted(first):
@@ -380,10 +427,7 @@ WALK_GROUPS = ([name for order in (1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 42)
                 for name in catalog_names(order)] + ["C24", "SL(2,3)", "C3:C8"])
 
 
-@pytest.mark.parametrize("g_name", WALK_GROUPS)
-def test_class_leader_walk_matches_the_per_v_walk(g_name):
-    group = catalog_group(g_name)
-    records, reference = enumerate_hgs(group), _per_v_records(group)
+def _assert_same_records(records, reference):
     assert len(records) == len(reference)
     for record, expected in zip(records, reference):
         assert record.key == expected.key
@@ -392,6 +436,26 @@ def test_class_leader_walk_matches_the_per_v_walk(g_name):
         for field in ("m_to_n", "lambda_conj"):
             mine, theirs = getattr(record, field), getattr(expected, field)
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("g_name", WALK_GROUPS)
+def test_class_leader_walk_matches_the_per_v_walk(g_name):
+    group = catalog_group(g_name)
+    _assert_same_records(enumerate_hgs(group), _per_v_records(group))
+
+
+def test_coset_walk_matches_the_full_gather_at_order_27(monkeypatch):
+    """The two non-abelian groups of order 27, with order 27 patched into the catalog, whose
+    |Aut(G)| is 54 and 432: each V's N come from one coset of N0's stabiliser each, and
+    must be those of all |Aut(G)| embeddings. The reference walks the class leaders only;
+    searching every V, as at the catalog orders, takes He3 about 9 s (1,326 V in Hol(C3^3))."""
+    monkeypatch.setitem(CATALOG, 27, ORDER_27_ENTRIES)
+    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})  # the order-27 holomorphs go with the test
+    for g_name, count in (("C9:C3", 135), ("He3", 513)):
+        group = catalog_group(g_name)
+        records = enumerate_hgs(group)
+        assert len(records) == count
+        _assert_same_records(records, _per_v_records(group, leaders_only=True))
 
 
 CLASS_MODELS = [name for order in (1, 2, 3, 4, 6, 7, 8, 12) for name in catalog_names(order)]

@@ -17,12 +17,15 @@ from hgw.groups import (
     cayley_table,
     core_of,
     generating_subset_of,
-    is_isomorphic,
     subgroups,
 )
 from hgw.perm import Permutation, closure
 from hgw.regsearch import is_regular
 from perm_tables import as_finite_group, left_regular, right_regular, rows_of
+
+
+def _isomorphic(g1, g2):
+    return an_isomorphism(g1, g2) is not None
 
 
 @pytest.mark.parametrize("spec", ["C6", "D4", "Q8", "A4", "S4", "C7:C3", "D21", "C42"])
@@ -244,7 +247,7 @@ def test_is_isomorphic_equivalence_relation():
              as_finite_group(right_regular(build_group("Q8")))]
     assert len(pool) <= 20
     k = len(pool)
-    matrix = [[is_isomorphic(pool[i], pool[j]) for j in range(k)] for i in range(k)]
+    matrix = [[_isomorphic(pool[i], pool[j]) for j in range(k)] for i in range(k)]
     for i in range(k):
         assert matrix[i][i]  # reflexive
     for i, j in itertools.combinations(range(k), 2):
@@ -357,7 +360,7 @@ def test_isomorphisms_match_dict_copying_reference(name):
 def test_distinct_catalog_classes_are_not_isomorphic():
     for order in CATALOG_ORDERS:
         for a, b in itertools.permutations(catalog_names(order), 2):
-            assert not is_isomorphic(catalog_group(a), catalog_group(b)), (a, b)
+            assert not _isomorphic(catalog_group(a), catalog_group(b)), (a, b)
             assert all_isomorphisms(catalog_group(a), catalog_group(b)) == []
 
 
