@@ -55,6 +55,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The primes q | n, the ones Rabin's test and Serret's condition both read."""
+    return [d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)]
+
+
+def _binomial_can_be_irreducible(p: int, n: int) -> bool:
+    """Whether some x^n + c over F_p is irreducible (Serret's theorem).
+
+    By Lidl-Niederreiter, Finite Fields, Thm 3.75, x^n - a is irreducible iff
+    every prime q | n divides the order of a but not (p - 1) / ord(a), and
+    p = 1 (mod 4) when 4 | n. A primitive root a meets the first clause exactly
+    when every q divides p - 1, and no a can meet it otherwise; c = 0 gives
+    x^n, which is reducible for n >= 2.
+    """
+    return all((p - 1) % q == 0 for q in _prime_divisors(n)) and (n % 4 != 0 or p % 4 == 1)
+
+
 def _matpow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
     result = np.eye(len(mat), dtype=np.int64)
     while e:
@@ -157,7 +174,7 @@ def _irreducible(p: int, coeffs: tuple[int, ...], n: int) -> bool:
     x = x_powers[1][:, 0]
     if np.any((_matpow(frob, n, p) @ x - x) % p):
         return False
-    for q in {d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)}:
+    for q in _prime_divisors(n):
         diff = (_matpow(frob, n // q, p) @ x - x) % p
         if fplin.rank(np.tensordot(diff, x_powers, 1) % p, p) < n:
             return False
@@ -168,6 +185,11 @@ def make_extension(p: int, n: int) -> ExtensionModel:
     """F_{p^n}/F_p with the lexicographically least monic irreducible modulus.
 
     The cheap guards run first, so a p too large for int64 is never trial-divided.
+    Candidate k is x^n + sum_i c_i x^i with c_i the base-p digits of k, so the
+    first p candidates are the binomials x^n + c. When Serret's theorem rules
+    them all out (``_binomial_can_be_irreducible``), the search starts at
+    x^n + x; every candidate still tested is certified by Rabin's test, and the
+    modulus chosen is the one a search from k = 0 would choose.
     """
     if not 1 <= n <= 8:
         raise GroupSpecError("extension degree must be between 1 and 8")
@@ -177,7 +199,7 @@ def make_extension(p: int, n: int) -> ExtensionModel:
         raise GroupSpecError(f"p = {p} is too large for exact int64 arithmetic at n = {n}")
     if not _is_prime(p):
         raise GroupSpecError(f"{p} is not prime")
-    for k in range(p ** n):
+    for k in range(0 if _binomial_can_be_irreducible(p, n) else p, p ** n):
         coeffs = tuple((k // p ** i) % p for i in range(n))
         if _irreducible(p, coeffs, n):
             return ExtensionModel(p, n, coeffs + (1,))

@@ -822,6 +822,45 @@ def test_make_extension_picks_the_least_irreducible_modulus():
             assert make_extension(p, n).modulus == least + (1,), (p, n)
 
 
+def test_prime_divisors_of_each_degree():
+    assert [model_mod._prime_divisors(n) for n in range(1, 9)] \
+        == [[], [2], [3], [2], [5], [2, 3], [7], [2]]
+
+
+def test_serret_condition_matches_brute_force_binomials():
+    # some x^n + c is irreducible over F_p exactly when Serret's condition holds
+    for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for n in range(2, 9):
+            some = any(_ref_irreducible(p, (c,) + (0,) * (n - 1), n) for c in range(p))
+            assert some == model_mod._binomial_can_be_irreducible(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p, n, modulus, calls", [
+    (1000003, 5, (11, 1, 0, 0, 0, 1), 12),  # 1,000,015 calls from k = 0
+    (100003, 4, (7, 1, 0, 0, 1), 8),
+    (10 ** 9 + 7, 4, (2, 1, 0, 0, 1), 3),
+])
+def test_make_extension_skips_the_binomials_serret_rules_out(monkeypatch, p, n, modulus, calls):
+    tested = []
+    real = model_mod._irreducible
+
+    def counted(*args):
+        tested.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "_irreducible", counted)
+    assert make_extension(p, n).modulus == modulus
+    assert len(tested) == calls
+    # leastness: no binomial x^n + c is irreducible, every candidate from x^n + x up
+    # to the chosen one is reducible, and the chosen one is irreducible
+    assert not model_mod._binomial_can_be_irreducible(p, n)
+    chosen = sum(c * p ** i for i, c in enumerate(modulus[:n]))
+    candidates = [tuple((k // p ** i) % p for i in range(n)) for k in range(p, chosen + 1)]
+    assert tested == candidates
+    assert not any(_ref_irreducible(p, coeffs, n) for coeffs in candidates[:-1])
+    assert _ref_irreducible(p, modulus[:n], n)
+
+
 # -- reference fixed rings: one Kronecker system, kept to check the orbit descent --
 
 
