@@ -5,11 +5,12 @@ and fixtures touch: {1,2,3,4,6,7,8,12,14,21,24,42}. Classifying a group of any
 other order raises UncoveredOrder.
 
 A group is classified by looking its ``class_invariants``, gathered off uint8
-rows, up among those of its order's catalog classes, each kept on its catalog
-group. No isomorphism search runs: the catalog lists every class of each order
-it covers, with pairwise distinct invariants, as the catalog tests check. The
-enumeration reads the invariants of a holomorph's regular subgroups in one
-call, and certifies each V it walks by the search that gives its isomorphism.
+rows, up among those of its order's catalog classes, each computed once per
+class name in a ``functools.cache``. No isomorphism search runs: the catalog
+lists every class of each order it covers, with pairwise distinct invariants,
+as the catalog tests check. The enumeration reads the invariants of a
+holomorph's regular subgroups in one call, and certifies each V it walks by
+the search that gives its isomorphism.
 A semiregular row stack is classified by the invariant of its regular table
 (``iso_class_of_rows``), without the FiniteGroup that ``iso_class`` takes.
 """
@@ -17,7 +18,7 @@ A semiregular row stack is classified by the invariant of its regular table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def catalog_names(order: int) -> list[str]:
     return [name for name, _ in CATALOG.get(order, ())]
 
 
-@lru_cache(maxsize=None)
+@cache
 def catalog_group(name: str) -> FiniteGroup:
     """The catalog representative with the given class name."""
     for order, entries in CATALOG.items():
@@ -135,12 +136,10 @@ def class_invariants(stack: np.ndarray) -> np.ndarray:
     return np.column_stack([np.sort(keys, axis=1), centre])
 
 
+@cache
 def catalog_invariant(name: str) -> np.ndarray:
-    """``class_invariants`` of the catalog class ``name``, kept on its catalog group."""
-    model = catalog_group(name)
-    if "_invariant" not in vars(model):
-        vars(model)["_invariant"] = class_invariants(model.rows[None])[0]
-    return vars(model)["_invariant"]
+    """``class_invariants`` of the catalog class ``name``, computed once per name."""
+    return class_invariants(catalog_group(name).rows[None])[0]
 
 
 def iso_class(group: FiniteGroup) -> GroupClassLabel:

@@ -37,7 +37,7 @@ J, J's normality in G and the order of its core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -169,12 +169,10 @@ class _ClassLattice:
         return self._classes[k]
 
 
+@cache
 def _class_lattice(name: str) -> _ClassLattice:
-    """The lattice of the catalog class ``name``, built once and kept on its catalog group."""
-    model = catalog_group(name)
-    if "_lattice" not in vars(model):
-        vars(model)["_lattice"] = _ClassLattice(model)
-    return vars(model)["_lattice"]
+    """The lattice of the catalog class ``name``, built once per name."""
+    return _ClassLattice(catalog_group(name))
 
 
 def stable_subgroups(record: HgsRecord) -> list[StableSubgroup]:
@@ -204,8 +202,10 @@ def psi_of_rows(group: FiniteGroup, p_rows: np.ndarray) -> PsiResult:
     """J = Psi(P), the identity orbit of P's uint8 rows, kept as one ``PsiResult`` per J on G.
 
     Closure depends on the orbit alone, so an orbit that fails it fails for
-    every P and is never kept. The result holds G, which holds the result,
-    so the garbage collector frees them together.
+    every P and is never kept. This is the package's one store kept on an
+    object rather than in a ``functools.cache``: the result holds G, which
+    holds the result, so the garbage collector frees them together, where a
+    module cache keyed by G would keep every group it ever saw alive.
     """
     orbit = tuple(sorted(set(p_rows[:, 0].tolist())))
     if len(orbit) != len(p_rows):

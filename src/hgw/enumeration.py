@@ -72,7 +72,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -283,13 +283,9 @@ class _HolData:
         return orbit_leaders(np.stack(image))
 
 
-_HOL_CACHE: dict[str, _HolData] = {}
-
-
+@cache
 def _hol_data(m_name: str) -> _HolData:
-    if m_name not in _HOL_CACHE:
-        _HOL_CACHE[m_name] = _HolData(m_name, catalog_group(m_name))
-    return _HOL_CACHE[m_name]
+    return _HolData(m_name, catalog_group(m_name))
 
 
 # -- the enumeration ----------------------------------------------------------
@@ -427,9 +423,6 @@ def _transported(group: FiniteGroup, n_class: GroupClassLabel, provenance: tuple
     return b_inv
 
 
-_SYM_REGULAR: dict[int, np.ndarray] = {}
-
-
 def _sym_stabiliser_generators(n: int) -> np.ndarray:
     """(2 3) and (2 3 ... n-1), which generate the stabiliser of 0 and 1 in Sym(n).
 
@@ -445,17 +438,16 @@ def _sym_stabiliser_generators(n: int) -> np.ndarray:
     return np.stack([swap, cycle])
 
 
+@cache
 def _sym_regular_subgroups(n: int) -> np.ndarray:
     """The regular subgroups of Sym(n), searched once per degree.
 
     Entry i is subgroup i in search order, its rows sorted, as one uint8 array.
     The search walks one root candidate per orbit of the stabiliser of 0 and 1.
     """
-    if n not in _SYM_REGULAR:
-        perms = b"".join(map(bytes, itertools.permutations(range(n))))
-        _SYM_REGULAR[n] = regsearch.regular_subgroups(
-            np.frombuffer(perms, np.uint8).reshape(-1, n), _sym_stabiliser_generators(n))
-    return _SYM_REGULAR[n]
+    perms = b"".join(map(bytes, itertools.permutations(range(n))))
+    return regsearch.regular_subgroups(np.frombuffer(perms, np.uint8).reshape(-1, n),
+                                       _sym_stabiliser_generators(n))
 
 
 def direct_enumerate_oracle(group: FiniteGroup) -> list[PermGroup]:

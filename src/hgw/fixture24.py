@@ -62,7 +62,7 @@ def load_generators(name: str) -> list[Permutation]:
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line:
-            perms.append(Permutation.parse_cycles(line, DEGREE, one_based=True))
+            perms.append(Permutation.parse_cycles(line, DEGREE))
     return perms
 
 

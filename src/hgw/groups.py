@@ -50,7 +50,6 @@ class FiniteGroup:
         if any(self.table[0][x] != x or self.table[x][0] != x for x in range(n)):
             raise GroupSpecError("element 0 is not an identity")
         self.inverse_table = self._compute_inverses(square)
-        self._orders: tuple[int, ...] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -82,9 +81,11 @@ class FiniteGroup:
             k += 1
         return k
 
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        return tuple(self.element_order(a) for a in range(self.order))
+
     def element_orders(self) -> tuple[int, ...]:
-        if self._orders is None:
-            self._orders = tuple(self.element_order(a) for a in range(self.order))
         return self._orders
 
     def check_associative(self) -> bool:
@@ -120,9 +121,6 @@ class SubgroupHandle:
     @property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.member_set
 
 
 def generating_subset_of(perms: Sequence[Permutation]) -> tuple[Permutation, ...]:

@@ -61,8 +61,8 @@ class Permutation:
         return Permutation(images)
 
     @staticmethod
-    def parse_cycles(text: str, degree: int, one_based: bool = True) -> "Permutation":
-        """Parse cycle notation like ``(1, 2)(3,13)`` into a permutation."""
+    def parse_cycles(text: str, degree: int) -> "Permutation":
+        """Parse 1-based cycle notation like ``(1, 2)(3,13)`` into a permutation."""
         stripped = re.sub(r"[\s]", "", text)
         if stripped in ("", "()"):
             return Permutation.identity(degree)
@@ -73,7 +73,7 @@ class Permutation:
             if not body:
                 continue
             cycles.append([int(tok) for tok in body.split(",")])
-        return Permutation.from_cycles(cycles, degree, one_based=one_based)
+        return Permutation.from_cycles(cycles, degree, one_based=True)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(x) = p(q(x))."""
@@ -106,12 +106,12 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_string(self, one_based: bool = False) -> str:
-        shift = 1 if one_based else 0
+    def cycle_string(self) -> str:
+        """Disjoint cycles of 0-based points, like ``(0,1)(2,3,4)``."""
         cycs = self.cycles()
         if not cycs:
             return "()"
-        return "".join("(" + ",".join(str(p + shift) for p in cyc) + ")" for cyc in cycs)
+        return "".join("(" + ",".join(map(str, cyc)) + ")" for cyc in cycs)
 
     def order(self) -> int:
         result = 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
@@ -8,6 +9,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hgw.report import group_census  # noqa: E402
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """``fresh_cache(module, name)`` rebinds the module's ``functools.cache`` function to an
+    empty cache of its own for one test, so what the test builds, fakes included, goes with it."""
+    def fresh(module, name: str) -> None:
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+
+    return fresh
 
 
 @pytest.fixture(scope="session")

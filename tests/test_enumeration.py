@@ -86,7 +86,7 @@ def test_count_formula_small():
             assert row["lhs"] == row["rhs"], (spec, row)
 
 
-def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch):
+def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch, fresh_cache):
     group = build_group("D4")
     seen = []
     real = groups.all_isomorphisms
@@ -98,7 +98,7 @@ def test_count_formula_reads_aut_g_from_the_enumeration(monkeypatch):
     # both names: the enumeration's own alias and the module attribute Hol(M) reads
     monkeypatch.setattr(groups, "all_isomorphisms", counted)
     monkeypatch.setattr(enumeration, "all_isomorphisms", counted)
-    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})
+    fresh_cache(enumeration, "_hol_data")
     rows = count_formula_report(group)
     assert sum(g1 is group and g2 is group for g1, g2 in seen) == 1
     models = [g1 for g1, g2 in seen if g1 is not group]
@@ -245,11 +245,11 @@ def _one_class(image):
 ], ids=["multiplicity", "base_map", "beta_is_lambda", "normalized", "v_of_g_class",
         "n_is_transport", "orbit_stabiliser", "class_multiplicity", "stabiliser_leaves_aut_g",
         "stabiliser_without_identity", "stabiliser_not_closed"])
-def test_contract_violations_raise(monkeypatch, attr, fake, message):
+def test_contract_violations_raise(monkeypatch, fresh_cache, attr, fake, message):
     group = build_group("D3")
     assert group.element_orders()[1] == 3 and group.element_orders()[3] == 2
     monkeypatch.setattr(enumeration, attr, fake)
-    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})  # every V of class D3 searched anew
+    fresh_cache(enumeration, "_hol_data")  # every V of class D3 searched anew
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         enumerate_hgs(group)
 
@@ -322,7 +322,7 @@ def _relabelled(group, seed):
     return FiniteGroup(range(group.order), table, spec=f"{group.spec} relabelled by seed {seed}")
 
 
-def test_each_v_is_searched_once_per_class(monkeypatch):
+def test_each_v_is_searched_once_per_class(monkeypatch, fresh_cache):
     """One search M_G -> V per Aut(M)-class of V: only each class's least V is searched."""
     d4 = catalog_group("D4")
     first, second = _relabelled(d4, 71), _relabelled(d4, 72)
@@ -333,7 +333,7 @@ def test_each_v_is_searched_once_per_class(monkeypatch):
         calls.append((g1, g2))
         return an_isomorphism(g1, g2)
 
-    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})
+    fresh_cache(enumeration, "_hol_data")
     monkeypatch.setattr(enumeration, "an_isomorphism", counted)
     monkeypatch.setattr(groups, "an_isomorphism", counted)
     counts = Counter(r.n_class.name for r in enumerate_hgs(first))
@@ -444,13 +444,13 @@ def test_class_leader_walk_matches_the_per_v_walk(g_name):
     _assert_same_records(enumerate_hgs(group), _per_v_records(group))
 
 
-def test_coset_walk_matches_the_full_gather_at_order_27(monkeypatch):
+def test_coset_walk_matches_the_full_gather_at_order_27(monkeypatch, fresh_cache):
     """The two non-abelian groups of order 27, with order 27 patched into the catalog, whose
     |Aut(G)| is 54 and 432: each V's N come from one coset of N0's stabiliser each, and
     must be those of all |Aut(G)| embeddings. The reference walks the class leaders only;
     searching every V, as at the catalog orders, takes He3 about 9 s (1,326 V in Hol(C3^3))."""
     monkeypatch.setitem(CATALOG, 27, ORDER_27_ENTRIES)
-    monkeypatch.setattr(enumeration, "_HOL_CACHE", {})  # the order-27 holomorphs go with the test
+    fresh_cache(enumeration, "_hol_data")  # the order-27 holomorphs go with the test
     for g_name, count in (("C9:C3", 135), ("He3", 513)):
         group = catalog_group(g_name)
         records = enumerate_hgs(group)
@@ -693,7 +693,7 @@ def test_regular_subgroups_of_sym_n_count(n):
         assert expected == 2760
 
 
-def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
+def test_oracle_searches_sym_n_once_per_degree(monkeypatch, fresh_cache):
     degrees = []
     real = regsearch.regular_subgroups
 
@@ -704,7 +704,7 @@ def test_oracle_searches_sym_n_once_per_degree(monkeypatch):
     for m_name in catalog_names(8):  # the holomorphs' own searches are not the oracle's
         enumeration._hol_data(m_name)
     monkeypatch.setattr(regsearch, "regular_subgroups", counted)
-    monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
+    fresh_cache(enumeration, "_sym_regular_subgroups")
     for spec in ("D4", "Q8"):
         group = build_group(spec)
         oracle = direct_enumerate_oracle(group)
@@ -926,8 +926,8 @@ def _cycle_length(p):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_reduced_sym_search_matches_whole_tree(monkeypatch, n):
-    monkeypatch.setattr(enumeration, "_SYM_REGULAR", {})
+def test_reduced_sym_search_matches_whole_tree(fresh_cache, n):
+    fresh_cache(enumeration, "_sym_regular_subgroups")
     reduced = enumeration._sym_regular_subgroups(n)
     expected = _unreduced_regular_subgroups(_sym_rows(n))
     assert reduced.dtype == np.uint8

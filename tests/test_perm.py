@@ -25,8 +25,8 @@ def test_cycle_roundtrip():
     p = Permutation.from_cycles([(0, 1), (2, 3, 4)], 6)
     assert p.images == (1, 0, 3, 4, 2, 5)
     assert p.cycle_string() == "(0,1)(2,3,4)"
-    assert Permutation.parse_cycles("(1,2)(3,4,5)", 6, one_based=True) == p
-    assert Permutation.parse_cycles("( 1, 2)( 3, 4, 5)", 6, one_based=True) == p
+    assert Permutation.parse_cycles("(1,2)(3,4,5)", 6) == p
+    assert Permutation.parse_cycles("( 1, 2)( 3, 4, 5)", 6) == p
     assert p.order() == 6
 
 
