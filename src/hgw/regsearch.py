@@ -7,43 +7,54 @@ permutations this way, and reads them with the primitives here: ``conjugate``,
 elements are fixed by their images of 0), ``sorted_row_indices`` (a lookup
 among rows in bytes order) and ``is_regular``.
 
-Inside ``_search`` and ``_extend`` elements are ``bytes``, so that composition
-is a single ``bytes.translate`` call. Only uniform elements (all cycles of one
-length) can lie in a semiregular group; one numpy pass over the pool finds them.
+Inside ``_extend`` elements are ``bytes``, so that composition is a single
+``bytes.translate`` call. Only uniform elements (all cycles of one length) can
+lie in a semiregular group; one numpy pass over the pool finds them.
 
 The search walks a canonical tree: at each node the current subgroup S is
 extended through the least point t not yet in the orbit of the base point 0,
 by every candidate element mapping 0 to t. A regular subgroup V contains
 exactly one element sending 0 to any given point, so the chain of nodes below
-V is unique and every V is emitted exactly once.
+V is unique and every V is found exactly once.
 
-A node keeps its semiregular S as ``{image of 0: element}`` plus the
-generators added so far, as translation tables. Three candidate filters run
-at each node:
+Level walk. ``_subtrees`` walks the tree one level at a time, with no
+recursion. The nodes of one level all have the same number of generators, so
+a level is a few arrays: S's element at each point of its orbit, the orbit
+mask and the generators. The pool is sorted by bytes, so the candidates of a
+node are one slice of it. Every (node, candidate) pair of a level is formed at
+once and tested in passes of about ``_BATCH`` pairs, which bound the memory of
+the gathers. A pair meets one of two paths:
 
-- prune: two distinct elements of a semiregular group disagree at every
-  point, so one broadcast comparison drops every candidate that agrees with
-  some element of S somewhere;
-- generator test: see below;
-- Schreier check: extending S by f is a breadth-first walk over the orbit of
-  0 that keeps one element r_x per point x. Old points need only f o r_x, new
-  points every generator. Each product w either reaches a new point, where it
-  must be uniform and becomes r_{w(0)}, or must equal the r_{w(0)} already
-  stored. That is, every Schreier generator of the stabiliser of 0 is
-  trivial, so <S, f> is semiregular and {r_x} is all of it, at a cost of
-  |orbit| x #generators products instead of a closure under all pairwise
-  products.
+- index 2: when 2|S| = n, ``_index_two`` keeps f exactly when f o f lies in S
+  and f normalises S, and writes the regular group S u fS with one scatter,
+  with no Schreier check;
+- otherwise three filters run in turn, and a candidate that passes all three
+  is a child node, or a regular subgroup found:
+  - prune: two distinct elements of a semiregular group disagree at every
+    point. f agrees with some element of S at x exactly when f(x) lies in the
+    S-orbit of x, so one gather of orbit labels (the least point of each
+    orbit) drops every candidate that agrees with some element of S somewhere;
+  - generator test: see below;
+  - Schreier check (``_extend``): extending S by f is a breadth-first walk over
+    the orbit of 0 that keeps one element r_x per point x. Old points need
+    only f o r_x, new points every generator. Each product w either reaches a
+    new point, where it must be uniform and becomes r_{w(0)}, or must equal the
+    r_{w(0)} already stored. That is, every Schreier generator of the
+    stabiliser of 0 is trivial, so <S, f> is semiregular and {r_x} is all of
+    it, at a cost of |orbit| x #generators products instead of a closure under
+    all pairwise products.
 
 Generator test. Let S have orbit O, let g be a generator of S, and let the
 candidate f send 0 to t. Both g o f and f o r_y lie in <S, f>. If g(t) = f(y)
 for some y in O, they send 0 to the same point, so a semiregular <S, f>
 needs g o f = f o r_y: that is, f^-1 g f, where it sends 0 into O, must be
-the element r_y of S there. After the prune, every candidate is tested
-against every generator at once: one scatter inverts the candidates, two
-gathers give each f^-1 g f, and one comparison against S's element at its
-image of 0 decides. The test is a necessary condition, so no regular
-subgroup is lost, and most candidates that the Schreier check would reject
-one by one never reach it: on Hol(D21) it runs 936 times instead of 7,096.
+the element r_y of S there. The pool's inverses are computed once per search;
+two flat gathers give f^-1 g f for every pair and generator, and one
+comparison against S's element at its image of 0 decides. The test is a
+necessary condition, so no regular subgroup is lost, and most candidates that
+the Schreier check would reject one by one never reach it. On Hol(D21) the
+Schreier check runs 40 times: one check per candidate at the index-2 nodes
+would make it 936, and 7,096 without the generator test.
 
 Root orbits. Every candidate at the root sends 0 to 1, and the subtree below
 such an f holds exactly the regular subgroups that contain f. A permutation
@@ -72,13 +83,14 @@ of its own image of 0.
 
 Output. A regular subgroup is its rows sorted by image of 0 (identity first),
 as a (degree, degree) uint8 array, and the search returns one (k, degree,
-degree) stack, sorted by the bytes of each subgroup. That is the order in
-which the whole tree meets them: two subgroups part at some node S, through
-candidates g < g' at its point t. Every point below t is in the orbit of S,
-so both subgroups send 0 to those points by the same elements of S, and
-their rows first differ at row t, which is g in one and g' in the other.
-Candidates are walked in bytes order, so the one met first has the lesser
-bytes. The sort is one stable argsort on a void view of the stack.
+degree) stack, sorted by the bytes of each subgroup. That is the canonical
+order, in which a depth-first walk of the tree, candidates in bytes order,
+would meet them: two subgroups part at some node S, through candidates g < g'
+at its point t. Every point below t is in the orbit of S, so both subgroups
+send 0 to those points by the same elements of S, and their rows first
+differ at row t, which is g in one and g' in the other. The level walk and
+the conjugated subtrees find them in another order, so the sort is one
+stable argsort on a void view of the stack.
 """
 
 from __future__ import annotations
@@ -88,6 +100,7 @@ import numpy as np
 from .errors import TheoremViolation
 
 _PAD = bytes(range(256))
+_BATCH = 1024  # (node, candidate) pairs per numpy pass: larger passes raise the peak memory
 
 
 def conjugate(rows: np.ndarray, conjugators: np.ndarray) -> np.ndarray:
@@ -193,20 +206,12 @@ def regular_subgroups(rows: np.ndarray, symmetries: np.ndarray) -> np.ndarray:
     # the candidates, in bytes order: the uniform rows that move 0 (the identity is uniform too)
     pool = rows[uniform_rows(rows) & (rows[:, 0] != 0)]
     pool = pool[np.lexsort(pool.T[::-1])]
-    blob = pool.tobytes()
-    ident = bytes(range(degree))
-    allowed = frozenset(blob[i:i + degree] for i in range(0, len(blob), degree)) | {ident}
-    buckets = {t: pool[pool[:, 0] == t] for t in range(1, degree)}  # by image of 0
-    roots = buckets[1]
-    stacks = [np.zeros((0, degree, degree), dtype=np.uint8)]
-    for i, movers in _root_orbits(roots, symmetries):
-        found: list[bytes] = []
-        # the root node walks the candidates of point 1: give it f alone
-        _search({0: ident}, [], degree, {**buckets, 1: roots[i:i + 1]}, allowed, found)
-        stack = np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
-        stacks.append(stack)
+    orbits = _root_orbits(pool[pool[:, 0] == 1], symmetries)  # the root candidates come first
+    stack, origin = _subtrees(pool, np.array([i for i, _ in orbits], dtype=np.intp))
+    stacks = [stack]
+    for k, (_, movers) in enumerate(orbits):
         if len(movers):
-            stacks.append(conjugate_subgroups(stack, movers).reshape(-1, degree, degree))
+            stacks.append(conjugate_subgroups(stack[origin == k], movers).reshape(-1, degree, degree))
     out = np.concatenate(stacks)
     keys = out.reshape(len(out), degree * degree).view(np.dtype((np.void, degree * degree)))
     return out[np.argsort(keys[:, 0], kind="stable")]
@@ -271,46 +276,157 @@ def _root_orbits(roots: np.ndarray, symmetries: np.ndarray) -> list[tuple[int, n
     return [(int(members[0]), alpha[members[1:]]) for members in orbits]
 
 
-def _search(elems: dict[int, bytes], gen_tabs: list[bytes], degree: int,
-            buckets: dict[int, np.ndarray], allowed: frozenset[bytes],
-            found: list[bytes]) -> None:
-    """Append to ``found`` every regular subgroup below the node ``elems``, as its sorted rows.
+def _subtrees(pool: np.ndarray, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every regular subgroup in the subtree of each root candidate ``pool[leaders[k]]``.
 
-    ``buckets[t]`` holds the candidates that send 0 to t, sorted. Module-level,
-    not a recursive closure: a closure that refers to itself is a reference
-    cycle, which would keep the candidate pool alive until the cyclic garbage
-    collector runs.
+    ``pool`` holds the candidates in bytes order, the root candidates (which
+    send 0 to 1) first. Returns the (s, n, n) stack of the subgroups, each one's
+    rows sorted by image of 0, and for each subgroup the k of its subtree.
+
+    The tree is walked one level at a time. A level's B nodes are ``nodes``
+    (each S as ``{image of 0: element}`` and its generators as translation
+    tables, for ``_extend``) and three arrays: ``at`` (B, n, n), whose row y of
+    node b is the element of S sending 0 to y, and 255 outside S's orbit;
+    ``in_orbit`` (B, n); and ``gens`` (B, d, n), the d generators of each S.
+    ``inverse`` holds the pool rows' inverses, flat.
     """
-    t = next(x for x in range(degree) if x not in elems)
-    candidates = buckets[t]
-    if gen_tabs:
-        orbit = np.fromiter(elems, np.intp, len(elems))
-        members = np.frombuffer(b"".join(elems.values()), np.uint8).reshape(len(elems), degree)
-        clash = (candidates[:, None, :] == members[None, :, :]).any(axis=(1, 2))
-        candidates = candidates[~clash]
-        # the generator test: f^-1 g f, where it sends 0 into the orbit, is S's element there
-        count = len(candidates)
-        offsets = (np.arange(count) * degree)[:, None]
-        inverse = np.empty(count * degree, dtype=np.uint8)
-        inverse[offsets + candidates] = np.arange(degree, dtype=np.uint8)  # row i: f_i^-1
-        gens = np.frombuffer(b"".join(gen_tabs), np.uint8).reshape(len(gen_tabs), -1)[:, :degree]
-        conj = inverse[offsets + gens[:, candidates]]  # [a, i]: f_i^-1 o g_a o f_i
-        at = np.zeros((degree, degree), dtype=np.uint8)  # row y: S's element sending 0 to y
-        at[orbit] = members
-        in_orbit = np.zeros(degree, dtype=bool)
-        in_orbit[orbit] = True
-        y = conj[..., 0]
-        candidates = candidates[(~in_orbit[y] | (at[y] == conj).all(axis=2)).all(axis=0)]
-    blob, tail = candidates.tobytes(), _PAD[degree:]
-    for start in range(0, len(blob), degree):
-        f_tab = blob[start:start + degree] + tail
-        ext = _extend(elems, gen_tabs, f_tab, allowed)
-        if ext is None:
-            continue
-        if len(ext) == degree:
-            found.append(b"".join(sorted(ext.values())))
-        else:
-            _search(ext, gen_tabs + [f_tab], degree, buckets, allowed, found)
+    count, degree = pool.shape
+    ident = bytes(range(degree))
+    blob, tail = pool.tobytes(), _PAD[degree:]
+    elements = [blob[i:i + degree] for i in range(0, len(blob), degree)]
+    allowed = frozenset(elements) | {ident}
+    offset = (np.arange(count) * degree)[:, None]
+    inverse = np.empty(count * degree, dtype=np.uint8)  # row i: pool[i]^-1, flat
+    inverse[offset + pool] = np.arange(degree, dtype=np.uint8)
+    start = np.searchsorted(pool[:, 0], np.arange(degree + 1))  # candidates of t: start[t]:start[t + 1]
+    # the root level: S = {identity}, and each node walks its one leader
+    nodes: list[tuple[dict[int, bytes], list[bytes]]] = [({0: ident}, [])] * len(leaders)
+    at, in_orbit = _orbit_arrays(nodes, degree)
+    gens = np.empty((len(leaders), 0, degree), dtype=np.uint8)
+    origin = np.arange(len(leaders))
+    first, last = leaders, leaders + 1
+    walked: list[bytes] = []
+    walked_origin: list[int] = []
+    closed, closed_origin = [np.empty((0, degree, degree), np.uint8)], [np.empty(0, np.intp)]
+    while nodes:
+        half = 2 * in_orbit.sum(axis=1) == degree
+        counts = last - first
+        offsets = np.cumsum(counts) - counts
+        cuts = [0, *(np.flatnonzero(np.diff(offsets // _BATCH)) + 1), len(nodes)]
+        children: list[tuple[dict[int, bytes], list[bytes]]] = []
+        parent, chosen = [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            node = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            cand = np.repeat(first[lo:hi] - offsets[lo:hi] + offsets[lo], counts[lo:hi])
+            cand += np.arange(len(cand))
+            f = pool[cand]
+            # the closed form decides every candidate at an index-2 node, with no prune
+            pair_half = half[node]
+            keep, subgroups = _index_two(at, in_orbit, gens, inverse, node[pair_half],
+                                         cand[pair_half], f[pair_half])
+            closed.append(subgroups)
+            closed_origin.append(origin[node[pair_half][keep]])
+            rest = ~pair_half
+            rest[rest] = _clash_free(at[lo:hi], node[rest] - lo, f[rest])
+            node, cand, f = node[rest], cand[rest], f[rest]
+            # the generator test: f^-1 g f, where it sends 0 into the orbit, is S's element there
+            conj = _conjugates(gens, inverse, node, cand, f)
+            at_y = (node * degree)[:, None] + conj[..., 0]  # row of S's element there
+            agree = (at.reshape(-1, degree)[at_y] == conj).all(axis=2)  # False outside the orbit
+            test = (agree | ~in_orbit.reshape(-1)[at_y]).all(axis=1)
+            for p in np.flatnonzero(test):
+                b = int(node[p])
+                elems, gen_tabs = nodes[b]
+                f_tab = elements[cand[p]] + tail
+                ext = _extend(elems, gen_tabs, f_tab, allowed)
+                if ext is None:
+                    continue
+                if len(ext) == degree:
+                    walked.append(b"".join(sorted(ext.values())))
+                    walked_origin.append(origin[b])
+                else:
+                    children.append((ext, gen_tabs + [f_tab]))
+                    parent.append(b)
+                    chosen.append(cand[p])
+        if children:
+            at, in_orbit = _orbit_arrays(children, degree)
+            gens = np.concatenate([gens[parent], pool[chosen][:, None]], axis=1)
+            origin = origin[parent]
+            t = in_orbit.argmin(axis=1)  # each node extends through its least point outside the orbit
+            first, last = start[t], start[t + 1]
+        nodes = children
+    found = np.frombuffer(b"".join(walked), np.uint8).reshape(len(walked), degree, degree)
+    return (np.concatenate([found, *closed]),
+            np.concatenate([np.array(walked_origin, dtype=np.intp), *closed_origin]))
+
+
+def _orbit_arrays(nodes: list[tuple[dict[int, bytes], list[bytes]]],
+                  degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """``at`` and ``in_orbit`` of a level (see ``_subtrees``), from its nodes' dicts."""
+    sizes = np.fromiter((len(elems) for elems, _ in nodes), np.intp, len(nodes))
+    owner = np.repeat(np.arange(len(nodes)), sizes)
+    points = np.fromiter((x for elems, _ in nodes for x in elems), np.intp, len(owner))
+    members = b"".join(r for elems, _ in nodes for r in elems.values())
+    at = np.full((len(nodes), degree, degree), 255, dtype=np.uint8)
+    at[owner, points] = np.frombuffer(members, np.uint8).reshape(-1, degree)
+    in_orbit = np.zeros((len(nodes), degree), dtype=bool)
+    in_orbit[owner, points] = True
+    return at, in_orbit
+
+
+def _clash_free(at: np.ndarray, node: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Mask of the candidates ``f[i]`` that agree with no element of the S of ``node[i]``.
+
+    ``at[b]`` holds in row y the element of node b's S that sends 0 to y, and
+    255 in every row outside S's orbit. f agrees with some element of S at x
+    exactly when f(x) lies in the S-orbit of x; each point is labelled by the
+    least point of its orbit, its least image under the rows of ``at[b]``.
+    """
+    degree = at.shape[1]
+    label = at.min(axis=1)
+    return (label.reshape(-1)[(node * degree)[:, None] + f] != label[node]).all(axis=1)
+
+
+def _conjugates(gens: np.ndarray, inverse: np.ndarray, node: np.ndarray, cand: np.ndarray,
+                f: np.ndarray) -> np.ndarray:
+    """f^-1 o g o f for each f = ``f[i]`` = pool row ``cand[i]`` and each generator g of
+    the S of ``node[i]``, as a (pairs, generators, n) stack; ``inverse`` is the flat
+    inverses of the pool rows."""
+    degree, d = f.shape[1], gens.shape[1]
+    g_rows = (node * d)[:, None] + np.arange(d)  # row of each generator in gens' rows
+    g_f = gens.reshape(-1)[(g_rows * degree)[..., None] + f[:, None]]  # g o f
+    return inverse[(cand * degree)[:, None, None] + g_f]
+
+
+def _index_two(at: np.ndarray, in_orbit: np.ndarray, gens: np.ndarray, inverse: np.ndarray,
+               node: np.ndarray, cand: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the candidates ``f[i]`` that close the S of ``node[i]``, of index 2 in
+    the degree, to a regular group, and the (k, n, n) stack of those groups S u fS.
+
+    The arguments are as in ``_subtrees``. f is kept exactly when f o f lies in
+    S and f normalises S (f^-1 g f is S's element for each generator g of S):
+    a subgroup of index 2 is normal, and its quotient has order 2. Conversely
+    <S, f> is then S u fS, of n elements since f is not in S, and fS = Sf sends
+    0 onto the S-orbit of f(0), the complement of S's orbit; so the group is
+    transitive of degree n and order n, hence regular, and its elements, rows
+    of the group searched, are uniform: it is the group that ``_extend`` would
+    build. Its row f(x) is f o (row x). The square is tested first, with one
+    gather that drops most candidates before the generators' gathers.
+    """
+    degree = f.shape[1]
+    at_rows = at.reshape(-1, degree)
+    square = f.reshape(-1)[(np.arange(len(f)) * degree)[:, None] + f]  # f o f
+    keep = (at_rows[node * degree + square[:, 0]] == square).all(axis=1)
+    held = np.flatnonzero(keep)
+    conj = _conjugates(gens, inverse, node[held], cand[held], f[held])
+    keep[held] = (at_rows[(node[held] * degree)[:, None] + conj[..., 0]] == conj).all(axis=(1, 2))
+    f, node = f[keep], node[keep]
+    out = at[node]
+    out_rows = out.reshape(-1, degree)
+    i, x = np.nonzero(in_orbit[node])
+    i, x = i * degree, i * degree + x  # flat offsets of group i and of its row x
+    out_rows[i + f.reshape(-1)[x]] = f.reshape(-1)[i[:, None] + out_rows[x]]
+    return keep, out
 
 
 def _extend(elems: dict[int, bytes], gen_tabs: list[bytes], f_tab: bytes,

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -734,19 +735,13 @@ def _stack(elements, degree):
 
 
 def _unreduced_regular_subgroups(rows):
-    """The search without symmetries: ``_search`` from the root over every candidate."""
+    """The search without symmetries: the level walk below every root candidate, in bytes order."""
     degree = rows.shape[1]
-    ident = bytes(range(degree))
     if degree == 1:  # the tree has no point to extend through; its one subgroup is {ident}
         return np.zeros((1, 1, 1), dtype=np.uint8)
-    uniform = _uniform_candidates(rows)
-    by_image = {t: [] for t in range(1, degree)}
-    for p in uniform:
-        by_image[p[0]].append(p)
-    buckets = {t: _stack(elements, degree) for t, elements in by_image.items()}
-    found = []
-    regsearch._search({0: ident}, [], degree, buckets, frozenset(uniform) | {ident}, found)
-    return np.frombuffer(b"".join(found), np.uint8).reshape(len(found), degree, degree)
+    pool = _stack(_uniform_candidates(rows), degree)
+    found, _ = regsearch._subtrees(pool, np.flatnonzero(pool[:, 0] == 1))
+    return found[sorted(range(len(found)), key=lambda i: found[i].tobytes())]
 
 
 @pytest.mark.parametrize("m_name", HOL_CATALOG)
@@ -772,17 +767,23 @@ def test_reduced_search_walks_one_subtree_per_root_orbit(monkeypatch):
     orbits = regsearch._root_orbits(_stack(roots, 24), stabiliser)
     assert (len(roots), len(orbits)) == (86, 8)
     assert sum(1 + len(movers) for _, movers in orbits) == 86
-    walked = []
-    real = regsearch._search
+    walked, root_checks = [], []
+    real_subtrees, real_extend = regsearch._subtrees, regsearch._extend
 
-    def counted(elems, gen_tabs, degree, buckets, allowed, found):
-        if len(elems) == 1:
-            walked.append(_as_bytes(buckets[1]))
-        return real(elems, gen_tabs, degree, buckets, allowed, found)
+    def subtrees(pool, leaders):
+        walked.append(_as_bytes(pool[leaders]))
+        return real_subtrees(pool, leaders)
 
-    monkeypatch.setattr(regsearch, "_search", counted)
+    def extend(elems, gen_tabs, f_tab, allowed):
+        if len(elems) == 1:  # a root node: S is the identity alone
+            root_checks.append(f_tab[:24])
+        return real_extend(elems, gen_tabs, f_tab, allowed)
+
+    monkeypatch.setattr(regsearch, "_subtrees", subtrees)
+    monkeypatch.setattr(regsearch, "_extend", extend)
     assert len(regsearch.regular_subgroups(hol.rows, stabiliser)) == 1856
-    assert walked == [[roots[i]] for i, _ in orbits]
+    assert walked == [[roots[i] for i, _ in orbits]]
+    assert root_checks == walked[0]  # each root node extends by its leader alone
 
 
 def test_symmetry_that_moves_a_root_candidate_out_is_a_theorem_violation():
@@ -865,7 +866,92 @@ def test_generator_test_spares_most_schreier_checks(monkeypatch):
     monkeypatch.setattr(regsearch, "_extend", counted)
     hol = enumeration._HolData("D21", catalog_group("D21"))
     assert len(hol.subgroups) == 464
-    assert len(calls) == 936  # 7,096 without the generator test
+    # one per root leader (16), and 24 below the 4 leaders of order 3. Every node with
+    # |S| = 21 is of index 2 and closed without a Schreier check: 936 with one per
+    # candidate there, 7,096 without the generator test either
+    assert len(calls) == 40
+
+
+# -- the level walk: its label prune, its closed form at index 2, its memory ----
+
+WHOLE_TREE_SOURCES = ["D12", "D21", "Q8 x C3", "Sym(6)"]
+
+
+def _source_rows(source):
+    return _sym_rows(int(source[4:-1])) if source.startswith("Sym") else enumeration._hol_data(source).rows
+
+
+def _recorded_calls(monkeypatch, name, rows):
+    """(arguments, result) of each call of ``regsearch.<name>`` in the whole-tree search of ``rows``."""
+    calls = []
+    real = getattr(regsearch, name)
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(regsearch, name, recorded)
+    regsearch.regular_subgroups(rows, _whole_tree(rows))
+    return calls
+
+
+@pytest.mark.parametrize("source", WHOLE_TREE_SOURCES)
+def test_label_prune_matches_broadcast_comparison(monkeypatch, source):
+    dropped = 0
+    for (at, node, f), free in _recorded_calls(monkeypatch, "_clash_free", _source_rows(source)):
+        # f agrees somewhere with a row of S; the filler 255 outside S's orbit matches no point
+        clash = (f[:, None, :] == at[node]).any(axis=(1, 2))
+        assert np.array_equal(free, ~clash)
+        dropped += int(clash.sum())
+    assert dropped
+
+
+@pytest.mark.parametrize("source", WHOLE_TREE_SOURCES)
+def test_index_two_closed_form_matches_schreier_check(monkeypatch, source):
+    rows = _source_rows(source)
+    degree = rows.shape[1]
+    allowed = frozenset(_as_bytes(rows[regsearch.uniform_rows(rows)]))
+    tail = bytes(range(degree, 256))
+    verdicts = []
+    calls = _recorded_calls(monkeypatch, "_index_two", rows)
+    for (at, in_orbit, _, _, node, _, f), (keep, closed) in calls:
+        written = iter(closed)
+        for b, f_row, kept in zip(node, f, keep):
+            members = _as_bytes(at[b][in_orbit[b]])
+            elems = dict(zip(np.flatnonzero(in_orbit[b]).tolist(), members))
+            assert 2 * len(elems) == degree
+            # every element of S serves as a generator of S
+            ext = regsearch._extend(elems, [r + tail for r in members], f_row.tobytes() + tail, allowed)
+            assert kept == (ext is not None)
+            if kept:
+                assert next(written).tobytes() == b"".join(sorted(ext.values()))
+            verdicts.append(bool(kept))
+        assert next(written, None) is None
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("m_name", ["D21", "C6 x C2^2"])
+def test_search_peak_memory(monkeypatch, m_name):
+    searches = []
+    real = regsearch.regular_subgroups
+
+    def recorded(rows, symmetries):
+        searches.append((rows, symmetries))
+        return real(rows, symmetries)
+
+    monkeypatch.setattr(regsearch, "regular_subgroups", recorded)
+    enumeration._HolData(m_name, catalog_group(m_name))
+    (rows, symmetries), = searches
+    tracemalloc.start()
+    try:
+        real(rows, symmetries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 3.3 MiB of it is uniform_rows' intp gather index; each of the level walk's
+    # passes of about 1024 pairs adds far less
+    assert peak <= 4.0 * 2**20
 
 
 def _primes(n):
