@@ -7,14 +7,21 @@ fixed fields as solution spaces, and the induced short exact sequence by ranks
 and spans. J = Psi(P), its cosets and lambda(G)'s block images on them are
 read from J's ``PsiResult`` (``correspond.psi_of_rows``), as in the census. G
 is read only through its rows and frobenius_matrices; only ExtensionModel
-knows that G is cyclic, and it checks that j -> frobenius_matrices[j] is a
-homomorphism on G's rows, so that ring membership is tested on G's
-generator, the Frobenius, alone. The models of one degree share one C_n, and
-with it each J's ``PsiResult``; each model solves each K^S once, builds and
-verifies each ring once (``ExtensionModel.ring_of``, by support and action
-rows) and solves each K^{H_P} once (``ExtensionModel.field_of``, by P's
-rows), so a stable P that several N share, or a quotient equal to a ring
-already built, is read back. The power-sum implication is decided per
+and the group-side caches keyed by its degree know that G is cyclic, and
+the model checks that j -> frobenius_matrices[j] is a homomorphism on G's
+rows, so that ring membership is tested on G's generator, the Frobenius,
+alone. The models of one degree share one C_n, and with it each J's
+``PsiResult``, and the whole group side, which no prime changes, is built
+once per degree in ``functools.cache`` functions keyed by the degree and by
+row bytes: C_n's structures with their stable P (``degree_structures``),
+each pair's P-in-N index, v o q index and N's block image
+(``_pair_data``), and each (support, action)'s conjugation table, orbits,
+stabilisers and coset representatives (``_orbit_split``).
+Each prime then does only F_p arithmetic: each model solves each K^S once,
+builds and verifies each ring once (``ExtensionModel.ring_of``, by support
+and action rows) and solves each K^{H_P} once (``ExtensionModel.field_of``,
+by P's rows), so a stable P that several N share, or a quotient equal to a
+ring already built, is read back. The power-sum implication is decided per
 subfield for a whole stack of subsets of G.
 A field element is its F_p coefficient vector in the power basis 1, x, ..,
 x^(n-1), and every field operation is a matrix: multiplication by c is
@@ -37,8 +44,9 @@ from typing import Sequence
 import numpy as np
 
 from . import fplin
-from .correspond import block_actions, psi_of_rows
+from .correspond import StableSubgroup, block_actions, psi_of_rows, stable_subgroups
 from .dsl import build_group
+from .enumeration import HgsRecord, enumerate_hgs
 from .errors import GroupSpecError, TheoremViolation
 from .groups import FiniteGroup
 from .regsearch import conjugate, row_indices
@@ -104,6 +112,13 @@ def _field_matrices(p: int, modulus: Sequence[int]) -> tuple[np.ndarray, np.ndar
 def _cyclic_group(n: int) -> FiniteGroup:
     """C_n, built once per degree for every model of that degree."""
     return build_group(f"C{n}")
+
+
+@functools.cache
+def degree_structures(n: int) -> tuple[tuple[HgsRecord, tuple[StableSubgroup, ...]], ...]:
+    """Each Hopf-Galois structure N on C_n with its lambda(G)-stable P, once per degree."""
+    return tuple((record, tuple(stable_subgroups(record)))
+                 for record in enumerate_hgs(_cyclic_group(n)))
 
 
 class ExtensionModel:
@@ -253,19 +268,18 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     elements are exactly c_{g v g^-1} = g(b) for b in K^S, one g per coset gS
     (its least element). ``gbar_rows`` gives the action of each G element on
     the support domain (the left-regular action by default; block images for
-    quotient supports).
+    quotient supports). The orbits, stabilisers and cosets are read from
+    ``_orbit_split``, so only the F_p arithmetic runs per model.
     Asserts dim_k = |V| and that the basis is fixed.
     """
     if gbar_rows is None:
         gbar_rows = model.group.rows
     size, frob = len(support_rows), model.frobenius_matrices
-    conj = row_indices(support_rows, conjugate(support_rows, gbar_rows))
-    if conj is None:
-        raise TheoremViolation("conjugator does not normalize the support group")
+    conj, orbits = _orbit_split(support_rows.shape[1], _row_bytes(support_rows),
+                                _row_bytes(gbar_rows))
     blocks = []
-    for v in np.flatnonzero(np.bincount(conj.min(axis=0), minlength=size)):  # least members
-        sub = fixed_subfield_of_group(model, np.flatnonzero(conj[:, v] == v))
-        orbit, cosets = np.unique(conj[:, v], return_index=True)
+    for stabiliser, orbit, cosets in orbits:
+        sub = fixed_subfield_of_group(model, stabiliser)
         block = np.zeros((len(sub), size, model.n), dtype=np.int64)
         block[:, orbit] = np.einsum("lij,dj->dli", frob[cosets], sub) % model.p
         blocks.append(block)
@@ -276,6 +290,36 @@ def fixed_ring_basis(model: ExtensionModel, support_rows: np.ndarray,
     if not ring.contains(basis):
         raise TheoremViolation("fixed ring basis is not lambda(G)-invariant")
     return ring
+
+
+def _row_bytes(rows: np.ndarray) -> bytes:
+    """The bytes of a stack of uint8 rows, the key of the group-side caches."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).tobytes()
+
+
+def _uint8_rows(data: bytes, width: int) -> np.ndarray:
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+
+
+@functools.cache
+def _orbit_split(width: int, support: bytes, action: bytes) -> tuple[np.ndarray, tuple]:
+    """The conjugation table of a support under an action of G, and its orbits.
+
+    ``conj[g, v]`` is the index of g v g^-1 in the support; each orbit, by its
+    least member v, is (the points of v's stabiliser, the orbit's sorted
+    indices, each one's least conjugator). None of it depends on p, so every
+    model of one degree reads one split per (support, action).
+    """
+    support_rows = _uint8_rows(support, width)
+    conj = row_indices(support_rows, conjugate(support_rows, _uint8_rows(action, width)))
+    if conj is None:
+        raise TheoremViolation("conjugator does not normalize the support group")
+    conj.flags.writeable = False
+    orbits = []
+    for v in np.flatnonzero(np.bincount(conj.min(axis=0), minlength=len(support_rows))):
+        orbit, cosets = np.unique(conj[:, v], return_index=True)
+        orbits.append((tuple(np.flatnonzero(conj[:, v] == v).tolist()), orbit, cosets))
+    return conj, tuple(orbits)
 
 
 def act(ring: FixedRing, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -398,41 +442,33 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     Reads the rings H_N and H_P as given, and H_{N/P} from the model's rings.
     Checks: (i) H_P embeds in H_N; (ii) the coset projection maps H_N onto
     H_{N/P}; (iii) its kernel has dimension |N| - [N:P]; (iv) the kernel
-    equals H_N . H_P^+; (v) dim H_P = |P| and dim H_{N/P} = [N:P].
+    equals H_N . H_P^+; (v) dim H_P = |P| and dim H_{N/P} = [N:P]. The index
+    data of N and P is read from ``_pair_data``, once per degree.
     Raises TheoremViolation on any failure.
     """
     model = h_n.model
     nfld, p = model.n, model.p
     n_rows, p_rows = h_n.rows, h_p.rows
     hn_coeffs, hp_coeffs = h_n.basis, h_p.basis
+    pair = _pair_data(nfld, _row_bytes(n_rows), _row_bytes(p_rows))
 
     # (i) zero-extend H_P coefficients to N's support and check membership
     size_n = len(n_rows)
-    p_in_n = row_indices(n_rows, p_rows)
-    if p_in_n is None:
-        raise TheoremViolation("P is not contained in N")
-    vq_index = row_indices(n_rows, n_rows[:, p_rows])  # [v, q]: the index of v o q in N
-    if vq_index is None:
-        raise TheoremViolation("a product v o q of N and P is not in N")
     extended = np.zeros((h_p.dimension, size_n, nfld), dtype=np.int64)
-    extended[:, p_in_n] = hp_coeffs
+    extended[:, pair.p_in_n] = hp_coeffs
     if not h_n.contains(extended):
         raise TheoremViolation("H_P does not embed into H_N")
 
-    # block data: J = Psi(P)'s result holds its cosets and lambda(G)'s images; N's are built here
+    # block data: J = Psi(P)'s result holds its cosets and lambda(G)'s images; N's is the pair's
     result = psi_of_rows(model.group, p_rows)
-    actions = block_actions(n_rows, result)
-    nbar, nbar_index = actions.nbar, actions.nbar_index
     m = result.space.block_count
-    if len(nbar) != size_n // len(p_rows):
+    if len(pair.nbar) != size_n // len(p_rows):
         raise TheoremViolation("block image of N does not have order [N:P]")
-    h_quot = model.ring_of(nbar, result.gbar_of)
+    h_quot = model.ring_of(pair.nbar, result.gbar_of)
 
     # (ii) projection surjects onto H_{N/P}
-    onehot = np.eye(m, dtype=np.int64)[nbar_index]  # [v, b]: v lies over b
-
     def project(coeffs):
-        return np.einsum("vb,kvi->kbi", onehot, coeffs) % p
+        return np.einsum("vb,kvi->kbi", pair.onehot, coeffs) % p
 
     images = project(hn_coeffs)
     if not h_quot.contains(images):
@@ -451,7 +487,7 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     if plus_coords.shape[0] != h_p.dimension - 1:
         raise TheoremViolation("augmentation ideal of H_P has wrong dimension")
     hp_plus = np.tensordot(plus_coords, hp_coeffs, 1) % p
-    products = _group_ring_product(model, hn_coeffs, hp_plus, vq_index)
+    products = _group_ring_product(model, hn_coeffs, hp_plus, pair.vq_inverse)
     if not h_n.contains(products):
         raise TheoremViolation("a product H_N . H_P^+ left H_N")
     if np.any(project(products)):
@@ -471,15 +507,49 @@ def exact_sequence_check(h_n: FixedRing, h_p: FixedRing) -> dict:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class _PairData:
+    """The p-independent index data of a pair P <= N of supports on C_n's points."""
+
+    p_in_n: np.ndarray  # entry q: the index in N of P's row q
+    vq_inverse: np.ndarray  # [w, q]: the index of the v in N with v o q = w
+    nbar: np.ndarray  # N's block image on the left cosets of J = Psi(P), sorted rows
+    onehot: np.ndarray  # [v, b]: 1 iff v's block image is nbar's row b
+
+
+@functools.cache
+def _pair_data(n: int, n_bytes: bytes, p_bytes: bytes) -> _PairData:
+    """``_PairData`` of N's and P's rows on C_n, built once per degree."""
+    n_rows, p_rows = _uint8_rows(n_bytes, n), _uint8_rows(p_bytes, n)
+    p_in_n = row_indices(n_rows, p_rows)
+    if p_in_n is None:
+        raise TheoremViolation("P is not contained in N")
+    vq_index = row_indices(n_rows, n_rows[:, p_rows])  # [v, q]: the index of v o q in N
+    if vq_index is None:
+        raise TheoremViolation("a product v o q of N and P is not in N")
+    # v -> v o q is a bijection of N for each q, so this inverts it column by column
+    vq_inverse = np.empty_like(vq_index)
+    vq_inverse[vq_index, np.arange(len(p_rows))] = np.arange(len(n_rows))[:, None]
+    actions = block_actions(n_rows, psi_of_rows(_cyclic_group(n), p_rows))
+    onehot = np.eye(len(actions.nbar), dtype=np.int64)[actions.nbar_index]
+    return _PairData(p_in_n, vq_inverse, actions.nbar, onehot)
+
+
 def _group_ring_product(model: ExtensionModel, left: np.ndarray, right: np.ndarray,
-                        vq_index: np.ndarray) -> np.ndarray:
+                        vq_inverse: np.ndarray) -> np.ndarray:
     """Every product (sum c_v v)(sum d_q q) in K[N], left[a] times right[b].
 
     ``left`` and ``right`` are coefficient arrays (count, support, n); entry
-    a * len(right) + b of the result is the product's (|N|, n) array.
+    a * len(right) + b of the result is the product's (|N|, n) array. The
+    terms c_v d_q for every (v, q) come from one matmul; the coefficient at w
+    sums, over q, the term of the v with v o q = w (``vq_inverse[w, q]``).
     """
     p, nfld = model.p, model.n
-    terms = np.einsum("avij,bqj->vqabi", model.mult_matrix(left), right) % p
-    out = np.zeros((len(vq_index), len(left), len(right), nfld), dtype=np.int64)
-    np.add.at(out, vq_index, terms)
-    return out.transpose(1, 2, 0, 3).reshape(len(left) * len(right), len(vq_index), nfld) % p
+    count_a, size_v = left.shape[:2]
+    count_b, size_q = right.shape[:2]
+    # [a, i, v, q, b] = sum_j Mult(c_v)[i, j] d_q[j]: c_v d_q, coordinate i
+    mults = model.mult_matrix(left).transpose(0, 2, 1, 3).reshape(-1, nfld)
+    terms = (mults @ right.transpose(1, 0, 2).reshape(-1, nfld).T % p).reshape(
+        count_a, nfld, size_v, size_q, count_b)
+    out = terms[:, :, vq_inverse, np.arange(size_q)].sum(axis=3) % p  # [a, i, w, b]
+    return out.transpose(0, 3, 2, 1).reshape(count_a * count_b, len(vq_inverse), nfld)

@@ -179,19 +179,19 @@ def model_report(p: int = 11, n: int = 6, checks: Sequence[str] = ("fix", "rank"
     report certifies that each listed check passed with the shown dimensions.
     """
     ext = m.make_extension(p, n)
-    records = enumerate_hgs(ext.group) if {"fix", "rank", "exact"} & set(checks) else []
+    # C_n's structures and their stable P are enumerated once per degree, for every prime
+    structures = m.degree_structures(n) if {"fix", "rank", "exact"} & set(checks) else ()
     rows: list[dict] = []
 
     def row(check: str, target: str, detail: str):
         rows.append({"check": check, "target": target, "status": "pass", "detail": detail})
 
     samples = np.vstack([np.eye(n, dtype=np.int64), (3 * np.arange(n) + 1) % p])
-    for record in records:
+    for record, stables in structures:
         name = f"N~{record.n_class.name}#{record.provenance[1]}"
         # the model builds each ring and solves each K^(H_P) once: a stable P that
         # several N share is read back, not rebuilt
         h_n = ext.ring_of(record.rows)
-        stables = stable_subgroups(record)
         if "fix" in checks:
             m.act(h_n, h_n.basis, samples)  # asserts slice action == closed formula
             acts = h_n.dimension * len(samples)

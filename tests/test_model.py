@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import functools
+import inspect
 import itertools
 import re
 from collections import Counter
@@ -11,7 +13,7 @@ import pytest
 from hgw import correspond, fplin
 from hgw import model as model_mod
 from hgw.catalog import catalog_names
-from hgw.correspond import stable_subgroups
+from hgw.correspond import psi_of_rows, stable_subgroups
 from hgw.dsl import build_group
 from hgw.enumeration import enumerate_hgs
 from hgw.errors import GroupSpecError, TheoremViolation
@@ -30,6 +32,7 @@ from hgw.model import (
     make_extension,
 )
 from hgw.perm import Permutation
+from hgw.regsearch import row_indices
 from hgw.report import model_report
 from perm_tables import right_regular
 
@@ -626,7 +629,8 @@ def _case_h_p_not_in_h_n(monkeypatch):
         monkeypatch, "N", model=lambda r: _zero_frobenius(r.model)))
 
 
-def _case_block_image_order(monkeypatch):
+def _case_block_image_order(monkeypatch, fresh_cache):
+    fresh_cache(model_mod, "_pair_data")  # the pair's block actions are built anew, faked
     original = model_mod.block_actions
 
     def collapsed(n_rows, j_handle):
@@ -705,9 +709,12 @@ CONTRACT_CASES = {
 
 
 @pytest.mark.parametrize("message", list(CONTRACT_CASES))
-def test_model_contract_violations_raise(monkeypatch, message):
+def test_model_contract_violations_raise(monkeypatch, fresh_cache, message):
+    case = CONTRACT_CASES[message]
+    # a case that patches a function under a group-side cache takes fresh_cache too
+    extra = (fresh_cache,) if "fresh_cache" in inspect.signature(case).parameters else ()
     with pytest.raises(TheoremViolation) as info:
-        CONTRACT_CASES[message](monkeypatch)
+        case(monkeypatch, *extra)
     assert str(info.value) == message
 
 
@@ -1012,3 +1019,134 @@ def test_rref_matches_python_gauss_jordan(p):
             assert np.array_equal(mat, before)  # the input is not reduced in place
     with pytest.raises(ValueError, match="2-D"):
         fplin.rref(np.arange(4), p)
+
+
+def rref_reference(mat, p):
+    """Row-major elimination that reduces the whole block mod p after every step: the
+    reference for fplin.rref, which reduces the block only once per budget."""
+    a = np.array(mat, dtype=np.int64)
+    a %= p
+    free = np.ones(len(a), dtype=bool)
+    order, pivots = [], []
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
+        if len(order) == len(a):
+            break
+        candidates = a[:, c] * free
+        k = int(candidates.argmax())
+        lead = int(candidates[k])
+        if not lead:
+            continue
+        row = a[k, c:] * pow(lead, p - 2, p) % p
+        rest = a[:, c:]
+        rest -= a[:, c, None] * row
+        rest %= p
+        rest[k] = row
+        free[k] = False
+        order.append(k)
+        pivots.append(c)
+    return a[order], pivots
+
+
+def _near_top_cases(p, rng):
+    """Random, zero, rank-deficient, tall and wide matrices with entries near p - 1."""
+    def top(shape):
+        return p - 1 - rng.integers(0, min(p, 4), shape)
+
+    for rows, cols in [(6, 6), (40, 5), (5, 40), (64, 64), (1, 9), (9, 1)]:
+        yield top((rows, cols))
+    yield np.zeros((5, 7), dtype=np.int64)
+    for rows, cols, rank in [(12, 12, 5), (40, 8, 3), (8, 40, 2), (64, 64, 40)]:
+        basis = top((rank, cols))
+        yield basis[rng.integers(0, rank, rows)]  # repeated rows, every entry near p - 1
+        yield rng.integers(0, 2, (rows, rank)) @ basis % p  # sums of rows, reduced
+    mat = top((10, 12))
+    mat[:, rng.random(12) < 0.4] = 0
+    yield mat
+
+
+@pytest.mark.parametrize("p", (2, 11, 59, 1000000007, 2147483647, 3037000493))
+def test_rref_matches_the_per_step_reference(p):
+    # the budget ((1 << 62) - p) // (p * p) is 4 at 10^9 + 7, 1 at 2^31 - 1 and 0 at the last
+    # prime, whose products (p - 1)^2 stay below 2^63
+    rng = np.random.default_rng(p % 100003)
+    for _ in range(4):
+        for mat in _near_top_cases(p, rng):
+            red, pivots = fplin.rref(mat, p)
+            ref_red, ref_pivots = rref_reference(mat, p)
+            assert pivots == ref_pivots, (p, mat)
+            assert red.dtype == np.int64 and np.array_equal(red, ref_red), (p, mat)
+
+
+def _group_ring_product_reference(model, left, right, vq_index):
+    """Every term c_v d_q scattered onto v o q by np.add.at: the reference for the gather."""
+    p, nfld = model.p, model.n
+    terms = np.einsum("avij,bqj->vqabi", model.mult_matrix(left), right) % p
+    out = np.zeros((len(vq_index), len(left), len(right), nfld), dtype=np.int64)
+    np.add.at(out, vq_index, terms)
+    return out.transpose(1, 2, 0, 3).reshape(len(left) * len(right), len(vq_index), nfld) % p
+
+
+@pytest.mark.parametrize("p", (11, 1000000007))
+def test_group_ring_product_matches_the_scatter_reference(p):
+    # every (N, normal P) of C_n: the rings' bases, and random arrays with entries near p - 1
+    rng = np.random.default_rng(p % 100003)
+    pairs = 0
+    for n in (n for n in range(2, 9) if catalog_names(n)):
+        model = make_extension(p, n)
+        for record, stables in model_mod.degree_structures(n):
+            h_n = model.ring_of(record.rows)
+            for stable in stables:
+                if not stable.normal_in_n:
+                    continue
+                vq_index = row_indices(record.rows, record.rows[:, stable.rows])
+                pair = model_mod._pair_data(n, record.rows.tobytes(), stable.rows.tobytes())
+                h_p = model.ring_of(stable.rows)
+                near_top = p - 1 - rng.integers(0, 3, (2, len(stable.rows), n))
+                for right in (h_p.basis, near_top):
+                    got = model_mod._group_ring_product(model, h_n.basis, right, pair.vq_inverse)
+                    want = _group_ring_product_reference(model, h_n.basis, right, vq_index)
+                    assert np.array_equal(got, want), (p, n, record.rows, stable.rows)
+                pairs += 1
+    assert pairs > 0
+
+
+def test_model_reports_of_one_degree_share_the_group_side(monkeypatch, fresh_cache):
+    # three primes of one degree: C_8 is enumerated once, each (N, P)'s block actions and
+    # each (support, action)'s orbit split are built once, and only F_p arithmetic repeats
+    enumerations, actions, rings, splits = Counter(), Counter(), Counter(), Counter()
+    fresh_cache(model_mod, "degree_structures")
+    fresh_cache(model_mod, "_pair_data")
+    real_enumerate, real_actions = model_mod.enumerate_hgs, model_mod.block_actions
+    real_ring, real_split = model_mod.fixed_ring_basis, model_mod._orbit_split.__wrapped__
+
+    def counted_enumerate(group):
+        enumerations[group.order] += 1
+        return real_enumerate(group)
+
+    def counted_actions(n_rows, result):
+        actions[n_rows.tobytes(), result.j_handle.members] += 1
+        return real_actions(n_rows, result)
+
+    def counted_ring(model, support_rows, gbar_rows=None):
+        action = model.group.rows if gbar_rows is None else gbar_rows
+        rings[support_rows.shape[1], support_rows.tobytes(), action.tobytes()] += 1
+        return real_ring(model, support_rows, gbar_rows)
+
+    def counted_split(*key):
+        splits[key] += 1
+        return real_split(*key)
+
+    monkeypatch.setattr(model_mod, "enumerate_hgs", counted_enumerate)
+    monkeypatch.setattr(model_mod, "block_actions", counted_actions)
+    monkeypatch.setattr(model_mod, "fixed_ring_basis", counted_ring)
+    monkeypatch.setattr(model_mod, "_orbit_split", functools.cache(counted_split))
+    docs = [model_report(p, 8).rows for p in (11, 13, 17)]
+    assert docs[0] == docs[1] == docs[2]
+    assert enumerations == {8: 1}
+    normal_pairs = {(record.rows.tobytes(), psi_of_rows(record.group, s.rows).j_handle.members)
+                    for record, stables in model_mod.degree_structures(8)
+                    for s in stables if s.normal_in_n}
+    assert set(actions) == normal_pairs and set(actions.values()) == {1}
+    # each model builds its 14 rings, H_N, H_P and H_{N/P}; their orbits are split once
+    assert len(rings) == 14 and set(rings.values()) == {3}
+    assert splits == dict.fromkeys(rings, 1)
