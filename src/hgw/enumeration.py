@@ -46,19 +46,20 @@ of the V whose embeddings first gave N. ``orbit_representatives`` reads the
 orbits of a record list off those tags, for the census.
 
 A record is N's rows, sorted by image tuple (for a regular N, by image of 0);
-the rows are also the key that deduplicates embeddings. N's PermGroup is built
-only when read, and no function of the package takes one. For the first
-embedding of each coset the transport is checked: b is bijective, the
-transported beta(G) equals lambda(G), and N's rows are b^-1 lambda(M) b.
-Each N must arise from |St| |class| = |Aut(M)| embeddings of its class's
-least V; with |orbit| = |Aut(G)| / |St| that is Byott's count
-|orbit| |Aut(M)| = |class| |Aut(G)|. Then N gets the checks that a given N
-(``HgsRecord.from_rows``, from its rows in any order) gets too, in one
+the rows are also its key. N's PermGroup is built only when read, and no
+function of the package takes one. Each record is built and checked at the
+coset where the walk finds it. For the first embedding of each coset the
+transport is checked: b is bijective, the transported beta(G) equals
+lambda(G), and N's rows are b^-1 lambda(M) b. Then N gets the checks that a
+given N (``HgsRecord.from_rows``, from its rows in any order) gets too, in one
 constructor: N's degree is |G|, N is regular, lambda(G) normalizes N (the
 check also builds ``lambda_conj``), and ``m_to_n`` is an isomorphism from M,
 the catalog group of N's class, onto N's rows. The transport gives ``m_to_n``
-as b^-1; a given N gets it from the search that finds each V. Every failed
-check raises TheoremViolation naming N's class, its provenance and G.
+as b^-1; a given N gets it from the search that finds each V. No N may arise
+twice, from one leader or from two. After each leader's walk its class must
+satisfy |St| |class| = |Aut(M)|: with |orbit| = |Aut(G)| / |St| that is
+Byott's count |orbit| |Aut(M)| = |class| |Aut(G)|. Every failed check raises
+TheoremViolation naming N's class, its provenance and G.
 
 A direct brute-force search of Perm(G) certifies the holomorph route at small
 degrees. Sym(n) is one stack of rows, its regular subgroups are searched once
@@ -197,8 +198,8 @@ class _VClasses(NamedTuple):
     """The regular subgroups V <= Hol(M) of one class, grouped into Aut(M)-classes."""
 
     positions: np.ndarray  # canonical index in Hol(M)'s stack of every such V, ascending
-    # (position, rows, iso, class size) of each class's least V, in canonical order; iso maps
-    # the class's catalog group onto V, by the indices of V's rows
+    # (index in positions, rows, iso, class size) of each class's least V, in canonical
+    # order; iso maps the class's catalog group onto V, by the indices of V's rows
     leaders: list[tuple[int, np.ndarray, tuple[int, ...], int]]
 
 
@@ -260,7 +261,7 @@ class _HolData:
                 if iso is None:
                     raise TheoremViolation(f"regular subgroup of Hol({self.m_name}) classed "
                                            f"{class_name} is not isomorphic to {class_name}")
-                leaders.append((int(matched[i]), rows, iso, int(sizes[i])))
+                leaders.append((i, rows, iso, int(sizes[i])))
             self._isomorphic[class_name] = _VClasses(matched, leaders)
         return self._isomorphic[class_name]
 
@@ -316,20 +317,18 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
 
     Every V of one Aut(M)-class gives the same N, so only the least V of each
     class is walked; its embeddings keep the ids they have when every V is.
-    Of V's embeddings, one per coset of N0's stabiliser in Aut(G) is built.
+    Of V's embeddings, one per coset of N0's stabiliser St in Aut(G) is built
+    and checked where it is found. No N may arise twice, and each leader must
+    satisfy Byott's identity |St| |class| = |Aut(M)|.
     """
     n = group.order
     hol = _hol_data(m_name)
     mul = hol.model.rows
     aut_inv = np.argsort(aut_g, axis=1).astype(np.uint8)  # row a: alpha^-1
     n_class = GroupClassLabel(m_name, n)
-    # key -> (provenance, V's index, b^-1, N's rows, V's class size) of N's first embedding
-    first: dict[bytes, tuple] = {}
-    multiplicity: Counter[bytes] = Counter()
-    classes = hol.isomorphic_to(g_class)
-    for position, v_rows, m_to_v, size in classes.leaders:
-        # V's index among the V of G's class; each V before it has |Aut(G)| embeddings
-        v_index = int(np.searchsorted(classes.positions, position))
+    records: dict[bytes, HgsRecord] = {}
+    for v_index, v_rows, m_to_v, size in hol.isomorphic_to(g_class).leaders:
+        first_id = v_index * len(aut_g)  # each V before it in G's class has |Aut(G)| embeddings
         beta0 = np.array(m_to_v)[g_to_m]
         # every isomorphism G -> V is beta0 o alpha for one alpha in Aut(G)
         isos = beta0[aut_g]
@@ -343,7 +342,7 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
         for rank, a in enumerate(np.lexsort(isos.T[::-1]).tolist()):
             if reached[a]:
                 continue
-            provenance = (m_name, v_index * len(aut_g) + rank)
+            provenance = (m_name, first_id + rank)
             rows = _conjugate_by(rows0, aut_g[a], aut_inv[a])
             b_inv = _transported(group, n_class, provenance, v_rows[isos[a]], rows, mul)
             # the cosets of a subgroup partition Aut(G): each holds its alpha, and none
@@ -362,26 +361,22 @@ def _records_for_model(group: FiniteGroup, g_class: str, g_to_m: np.ndarray, aut
                                  f"that is not a subgroup: its coset through this embedding "
                                  f"{problem}")
             key = rows.tobytes()
-            if key not in first:
-                first[key] = (provenance, v_index, b_inv, rows, size)
-            elif first[key][1] == v_index:
-                raise _violation(group, n_class, first[key][0],
-                                 f"arose again from embedding {provenance[1]}, in another coset "
-                                 "of its stabiliser in Aut(G): the stabiliser misses an "
-                                 "automorphism")
-            multiplicity[key] += len(stabiliser)
-
-    records = []
-    for key in sorted(first):
-        provenance, v_index, b_inv, rows, size = first[key]
-        # orbit-stabiliser: the |class| V of N's class give N equally often, |Aut(M)| times
-        # in all, so |St| |class| = |Aut(M)|, which is |orbit| |Aut(M)| = |class| |Aut(G)|
-        if multiplicity[key] * size != hol.aut_order:
-            raise _violation(group, n_class, provenance, f"arose from {multiplicity[key]} "
-                             f"embeddings of its class's least V, expected "
-                             f"|Aut(M)| / |class| = {hol.aut_order} / {size}")
-        records.append(HgsRecord._checked(group, rows, n_class, provenance, b_inv, v_index))
-    return records
+            earlier = records.get(key)
+            if earlier is not None:
+                raise _violation(group, n_class, earlier.provenance,
+                                 f"arose again from embedding {provenance[1]}, " +
+                                 ("in another coset of its stabiliser in Aut(G): the stabiliser "
+                                  "misses an automorphism" if earlier.orbit == v_index else
+                                  "of another class leader: distinct Aut(M)-classes give "
+                                  "distinct orbits"))
+            records[key] = HgsRecord._checked(group, rows, n_class, provenance, b_inv, v_index)
+        # orbit-stabiliser: V's class gives N's orbit |Aut(M)| times in all, so
+        # |St| |class| = |Aut(M)|, which is |orbit| |Aut(M)| = |class| |Aut(G)|
+        if len(stabiliser) * size != hol.aut_order:
+            raise _violation(group, n_class, (m_name, first_id),
+                             f"arose from {len(stabiliser)} embeddings of its class's least V, "
+                             f"expected |Aut(M)| / |class| = {hol.aut_order} / {size}")
+    return [records[key] for key in sorted(records)]
 
 
 def _stabiliser(rows0: np.ndarray, gens: np.ndarray, aut_g: np.ndarray,
@@ -485,7 +480,7 @@ def count_formula_report(group: FiniteGroup) -> list[dict]:
     for m_name in catalog_names(group.order):
         hol = _hol_data(m_name)
         n_count = sum(1 for r in records if r.n_class.name == m_name)
-        v_count = sum(size for *_, size in hol.isomorphic_to(g_class).leaders)
+        v_count = len(hol.isomorphic_to(g_class).positions)
         out.append(
             {
                 "model": m_name,

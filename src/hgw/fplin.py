@@ -73,9 +73,3 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     basis[range(len(free)), free] = 1
     basis[:, pivots] = -red[:, free].T % p
     return basis
-
-
-def row_spaces_equal(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    ra, _ = rref(np.atleast_2d(a), p)
-    rb, _ = rref(np.atleast_2d(b), p)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))

@@ -398,7 +398,7 @@ def fixed_field(ring: FixedRing) -> FixedFieldResult:
         raise TheoremViolation("fixed field is not multiplicatively closed")
     j_points = psi_of_rows(model.group, p_rows).j_handle.members
     k_j = fixed_subfield_of_group(model, j_points)
-    if not fplin.row_spaces_equal(space, k_j, p):
+    if not np.array_equal(space, k_j):  # both are RREF, and a space has one RREF
         raise TheoremViolation("K^{H_P} differs from K^J for J = Psi(P)")
     return FixedFieldResult(space, j_points)
 

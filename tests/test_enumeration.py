@@ -255,6 +255,30 @@ def test_contract_violations_raise(monkeypatch, fresh_cache, attr, fake, message
         enumerate_hgs(group)
 
 
+def test_one_class_walked_as_two_leaders_is_a_theorem_violation(monkeypatch, fresh_cache):
+    """A second member of one Aut(M)-class walked as a leader, with its own isomorphism and
+    the true class size, gives again the N of the class's least V: Byott's translation
+    gives each class its own orbit, so the first repeat raises, before any count."""
+    real = enumeration._HolData.isomorphic_to
+
+    def with_a_second_leader(hol, class_name):
+        classes = real(hol, class_name)
+        if hol.m_name == "C2^2" and len(classes.leaders) == 1:
+            (_, _, _, size), = classes.leaders
+            assert size == len(classes.positions) == 3  # one class holds the three V = C4
+            rows = hol.subgroups[classes.positions[1]]
+            iso = an_isomorphism(catalog_group(class_name), semiregular_group(rows))
+            classes.leaders.append((1, rows, iso, size))
+        return classes
+
+    monkeypatch.setattr(enumeration._HolData, "isomorphic_to", with_a_second_leader)
+    fresh_cache(enumeration, "_hol_data")  # the appended leader goes with the test
+    with pytest.raises(TheoremViolation, match=re.escape(
+            "N of class C2^2 and provenance ('C2^2', 0) arose again from embedding 2, of another "
+            "class leader: distinct Aut(M)-classes give distinct orbits (G = FiniteGroup(C4))")):
+        enumerate_hgs(catalog_group("C4"))
+
+
 def _conjugate_by(rows, alpha):
     """alpha N alpha^-1 for N's rows and alpha a permutation of G's indices, sorted like N's."""
     conj = alpha[rows[:, np.argsort(alpha)]]
@@ -306,8 +330,8 @@ def test_lazy_classification_and_beta0_composition(g_name):
         expected = _eager_class_tables(hol, g_name)
         assert [([bytes(r) for r in rows], semiregular_group(rows).table) for rows in every_v] \
             == expected, (g_name, m_name)
-        for position, rows, iso, _ in classes.leaders:  # only leaders are searched
-            assert np.array_equal(rows, hol.subgroups[position])
+        for v_index, rows, iso, _ in classes.leaders:  # only leaders are searched
+            assert np.array_equal(rows, hol.subgroups[classes.positions[v_index]])
             assert iso in all_isomorphisms(group, semiregular_group(rows)), (g_name, m_name)
         for rows in every_v:
             table = semiregular_group(rows)
@@ -394,8 +418,8 @@ def _per_v_records(group, leaders_only=False):
         first, multiplicity = {}, Counter()
         if leaders_only:
             classes = hol.isomorphic_to(g_class)
-            walk = [(int(np.searchsorted(classes.positions, position)), v_rows, m_to_v, size)
-                    for position, v_rows, m_to_v, size in classes.leaders]
+            walk = [(v_index, hol.subgroups[classes.positions[v_index]], m_to_v, size)
+                    for v_index, _, m_to_v, size in classes.leaders]
         else:
             invariants = catalog.class_invariants(hol.subgroups)
             matched = hol.subgroups[(invariants == catalog_invariant(g_class)).all(axis=1)]
@@ -478,7 +502,8 @@ def test_v_classes_are_the_aut_m_conjugacy_classes(m_name):
             found.setdefault(min(conjugates), conjugates)
             assert found[min(conjugates)] == conjugates
         assert [(p, len(c)) for p, c in sorted(found.items())] \
-            == [(p, size) for p, _, _, size in classes.leaders], (m_name, class_name)
+            == [(classes.positions[i], size) for i, _, _, size in classes.leaders], \
+            (m_name, class_name)
         assert sorted(set().union(*found.values())) == classes.positions.tolist()
         assert sum(size for *_, size in classes.leaders) == kinds[class_name]
 
