@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_group
-from .correspond import correspondence_rows
 from .dsl import build_group
 from .errors import EnumerationOverflow, GroupSpecError, HgwError, UncoveredOrder
 from .report import (
     FORMATS,
     correspondence_table_doc,
     emit_enum_table,
+    group_census,
     model_report,
     run_fixture_paper24,
     write_table42,
@@ -99,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc.render(), args.out)
         elif args.command == "correspond":
             group = _parse_group(parser, args.group)
-            rows = correspondence_rows(group)
-            doc = correspondence_table_doc(rows, args.format)
+            doc = correspondence_table_doc(group_census(group).rows, args.format)
             _emit(doc.render(), args.out)
         elif args.command == "table42":
             written = write_table42(args.out, args.format)

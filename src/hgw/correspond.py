@@ -25,7 +25,10 @@ and on first read J's cosets (``space``) and lambda(G)'s block images on them
 the census share each ``StableSubgroup.psi_result``, and a census contract
 failure names G, N's class and provenance, and P.
 
-The census verifies and aggregates one representative per Aut(G)-orbit of
+The census has one driver, ``report.group_census``: it enumerates G's
+structures once, finds the stable subgroups and runs the onto check per
+Aut(G)-orbit, and hands both to ``correspondence_rows``, the row pass here.
+That pass verifies and aggregates one representative per Aut(G)-orbit of
 structures, the first record of each orbit in the list it is given, and
 weights its rows by the orbit's record count in that list. The weights are
 exact: alpha in Aut(G) acts by N -> alpha N alpha^-1, since
@@ -43,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import GroupClassLabel, catalog_group, iso_class_of_rows
-from .enumeration import HgsRecord, enumerate_hgs, orbit_representatives
+from .enumeration import HgsRecord, orbit_representatives
 from .errors import BlockSystemViolation, TheoremViolation
 from .groups import FiniteGroup, SubgroupHandle, core_masks, core_of, subgroups
 from .perm import normalizes  # noqa: F401 - hgwbench's tracer self-test checks this alias
@@ -339,18 +342,18 @@ def _violation(stable: StableSubgroup, problem: str) -> TheoremViolation:
 # -- census ---------------------------------------------------------------------
 
 
-def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord] | None = None,
+def correspondence_rows(group: FiniteGroup, records: Sequence[HgsRecord],
                         verify: bool = True,
                         stables_by_record: dict | None = None) -> list[CorrespondenceRow]:
-    """Aggregated (count, [N], [P], [J], J-normality, |I|) census over all
-    structures N and all proper nontrivial stable P normal in N.
+    """Aggregated (count, [N], [P], [J], J-normality, |I|) census over the
+    structures N in ``records`` and all proper nontrivial stable P normal in N.
 
-    Only the first record of each Aut(G)-orbit in ``records`` is verified and
-    aggregated, its rows weighted by its orbit's record count there; the
-    module docstring says why those weights are exact.
+    This is the row pass of ``report.group_census``, which enumerates the
+    records and passes their stable subgroups in ``stables_by_record``;
+    ``group`` is not read. Only the first record of each Aut(G)-orbit in
+    ``records`` is verified and aggregated, its rows weighted by its orbit's
+    record count there; the module docstring says why those weights are exact.
     """
-    if records is None:
-        records = enumerate_hgs(group)
     agg: dict[tuple, int] = {}
     for record, weight in orbit_representatives(records):
         stables = (stables_by_record or {}).get(record.key) or stable_subgroups(record)

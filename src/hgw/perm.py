@@ -10,6 +10,7 @@ the Sym(n) oracle and ``HgsRecord.n_group`` hand N's elements out in it.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -114,10 +115,7 @@ class Permutation:
         return "".join("(" + ",".join(map(str, cyc)) + ")" for cyc in cycs)
 
     def order(self) -> int:
-        result = 1
-        for cyc in self.cycles():
-            result = _lcm(result, len(cyc))
-        return result
+        return math.lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
@@ -133,12 +131,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 class PermGroup:

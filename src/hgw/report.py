@@ -67,14 +67,13 @@ class TableDocument:
         return "\n".join(lines) + "\n"
 
 
-# -- degree-42 census ------------------------------------------------------------
+# -- census ---------------------------------------------------------------------
 
 
 @dataclass
 class GroupCensus:
     """Everything the reports need for one Galois group G."""
 
-    g_name: str
     group: FiniteGroup
     records: list[HgsRecord]
     class_counts: dict[str, int]
@@ -82,15 +81,16 @@ class GroupCensus:
     rows: list[CorrespondenceRow]
 
 
-def group_census(g_name: str) -> GroupCensus:
-    """Enumerate, classify, and aggregate for one catalog group, fully verified.
+def group_census(group: FiniteGroup) -> GroupCensus:
+    """Enumerate, classify, and aggregate for one covered group, fully verified.
+
+    This is the census behind both ``hgw correspond`` and ``hgw table42``.
 
     The stable subgroups, the onto test and the verified census run once per
     Aut(G)-orbit of structures, on its first record, and count for the whole
     orbit: N -> alpha N alpha^-1 carries each Psi(P) = J to alpha(J), which
     permutes G's subgroups and keeps every class, J's normality and |core|.
     """
-    group = catalog_group(g_name)
     records = enumerate_hgs(group)
     class_counts = Counter(r.n_class.name for r in records)
     onto = Counter()
@@ -102,15 +102,15 @@ def group_census(g_name: str) -> GroupCensus:
         if psi_onto(record, stab, all_subgroup_sets):
             onto[record.n_class.name] += weight
     rows = correspondence_rows(group, records, stables_by_record=stables)
-    return GroupCensus(g_name, group, records, dict(class_counts), dict(onto), rows)
+    return GroupCensus(group, records, dict(class_counts), dict(onto), rows)
 
 
-def emit_count_matrix_42(censuses: list[GroupCensus], fmt: str) -> TableDocument:
+def emit_count_matrix_42(censuses: dict[str, GroupCensus], fmt: str) -> TableDocument:
     """The degree-42 matrix of structure counts with onto-braces, one row per census."""
-    names = [census.g_name for census in censuses]
+    names = list(censuses)
     rows = []
-    for census in censuses:
-        row: dict = {"G": _display(census.g_name)}
+    for g_name, census in censuses.items():
+        row: dict = {"G": _display(g_name)}
         for m_name in names:
             count = census.class_counts.get(m_name, 0)
             braces = census.onto_counts.get(m_name, 0)
@@ -234,11 +234,11 @@ def write_table42(out_dir, fmt: str = "md") -> list[str]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    censuses = [group_census(g_name) for g_name in catalog_names(42)]
+    censuses = {name: group_census(catalog_group(name)) for name in catalog_names(42)}
     slug = str.maketrans(":", "s", " ()")
     docs = {"count_matrix_42": emit_count_matrix_42(censuses, fmt)}
-    for census in censuses:
-        stem = "table_" + _display(census.g_name).translate(slug)
+    for g_name, census in censuses.items():
+        stem = "table_" + _display(g_name).translate(slug)
         docs[stem] = correspondence_table_doc(census.rows, fmt)
     written = []
     for stem, doc in docs.items():

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hgw.catalog import catalog_group  # noqa: E402
 from hgw.report import group_census  # noqa: E402
 
 
@@ -26,7 +27,7 @@ def census42():
     """All six degree-42 censuses with full theorem verification (cached)."""
     from reference_data import GROUPS_42
 
-    return {g: group_census(g) for g in GROUPS_42}
+    return {g: group_census(catalog_group(g)) for g in GROUPS_42}
 
 
 @pytest.fixture(scope="session")

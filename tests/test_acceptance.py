@@ -262,3 +262,17 @@ def test_extra_cli_table42_and_enum(fmt, tmp_path, capsys):
                else len(out.read_text().splitlines()) - header_lines)
     assert records == sum(COUNTS_42["D21"]) == 45
     _passline(7, f"CLI table42 wrote 7 files in {fmt}; enum D21 emitted 45 records")
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("g_name", GROUPS_42)
+def test_extra_cli_correspond_prints_the_table42_file(g_name, fmt, capsys):
+    # hgw correspond and hgw table42 render the same group census
+    import hashlib
+
+    from hgw.cli import main
+
+    assert main(["correspond", "--group", g_name, "--format", fmt]) == 0
+    stem = TABLE42_FILES[1 + GROUPS_42.index(g_name)]  # table42 writes in catalog order
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+        == TABLE42_SHA256[fmt][stem]

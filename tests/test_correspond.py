@@ -504,7 +504,7 @@ def test_d21_census_builds_one_lattice_per_class_and_j_data_once_per_j(monkeypat
     _count_calls(monkeypatch, iso_class_of_rows, counts, "j class", during=inside_psi)
     monkeypatch.setattr(correspond, "psi", counted_psi)
     monkeypatch.setattr(report, "stable_subgroups", kept_stable)
-    census = report.group_census("D21")
+    census = report.group_census(catalog_group("D21"))
 
     classes = {r.n_class.name for r in census.records}
     j_count = len(subgroups(catalog_group("D21")))
@@ -534,7 +534,7 @@ TABLE_SHA256_SMALL = {
 
 @pytest.mark.parametrize("g_name", sorted(TABLE_SHA256_SMALL))
 def test_small_correspondence_tables_pinned(g_name):
-    text = correspondence_table_doc(correspondence_rows(catalog_group(g_name)), "md").render()
+    text = correspondence_table_doc(report.group_census(catalog_group(g_name)).rows, "md").render()
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256_SMALL[g_name]
 
 
@@ -592,7 +592,7 @@ def test_orbit_census_counts_shuffled_partial_and_given_lists(g_name):
 # each but D21 has an onto N whose Aut(G)-orbit holds two or more structures
 @pytest.mark.parametrize("g_name", ["C4 x C2", "Q8", "C6 x C2", "C21", "C42", "D21"])
 def test_group_census_onto_counts_match_the_per_record_test(g_name):
-    census = report.group_census(g_name)
+    census = report.group_census(catalog_group(g_name))
     all_sets = frozenset(h.members for h in subgroups(census.group))
     onto = Counter(r.n_class.name for r in census.records
                    if psi_onto(r, stable_subgroups(r), all_sets))
@@ -800,4 +800,4 @@ def test_census_violations_name_g_n_and_p(monkeypatch):
     monkeypatch.setattr(correspond, "orbit_coset_check", lambda stable, result: False)
     with pytest.raises(TheoremViolation,
                        match=r"^a P-orbit is not the matching left coset of Psi\(P\)" + case):
-        correspondence_rows(_fresh("C6"))
+        report.group_census(_fresh("C6"))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hgw.catalog import catalog_group
 from hgw.cli import main
 from hgw.dsl import build_group
 from hgw.report import TableDocument, emit_enum_table, model_report, run_fixture_paper24
@@ -162,8 +163,9 @@ COVERED = "(covered orders: 1, 2, 3, 4, 6, 7, 8, 12, 14, 21, 24, 42)"
      "isomorphism search on order 32 would try 28629151 generator images, above the bound 100000"),
 ], ids=["C5", "C50", "sdp_C2^4", "sdp_C2^5"])
 def test_cli_uncovered_order_is_usage_error(capsys, spec, message):
-    assert main(["enum", "--group", spec]) == 2
-    assert capsys.readouterr().err == f"usage error: {message} {COVERED}\n"
+    for command in ("enum", "correspond"):
+        assert main([command, "--group", spec]) == 2
+        assert capsys.readouterr().err == f"usage error: {message} {COVERED}\n"
 
 
 def test_cli_non_order_spec_error_has_no_coverage_suffix(capsys):
@@ -225,11 +227,12 @@ def test_cli_check_failure_exits_1(monkeypatch, capsys):
 
     real = enumeration.all_isomorphisms
     monkeypatch.setattr(enumeration, "all_isomorphisms", lambda g, v: real(g, v)[:1])
-    assert main(["enum", "--group", "D3"]) == 1
-    assert capsys.readouterr().err == ("check failed: N of class C6 and provenance ('C6', 0) "
-                                       "arose from 1 embeddings of its class's least V, "
-                                       "expected |Aut(M)| / |class| = 2 / 1 "
-                                       "(G = FiniteGroup(D3))\n")
+    for command in ("enum", "correspond"):
+        assert main([command, "--group", "D3"]) == 1
+        assert capsys.readouterr().err == ("check failed: N of class C6 and provenance ('C6', 0) "
+                                           "arose from 1 embeddings of its class's least V, "
+                                           "expected |Aut(M)| / |class| = 2 / 1 "
+                                           "(G = FiniteGroup(D3))\n")
 
 
 def test_cli_verify_subprocess():
@@ -296,7 +299,8 @@ def test_python_m_hgw_runs_the_cli():
 
 def test_census_and_model_report_leave_numpy_ma_unimported():
     # np.unique without a return_* flag imports numpy.ma (numpy 2.4), about 15 ms cold
-    code = ("import sys; from hgw import report; report.group_census('D3'); "
+    code = ("import sys; from hgw import report; from hgw.catalog import catalog_group; "
+            "report.group_census(catalog_group('D3')); "
             "report.model_report(11, 4); print(sorted(m for m in sys.modules "
             "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -312,7 +316,7 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
     import hgw.report as report
     from hgw.perm import PermGroup
 
-    report.group_census("D21")
+    report.group_census(catalog_group("D21"))
     model_report(11, 4)
     built = []
     real_init = PermGroup.__init__
@@ -322,7 +326,7 @@ def test_census_and_model_report_build_no_perm_group(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counted_init)
-    census = report.group_census("D21")
+    census = report.group_census(catalog_group("D21"))
     doc = model_report(11, 4)
     enum_doc = emit_enum_table(build_group("D21"))
     assert census.rows and doc.rows and enum_doc.rows
